@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .configurations import PointConfiguration, is_degenerate
 from .errors import ShapeError
 from .fields import Scalar
-from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, complement, s_index
+from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, complement, int_rref, s_index
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
@@ -350,38 +352,75 @@ def _in_v_annotation(d: int, n: int, degenerate: bool, all_vanish: bool) -> tupl
     )
 
 
-def wdn_membership(p: PointConfiguration, collect_values: bool = False):
-    """Evaluate every pullback of every generator pattern on p (d >= 3).
+def _window_vanishes(rows: list[list[int]], p: Optional[int]) -> bool:
+    """True when every generator vanishes on the window with coordinate rows `rows`.
 
-    Pullbacks are scanned in lexicographic order of (J, I) — J the point
-    subset of size d + 4, I the six-element pattern — and the first nonzero
-    value becomes the witness. Returns a HigherEquationReport; when
-    `collect_values` is set, also returns the full {(I, J): value} dict.
+    `rows` is the (d+1) x (d+4) coordinate matrix A of the window, with
+    integer columns (denominator-cleared over Q, residues over F_p; p is None
+    over Q). If A has rank < d+1 every width-(d+1) bracket is 0. Otherwise
+    let B (3 x (d+4)) be a basis of the right kernel of A, a Gale transform
+    of the window: by the sign law each generator equals +-lambda^4 times the
+    conic polynomial on B restricted to its pattern, and that is -det of the
+    6 x 6 minor of the quadratic lifts of B's columns. So all generators
+    vanish exactly when the 6 x (d+4) lift matrix has rank <= 5, that is when
+    one conic passes through all d+4 Gale points. Any kernel basis and any
+    column scaling of A give the same answer.
+
+    The kernel basis read off the reduced echelon form of A puts three Gale
+    points at the coordinate points (the free columns) and the pivot column
+    of row i at -(a_i0, a_i1, a_i2), a_ik being row i's entry in the k-th free
+    column. A conic through the three coordinate points has no square terms,
+    so the test is whether some nonzero (c01, c02, c12) satisfies
+    c01 a_i0 a_i1 + c02 a_i0 a_i2 + c12 a_i1 a_i2 = 0 for every row i: whether
+    the (d+1) x 3 matrix of those products has rank <= 2.
+    """
+    a, pivots = int_rref(rows, p)
+    if len(pivots) < len(rows):
+        return True
+    f0, f1, f2 = (f for f in range(len(rows[0])) if f not in pivots)
+    products = [[r[f0] * r[f1], r[f0] * r[f2], r[f1] * r[f2]] for r in a]
+    return len(int_rref(products, p)[1]) <= 2
+
+
+def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
+    """Decide whether every pullback of every generator pattern vanishes on p (d >= 3).
+
+    Pullbacks are ordered lexicographically by (J, I) — J the point subset of
+    size d + 4, I the six-element pattern — and the first nonzero value
+    becomes the witness; `checked` counts the pullbacks up to and including
+    it. Each window J is decided by one exact rank test (`_window_vanishes`);
+    generators are evaluated only on the first window that fails it.
     """
     d, n = p.d, p.n
     if d < 3:
         raise ShapeError(f"use the conic module for d = {d}")
-    degenerate = is_degenerate(p)
-    values: dict[tuple[IndexSet, IndexSet], Scalar] = {}
     witness = None
     checked = 0
-    if n >= d + 4:
+    if n < d + 4:
+        degenerate = is_degenerate(p)
+    else:
         gens = psi_generators(d)
         mm = MaximalMinors(p.coords)
-        if p.field.kind == "Fp":
-            mm.ensure_all()
-        for J in combinations(range(1, n + 1), d + 4):
-            for I, poly in gens:
+        prime = p.field.p if p.field.kind == "Fp" else None
+        coord_rows = list(zip(*mm.int_columns))
+        # points that do not span leave every window rank-deficient, so
+        # every pullback vanishes and no window needs a test
+        degenerate = len(int_rref(coord_rows, prime)[1]) <= d
+        windows = () if degenerate else combinations(range(1, n + 1), d + 4)
+        for j, J in enumerate(windows):
+            pick = itemgetter(*(i - 1 for i in J))
+            if _window_vanishes([list(pick(row)) for row in coord_rows], prime):
+                continue
+            for i, (I, poly) in enumerate(gens):
                 val = eval_bracket_poly(relabel(poly, J, ground=n), mm)
-                checked += 1
-                if collect_values:
-                    values[(I, J)] = val
-                if val != 0 and witness is None:
+                if val != 0:
                     witness = (I, J, val)
-                    if not collect_values:
-                        break
-            if witness is not None and not collect_values:
+                    checked = j * len(gens) + i + 1
+                    break
+            if witness is not None:
                 break
+        else:
+            checked = comb(n, d + 4) * len(gens)
     all_vanish = witness is None
     in_v, note = _in_v_annotation(d, n, degenerate, all_vanish)
     if not all_vanish:
@@ -390,7 +429,7 @@ def wdn_membership(p: PointConfiguration, collect_values: bool = False):
         classification = "InY"
     else:
         classification = "InW"
-    report = HigherEquationReport(
+    return HigherEquationReport(
         d=d,
         n=n,
         degenerate=degenerate,
@@ -401,6 +440,3 @@ def wdn_membership(p: PointConfiguration, collect_values: bool = False):
         in_v=in_v,
         note=note if n >= d + 4 else "no generators below d + 4 points; " + note,
     )
-    if collect_values:
-        return report, values
-    return report

@@ -72,7 +72,9 @@ class CommandResult:
 
 
 def _finish(result: CommandResult) -> None:
-    click.echo(json.dumps(result.to_document(), sort_keys=True, indent=2))
+    # An explicit file keeps click from caching a wrapper per sys.stdout object;
+    # that cache holds the stream itself, so a swapped-in stdout would never be freed.
+    click.echo(json.dumps(result.to_document(), sort_keys=True, indent=2), file=sys.stdout)
     sys.exit(result.exit_code)
 
 
@@ -193,7 +195,7 @@ def cmd_eqs(d: int, n: int, fmt: str):
                 label += "; " + ",".join(map(str, g["J"]))
             lines.append(f"({label}) {format_bracket_poly(g['poly'])}")
         if fmt == "text":
-            click.echo("\n".join(lines))
+            click.echo("\n".join(lines), file=sys.stdout)
             sys.exit(0)
         payload = {
             "d": d,

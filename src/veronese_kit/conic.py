@@ -17,7 +17,7 @@ from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
 from .errors import ShapeError
 from .fields import Field, Scalar
-from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det
+from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det, rank
 
 #: phi_det == BRACKET_TO_DET_SIGN * (the displayed bracket polynomial).
 #: The classical display |123||145||246||356| - |124||135||236||456| carries
@@ -117,8 +117,13 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     """Evaluate the conic condition on every six-point subset (lex order).
 
     With fewer than six points there is nothing to check and the report is
-    trivially all-vanishing.
+    trivially all-vanishing. Every subset's value is a 6 x 6 minor of the
+    lift matrix, so all of them vanish exactly when its rank is at most 5:
+    then the report follows from that one rank, and the subsets are scanned
+    only when the rank is 6 or the values are asked for.
     """
+    if p.d == 2 and p.n >= 6 and not collect_values and rank(lift_matrix(p)) <= 5:
+        return ConicEquationReport(n=p.n, checked=comb(p.n, 6), all_vanish=True, nonvanishing=(), values=None)
     subsets = list(combinations(range(1, p.n + 1), 6))
     return _subset_report(p, subsets, collect_values)
 

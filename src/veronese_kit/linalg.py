@@ -291,6 +291,52 @@ def _rref_q(entries) -> tuple[list[list[Fraction]], list[int], int]:
     return a, pivots, r
 
 
+def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon form of an integer matrix given as plain rows: (rows, pivots).
+
+    Over Q (p None) this is fraction-free Gauss-Jordan elimination: each step
+    divides exactly by the previous pivot, entries stay minors of the input,
+    and every pivot entry of the result equals the last pivot D. Over F_p the
+    entries are reduced mod p and every pivot is scaled to 1, so D = 1. In
+    both cases, with `a` the returned rows, the right kernel has one basis
+    vector per free column f: v_f = D, v_c = -a[i][f] for the i-th pivot
+    column c, zero elsewhere. Pivots are 0-based columns; the input is not
+    modified.
+    """
+    if p is None:
+        a = [list(r) for r in rows]
+    else:
+        a = [[x % p for x in r] for r in rows]
+    height = len(a)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(a[0])):
+        r = len(pivots)
+        if r == height:
+            break
+        piv = next((i for i in range(r, height) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pr = a[r]
+        if p is None:
+            pk = pr[c]
+            for i in range(height):
+                if i != r:
+                    f = a[i][c]
+                    a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pr)]
+            prev = pk
+        else:
+            inv = pow(pr[c], -1, p)
+            pr = a[r] = [x * inv % p for x in pr]
+            for i in range(height):
+                f = a[i][c]
+                if i != r and f:
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+        pivots.append(c)
+    return a, pivots
+
+
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form: (matrix, 0-based pivot columns, rank)."""
     if M.field.kind == "Fp":
@@ -358,6 +404,10 @@ class MaximalMinors:
     bulk fill is batched through the int64 kernels; over Q each minor runs
     fraction-free on a denominator-cleared copy (the per-column clearing
     factors are divided back out, so values match `minor` exactly).
+
+    `int_columns` holds the columns as int lists: the residues over F_p, the
+    denominator-cleared copy over Q. Scaling a column by a nonzero constant
+    changes no rank, so rank tests may run on them with `int_rref`.
     """
 
     def __init__(self, M: Matrix):
@@ -369,6 +419,7 @@ class MaximalMinors:
         self._complete = False
         if M.field.kind == "Fp":
             self._arr = M.as_array()
+            self.int_columns = [list(c) for c in M.columns()]
         else:
             cols = []
             factors = []
@@ -377,7 +428,7 @@ class MaximalMinors:
                 m = lcm(*(x.denominator for x in col))
                 factors.append(Fraction(m))
                 cols.append([int(x * m) for x in col])
-            self._int_cols = cols
+            self.int_columns = cols
             self._factors = factors
 
     def get(self, J: Iterable[int]) -> Scalar:
@@ -390,7 +441,7 @@ class MaximalMinors:
             sub = self._arr[:, [j - 1 for j in J]]
             val: Scalar = _kernels.fp_det(sub, M.field.p)
         else:
-            rows = [[self._int_cols[j - 1][i] for j in J] for i in range(self.width)]
+            rows = [[self.int_columns[j - 1][i] for j in J] for i in range(self.width)]
             scale = Fraction(1)
             for j in J:
                 scale *= self._factors[j - 1]

@@ -22,11 +22,18 @@ def field_to_json(f: Field) -> Any:
     return "Q" if f.kind == "Q" else {"Fp": f.p}
 
 
+def _exact_int(value: Any, name: str) -> int:
+    """An integer field of a document; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def field_from_json(doc: Any) -> Field:
     if doc == "Q":
         return Field.rationals()
     if isinstance(doc, dict) and set(doc) == {"Fp"}:
-        return Field.prime(int(doc["Fp"]))
+        return Field.prime(_exact_int(doc["Fp"], "Fp"))
     raise ValueError(f"bad field document: {doc!r}")
 
 
@@ -60,7 +67,7 @@ def config_from_json(doc: dict) -> PointConfiguration:
     if missing:
         raise ValueError(f"configuration document missing keys: {sorted(missing)}")
     f = field_from_json(doc["field"])
-    d, n = int(doc["d"]), int(doc["n"])
+    d, n = _exact_int(doc["d"], "d"), _exact_int(doc["n"], "n")
     cols = doc["columns"]
     if not isinstance(cols, list) or len(cols) != n:
         raise ValueError(f"expected {n} columns")

@@ -2,11 +2,24 @@
 
 Everything here is deliberately naive (permutation sums, recursive cofactor
 expansion, brute-force enumeration) so it shares no code path with the
-implementations under test.
+implementations under test. The one exception is `wdn_scan_oracle`: it
+evaluates every generator pullback with the package's bracket evaluator, which
+is the definition the window rank test of `wdn_membership` must reproduce.
 """
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+
+from veronese_kit.brackets import (
+    HigherEquationReport,
+    _in_v_annotation,
+    eval_bracket_poly,
+    psi_generators,
+    relabel,
+)
+from veronese_kit.configurations import is_degenerate, make_config
+from veronese_kit.linalg import MaximalMinors
 
 
 def perm_sign(perm):
@@ -106,3 +119,70 @@ def poly_partial(poly, var):
         key = tuple(new)
         out[key] = out.get(key, 0) + coef * expo[var]
     return out
+
+
+def wdn_scan_oracle(p, collect_values=False):
+    """Brute-force higher membership: evaluate every pullback in (J, I) lex order.
+
+    Returns the report `wdn_membership` must give. Without `collect_values`
+    the scan stops at the first nonzero value, so `checked` counts pullbacks up
+    to the witness; with it every pullback is evaluated (and counted) and the
+    {(I, J): value} dict is returned beside the report.
+    """
+    d, n = p.d, p.n
+    degenerate = is_degenerate(p)
+    values = {}
+    witness = None
+    checked = 0
+    if n >= d + 4:
+        gens = psi_generators(d)
+        mm = MaximalMinors(p.coords)
+        for J in combinations(range(1, n + 1), d + 4):
+            for I, poly in gens:
+                val = eval_bracket_poly(relabel(poly, J, ground=n), mm)
+                checked += 1
+                if collect_values:
+                    values[(I, J)] = val
+                if val != 0 and witness is None:
+                    witness = (I, J, val)
+                    if not collect_values:
+                        break
+            if witness is not None and not collect_values:
+                break
+    all_vanish = witness is None
+    in_v, note = _in_v_annotation(d, n, degenerate, all_vanish)
+    if not all_vanish:
+        classification = "NotInW"
+    elif degenerate:
+        classification = "InY"
+    else:
+        classification = "InW"
+    report = HigherEquationReport(
+        d=d,
+        n=n,
+        degenerate=degenerate,
+        all_vanish=all_vanish,
+        checked=checked,
+        witness=witness,
+        classification=classification,
+        in_v=in_v,
+        note=note if n >= d + 4 else "no generators below d + 4 points; " + note,
+    )
+    if collect_values:
+        return report, values
+    return report
+
+
+def sign_cloud(field, d, n, seed):
+    """n seeded points of P^d with coordinates in {-1, 0, 1}.
+
+    Coincident points, points on coordinate subspaces and other special
+    positions are common, so fast paths meet their corner cases.
+    """
+    rng = random.Random(seed)
+    cols = []
+    while len(cols) < n:
+        col = [rng.choice((-1, 0, 1)) for _ in range(d + 1)]
+        if any(col):
+            cols.append(col)
+    return make_config(field, d, n, cols)

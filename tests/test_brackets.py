@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -18,10 +19,18 @@ from veronese_kit.brackets import (
     wdn_membership,
     y_in_v_dimension_test,
 )
-from veronese_kit.configurations import sample_degenerate, sample_generic, sample_on_rnc
+from veronese_kit.configurations import (
+    make_config,
+    sample_degenerate,
+    sample_generic,
+    sample_on_rnc,
+    sample_quasi_veronese_chain,
+)
 from veronese_kit.errors import ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import minor
+from veronese_kit.linalg import MaximalMinors, minor
+
+from oracles import sign_cloud, wdn_scan_oracle
 
 FP = Field.prime()
 
@@ -203,11 +212,62 @@ def test_wdn_on_curve_vanishes():
 
 def test_wdn_generic_witness_is_scan_first():
     p = sample_generic(FP, 3, 8, seed=9)
-    rep, values = wdn_membership(p, collect_values=True)
+    rep = wdn_membership(p)
+    full, values = wdn_scan_oracle(p, collect_values=True)
     assert rep.classification == "NotInW" and rep.in_v is False
-    assert not rep.all_vanish and rep.checked == len(values) == 8 * 7
+    assert not rep.all_vanish and full.checked == len(values) == 8 * 7
     first = next(((I, J, v) for (I, J), v in values.items() if v != 0), None)
     assert rep.witness == first
+
+
+CHAIN_DEGREES = {3: (2, 1), 4: (2, 2), 5: (3, 2)}
+
+
+def _higher_samples(field, d, n, seed):
+    yield "rnc", sample_on_rnc(field, d, n, seed=seed, height=9)
+    yield "generic", sample_generic(field, d, n, seed=seed, height=3)
+    yield "degenerate", sample_degenerate(field, d, n, seed=seed, height=5)
+    yield "chain", sample_quasi_veronese_chain(field, d, n, CHAIN_DEGREES[d], seed=seed, height=9)[1]
+    yield "cloud", sign_cloud(field, d, n, seed)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
+def test_wdn_matches_brute_scan(field):
+    seen = set()
+    for d, n in ((3, 7), (3, 8), (4, 9), (5, 9)):
+        for seed in range(2):
+            for family, p in _higher_samples(field, d, n, seed):
+                rep = wdn_membership(p)
+                assert rep == wdn_scan_oracle(p), (family, d, n, seed)
+                seen.add(rep.classification)
+    assert seen == {"InW", "InY", "NotInW"}
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101)], ids=str)
+def test_wdn_witness_past_first_window(field):
+    rng = random.Random(5)
+    for d in (3, 4, 5):
+        n = d + 5
+        cols = sample_on_rnc(field, d, n, seed=d, height=9).points()
+        cols[-1] = [field.random_nonzero(rng, 9) for _ in range(d + 1)]
+        p = make_config(field, d, n, cols)
+        rep = wdn_membership(p)
+        assert rep == wdn_scan_oracle(p)
+        # the first window misses point n, so the witness lies in a later one
+        assert rep.witness is not None and n in rep.witness[1]
+        assert rep.checked > comb(d + 4, 6)
+
+
+def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
+    import veronese_kit.brackets as brackets
+
+    calls = []
+    monkeypatch.setattr(brackets, "relabel", lambda *a, **k: calls.append("relabel"))
+    monkeypatch.setattr(MaximalMinors, "ensure_all", lambda self: calls.append("ensure_all"))
+    for field in (QQ, FP):
+        rep = wdn_membership(sample_on_rnc(field, 4, 10, seed=2))
+        assert rep.all_vanish and rep.checked == comb(10, 8) * comb(8, 6)
+    assert calls == []
 
 
 def test_wdn_degenerate_annotations():

@@ -1,5 +1,10 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
+import pytest
 from click.testing import CliRunner
 
 from veronese_kit.cli import SCHEMA, main
@@ -141,3 +146,24 @@ def test_verify_single_suite():
     assert all(line.startswith("PASS [dimension]") for line in doc["log"])
     names = [r["name"] for r in doc["payload"]["suites"]["dimension"]]
     assert names  # at least one check ran
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_in_process_invocation_frees_its_stdout(fmt):
+    buf = io.StringIO()
+    args = ["eqs", "--d", "2", "--n", "6", "--format", fmt]
+    with contextlib.redirect_stdout(buf):
+        with pytest.raises(SystemExit):
+            main.main(args=args, prog_name="veronese-kit", standalone_mode=False)
+    assert "|1 2 3||1 4 5||2 4 6||3 5 6|" in buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
+def test_eval_rejects_inexact_integers():
+    res = run(["sample", "--family", "generic", "--d", "3", "--n", "8", "--seed", "2"])
+    doc = json.loads(res.output)["payload"]["config"]
+    code, out = run_json(["eval"], input=json.dumps({**doc, "d": 3.0}))
+    assert code == 2 and "d must be an integer" in out["payload"]["error"]

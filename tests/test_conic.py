@@ -13,12 +13,19 @@ from veronese_kit.conic import (
     veronese_lift,
     w2n_membership,
 )
-from veronese_kit.configurations import make_config, sample_generic, sample_nodal_conic, sample_on_rnc
+from veronese_kit.configurations import (
+    make_config,
+    sample_degenerate,
+    sample_generic,
+    sample_nodal_conic,
+    sample_on_rnc,
+    sample_quasi_veronese_chain,
+)
 from veronese_kit.errors import IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import minor
 
-from oracles import cofactor_det
+from oracles import cofactor_det, sign_cloud
 
 FP = Field.prime()
 
@@ -95,6 +102,28 @@ def test_w2n_generic_report_is_lex_ordered_and_consistent():
     assert list(rep.nonvanishing) == expected
     assert len(rep.values) == rep.checked
     assert all(rep.values[I] == 0 for I in rep.values if I not in rep.nonvanishing)
+
+
+def _plane_samples(field, n, seed):
+    yield "rnc", sample_on_rnc(field, 2, n, seed=seed, height=9)
+    yield "generic", sample_generic(field, 2, n, seed=seed, height=3)
+    yield "degenerate", sample_degenerate(field, 2, n, seed=seed, height=5)
+    yield "chain", sample_quasi_veronese_chain(field, 2, n, (1, 1), seed=seed, height=9)[1]
+    yield "nodal-conic", sample_nodal_conic(field, n, seed=seed, height=9)
+    yield "cloud", sign_cloud(field, 2, n, seed)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
+def test_w2n_matches_subset_scan(field):
+    seen = set()
+    for n in (5, 6, 7, 9):
+        for seed in range(3):
+            for family, p in _plane_samples(field, n, seed):
+                rep = w2n_membership(p)
+                scan = v2n_subset_membership(p, combinations(range(1, n + 1), 6))
+                assert rep == scan, (family, n, seed)
+                seen.add(rep.all_vanish)
+    assert seen == {True, False}
 
 
 def test_w2n_small_n_trivial():

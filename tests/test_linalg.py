@@ -13,6 +13,7 @@ from veronese_kit.linalg import (
     as_index_set,
     complement,
     det,
+    int_rref,
     inverse,
     kernel_basis,
     minor,
@@ -124,6 +125,35 @@ def test_rank_matches_oracle_both_fields():
         expected = naive_fraction_rank(ints)
         assert rank(Matrix(QQ, ints)) == expected
         assert rank(Matrix(FP, ints)) == expected
+
+
+def test_int_rref_rank_pivots_and_kernel():
+    rng = random.Random(12)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 9)
+        k = rng.randint(0, min(rows, cols))
+        # low-rank products, so rank-deficient inputs and skipped columns are common
+        u = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        v = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        ints = [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+        for p in (None, 101, 7):
+            a, pivots = int_rref(ints, p)
+            D = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+            assert all(a[i][c] == D for i, c in enumerate(pivots))
+            if p is None:
+                assert len(pivots) == naive_fraction_rank(ints)
+                assert tuple(pivots) == rref(Matrix(QQ, ints))[1]
+            else:
+                assert D == 1 and len(pivots) == rank(Matrix(Field.prime(p), ints))
+            # the documented kernel vectors annihilate the input
+            for f in set(range(cols)) - set(pivots):
+                vec = [0] * cols
+                vec[f] = D
+                for i, c in enumerate(pivots):
+                    vec[c] = -a[i][f]
+                for row in ints:
+                    total = sum(x * y for x, y in zip(row, vec))
+                    assert (total if p is None else total % p) == 0
 
 
 def test_rref_reproduces_row_space():

@@ -73,6 +73,20 @@ def test_config_from_json_errors():
         config_from_json("not a dict")
 
 
+def test_codecs_reject_inexact_integers():
+    good = config_to_json(sample_generic(FP, 2, 6, seed=0))
+    with pytest.raises(ValueError, match="d must be an integer"):
+        config_from_json({**good, "d": 2.9})
+    with pytest.raises(ValueError, match="d must be an integer"):
+        config_from_json({**good, "d": True})
+    with pytest.raises(ValueError, match="n must be an integer"):
+        config_from_json({**good, "n": 6.0})
+    with pytest.raises(ValueError, match="Fp must be an integer"):
+        field_from_json({"Fp": 65521.5})
+    with pytest.raises(ValueError, match="Fp must be an integer"):
+        config_from_json({**good, "field": {"Fp": True}})
+
+
 def test_bracket_poly_json_shape():
     doc = bracket_poly_to_json(phi_as_bracket_poly())
     assert doc["ground"] == 6 and doc["width"] == 3
