@@ -352,7 +352,7 @@ def _in_v_annotation(d: int, n: int, degenerate: bool, all_vanish: bool) -> tupl
     )
 
 
-def _window_vanishes(rows: list[list[int]], p: Optional[int]) -> bool:
+def _window_vanishes(rows: Sequence[Sequence[int]], p: Optional[int]) -> bool:
     """True when every generator vanishes on the window with coordinate rows `rows`.
 
     `rows` is the (d+1) x (d+4) coordinate matrix A of the window, with
@@ -409,7 +409,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         windows = () if degenerate else combinations(range(1, n + 1), d + 4)
         for j, J in enumerate(windows):
             pick = itemgetter(*(i - 1 for i in J))
-            if _window_vanishes([list(pick(row)) for row in coord_rows], prime):
+            if _window_vanishes([pick(row) for row in coord_rows], prime):
                 continue
             for i, (I, poly) in enumerate(gens):
                 val = eval_bracket_poly(relabel(poly, J, ground=n), mm)
