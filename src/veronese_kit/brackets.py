@@ -396,16 +396,14 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         raise ShapeError(f"use the conic module for d = {d}")
     witness = None
     checked = 0
-    if n < d + 4:
-        degenerate = is_degenerate(p)
-    else:
+    degenerate = is_degenerate(p)
+    if n >= d + 4:
         gens = psi_generators(d)
         mm = MaximalMinors(p.coords)
         prime = p.field.p if p.field.kind == "Fp" else None
-        coord_rows = list(zip(*mm.int_columns))
+        coord_rows = mm.int_rows()
         # points that do not span leave every window rank-deficient, so
         # every pullback vanishes and no window needs a test
-        degenerate = len(int_rref(coord_rows, prime)[1]) <= d
         windows = () if degenerate else combinations(range(1, n + 1), d + 4)
         for j, J in enumerate(windows):
             pick = itemgetter(*(i - 1 for i in J))

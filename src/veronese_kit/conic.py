@@ -17,7 +17,7 @@ from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
 from .errors import ShapeError
 from .fields import Field, Scalar
-from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det, rank
+from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det
 
 #: phi_det == BRACKET_TO_DET_SIGN * (the displayed bracket polynomial).
 #: The classical display |123||145||246||356| - |124||135||236||456| carries
@@ -82,7 +82,9 @@ class ConicEquationReport:
     values: Optional[dict[IndexSet, Scalar]]
 
 
-def _subset_report(p: PointConfiguration, subsets, collect_values: bool) -> ConicEquationReport:
+def _subset_report(
+    p: PointConfiguration, subsets, collect_values: bool, lifted: Optional[MaximalMinors] = None
+) -> ConicEquationReport:
     if p.d != 2:
         raise ShapeError(f"conic membership needs d=2, got d={p.d}")
     if not subsets:
@@ -93,7 +95,8 @@ def _subset_report(p: PointConfiguration, subsets, collect_values: bool) -> Coni
             nonvanishing=(),
             values={} if collect_values else None,
         )
-    lifted = MaximalMinors(lift_matrix(p))
+    if lifted is None:
+        lifted = MaximalMinors(lift_matrix(p))
     if p.field.kind == "Fp" and len(subsets) * 2 >= comb(p.n, 6):
         lifted.ensure_all()
     bad = []
@@ -120,12 +123,16 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     trivially all-vanishing. Every subset's value is a 6 x 6 minor of the
     lift matrix, so all of them vanish exactly when its rank is at most 5:
     then the report follows from that one rank, and the subsets are scanned
-    only when the rank is 6 or the values are asked for.
+    only when the rank is 6 or the values are asked for. A nonzero first
+    minor already shows rank 6, so generic inputs skip the rank test.
     """
-    if p.d == 2 and p.n >= 6 and not collect_values and rank(lift_matrix(p)) <= 5:
-        return ConicEquationReport(n=p.n, checked=comb(p.n, 6), all_vanish=True, nonvanishing=(), values=None)
     subsets = list(combinations(range(1, p.n + 1), 6))
-    return _subset_report(p, subsets, collect_values)
+    if p.d != 2 or not subsets or collect_values:
+        return _subset_report(p, subsets, collect_values)
+    lifted = MaximalMinors(lift_matrix(p))
+    if lifted.get(subsets[0]) == 0 and lifted.rank() <= 5:
+        return ConicEquationReport(n=p.n, checked=len(subsets), all_vanish=True, nonvanishing=(), values=None)
+    return _subset_report(p, subsets, collect_values, lifted)
 
 
 def v2n_subset_membership(

@@ -353,7 +353,9 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 def rank(M: Matrix) -> int:
     if M.field.kind == "Fp":
         return _kernels.fp_rank(M.as_array(), M.field.p)
-    return _rref_q(M.entries)[2]
+    # scaling rows by nonzero constants keeps the rank, and fraction-free
+    # elimination on ints is far cheaper than Fraction arithmetic
+    return len(int_rref(_cleared_int_rows(M.entries)[0])[1])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -401,13 +403,12 @@ class MaximalMinors:
     """Cache of the maximal minors m_J of a wide full-height matrix.
 
     J ranges over 1-based column sets of size = the row count. Over F_p a
-    bulk fill is batched through the int64 kernels; over Q each minor runs
-    fraction-free on a denominator-cleared copy (the per-column clearing
+    bulk fill is batched through the int64 kernels, and a single minor runs
+    Bareiss on the residues as Python ints, reduced mod p. Over Q each minor
+    runs fraction-free on a denominator-cleared copy (the per-column clearing
     factors are divided back out, so values match `minor` exactly).
 
-    `int_columns` holds the columns as int lists: the residues over F_p, the
-    denominator-cleared copy over Q. Scaling a column by a nonzero constant
-    changes no rank, so rank tests may run on them with `int_rref`.
+    Over Q, `int_columns` holds the denominator-cleared columns as int lists.
     """
 
     def __init__(self, M: Matrix):
@@ -419,7 +420,6 @@ class MaximalMinors:
         self._complete = False
         if M.field.kind == "Fp":
             self._arr = M.as_array()
-            self.int_columns = [list(c) for c in M.columns()]
         else:
             cols = []
             factors = []
@@ -431,6 +431,18 @@ class MaximalMinors:
             self.int_columns = cols
             self._factors = factors
 
+    def int_rows(self) -> Sequence[Sequence[int]]:
+        """The rows as ints for `int_rref`: the residues over F_p, the
+        denominator-cleared rows over Q. Scaling a column by a nonzero
+        constant changes no rank, so both have the rank of the matrix."""
+        M = self.matrix
+        return M.entries if M.field.kind == "Fp" else list(zip(*self.int_columns))
+
+    def rank(self) -> int:
+        """Rank of the matrix, by `int_rref` on `int_rows`."""
+        f = self.matrix.field
+        return len(int_rref(self.int_rows(), f.p if f.kind == "Fp" else None)[1])
+
     def get(self, J: Iterable[int]) -> Scalar:
         J = as_index_set(J, ground=self.matrix.cols, size=self.width)
         hit = self._cache.get(J)
@@ -438,8 +450,10 @@ class MaximalMinors:
             return hit
         M = self.matrix
         if M.field.kind == "Fp":
-            sub = self._arr[:, [j - 1 for j in J]]
-            val: Scalar = _kernels.fp_det(sub, M.field.p)
+            # one small minor: Bareiss on the residues as Python ints, reduced
+            # at the end, costs a fraction of a round trip through the kernels
+            rows = [[row[j - 1] for j in J] for row in M.entries]
+            val: Scalar = _bareiss_det_int(rows) % M.field.p
         else:
             rows = [[self.int_columns[j - 1][i] for j in J] for i in range(self.width)]
             scale = Fraction(1)

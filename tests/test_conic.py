@@ -126,6 +126,19 @@ def test_w2n_matches_subset_scan(field):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("field", [QQ, FP], ids=str)
+def test_w2n_first_subset_on_conic_other_off(field):
+    # the first six points lie on a conic, so the first minor is 0 while the
+    # lift still has rank 6: the report must come from the full scan
+    rng = random.Random(3)
+    cols = sample_on_rnc(field, 2, 8, seed=4, height=9).points()
+    cols[-1] = [field.random_nonzero(rng, 9) for _ in range(3)]
+    p = make_config(field, 2, 8, cols)
+    rep = w2n_membership(p)
+    assert rep == v2n_subset_membership(p, combinations(range(1, 9), 6))
+    assert not rep.all_vanish and (1, 2, 3, 4, 5, 6) not in rep.nonvanishing
+
+
 def test_w2n_small_n_trivial():
     p = sample_generic(QQ, 2, 5, seed=1)
     rep = w2n_membership(p)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,12 @@ def test_rank_matches_oracle_both_fields():
         expected = naive_fraction_rank(ints)
         assert rank(Matrix(QQ, ints)) == expected
         assert rank(Matrix(FP, ints)) == expected
+        # rows scaled by nonzero fractions keep the rank over Q
+        scaled = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(ints)]
+        assert rank(Matrix(QQ, scaled)) == expected
+        if rows <= cols:
+            assert MaximalMinors(Matrix(QQ, scaled)).rank() == expected
+            assert MaximalMinors(Matrix(FP, ints)).rank() == expected
 
 
 def test_int_rref_rank_pivots_and_kernel():
@@ -218,6 +225,11 @@ def test_maximal_minors_match_minor():
         mm = MaximalMinors(m)
         assert mm.get((1, 4, 6)) == minor(m, (1, 2, 3), (1, 4, 6))
         assert mm.get((2, 3, 5)) == minor(m, (1, 2, 3), (2, 3, 5))
+    # single F_p minors (Bareiss on residues near p) agree with the batched fill
+    m = Matrix(FP, [[FP.p - rng.randint(1, 50) for _ in range(8)] for _ in range(4)])
+    singles = [MaximalMinors(m).get(J) for J in combinations(range(1, 9), 4)]
+    assert singles == list(MaximalMinors(m).vector())
+    assert all(0 <= v < FP.p for v in singles)
 
 
 def test_maximal_minors_vector_cross_field():
