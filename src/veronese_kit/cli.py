@@ -87,7 +87,8 @@ def _run(fn) -> None:
         result = fn()
     except BudgetExceededError as e:
         _fail("BudgetExceeded", str(e))
-    except (VeroneseKitError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (VeroneseKitError, ValueError) as e:
+        # only bad input exits 2; any other exception is a bug and keeps its traceback
         _fail("PreconditionFailed", str(e))
     else:
         _finish(result)
@@ -102,6 +103,16 @@ def _read_json_input(source: str):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+
+
+def _edges_from_json(doc) -> list[list[int]]:
+    """A JSON list of edges, each a list of integers."""
+    if not isinstance(doc, list):
+        raise ValueError(f"edges must be a JSON list of edges, got {doc!r}")
+    for e in doc:
+        if not isinstance(e, list) or any(isinstance(i, bool) or not isinstance(i, int) for i in e):
+            raise ValueError(f"edge {e!r} must be a list of integers")
+    return doc
 
 
 def _extract_config(doc):
@@ -335,7 +346,7 @@ def cmd_transversal(n, k, edges, minimum):
                 if edges.startswith("@")
                 else json.loads(edges)
             )
-            H = Hypergraph(n, k, [tuple(e) for e in doc])
+            H = Hypergraph(n, k, _edges_from_json(doc))
             part = failing_partition(H)
             payload["edges"] = [list(e) for e in H.edges]
             payload["transversal"] = part is None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable, Optional
 
 from .brackets import eval_bracket_poly, phi_as_bracket_poly
@@ -97,8 +96,6 @@ def _subset_report(
         )
     if lifted is None:
         lifted = MaximalMinors(lift_matrix(p))
-    if p.field.kind == "Fp" and len(subsets) * 2 >= comb(p.n, 6):
-        lifted.ensure_all()
     bad = []
     values = {} if collect_values else None
     for I in subsets:

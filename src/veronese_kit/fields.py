@@ -3,8 +3,7 @@
 Scalars are plain Python values — `fractions.Fraction` over Q (automatically
 in lowest terms with positive denominator) and ints reduced to [0, p) over
 F_p. A `Field` instance supplies the arithmetic, which keeps matrices, jets
-and samplers field-generic while letting the F_p lane drop to int64 numpy
-arrays for the hot kernels.
+and samplers field-generic; `linalg` eliminates over both fields on plain ints.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from .errors import FieldMismatchError
 
 Scalar = Union[Fraction, int]
 
-#: Default prime for the fast modular lane: the largest prime below 2^16,
-#: so products of two reduced residues stay far inside int64.
+#: Default prime: the largest prime below 2^16.
 DEFAULT_PRIME = 65521
 
-# Primes must keep (p-1)^2 inside int64 for the elimination kernels.
 _MAX_PRIME = (1 << 31) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

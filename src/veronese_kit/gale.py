@@ -112,7 +112,6 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
 
     f = A.field
     ma, mb = MaximalMinors(A), MaximalMinors(B)
-    ma.ensure_all()
     lam = None
     fixed = B.rows % 2
     subsets = list(combinations(range(1, n + 1), A.rows))

@@ -1,11 +1,12 @@
 """Field-generic exact matrices and the linear algebra the rest of the package uses.
 
-Two lanes share one interface:
+Every determinant, rank, echelon form and minor runs on one exact core of
+plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants
+and fraction-free Gauss-Jordan (`int_rref`) for echelon forms.
 
-* Q — `fractions.Fraction` entries; determinants clear denominators and run
-  fraction-free (Bareiss) elimination on integers to control blow-up.
-* F_p — ints in [0, p); determinants/rank/RREF delegate to the int64 kernels
-  in `_kernels` (numba or numpy, see that module).
+* Q — `fractions.Fraction` entries; each row (or column, for minors) is
+  scaled to integers first, so the core never sees a Fraction.
+* F_p — ints in [0, p); the core runs on the residues and reduces mod p.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -19,9 +20,6 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .errors import IndexSetError, RankDeficiencyError, ShapeError
 from .fields import Field, Scalar, require_same_field
 
@@ -193,14 +191,6 @@ class Matrix:
         f = self.field
         return Matrix(f, [[f.neg(x) for x in row] for row in self.entries])
 
-    # -- numpy bridge ------------------------------------------------------------
-
-    def as_array(self) -> np.ndarray:
-        """int64 residue array; only defined over F_p."""
-        if self.field.kind != "Fp":
-            raise TypeError("as_array is only available over F_p")
-        return np.array(self.entries, dtype=np.int64)
-
 
 # ---------------------------------------------------------------------------
 # determinants
@@ -249,7 +239,7 @@ def det(M: Matrix) -> Scalar:
     if M.rows != M.cols:
         raise ShapeError(f"determinant of non-square {M.shape}")
     if M.field.kind == "Fp":
-        return _kernels.fp_det(M.as_array(), M.field.p)
+        return _bareiss_det_int(M.entries) % M.field.p
     rows, scale = _cleared_int_rows(M.entries)
     return Fraction(_bareiss_det_int(rows)) / scale
 
@@ -266,29 +256,6 @@ def minor(M: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Scalar:
 # ---------------------------------------------------------------------------
 # echelon forms, rank, kernels
 # ---------------------------------------------------------------------------
-
-
-def _rref_q(entries) -> tuple[list[list[Fraction]], list[int], int]:
-    a = [list(row) for row in entries]
-    rows, cols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots, r
 
 
 def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[list[int]], list[int]]:
@@ -340,21 +307,21 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form: (matrix, 0-based pivot columns, rank)."""
     if M.field.kind == "Fp":
-        arr, piv, r = _kernels.fp_rref(M.as_array(), M.field.p)
-        return (
-            Matrix(M.field, arr.tolist()),
-            tuple(int(c) for c in piv[:r]),
-            r,
-        )
-    a, piv, r = _rref_q(M.entries)
-    return Matrix(M.field, a), tuple(piv), r
+        a, piv = int_rref(M.entries, M.field.p)
+    else:
+        # the cleared rows have the same row space; the fraction-free result
+        # is D times the reduced form, D its last pivot
+        a, piv = int_rref(_cleared_int_rows(M.entries)[0])
+        D = a[len(piv) - 1][piv[-1]] if piv else 1
+        a = [[Fraction(x, D) for x in row] for row in a]
+    return Matrix(M.field, a), tuple(piv), len(piv)
 
 
 def rank(M: Matrix) -> int:
+    # scaling rows by nonzero constants keeps the rank, so over Q the
+    # elimination runs on the cleared integer rows
     if M.field.kind == "Fp":
-        return _kernels.fp_rank(M.as_array(), M.field.p)
-    # scaling rows by nonzero constants keeps the rank, and fraction-free
-    # elimination on ints is far cheaper than Fraction arithmetic
+        return len(int_rref(M.entries, M.field.p)[1])
     return len(int_rref(_cleared_int_rows(M.entries)[0])[1])
 
 
@@ -402,11 +369,10 @@ def inverse(M: Matrix) -> Matrix:
 class MaximalMinors:
     """Cache of the maximal minors m_J of a wide full-height matrix.
 
-    J ranges over 1-based column sets of size = the row count. Over F_p a
-    bulk fill is batched through the int64 kernels, and a single minor runs
-    Bareiss on the residues as Python ints, reduced mod p. Over Q each minor
-    runs fraction-free on a denominator-cleared copy (the per-column clearing
-    factors are divided back out, so values match `minor` exactly).
+    J ranges over 1-based column sets of size = the row count. Each minor is
+    computed on first use by `_bareiss_det_int`: over F_p on the residues,
+    reduced mod p; over Q on a denominator-cleared copy (the per-column
+    clearing factors are divided back out, so values match `minor` exactly).
 
     Over Q, `int_columns` holds the denominator-cleared columns as int lists.
     """
@@ -417,10 +383,7 @@ class MaximalMinors:
         self.matrix = M
         self.width = M.rows
         self._cache: dict[IndexSet, Scalar] = {}
-        self._complete = False
-        if M.field.kind == "Fp":
-            self._arr = M.as_array()
-        else:
+        if M.field.kind == "Q":
             cols = []
             factors = []
             for j in range(M.cols):
@@ -450,8 +413,6 @@ class MaximalMinors:
             return hit
         M = self.matrix
         if M.field.kind == "Fp":
-            # one small minor: Bareiss on the residues as Python ints, reduced
-            # at the end, costs a fraction of a round trip through the kernels
             rows = [[row[j - 1] for j in J] for row in M.entries]
             val: Scalar = _bareiss_det_int(rows) % M.field.p
         else:
@@ -463,26 +424,6 @@ class MaximalMinors:
         self._cache[J] = val
         return val
 
-    def ensure_all(self) -> None:
-        """Fill the cache with every maximal minor (batched over F_p)."""
-        if self._complete:
-            return
-        M = self.matrix
-        subsets = list(combinations(range(1, M.cols + 1), self.width))
-        if M.field.kind == "Fp":
-            idx = np.array([[j - 1 for j in J] for J in subsets], dtype=np.intp)
-            stack = self._arr[:, idx].transpose(1, 0, 2)
-            vals = _kernels.fp_batch_det(np.ascontiguousarray(stack), M.field.p)
-            for J, v in zip(subsets, vals.tolist()):
-                self._cache[J] = v
-        else:
-            for J in subsets:
-                self.get(J)
-        self._complete = True
-
     def vector(self) -> tuple[Scalar, ...]:
         """All maximal minors in lexicographic order of the column sets."""
-        self.ensure_all()
-        return tuple(
-            self._cache[J] for J in combinations(range(1, self.matrix.cols + 1), self.width)
-        )
+        return tuple(self.get(J) for J in combinations(range(1, self.matrix.cols + 1), self.width))

@@ -71,9 +71,23 @@ def config_from_json(doc: dict) -> PointConfiguration:
     cols = doc["columns"]
     if not isinstance(cols, list) or len(cols) != n:
         raise ValueError(f"expected {n} columns")
-    if any(len(c) != d + 1 for c in cols):
-        raise ValueError(f"every column must have {d + 1} coordinates")
-    return make_config(f, d, n, [[f.scalar_from_json(x) for x in col] for col in cols])
+    parsed = []
+    for j, col in enumerate(cols, start=1):
+        if not isinstance(col, list) or len(col) != d + 1:
+            raise ValueError(f"column {j} must be a list of {d + 1} coordinates, got {col!r}")
+        parsed.append([_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)])
+    return make_config(f, d, n, parsed)
+
+
+def _scalar_from_json(f: Field, x: Any, j: int, i: int):
+    """Coordinate i of column j (both 1-based); a bad scalar is a ValueError naming both."""
+    try:
+        return f.scalar_from_json(x)
+    except ZeroDivisionError:
+        reason = f"{x!r} has a zero denominator"
+    except (TypeError, ValueError) as e:
+        reason = str(e)
+    raise ValueError(f"column {j}, coordinate {i}: {reason}")
 
 
 def bracket_poly_to_json(P: BracketPolynomial) -> dict:

@@ -88,6 +88,41 @@ def naive_fraction_rank(rows):
     return r
 
 
+def fraction_rref_oracle(rows):
+    """Gauss-Jordan over Fraction: (reduced rows, 0-based pivot columns, rank)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    height, width = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == height:
+            break
+        piv = next((i for i in range(r, height) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(height):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots, r
+
+
+def fp_minor_rank(rows, p):
+    """Rank over F_p as the largest k with a k x k minor nonzero mod p (Leibniz)."""
+    height, width = len(rows), len(rows[0])
+    for k in range(min(height, width), 0, -1):
+        for ri in combinations(range(height), k):
+            for ci in combinations(range(width), k):
+                if leibniz_det([[rows[i][j] for j in ci] for i in ri]) % p:
+                    return k
+    return 0
+
+
 def stirling2(n, k):
     """Partition counts by the standard recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
     if n == 0:

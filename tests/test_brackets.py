@@ -263,7 +263,7 @@ def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
 
     calls = []
     monkeypatch.setattr(brackets, "relabel", lambda *a, **k: calls.append("relabel"))
-    monkeypatch.setattr(MaximalMinors, "ensure_all", lambda self: calls.append("ensure_all"))
+    monkeypatch.setattr(MaximalMinors, "get", lambda self, J: calls.append(("get", J)))
     for field in (QQ, FP):
         rep = wdn_membership(sample_on_rnc(field, 4, 10, seed=2))
         assert rep.all_vanish and rep.checked == comb(10, 8) * comb(8, 6)

@@ -2,11 +2,15 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 from click.testing import CliRunner
 
+import veronese_kit
 from veronese_kit.cli import SCHEMA, main
 
 
@@ -167,3 +171,53 @@ def test_eval_rejects_inexact_integers():
     doc = json.loads(res.output)["payload"]["config"]
     code, out = run_json(["eval"], input=json.dumps({**doc, "d": 3.0}))
     assert code == 2 and "d must be an integer" in out["payload"]["error"]
+
+
+@pytest.mark.parametrize(
+    "col, message",
+    [
+        (["1", "1/0", "1"], "column 1, coordinate 2: '1/0' has a zero denominator"),
+        (5, "column 1 must be a list of 3 coordinates, got 5"),
+        ("123", "column 1 must be a list of 3 coordinates, got '123'"),
+        (["1", 1.5, "1"], "column 1, coordinate 2: Q scalar must be a fraction string or int, got 1.5"),
+    ],
+)
+def test_eval_names_the_bad_column_and_coordinate(col, message):
+    doc = json.loads(run(["sample", "--family", "generic", "--d", "2", "--n", "6", "--field", "Q"]).output)
+    cfg = doc["payload"]["config"]
+    code, out = run_json(["eval"], input=json.dumps({**cfg, "columns": [col] + cfg["columns"][1:]}))
+    assert code == 2 and out["payload"]["error"] == message
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("5", "edges must be a JSON list of edges, got 5"),
+        ("[5]", "edge 5 must be a list of integers"),
+        ("[[1.5, 2, 3]]", "edge [1.5, 2, 3] must be a list of integers"),
+        ("[[1, 2, true]]", "edge [1, 2, True] must be a list of integers"),
+    ],
+)
+def test_transversal_rejects_malformed_edges(edges, message):
+    code, doc = run_json(["transversal", "--n", "5", "--k", "3", "--edges", edges])
+    assert code == 2 and doc["payload"]["error"] == message
+
+
+def test_internal_errors_are_not_bad_input(monkeypatch):
+    import veronese_kit.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(cli, "w2n_membership", broken)
+    sample = run(["sample", "--family", "rnc", "--d", "2", "--n", "7"]).output
+    res = CliRunner().invoke(main, ["eval"], input=sample)
+    assert isinstance(res.exception, TypeError) and res.exit_code == 1
+    assert "PreconditionFailed" not in res.output
+
+
+def test_cli_import_loads_no_numpy_or_numba():
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import veronese_kit.cli, sys; assert 'numpy' not in sys.modules and 'numba' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -22,13 +22,18 @@ from veronese_kit.linalg import (
     rref,
     s_index,
 )
-from oracles import leibniz_det, naive_fraction_rank
+from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank
 
 FP = Field.prime()
+PRIMES = (101, 65521)
 
 
 def rand_matrix(field, rng, rows, cols, height=30):
     return Matrix(field, [[field.random_scalar(rng, height) for _ in range(cols)] for _ in range(rows)])
+
+
+def random_ints(rng, rows, cols, lo=-50, hi=50):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 # -- index sets ---------------------------------------------------------------
@@ -80,11 +85,14 @@ def test_det_q_matches_leibniz():
 
 
 def test_det_fp_matches_leibniz():
-    rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        assert det(Matrix(FP, rows)) == leibniz_det(rows) % FP.p
+    for p in PRIMES:
+        F = Field.prime(p)
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rows = random_ints(rng, n, n)
+            assert det(Matrix(F, rows)) == leibniz_det(rows) % p
+        assert det(Matrix(F, [[1, 2, 3], [2, 4, 6], [0, 1, 5]])) == 0
 
 
 @settings(max_examples=40)
@@ -132,6 +140,54 @@ def test_rank_matches_oracle_both_fields():
         if rows <= cols:
             assert MaximalMinors(Matrix(QQ, scaled)).rank() == expected
             assert MaximalMinors(Matrix(FP, ints)).rank() == expected
+    for p in PRIMES:
+        F = Field.prime(p)
+        for _ in range(40):
+            m = random_ints(rng, rng.randint(1, 6), rng.randint(1, 6), -6, 6)
+            # reduction mod p can only lower the rational rank
+            assert rank(Matrix(F, m)) == fp_minor_rank(m, p) <= naive_fraction_rank(m)
+        # an outer product of residues nonzero mod p has rank one
+        u = [rng.randint(1, 100) for _ in range(5)]
+        v = [rng.randint(1, 100) for _ in range(7)]
+        assert rank(Matrix(F, [[a * b for b in v] for a in u])) == 1
+
+
+@pytest.mark.parametrize("field", [QQ] + [Field.prime(p) for p in PRIMES], ids=repr)
+def test_input_not_mutated(field):
+    rows = [[3, 1], [4, 1]]
+    m = Matrix(field, rows)
+    det(m), rref(m), rank(m), MaximalMinors(m).vector()
+    assert m == Matrix(field, rows)
+    int_rref(rows, field.p)
+    assert rows == [[3, 1], [4, 1]]
+
+
+def test_q_rref_and_kernel_match_fraction_oracle():
+    rng = random.Random(14)
+    for t in range(200):
+        height, width = rng.randint(1, 6), rng.randint(1, 9)
+        k = rng.randint(0, min(height, width))
+        # rational low-rank products; some rows zeroed, so deficient ranks are common
+        u = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(k)] for _ in range(height)]
+        v = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(width)] for _ in range(k)]
+        rows = [[sum((u[i][s] * v[s][j] for s in range(k)), Fraction(0)) for j in range(width)] for i in range(height)]
+        if t % 4 == 0:
+            rows[rng.randrange(height)] = [0] * width
+        m = Matrix(QQ, rows)
+        a, pivots, r = fraction_rref_oracle(rows)
+        assert rref(m) == (Matrix(QQ, a), tuple(pivots), r)
+        if height >= width:
+            continue
+        if r < height:
+            with pytest.raises(RankDeficiencyError):
+                kernel_basis(m)
+            continue
+        free = [c for c in range(width) if c not in pivots]
+        expected = [[1 if c == f else 0 for c in range(width)] for f in free]
+        for vec, f in zip(expected, free):
+            for i, c in enumerate(pivots):
+                vec[c] = -a[i][f]
+        assert kernel_basis(m) == Matrix(QQ, expected)
 
 
 def test_int_rref_rank_pivots_and_kernel():
@@ -170,6 +226,18 @@ def test_rref_reproduces_row_space():
     stacked = Matrix(QQ, list(m.entries) + list(R.entries))
     assert rank(stacked) == r == rank(m)
     assert len(piv) == r
+    rng = random.Random(23)
+    for p in PRIMES:
+        F = Field.prime(p)
+        for _ in range(30):
+            m = Matrix(F, random_ints(rng, rng.randint(2, 6), rng.randint(2, 7)))
+            R, piv, r = rref(m)
+            assert list(piv) == sorted(piv) and len(piv) == r == rank(m)
+            # pivot columns are unit vectors; rows past the rank are zero
+            for i, c in enumerate(piv):
+                assert R.column(c) == tuple(1 if k == i else 0 for k in range(R.rows))
+            assert all(not any(row) for row in R.entries[r:])
+            assert rank(Matrix(F, list(m.entries) + list(R.entries))) == r
 
 
 def test_kernel_basis_annihilates():
@@ -225,11 +293,17 @@ def test_maximal_minors_match_minor():
         mm = MaximalMinors(m)
         assert mm.get((1, 4, 6)) == minor(m, (1, 2, 3), (1, 4, 6))
         assert mm.get((2, 3, 5)) == minor(m, (1, 2, 3), (2, 3, 5))
-    # single F_p minors (Bareiss on residues near p) agree with the batched fill
-    m = Matrix(FP, [[FP.p - rng.randint(1, 50) for _ in range(8)] for _ in range(4)])
-    singles = [MaximalMinors(m).get(J) for J in combinations(range(1, 9), 4)]
-    assert singles == list(MaximalMinors(m).vector())
-    assert all(0 <= v < FP.p for v in singles)
+    # single F_p minors, read from fresh caches and in shuffled order from one
+    # cache, match the Leibniz oracle and vector(); residues near p included
+    subsets = list(combinations(range(1, 9), 4))
+    for p in PRIMES:
+        m = Matrix(Field.prime(p), [[p - rng.randint(1, 50) for _ in range(8)] for _ in range(4)])
+        expected = [leibniz_det([[row[j - 1] for j in J] for row in m.entries]) % p for J in subsets]
+        assert [MaximalMinors(m).get(J) for J in subsets] == expected
+        mm = MaximalMinors(m)
+        order = rng.sample(range(len(subsets)), len(subsets))
+        assert all(mm.get(subsets[t]) == expected[t] for t in order)
+        assert mm.vector() == tuple(expected)
 
 
 def test_maximal_minors_vector_cross_field():

@@ -67,7 +67,7 @@ def test_config_from_json_errors():
     short = {**good, "columns": [c[:2] for c in good["columns"]]}
     with pytest.raises(ValueError, match="coordinates"):
         config_from_json(short)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="column 1, coordinate 1: F_p scalar must be an int"):
         config_from_json({**good, "columns": [["x"] * 3] * 6})
     with pytest.raises(ValueError):
         config_from_json("not a dict")
