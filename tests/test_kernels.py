@@ -1,16 +1,23 @@
+"""Exact F_p kernels (det, rank, rref, batched maximal minors) at p = 65521,
+checked against the naive oracles through the public `linalg` API."""
+
 import random
+from itertools import combinations
 
-import numpy as np
-import pytest
-
-from veronese_kit import _kernels
+from veronese_kit.fields import Field
+from veronese_kit.linalg import Matrix, MaximalMinors, det, int_rref, rank, rref
 from oracles import leibniz_det, naive_fraction_rank
 
 P = 65521
+FP = Field.prime(P)
 
 
 def random_mat(rng, rows, cols, lo=-50, hi=50):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def fp_matrix(rows):
+    return Matrix(FP, [[x % P for x in row] for row in rows])
 
 
 def test_det_matches_leibniz_oracle():
@@ -18,22 +25,23 @@ def test_det_matches_leibniz_oracle():
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = random_mat(rng, n, n)
-        expected = leibniz_det(rows) % P
-        got = _kernels.fp_det(np.array(rows, dtype=np.int64), P)
-        assert got == expected
+        assert det(fp_matrix(rows)) == leibniz_det(rows) % P
 
 
 def test_det_singular():
-    a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=np.int64)
-    assert _kernels.fp_det(a, P) == 0
+    assert det(fp_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]])) == 0
 
 
 def test_batch_det_matches_scalar_det():
+    # every maximal minor of a wide matrix is the det of its column window
     rng = random.Random(7)
-    stack = np.array([random_mat(rng, 4, 4) for _ in range(25)], dtype=np.int64) % P
-    vals = _kernels.fp_batch_det(stack, P)
-    for t in range(stack.shape[0]):
-        assert vals[t] == _kernels.fp_det(stack[t], P)
+    for _ in range(5):
+        M = fp_matrix(random_mat(rng, 4, 7))
+        mm = MaximalMinors(M)
+        windows = list(combinations(range(1, 8), 4))
+        assert len(mm.vector()) == len(windows)
+        for J, val in zip(windows, mm.vector()):
+            assert val == det(M.select_columns(J))
 
 
 def test_rank_matches_fraction_oracle():
@@ -43,54 +51,26 @@ def test_rank_matches_fraction_oracle():
         cols = rng.randint(1, 6)
         m = random_mat(rng, rows, cols, -6, 6)
         # small entries keep the mod-p rank equal to the true rank
-        assert _kernels.fp_rank(np.array(m, dtype=np.int64), P) == naive_fraction_rank(m)
+        expected = naive_fraction_rank(m)
+        assert rank(fp_matrix(m)) == expected
+        assert len(int_rref([[x % P for x in row] for row in m], P)[1]) == expected
 
 
 def test_rank_of_outer_product_is_one():
     rng = random.Random(11)
-    u = np.array([[rng.randint(1, 100)] for _ in range(5)], dtype=np.int64)
-    v = np.array([[rng.randint(1, 100) for _ in range(7)]], dtype=np.int64)
-    assert _kernels.fp_rank(u @ v % P, P) == 1
+    u = [rng.randint(1, 100) for _ in range(5)]
+    v = [rng.randint(1, 100) for _ in range(7)]
+    assert rank(fp_matrix([[a * b for b in v] for a in u])) == 1
 
 
 def test_rref_structure():
     rng = random.Random(23)
     for _ in range(30):
-        a = np.array(random_mat(rng, rng.randint(2, 6), rng.randint(2, 7)), dtype=np.int64) % P
-        r, piv, rk = _kernels.fp_rref(a, P)
-        piv = [int(c) for c in piv[:rk]]
-        assert sorted(piv) == piv
+        M = fp_matrix(random_mat(rng, rng.randint(2, 6), rng.randint(2, 7)))
+        R, piv, rk = rref(M)
+        assert rk == len(piv)
+        assert sorted(piv) == list(piv)
         for i, c in enumerate(piv):
-            assert r[i, c] == 1
-            col = r[:, c].copy()
-            col[i] = 0
-            assert not col.any()
-        assert not r[rk:].any()
-
-
-def test_input_not_mutated():
-    a = np.array([[3, 1], [4, 1]], dtype=np.int64)
-    before = a.copy()
-    _kernels.fp_det(a, P)
-    _kernels.fp_rref(a, P)
-    _kernels.fp_rank(a, P)
-    assert (a == before).all()
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ACTIVE, reason="numba backend not active")
-def test_backends_agree():
-    rng = random.Random(31)
-    nb, npv = _kernels.IMPLS["numba"], _kernels.IMPLS["numpy"]
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        a = np.array(random_mat(rng, n, n), dtype=np.int64) % P
-        assert nb["det"](a, P) == npv["det"](a, P)
-        wide = np.array(random_mat(rng, rng.randint(1, 4), rng.randint(1, 6)), dtype=np.int64) % P
-        assert nb["rank"](wide, P) == npv["rank"](wide, P)
-        m1, p1, r1 = nb["rref"](wide, P)
-        m2, p2, r2 = npv["rref"](wide, P)
-        assert r1 == r2
-        assert (np.asarray(m1) == np.asarray(m2)).all()
-        assert list(p1) == list(p2)
-    stack = np.array([random_mat(rng, 3, 3) for _ in range(10)], dtype=np.int64) % P
-    assert (np.asarray(nb["batch_det"](stack, P)) == np.asarray(npv["batch_det"](stack, P))).all()
+            assert R.entry(i, c) == 1
+            assert all(R.entry(k, c) == 0 for k in range(R.rows) if k != i)
+        assert all(x == 0 for row in R.entries[rk:] for x in row)
