@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import click
 
@@ -53,6 +54,10 @@ from .brackets import format_bracket_poly
 SCHEMA = "veronese-kit/1"
 
 _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
+
+#: `eqs` emits at most this many generators (about 1.5 s of work); larger
+#: requests exit 3 before any generator is built.
+EQS_GENERATOR_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,11 @@ def cmd_eqs(d: int, n: int, fmt: str):
             raise ValueError(f"d=2 needs n >= 6, got n={n}")
         if d >= 3 and n < d + 4:
             raise ValueError(f"d={d} needs n >= {d + 4}, got n={n}")
+        count = comb(n, 6) if d == 2 else comb(n, d + 4) * comb(d + 4, 6)
+        if count > EQS_GENERATOR_BUDGET:
+            raise BudgetExceededError(
+                f"(d, n) = ({d}, {n}) has {count} generators, over the budget of {EQS_GENERATOR_BUDGET}"
+            )
         gens = []
         if d == 2:
             phi = phi_as_bracket_poly()

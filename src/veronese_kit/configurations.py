@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
 from .fields import Field, Scalar, require_same_field
-from .jets import Jet
 from .linalg import Matrix, as_index_set, rank
 
 #: Resample budget for rejection loops (invertible draws, chart retries, spans).
@@ -134,18 +133,6 @@ def rnc_point(field: Field, d: int, t: Sequence) -> tuple[Scalar, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SampleRecipe:
-    """Deterministic sampling parameters: same recipe, same output."""
-
-    field: Field
-    seed: int
-    height: int = 100
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
-
 def random_matrix(field: Field, rows: int, cols: int, rng, height: int = 100) -> Matrix:
     return Matrix(
         field, [[field.random_scalar(rng, height) for _ in range(cols)] for _ in range(rows)]
@@ -160,6 +147,17 @@ def random_invertible(field: Field, size: int, rng, height: int = 100) -> Matrix
         if det(m) != 0:
             return m
     raise BudgetExceededError(f"no invertible {size}x{size} draw in {RETRY_BUDGET} tries")
+
+
+def random_config(field: Field, d: int, n: int, rng, height: int = 100) -> PointConfiguration:
+    """n random points of P^d; a column that comes out all zero is drawn again."""
+    cols = []
+    for _ in range(n):
+        col = [field.random_scalar(rng, height) for _ in range(d + 1)]
+        while all(x == 0 for x in col):
+            col = [field.random_scalar(rng, height) for _ in range(d + 1)]
+        cols.append(col)
+    return make_config(field, d, n, cols)
 
 
 def _distinct_affine_params(field: Field, count: int, rng, height: int) -> list[tuple[Scalar, Scalar]]:
@@ -215,13 +213,7 @@ def sample_generic(
     if rng is None:
         rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
-        cols = []
-        for _ in range(n):
-            col = [field.random_scalar(rng, height) for _ in range(d + 1)]
-            while all(x == 0 for x in col):
-                col = [field.random_scalar(rng, height) for _ in range(d + 1)]
-            cols.append(col)
-        p = make_config(field, d, n, cols)
+        p = random_config(field, d, n, rng, height)
         if is_strongly_nondegenerate(p):
             return p
     raise BudgetExceededError("no strongly nondegenerate draw within budget")
@@ -445,6 +437,41 @@ def sample_quasi_veronese_chain(
 # ---------------------------------------------------------------------------
 
 
+def _chart_jacobian(field: Field, d: int, g_vals: Sequence, t_vals: Sequence) -> Optional[list[list[Scalar]]]:
+    """Jacobian rows of (g, t) -> (y_r / y_0 for r = 1..d, for each point).
+
+    Point i is y = g . (1, t_i, ..., t_i^d), with g given row-major in
+    `g_vals`; the columns are the entries g_rk in that order, then t_1..t_n.
+    With y' = g . (0, 1, 2 t_i, ..., d t_i^(d-1)), the row of y_r / y_0 holds
+    t_i^k / y_0 at g_rk, -y_r t_i^k / y_0^2 at g_0k and
+    (y_r' y_0 - y_r y_0') / y_0^2 at t_i; every other entry is 0.
+    Returns None when some y_0 is 0, i.e. a point lies off the affine chart.
+    """
+    f = field
+    w = d + 1
+    ng = w * w
+    g = [g_vals[r * w : (r + 1) * w] for r in range(w)]
+    rows: list[list[Scalar]] = []
+    for i, t in enumerate(t_vals):
+        mom = [f.pow(t, k) for k in range(w)]
+        dmom = [f.zero] + [f.mul(k, mom[k - 1]) for k in range(1, w)]
+        y = [f.normalize(sum(a * b for a, b in zip(gr, mom))) for gr in g]
+        dy = [f.normalize(sum(a * b for a, b in zip(gr, dmom))) for gr in g]
+        if y[0] == 0:
+            return None
+        inv = f.inv(y[0])
+        inv2 = f.mul(inv, inv)
+        for r in range(1, w):
+            row = [f.zero] * (ng + len(t_vals))
+            c = f.neg(f.mul(y[r], inv2))
+            for k in range(w):
+                row[k] = f.mul(c, mom[k])
+                row[r * w + k] = f.mul(mom[k], inv)
+            row[ng + i] = f.mul(f.sub(f.mul(dy[r], y[0]), f.mul(y[r], dy[0])), inv2)
+            rows.append(row)
+    return rows
+
+
 def dimension_estimate(
     d: int,
     n: int,
@@ -463,38 +490,19 @@ def dimension_estimate(
     directions' span under the degree-d action, which is why the raw rank is
     returned unmodified).
 
-    Points falling outside the affine chart (leading coordinate zero) are
-    retried with fresh randomness, up to a budget.
+    The rows come in closed form from `_chart_jacobian`. A draw that puts a
+    point outside the affine chart (leading coordinate zero) is redrawn with
+    fresh randomness, up to a budget.
     """
     if d < 1 or n < 1:
         raise ShapeError(f"need d >= 1 and n >= 1, got ({d}, {n})")
     if field is None:
         field = Field.prime()
     rng = random.Random(seed)
-    ng = (d + 1) * (d + 1)
-    nvars = ng + n
-
     for _ in range(RETRY_BUDGET):
-        g_vals = [field.random_scalar(rng, height) for _ in range(ng)]
+        g_vals = [field.random_scalar(rng, height) for _ in range((d + 1) * (d + 1))]
         t_vals = [a for (_, a) in _distinct_affine_params(field, n, rng, height)]
-        gj = [Jet.variable(field, v, k, nvars) for k, v in enumerate(g_vals)]
-        rows: list[list[Scalar]] = []
-        ok = True
-        for i in range(n):
-            ti = Jet.variable(field, t_vals[i], ng + i, nvars)
-            mom = [ti**k for k in range(d + 1)]  # affine chart of the moment curve
-            ys = []
-            for r in range(d + 1):
-                acc = Jet.constant(field, 0, nvars)
-                for k in range(d + 1):
-                    acc = acc + gj[r * (d + 1) + k] * mom[k]
-                ys.append(acc)
-            if ys[0].value == 0:
-                ok = False
-                break
-            for r in range(1, d + 1):
-                rows.append(list((ys[r] / ys[0]).partials))
-        if not ok:
-            continue
-        return rank(Matrix(field, rows))
+        rows = _chart_jacobian(field, d, g_vals, t_vals)
+        if rows is not None:
+            return rank(Matrix(field, rows))
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")

@@ -2,8 +2,8 @@
 
 Scalars are plain Python values — `fractions.Fraction` over Q (automatically
 in lowest terms with positive denominator) and ints reduced to [0, p) over
-F_p. A `Field` instance supplies the arithmetic, which keeps matrices, jets
-and samplers field-generic; `linalg` eliminates over both fields on plain ints.
+F_p. A `Field` instance supplies the arithmetic, which keeps matrices and
+samplers field-generic; `linalg` eliminates over both fields on plain ints.
 """
 
 from __future__ import annotations

@@ -24,11 +24,9 @@ from .linalg import (
     IndexSet,
     MaximalMinors,
     Matrix,
-    complement,
     inverse,
     kernel_basis,
     rank,
-    s_index,
 )
 
 
@@ -111,30 +109,32 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
         raise RankDeficiencyError("both matrices must have full row rank")
 
     f = A.field
+    k = A.rows
     ma, mb = MaximalMinors(A), MaximalMinors(B)
+    subsets = list(combinations(range(1, n + 1), k))
+    # the sign exponent S_I + height_B, with S_I = sum(I) - k(k+1)/2
+    shift = B.rows - k * (k + 1) // 2
+    signs = (f.one, f.neg(f.one))
+    pairs = [
+        (I, tuple(i for i in range(1, n + 1) if i not in I), signs[(sum(I) + shift) % 2])
+        for I in subsets
+    ]
     lam = None
-    fixed = B.rows % 2
-    subsets = list(combinations(range(1, n + 1), A.rows))
-    for I in subsets:
+    for I, Ic, sign in pairs:
         va = ma.get(I)
         if va != 0:
-            vb = mb.get(complement(I, n))
+            vb = mb.get(Ic)
             if vb == 0:
                 # genuine Gale pairs cannot do this; flag everything
-                return GaleDualityCertificate(n, A.rows, B.rows, f.zero, len(subsets), tuple(subsets))
-            sign = f.one if (s_index(I) + fixed) % 2 == 0 else f.neg(f.one)
+                return GaleDualityCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
             lam = f.div(va, f.mul(sign, vb))
             break
     assert lam is not None  # full row rank guarantees a nonzero minor
 
-    failures = []
-    for I in subsets:
-        sign = f.one if (s_index(I) + fixed) % 2 == 0 else f.neg(f.one)
-        lhs = ma.get(I)
-        rhs = f.mul(sign, f.mul(lam, mb.get(complement(I, n))))
-        if lhs != rhs:
-            failures.append(I)
-    return GaleDualityCertificate(n, A.rows, B.rows, lam, len(subsets), tuple(failures))
+    failures = tuple(
+        I for I, Ic, sign in pairs if ma.get(I) != f.mul(sign, f.mul(lam, mb.get(Ic)))
+    )
+    return GaleDualityCertificate(n, k, B.rows, lam, len(subsets), failures)
 
 
 def gale_of_config(p: PointConfiguration) -> PointConfiguration:

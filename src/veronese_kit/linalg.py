@@ -27,8 +27,11 @@ IndexSet = tuple[int, ...]
 
 
 def as_index_set(I: Iterable[int], ground: int | None = None, size: int | None = None) -> IndexSet:
-    """Validate and normalize a 1-based strictly increasing index tuple."""
-    t = tuple(int(i) for i in I)
+    """Validate a 1-based strictly increasing tuple of ints (bools are rejected)."""
+    t = tuple(I)
+    for i in t:
+        if type(i) is not int:
+            raise IndexSetError(f"index {i!r} in {t!r} is not an int")
     if not t:
         raise IndexSetError("index set must be nonempty")
     if any(b <= a for a, b in zip(t, t[1:])):
@@ -150,18 +153,6 @@ class Matrix:
         """Drop the 1-based column j."""
         keep = [c for c in range(1, self.cols + 1) if c != j]
         return self.select_columns(keep)
-
-    def scale_column(self, j: int, s: Scalar) -> "Matrix":
-        """Return a copy with 1-based column j multiplied by s."""
-        f = self.field
-        s = f.normalize(s)
-        return Matrix(
-            f,
-            [
-                [f.mul(x, s) if c == j - 1 else x for c, x in enumerate(row)]
-                for row in self.entries
-            ],
-        )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field, "hstack operands")

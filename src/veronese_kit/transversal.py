@@ -130,19 +130,6 @@ def is_transversal(H: Hypergraph) -> bool:
     return failing_partition(H) is None
 
 
-def ordered_partition_oracle(H: Hypergraph) -> bool:
-    """Slow reference: checks all surjections [n] -> [k] instead of partitions."""
-    from itertools import product
-
-    for labels in product(range(H.k), repeat=H.n):
-        if len(set(labels)) != H.k:
-            continue
-        block_of = {i + 1: labels[i] for i in range(H.n)}
-        if not _transversal_edge_exists(H, block_of, H.k):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # witness configurations
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from .conic import phi_bracket, phi_det, w2n_membership, v2n_subset_membership
 from .configurations import (
     PointConfiguration,
     dimension_estimate,
+    is_degenerate,
     is_strongly_nondegenerate,
     make_config,
+    random_config,
     random_invertible,
     sample_degenerate,
     sample_generic,
@@ -55,23 +57,6 @@ FP = Field.prime()
 OFF_CONIC_SIX = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4), (1, 3, 9))
 
 
-def _random_config(field, d, n, rng, height=100) -> PointConfiguration:
-    cols = []
-    for _ in range(n):
-        col = [field.random_scalar(rng, height) for _ in range(d + 1)]
-        while all(x == 0 for x in col):
-            col = [field.random_scalar(rng, height) for _ in range(d + 1)]
-        cols.append(col)
-    return make_config(field, d, n, cols)
-
-
-def _full_rank_config(field, d, n, rng, height=100) -> PointConfiguration:
-    while True:
-        p = _random_config(field, d, n, rng, height)
-        if rank(p.coords) == d + 1:
-            return p
-
-
 # ---------------------------------------------------------------------------
 # conic suite
 # ---------------------------------------------------------------------------
@@ -96,7 +81,7 @@ def check_conic_equation(seed: int) -> CheckResult:
     rng = random.Random(seed * 31 + 7)
     for i in range(1000):
         field = QQ if i < 250 else FP
-        p = _random_config(field, 2, 6, rng, height=20 if field is QQ else 100)
+        p = random_config(field, 2, 6, rng, height=20 if field is QQ else 100)
         if phi_det(p) == phi_bracket(p):
             agree += 1
     passed = zeros == 100 and nonzero >= 99 and agree == 1000
@@ -347,7 +332,9 @@ def check_transversality_agreement(seed: int) -> CheckResult:
                 good = True
                 for j in range(200):
                     if j % 2 == 0:
-                        p = _full_rank_config(FP, k - 1, n, rng)
+                        p = random_config(FP, k - 1, n, rng)
+                        while is_degenerate(p):
+                            p = random_config(FP, k - 1, n, rng)
                     else:
                         p = tv.ydn_witness(_random_partition(n, k, rng), random_invertible(FP, k, rng))
                     if not _some_edge_minor_nonzero(H, p):
@@ -396,7 +383,7 @@ def _probe_conic_lane(H: tv.Hypergraph, rng) -> bool:
         if kind == 0:
             p = sample_on_rnc(FP, 2, n, rng=rng)
         elif kind == 1:
-            p = _random_config(FP, 2, n, rng)
+            p = random_config(FP, 2, n, rng)
         elif kind == 2:
             part = _random_partition(n, 6, rng)
             p = tv.v2n_witness(part, sample_on_rnc(FP, 2, 6, rng=rng))

@@ -9,7 +9,7 @@ is the definition the window rank test of `wdn_membership` must reproduce.
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from veronese_kit.brackets import (
     HigherEquationReport,
@@ -130,6 +130,20 @@ def stirling2(n, k):
     if k == 0 or k > n:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def ordered_partition_oracle(H):
+    """Partition-transversality over all surjections [n] -> [k] instead of partitions.
+
+    A labelling is covered when some edge carries k distinct labels, i.e.
+    meets every block exactly once (edges have exactly k points).
+    """
+    for labels in product(range(H.k), repeat=H.n):
+        if len(set(labels)) != H.k:
+            continue
+        if not any(len({labels[x - 1] for x in e}) == H.k for e in H.edges):
+            return False
+    return True
 
 
 def poly_eval(poly, point):

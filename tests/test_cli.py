@@ -52,6 +52,12 @@ def test_eqs_precondition_errors():
     assert code == 2
 
 
+def test_eqs_over_budget_exits_3():
+    code, doc = run_json(["eqs", "--d", "8", "--n", "30"])
+    assert code == 3 and doc["status"] == "BudgetExceeded"
+    assert "budget" in doc["payload"]["error"]
+
+
 def test_sample_eval_round_trip_conic():
     res = run(["sample", "--family", "rnc", "--d", "2", "--n", "7", "--field", "Q", "--seed", "3"])
     assert res.exit_code == 0

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from veronese_kit.configurations import (
-    SampleRecipe,
     canonical_coords,
     dimension_estimate,
     is_degenerate,
@@ -101,8 +100,6 @@ def test_sampler_determinism():
     assert a.coords == b.coords
     c = sample_on_rnc(FP, 3, 7, seed=6)
     assert a.coords != c.coords
-    recipe = SampleRecipe(field=FP, seed=9)
-    assert recipe.rng().random() == SampleRecipe(field=FP, seed=9).rng().random()
 
 
 def test_sample_generic_strongly_nondegenerate():

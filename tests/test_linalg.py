@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veronese_kit.configurations import make_config
 from veronese_kit.errors import IndexSetError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import (
@@ -22,6 +23,7 @@ from veronese_kit.linalg import (
     rref,
     s_index,
 )
+from veronese_kit.transversal import Hypergraph
 from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank
 
 FP = Field.prime()
@@ -51,6 +53,21 @@ def test_index_set_validation():
         as_index_set([1, 7], ground=6)
     with pytest.raises(IndexSetError):
         as_index_set([1, 2], size=3)
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: Hypergraph(5, 3, [[1.5, 2, 3]]), "1.5"),
+        (lambda: Hypergraph(5, 3, [["1", 2, 3]]), "'1'"),
+        (lambda: Hypergraph(5, 3, [[True, 2, 3]]), "True"),
+        (lambda: make_config(QQ, 2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).subconfig([1.9, 2, 3]), "1.9"),
+    ],
+    ids=["float-edge", "str-edge", "bool-edge", "float-subconfig"],
+)
+def test_index_set_rejects_non_int_entries(build, bad):
+    with pytest.raises(IndexSetError, match=f"index {bad} in"):
+        build()
 
 
 def test_complement():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import stirling2
+from oracles import ordered_partition_oracle, stirling2
 
 from veronese_kit.configurations import make_config
 from veronese_kit.errors import BudgetExceededError, ShapeError
@@ -17,7 +17,6 @@ from veronese_kit.transversal import (
     failing_partition,
     is_transversal,
     min_transversal,
-    ordered_partition_oracle,
     pentagon_hypergraph,
     set_partitions,
     v2n_witness,
