@@ -84,10 +84,6 @@ class Field:
 
     # -- basic arithmetic ---------------------------------------------------
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "Q" else self.p  # type: ignore[return-value]
-
     def normalize(self, x) -> Scalar:
         """Coerce ints/Fractions/strings into this field's canonical scalar form."""
         if self.kind == "Q":
@@ -115,9 +111,6 @@ class Field:
     @property
     def one(self) -> Scalar:
         return Fraction(1) if self.kind == "Q" else 1
-
-    def is_zero(self, x: Scalar) -> bool:
-        return x == 0
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         return x + y if self.kind == "Q" else (x + y) % self.p

@@ -109,9 +109,6 @@ class Matrix:
         """0-based element access."""
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.entries)
 

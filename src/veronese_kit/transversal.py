@@ -21,6 +21,8 @@ from .linalg import IndexSet, Matrix, as_index_set, rank
 
 #: Exhaustive minimum search is limited to this many candidate edges (2^14 masks).
 MIN_SEARCH_EDGE_BUDGET = 14
+#: A partition walk is limited to S(n, k) * (edges tested) edge tests, about 2 s.
+PARTITION_WORK_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -45,47 +47,45 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Partition of [n] into nonempty blocks, ordered by smallest element."""
+    """Partition of [n] into nonempty blocks, ordered by smallest element.
+
+    `labels` is its restricted growth string: `labels[i - 1]` is the 0-based
+    block of element i.
+    """
 
     n: int
     blocks: tuple[IndexSet, ...]
+    labels: tuple[int, ...]
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         bs = sorted((as_index_set(b, ground=n) for b in blocks), key=lambda b: b[0])
-        seen: set[int] = set()
-        for b in bs:
-            seen.update(b)
-        if len(seen) != sum(len(b) for b in bs) or seen != set(range(1, n + 1)):
+        labels = [-1] * n
+        for b_idx, b in enumerate(bs):
+            for x in b:
+                labels[x - 1] = b_idx
+        # n entries that label all n elements cannot put one element in two blocks
+        if -1 in labels or sum(len(b) for b in bs) != n:
             raise ShapeError("blocks must partition [n] exactly")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", tuple(bs))
-
-    def block_of(self) -> dict[int, int]:
-        """Element -> 0-based block index."""
-        out = {}
-        for b_idx, b in enumerate(self.blocks):
-            for x in b:
-                out[x] = b_idx
-        return out
+        object.__setattr__(self, "labels", tuple(labels))
 
 
-def set_partitions(n: int, k: int) -> Iterator[BlockPartition]:
-    """All partitions of [n] into exactly k blocks, by restricted growth string.
+def set_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings of all partitions of [n] into exactly k blocks.
 
-    Lexicographic in the growth string, so the first yielded partition is the
-    one packing {1, ..., n-k+1} into the first block.
+    Entry i - 1 of a string is the 0-based block of element i, blocks numbered
+    by their smallest element. Lexicographic, so the first string yielded
+    packs {1, ..., n-k+1} into the first block.
     """
     if not 1 <= k <= n:
         return
-    a = [0] * n  # growth string; a[i] = block of element i+1
+    a = [0] * n
 
     def rec(i: int, used: int):
         if i == n:
             if used == k:
-                blocks: list[list[int]] = [[] for _ in range(k)]
-                for idx, b in enumerate(a):
-                    blocks[b].append(idx + 1)
-                yield BlockPartition(n, blocks)
+                yield tuple(a)
             return
         # can't finish with k blocks if too few slots remain
         if used + (n - i) < k:
@@ -97,32 +97,44 @@ def set_partitions(n: int, k: int) -> Iterator[BlockPartition]:
     yield from rec(0, 0)
 
 
+def _stirling2(n: int, k: int) -> int:
+    """S(n, k), the number of partitions of [n] into k blocks."""
+    row = [1] + [0] * k  # row[j] = S(i, j), here for i = 0
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
+
+
+def _check_partition_work(n: int, k: int, edges_tested: int) -> None:
+    """Refuse a walk over the k-block partitions of [n] above the work budget."""
+    count = _stirling2(n, k)
+    if count * edges_tested > PARTITION_WORK_BUDGET:
+        raise BudgetExceededError(
+            f"(n, k) = ({n}, {k}) has {count} partitions x {edges_tested} edges = "
+            f"{count * edges_tested} edge tests, over the budget of {PARTITION_WORK_BUDGET}"
+        )
+
+
+def _meets_every_block(edge: IndexSet, labels: tuple[int, ...], k: int) -> bool:
+    """A k-point edge meets each of the k blocks of growth string `labels` once."""
+    return len({labels[x - 1] for x in edge}) == k
+
+
 def edge_is_transversal_to(edge: IndexSet, part: BlockPartition) -> bool:
     """Edge meets every block exactly once (edge size must equal block count)."""
-    ids = {part.block_of()[x] for x in edge}
-    return len(ids) == len(edge) == len(part.blocks)
-
-
-def _transversal_edge_exists(H: Hypergraph, block_of: dict[int, int], k: int) -> bool:
-    for e in H.edges:
-        ids = set()
-        ok = True
-        for x in e:
-            b = block_of[x]
-            if b in ids:
-                ok = False
-                break
-            ids.add(b)
-        if ok:
-            return True
-    return False
+    k = len(part.blocks)
+    return len(edge) == k and _meets_every_block(edge, part.labels, k)
 
 
 def failing_partition(H: Hypergraph) -> Optional[BlockPartition]:
     """First k-block partition (growth-string order) with no transversal edge."""
-    for part in set_partitions(H.n, H.k):
-        if not _transversal_edge_exists(H, part.block_of(), H.k):
-            return part
+    _check_partition_work(H.n, H.k, len(H.edges))
+    for labels in set_partitions(H.n, H.k):
+        if not any(_meets_every_block(e, labels, H.k) for e in H.edges):
+            blocks = [[i for i, b in enumerate(labels, 1) if b == j] for j in range(H.k)]
+            return BlockPartition(H.n, blocks)
     return None
 
 
@@ -148,8 +160,7 @@ def ydn_witness(part: BlockPartition, basis: Matrix) -> PointConfiguration:
         raise ShapeError(f"basis must be {k} x {k}, got {basis.shape}")
     if rank(basis) < k:
         raise ShapeError("basis columns must be linearly independent")
-    block_of = part.block_of()
-    cols = [basis.column(block_of[i]) for i in range(1, part.n + 1)]
+    cols = [basis.column(b) for b in part.labels]
     return make_config(basis.field, k - 1, part.n, cols)
 
 
@@ -165,8 +176,7 @@ def v2n_witness(part: BlockPartition, six: PointConfiguration) -> PointConfigura
         raise ShapeError(f"need a 6-block partition, got {len(part.blocks)} blocks")
     if six.d != 2 or six.n != 6:
         raise ShapeError("need six points of P^2")
-    block_of = part.block_of()
-    cols = [six.point(block_of[i] + 1) for i in range(1, part.n + 1)]
+    cols = [six.point(b + 1) for b in part.labels]
     return make_config(six.field, 2, part.n, cols)
 
 
@@ -177,13 +187,12 @@ def v2n_witness(part: BlockPartition, six: PointConfiguration) -> PointConfigura
 
 def _partition_edge_masks(n: int, k: int) -> tuple[list[IndexSet], list[int]]:
     edges = list(combinations(range(1, n + 1), k))
+    _check_partition_work(n, k, len(edges))
     masks = []
-    for part in set_partitions(n, k):
-        block_of = part.block_of()
+    for labels in set_partitions(n, k):
         m = 0
         for bit, e in enumerate(edges):
-            ids = {block_of[x] for x in e}
-            if len(ids) == k:
+            if _meets_every_block(e, labels, k):
                 m |= 1 << bit
         masks.append(m)
     return edges, masks
@@ -201,12 +210,12 @@ def min_transversal(n: int, k: int, mode: str = "exact") -> tuple[int, Hypergrap
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if mode == "exact" and comb(n, k) > MIN_SEARCH_EDGE_BUDGET:
+        raise BudgetExceededError(
+            f"exact search needs C(n, k) <= {MIN_SEARCH_EDGE_BUDGET} edges, got {comb(n, k)}"
+        )
     edges, masks = _partition_edge_masks(n, k)
     m = len(edges)
-    if mode == "exact" and m > MIN_SEARCH_EDGE_BUDGET:
-        raise BudgetExceededError(
-            f"exact search needs C(n, k) <= {MIN_SEARCH_EDGE_BUDGET} edges, got {m}"
-        )
     if mode == "greedy":
         uncovered = list(masks)
         chosen: list[int] = []

@@ -309,11 +309,6 @@ def _edge_minors_all_zero(H: tv.Hypergraph, p: PointConfiguration) -> bool:
     return all(mm.get(e) == 0 for e in H.edges)
 
 
-def _some_edge_minor_nonzero(H: tv.Hypergraph, p: PointConfiguration) -> bool:
-    mm = MaximalMinors(p.coords)
-    return any(mm.get(e) != 0 for e in H.edges)
-
-
 def check_transversality_agreement(seed: int) -> CheckResult:
     """The combinatorial test agrees with the equations in both directions:
     failing partitions give separating configurations, transversal families
@@ -337,7 +332,7 @@ def check_transversality_agreement(seed: int) -> CheckResult:
                             p = random_config(FP, k - 1, n, rng)
                     else:
                         p = tv.ydn_witness(_random_partition(n, k, rng), random_invertible(FP, k, rng))
-                    if not _some_edge_minor_nonzero(H, p):
+                    if _edge_minors_all_zero(H, p):
                         good = False
                         break
                 if k == 6 and good:
@@ -485,7 +480,3 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return [check(seed) for check in SUITES[name]]
-
-
-def run_all(seed: int = 0) -> dict[str, list[CheckResult]]:
-    return {name: run_suite(name, seed) for name in SUITES}

@@ -143,6 +143,14 @@ def test_transversal_budget_exceeded():
     assert code == 3 and doc["status"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_transversal_minimum_is_refused_before_the_partition_walk(mode):
+    # exact: C(11, 6) = 462 candidate edges; greedy: S(14, 7) * C(14, 7) edge tests
+    n, k = (11, 6) if mode == "exact" else (14, 7)
+    code, doc = run_json(["transversal", "--n", str(n), "--k", str(k), "--min", mode])
+    assert code == 3 and doc["status"] == "BudgetExceeded"
+
+
 def test_dim_agrees_with_formula():
     code, doc = run_json(["dim", "--d", "2", "--n", "6"])
     assert code == 0

@@ -1,7 +1,10 @@
 import random
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ordered_partition_oracle, stirling2
 
@@ -9,6 +12,7 @@ from veronese_kit.configurations import make_config
 from veronese_kit.errors import BudgetExceededError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import Matrix, minor
+import veronese_kit.transversal as tv
 from veronese_kit.transversal import (
     BlockPartition,
     Hypergraph,
@@ -43,7 +47,7 @@ def test_hypergraph_canonicalization():
 def test_block_partition_canonicalization():
     p = BlockPartition(5, [(4, 5), (2,), (1, 3)])
     assert p.blocks == ((1, 3), (2,), (4, 5))
-    assert p.block_of() == {1: 0, 3: 0, 2: 1, 4: 2, 5: 2}
+    assert p.labels == (0, 1, 0, 2, 2)
     with pytest.raises(ShapeError):
         BlockPartition(5, [(1, 2), (3, 4)])  # misses 5
     with pytest.raises(ShapeError):
@@ -58,7 +62,7 @@ def test_set_partition_counts_match_stirling():
 
 def test_set_partitions_first_packs_front_block():
     first = next(set_partitions(6, 3))
-    assert first.blocks == ((1, 2, 3, 4), (5,), (6,))
+    assert first == (0, 0, 0, 0, 1, 2)
 
 
 def test_agrees_with_ordered_partition_oracle():
@@ -69,6 +73,58 @@ def test_agrees_with_ordered_partition_oracle():
             size = rng.randint(1, len(all_edges))
             H = Hypergraph(n, k, rng.sample(all_edges, size))
             assert is_transversal(H) == ordered_partition_oracle(H)
+
+
+@lru_cache(maxsize=None)
+def growth_strings(n, k):
+    """Restricted growth strings with k blocks, filtered from all labellings in lex order."""
+
+    def is_growth_string(labels):
+        top = -1
+        for b in labels:
+            if b > top + 1:
+                return False
+            top = max(top, b)
+        return top == k - 1
+
+    return [s for s in product(range(k), repeat=n) if is_growth_string(s)]
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    all_edges = list(combinations(range(1, n + 1), k))
+    return Hypergraph(n, k, draw(st.lists(st.sampled_from(all_edges), max_size=len(all_edges))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs())
+def test_failing_partition_is_lex_first_failing_growth_string(H):
+    assert is_transversal(H) == ordered_partition_oracle(H)
+    expected = next(
+        (s for s in growth_strings(H.n, H.k) if not any(len({s[x - 1] for x in e}) == H.k for e in H.edges)),
+        None,
+    )
+    part = failing_partition(H)
+    assert (None if part is None else part.labels) == expected
+
+
+def test_partition_walk_is_budgeted():
+    # S(14, 7) = 49,329,280 partitions for even a single edge
+    with pytest.raises(BudgetExceededError):
+        failing_partition(Hypergraph(14, 7, [range(1, 8)]))
+    # the largest walk the package runs elsewhere stays admitted: S(9, 5) * C(9, 5) = 875,826
+    assert failing_partition(Hypergraph(9, 5, combinations(range(1, 10), 5))) is None
+
+
+def test_exact_minimum_budget_is_checked_before_any_partition(monkeypatch):
+    def walked(n, k):
+        raise AssertionError("set_partitions was called")
+
+    monkeypatch.setattr(tv, "set_partitions", walked)
+    with pytest.raises(BudgetExceededError):
+        min_transversal(9, 5)
 
 
 def test_pentagon_is_transversal_and_tight():
