@@ -88,83 +88,32 @@ class BracketPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def multidegree(self) -> tuple[int, ...]:
-        """Occurrences of each ground index per term (must be uniform across terms)."""
-        if not self.terms:
-            return (0,) * self.ground
-        profiles = set()
-        for _, factors in self.terms:
-            counts = [0] * self.ground
-            for f in factors:
-                for i in f:
-                    counts[i - 1] += 1
-            profiles.add(tuple(counts))
-        if len(profiles) > 1:
-            raise ValueError("terms are not multihomogeneous of a common degree")
-        return profiles.pop()
-
-    def scale(self, c: int) -> "BracketPolynomial":
-        return BracketPolynomial(self.ground, self.width, [(c * k, fs) for k, fs in self.terms])
-
     def __repr__(self):
         return f"BracketPolynomial(ground={self.ground}, width={self.width}, {format_bracket_poly(self)!r})"
 
 
-def format_bracket_poly(P: BracketPolynomial) -> str:
-    """Render in the sign/coefficient/bracket text form, e.g. "+ |1 2 3||4 5 6| - ..."."""
+def bracket_template(P: BracketPolynomial) -> str:
+    """The text form of P with each index i written as the field {i-1}.
+
+    `bracket_template(P).format(*J)` is the text of P pulled back along a
+    strictly increasing window J (index i reads J[i-1]). Such a map keeps
+    every bracket sorted and the order of factors and terms, so P's canonical
+    form maps to the canonical form of the pullback.
+    """
     if not P.terms:
         return "0"
     parts = []
     for coef, factors in P.terms:
         sign = "+" if coef > 0 else "-"
         mag = abs(coef)
-        body = "".join("|" + " ".join(str(i) for i in f) + "|" for f in factors)
+        body = "".join("|" + " ".join(f"{{{i - 1}}}" for i in f) + "|" for f in factors)
         parts.append(f"{sign} {mag} {body}" if mag != 1 else f"{sign} {body}")
     return " ".join(parts)
 
 
-def parse_bracket_poly(text: str, ground: int, width: int) -> BracketPolynomial:
-    """Inverse of `format_bracket_poly`; also accepts compact digit runs like |123|."""
-    terms = []
-    s = text.strip()
-    if s == "0":
-        return BracketPolynomial(ground, width, [])
-    pos = 0
-    while pos < len(s):
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        if pos >= len(s):
-            break
-        if s[pos] not in "+-":
-            raise ValueError(f"expected sign at ...{s[pos:pos + 12]!r}")
-        sign = 1 if s[pos] == "+" else -1
-        pos += 1
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        mag = 0
-        digits = ""
-        while pos < len(s) and s[pos].isdigit():
-            digits += s[pos]
-            pos += 1
-        mag = int(digits) if digits else 1
-        factors = []
-        while True:
-            while pos < len(s) and s[pos].isspace():
-                pos += 1
-            if pos >= len(s) or s[pos] != "|":
-                break
-            end = s.index("|", pos + 1)
-            body = s[pos + 1 : end].strip()
-            if " " in body:
-                factor = [int(tok) for tok in body.split()]
-            else:
-                factor = [int(ch) for ch in body]
-            factors.append(factor)
-            pos = end + 1
-        if not factors:
-            raise ValueError("term with no brackets")
-        terms.append((sign * mag, factors))
-    return BracketPolynomial(ground, width, terms)
+def format_bracket_poly(P: BracketPolynomial) -> str:
+    """Render in the sign/coefficient/bracket text form, e.g. "+ |1 2 3||4 5 6| - ..."."""
+    return bracket_template(P).format(*range(1, P.ground + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +136,6 @@ def phi_as_bracket_poly() -> BracketPolynomial:
             (1, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
             (-1, [(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)]),
         ],
-    )
-
-
-def relabel(P: BracketPolynomial, I: Iterable[int], ground: int | None = None) -> BracketPolynomial:
-    """Push the polynomial along the order embedding [P.ground] -> I subset of [ground].
-
-    Position j of I replaces index j in every bracket; since I is strictly
-    increasing no signs move. The new ground set defaults to max(I).
-    """
-    I = as_index_set(I, size=P.ground)
-    m = ground if ground is not None else I[-1]
-    if I[-1] > m:
-        raise ShapeError(f"target ground [{m}] does not contain {I}")
-    return BracketPolynomial(
-        m,
-        P.width,
-        [(c, [tuple(I[i - 1] for i in f) for f in fs]) for c, fs in P.terms],
     )
 
 
@@ -237,7 +169,9 @@ def psi_pattern(d: int, I: IndexSet) -> BracketPolynomial:
     if d < 2:
         raise ShapeError(f"patterns need d >= 2, got {d}")
     I = as_index_set(I, ground=d + 4, size=6)
-    return dualize(relabel(phi_as_bracket_poly(), I, ground=d + 4))
+    phi = phi_as_bracket_poly()
+    pulled = [(c, [[I[i - 1] for i in f] for f in fs]) for c, fs in phi.terms]
+    return dualize(BracketPolynomial(d + 4, 3, pulled))
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +183,15 @@ def psi_generators(d: int) -> tuple[tuple[IndexSet, BracketPolynomial], ...]:
 
 
 def eval_bracket_poly(
-    P: BracketPolynomial, source: Union[PointConfiguration, Matrix, MaximalMinors]
+    P: BracketPolynomial,
+    source: Union[PointConfiguration, Matrix, MaximalMinors],
+    J: Optional[Iterable[int]] = None,
 ) -> Scalar:
-    """Evaluate with brackets as maximal minors of the source's coordinate matrix."""
+    """Evaluate with brackets as maximal minors of the source's coordinate matrix.
+
+    With a window J (strictly increasing, P.ground indices) bracket index i
+    reads column J[i-1]: the value is that of P pulled back along J.
+    """
     if isinstance(source, MaximalMinors):
         mm = source
     elif isinstance(source, PointConfiguration):
@@ -260,16 +200,18 @@ def eval_bracket_poly(
         mm = MaximalMinors(source)
     if mm.width != P.width:
         raise ShapeError(f"bracket width {P.width} != matrix height {mm.width}")
-    if mm.matrix.cols < P.ground:
+    if J is not None:
+        J = as_index_set(J, ground=mm.matrix.cols, size=P.ground)
+    elif mm.matrix.cols < P.ground:
         raise ShapeError(f"ground set [{P.ground}] exceeds {mm.matrix.cols} columns")
     f = mm.matrix.field
     total = f.zero
     for coef, factors in P.terms:
         term = f.normalize(coef)
-        for J in factors:
+        for F in factors:
             if term == 0:
                 break
-            term = f.mul(term, mm.get(J))
+            term = f.mul(term, mm.get(F if J is None else [J[i - 1] for i in F]))
         total = f.add(total, term)
     return total
 
@@ -410,7 +352,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
             if _window_vanishes([pick(row) for row in coord_rows], prime):
                 continue
             for i, (I, poly) in enumerate(gens):
-                val = eval_bracket_poly(relabel(poly, J, ground=n), mm)
+                val = eval_bracket_poly(poly, mm, J)
                 if val != 0:
                     witness = (I, J, val)
                     checked = j * len(gens) + i + 1

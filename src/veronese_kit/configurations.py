@@ -75,25 +75,6 @@ def make_config(field: Field, d: int, n: int, columns: Sequence[Sequence]) -> Po
     return PointConfiguration(field, d, n, Matrix.from_columns(field, columns))
 
 
-def canonical_coords(p: PointConfiguration) -> Matrix:
-    """Scale each column so its first nonzero entry is 1."""
-    f = p.field
-    cols = []
-    for j in range(p.n):
-        col = p.coords.column(j)
-        lead = next(x for x in col if x != 0)
-        inv = f.inv(lead)
-        cols.append([f.mul(x, inv) for x in col])
-    return Matrix.from_columns(f, cols)
-
-
-def semantic_eq(p: PointConfiguration, q: PointConfiguration) -> bool:
-    """Equality as ordered projective point lists (scaling-insensitive)."""
-    if (p.field, p.d, p.n) != (q.field, q.d, q.n):
-        return False
-    return canonical_coords(p) == canonical_coords(q)
-
-
 def is_degenerate(p: PointConfiguration) -> bool:
     """True when the points fail to span P^d."""
     return rank(p.coords) < p.d + 1

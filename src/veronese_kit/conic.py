@@ -60,12 +60,6 @@ def phi_bracket(p: PointConfiguration) -> Scalar:
     return p.field.mul(p.field.normalize(BRACKET_TO_DET_SIGN), val)
 
 
-def phi_pullback_eval(p: PointConfiguration, I: Iterable[int]) -> Scalar:
-    """phi_det of the six points selected by the 1-based index set I."""
-    I = as_index_set(I, ground=p.n, size=6)
-    return phi_det(p.subconfig(I))
-
-
 @dataclass(frozen=True)
 class ConicEquationReport:
     """Which six-point subsets violate the conic equations.

@@ -1,4 +1,4 @@
-"""JSON codecs for fields, configurations, and bracket polynomials.
+"""JSON codecs for fields and configurations.
 
 The configuration document is:
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .brackets import BracketPolynomial, format_bracket_poly
 from .configurations import PointConfiguration, make_config
 from .fields import Field
 
@@ -88,12 +87,3 @@ def _scalar_from_json(f: Field, x: Any, j: int, i: int):
     except (TypeError, ValueError) as e:
         reason = str(e)
     raise ValueError(f"column {j}, coordinate {i}: {reason}")
-
-
-def bracket_poly_to_json(P: BracketPolynomial) -> dict:
-    return {
-        "ground": P.ground,
-        "width": P.width,
-        "terms": [{"coef": c, "factors": [list(f) for f in fs]} for c, fs in P.terms],
-        "text": format_bracket_poly(P),
-    }

@@ -122,12 +122,6 @@ def _meets_every_block(edge: IndexSet, labels: tuple[int, ...], k: int) -> bool:
     return len({labels[x - 1] for x in edge}) == k
 
 
-def edge_is_transversal_to(edge: IndexSet, part: BlockPartition) -> bool:
-    """Edge meets every block exactly once (edge size must equal block count)."""
-    k = len(part.blocks)
-    return len(edge) == k and _meets_every_block(edge, part.labels, k)
-
-
 def failing_partition(H: Hypergraph) -> Optional[BlockPartition]:
     """First k-block partition (growth-string order) with no transversal edge."""
     _check_partition_work(H.n, H.k, len(H.edges))
@@ -210,6 +204,8 @@ def min_transversal(n: int, k: int, mode: str = "exact") -> tuple[int, Hypergrap
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if not 1 <= k <= n:
+        raise ShapeError(f"need 1 <= k <= n, got k={k}, n={n}")
     if mode == "exact" and comb(n, k) > MIN_SEARCH_EDGE_BUDGET:
         raise BudgetExceededError(
             f"exact search needs C(n, k) <= {MIN_SEARCH_EDGE_BUDGET} edges, got {comb(n, k)}"

@@ -5,6 +5,8 @@ expansion, brute-force enumeration) so it shares no code path with the
 implementations under test. The one exception is `wdn_scan_oracle`: it
 evaluates every generator pullback with the package's bracket evaluator, which
 is the definition the window rank test of `wdn_membership` must reproduce.
+`relabel` builds each pullback as a new canonical polynomial; it is the
+reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
 """
 
 import random
@@ -12,14 +14,15 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from veronese_kit.brackets import (
+    BracketPolynomial,
     HigherEquationReport,
     _in_v_annotation,
     eval_bracket_poly,
     psi_generators,
-    relabel,
 )
 from veronese_kit.configurations import is_degenerate, make_config
-from veronese_kit.linalg import MaximalMinors
+from veronese_kit.errors import ShapeError
+from veronese_kit.linalg import MaximalMinors, as_index_set
 
 
 def perm_sign(perm):
@@ -168,6 +171,40 @@ def poly_partial(poly, var):
         key = tuple(new)
         out[key] = out.get(key, 0) + coef * expo[var]
     return out
+
+
+def relabel(P, I, ground=None):
+    """Push the polynomial along the order embedding [P.ground] -> I subset of [ground].
+
+    Position j of I replaces index j in every bracket, and the result is
+    rebuilt in canonical form. The new ground set defaults to max(I).
+    """
+    I = as_index_set(I, size=P.ground)
+    m = ground if ground is not None else I[-1]
+    if I[-1] > m:
+        raise ShapeError(f"target ground [{m}] does not contain {I}")
+    return BracketPolynomial(m, P.width, [(c, [tuple(I[i - 1] for i in f) for f in fs]) for c, fs in P.terms])
+
+
+def multidegree(P):
+    """Occurrences of each ground index per term (must be uniform across terms)."""
+    if not P.terms:
+        return (0,) * P.ground
+    profiles = set()
+    for _, factors in P.terms:
+        counts = [0] * P.ground
+        for f in factors:
+            for i in f:
+                counts[i - 1] += 1
+        profiles.add(tuple(counts))
+    if len(profiles) > 1:
+        raise ValueError("terms are not multihomogeneous of a common degree")
+    return profiles.pop()
+
+
+def edge_is_transversal_to(edge, part):
+    """The edge meets every block of the partition in exactly one point."""
+    return all(len(set(edge) & set(block)) == 1 for block in part.blocks)
 
 
 def wdn_scan_oracle(p, collect_values=False):

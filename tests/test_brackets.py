@@ -11,11 +11,9 @@ from veronese_kit.brackets import (
     dualize,
     eval_bracket_poly,
     format_bracket_poly,
-    parse_bracket_poly,
     phi_as_bracket_poly,
     psi_generators,
     psi_pattern,
-    relabel,
     wdn_membership,
     y_in_v_dimension_test,
 )
@@ -26,11 +24,11 @@ from veronese_kit.configurations import (
     sample_on_rnc,
     sample_quasi_veronese_chain,
 )
-from veronese_kit.errors import ShapeError
+from veronese_kit.errors import IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import MaximalMinors, minor
 
-from oracles import sign_cloud, wdn_scan_oracle
+from oracles import multidegree, relabel, sign_cloud, wdn_scan_oracle
 
 FP = Field.prime()
 
@@ -79,38 +77,25 @@ def test_format_phi():
     assert text == "+ |1 2 3||1 4 5||2 4 6||3 5 6| - |1 2 4||1 3 5||2 3 6||4 5 6|"
 
 
-def test_parse_round_trip_and_compact():
-    phi = phi_as_bracket_poly()
-    assert parse_bracket_poly(format_bracket_poly(phi), 6, 3) == phi
-    assert parse_bracket_poly("+ |123||145||246||356| - |124||135||236||456|", 6, 3) == phi
-    assert parse_bracket_poly("0", 6, 3).is_zero()
-    with_coef = phi.scale(3)
-    assert parse_bracket_poly(format_bracket_poly(with_coef), 6, 3) == with_coef
-
-
-def test_parse_round_trip_two_digit_ground():
-    p = BracketPolynomial(12, 2, [(7, [(1, 12), (10, 11)]), (-1, [(2, 3), (4, 5)])])
-    assert parse_bracket_poly(format_bracket_poly(p), 12, 2) == p
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_bracket_poly("|1 2 3|", 6, 3)  # missing sign
-    with pytest.raises(ValueError):
-        parse_bracket_poly("+ 3", 6, 3)  # no brackets
+def test_format_coefficients_and_two_digit_indices():
+    p = BracketPolynomial(
+        12, 2, [(7, [(1, 12), (10, 11)]), (-1, [(2, 3), (4, 5)]), (-3, [(1, 2), (3, 4)])]
+    )
+    assert format_bracket_poly(p) == "- 3 |1 2||3 4| + 7 |1 12||10 11| - |2 3||4 5|"
+    assert format_bracket_poly(BracketPolynomial(6, 3, [])) == "0"
 
 
 # --- structure of phi and psi ---------------------------------------------------
 
 
 def test_phi_multidegree_quadratic():
-    assert phi_as_bracket_poly().multidegree() == (2,) * 6
+    assert multidegree(phi_as_bracket_poly()) == (2,) * 6
 
 
 def test_multidegree_rejects_mixed_terms():
     p = BracketPolynomial(4, 2, [(1, [(1, 2), (1, 2)]), (1, [(1, 2), (3, 4)])])
     with pytest.raises(ValueError):
-        p.multidegree()
+        multidegree(p)
 
 
 def test_relabel_moves_indices():
@@ -121,6 +106,10 @@ def test_relabel_moves_indices():
     assert seen == {1, 2, 3, 4, 5, 7}
     with pytest.raises(ShapeError):
         relabel(phi, (1, 2, 3, 4, 5, 8), ground=7)
+
+
+def _negated(P):
+    return BracketPolynomial(P.ground, P.width, [(-c, fs) for c, fs in P.terms])
 
 
 def test_dualize_single_bracket():
@@ -134,9 +123,9 @@ def test_dualize_involution_signs():
     # four factors, width 3, ground 6: global sign (+1); phi is also self-dual
     # up to sign, which is what makes the d = 2 generators self-consistent
     assert dualize(dualize(phi)) == phi
-    assert dualize(phi) == phi.scale(-1)
+    assert dualize(phi) == _negated(phi)
     single = BracketPolynomial(4, 1, [(1, [(2,)])])
-    assert dualize(dualize(single)) == single.scale(-1)
+    assert dualize(dualize(single)) == _negated(single)
 
 
 def test_psi_pattern_full_window_d3():
@@ -144,13 +133,13 @@ def test_psi_pattern_full_window_d3():
         "- |1 2 3 7||1 4 5 7||2 4 6 7||3 5 6 7| "
         "+ |1 2 4 7||1 3 5 7||2 3 6 7||4 5 6 7|"
     )
-    assert psi_pattern(3, (1, 2, 3, 4, 5, 6)) == parse_bracket_poly(shown, 7, 4)
+    assert format_bracket_poly(psi_pattern(3, (1, 2, 3, 4, 5, 6))) == shown
 
 
 def test_psi_pattern_multidegree():
-    deg = psi_pattern(3, (1, 2, 3, 4, 5, 6)).multidegree()
+    deg = multidegree(psi_pattern(3, (1, 2, 3, 4, 5, 6)))
     assert deg == (2, 2, 2, 2, 2, 2, 4)
-    deg2 = psi_pattern(4, (1, 2, 4, 5, 7, 8)).multidegree()
+    deg2 = multidegree(psi_pattern(4, (1, 2, 4, 5, 7, 8)))
     assert deg2 == tuple(2 if i in (1, 2, 4, 5, 7, 8) else 4 for i in range(1, 9))
 
 
@@ -187,15 +176,22 @@ def test_eval_shape_errors():
         eval_bracket_poly(phi_as_bracket_poly(), p)  # width 3 vs height 4
     with pytest.raises(ShapeError):
         eval_bracket_poly(BracketPolynomial(9, 4, [(1, [(1, 2, 3, 9)])]), p)
+    poly = psi_pattern(3, (1, 2, 3, 4, 5, 6))
+    for J in ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 8), (2, 1, 3, 4, 5, 6, 7)):
+        with pytest.raises(IndexSetError):
+            eval_bracket_poly(poly, p, J)  # wrong size, outside [7], not increasing
 
 
 def test_pullback_commutes_with_subconfig():
-    p = sample_generic(FP, 3, 9, seed=6)
-    poly = psi_pattern(3, (1, 2, 3, 4, 5, 6))
-    for J in ((1, 2, 3, 4, 5, 6, 7), (2, 3, 5, 6, 7, 8, 9)):
-        assert eval_bracket_poly(relabel(poly, J, ground=9), p) == eval_bracket_poly(
-            poly, p.subconfig(J)
-        )
+    for field in (QQ, Field.prime(101), FP):
+        p = sample_generic(field, 3, 9, seed=6)
+        mm = MaximalMinors(p.coords)
+        for J in combinations(range(1, 10), 7):
+            for _, poly in psi_generators(3):
+                pulled = eval_bracket_poly(relabel(poly, J, ground=9), mm)
+                assert eval_bracket_poly(poly, mm, J) == pulled
+                if J in ((1, 2, 3, 4, 5, 6, 7), (2, 3, 5, 6, 7, 8, 9)):
+                    assert pulled == eval_bracket_poly(poly, p.subconfig(J))
 
 
 # --- membership reports -----------------------------------------------------------
@@ -262,7 +258,7 @@ def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
     import veronese_kit.brackets as brackets
 
     calls = []
-    monkeypatch.setattr(brackets, "relabel", lambda *a, **k: calls.append("relabel"))
+    monkeypatch.setattr(brackets, "eval_bracket_poly", lambda *a, **k: calls.append("eval"))
     monkeypatch.setattr(MaximalMinors, "get", lambda self, J: calls.append(("get", J)))
     for field in (QQ, FP):
         rep = wdn_membership(sample_on_rnc(field, 4, 10, seed=2))

@@ -6,12 +6,23 @@ import os
 import subprocess
 import sys
 import weakref
+from itertools import combinations
+from math import comb
 
 import pytest
 from click.testing import CliRunner
 
 import veronese_kit
+import veronese_kit.brackets as brackets
+from veronese_kit.brackets import (
+    BracketPolynomial,
+    format_bracket_poly,
+    phi_as_bracket_poly,
+    psi_generators,
+)
 from veronese_kit.cli import SCHEMA, main
+
+from oracles import relabel
 
 
 def run(args, input=None):
@@ -43,6 +54,79 @@ def test_eqs_counts():
     gen0 = doc["payload"]["generators"][0]
     assert gen0["I"] == [1, 2, 3, 4, 5, 6] and gen0["J"] == [1, 2, 3, 4, 5, 6, 7]
     assert gen0["ground"] == 7 and gen0["width"] == 4
+
+
+def _eqs_count(d, n):
+    return comb(n, 6) if d == 2 else comb(n, d + 4) * comb(d + 4, 6)
+
+
+EQS_SHAPES = [
+    (d, n) for d in range(2, 7) for n in range(max(6, d + 4), 20) if _eqs_count(d, n) <= 2000
+]
+
+
+def _eqs_oracle(d, n):
+    """(labels, pullback) per generator, each pullback rebuilt by `relabel`."""
+    if d == 2:
+        phi = phi_as_bracket_poly()
+        return [({"I": list(I)}, relabel(phi, I, ground=n)) for I in combinations(range(1, n + 1), 6)]
+    return [
+        ({"I": list(I), "J": list(J)}, relabel(poly, J, ground=n))
+        for J in combinations(range(1, n + 1), d + 4)
+        for I, poly in psi_generators(d)
+    ]
+
+
+@pytest.mark.parametrize("d, n", EQS_SHAPES, ids=lambda v: str(v))
+def test_eqs_matches_relabel_oracle(d, n):
+    gens = _eqs_oracle(d, n)
+    lines = []
+    for labels, P in gens:
+        label = ",".join(map(str, labels["I"]))
+        if "J" in labels:
+            label += "; " + ",".join(map(str, labels["J"]))
+        lines.append(f"({label}) {format_bracket_poly(P)}")
+    res = run(["eqs", "--d", str(d), "--n", str(n)])
+    assert res.exit_code == 0 and res.output == "\n".join(lines) + "\n"
+    payload = {
+        "d": d,
+        "n": n,
+        "count": len(gens),
+        "generators": [
+            labels
+            | {
+                "ground": P.ground,
+                "width": P.width,
+                "terms": [{"coef": c, "factors": [list(f) for f in fs]} for c, fs in P.terms],
+                "text": format_bracket_poly(P),
+            }
+            for labels, P in gens
+        ],
+    }
+    doc = {"schema": SCHEMA, "status": "Ok", "payload": payload, "log": []}
+    res = run(["eqs", "--d", str(d), "--n", str(n), "--format", "json"])
+    assert res.exit_code == 0 and json.loads(res.output) == doc
+
+
+def test_eqs_builds_no_polynomial_per_generator(monkeypatch):
+    built = []
+    init = BracketPolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BracketPolynomial, "__init__", counting_init)
+    for d, small, large in ((2, 6, 9), (3, 7, 9)):
+        counts = []
+        for n in (small, large):
+            brackets.psi_pattern.cache_clear()
+            brackets.psi_generators.cache_clear()
+            built.clear()
+            for fmt in ("text", "json"):
+                assert run(["eqs", "--d", str(d), "--n", str(n), "--format", fmt]).exit_code == 0
+            counts.append(len(built))
+        assert 0 < counts[0] == counts[1], (d, counts)
 
 
 def test_eqs_precondition_errors():

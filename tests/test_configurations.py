@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from veronese_kit.configurations import (
-    canonical_coords,
     dimension_estimate,
     is_degenerate,
     is_strongly_nondegenerate,
@@ -48,17 +46,6 @@ def test_point_access_and_subconfig():
     assert q.n == 2 and q.point(2) == (1, 1)
     with pytest.raises(IndexError):
         p.point(4)
-
-
-def test_semantic_eq_ignores_scaling():
-    from veronese_kit.configurations import semantic_eq
-
-    p = make_config(QQ, 2, 2, [[1, 2, 3], [0, 1, 2]])
-    q = make_config(QQ, 2, 2, [[2, 4, 6], [0, Fraction(1, 2), 1]])
-    assert semantic_eq(p, q)
-    assert canonical_coords(p) == canonical_coords(q)
-    r = make_config(QQ, 2, 2, [[1, 2, 3], [1, 1, 2]])
-    assert not semantic_eq(p, r)
 
 
 def test_degeneracy_predicates():

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
-import pytest
+import json
 
-from veronese_kit.brackets import phi_as_bracket_poly
+import pytest
+from click.testing import CliRunner
+
 from veronese_kit.configurations import make_config, sample_generic
 from veronese_kit.fields import Field, QQ
+from veronese_kit.cli import main
 from veronese_kit.serialize import (
-    bracket_poly_to_json,
     config_from_json,
     config_to_json,
     field_from_json,
@@ -88,7 +90,9 @@ def test_codecs_reject_inexact_integers():
 
 
 def test_bracket_poly_json_shape():
-    doc = bracket_poly_to_json(phi_as_bracket_poly())
+    res = CliRunner().invoke(main, ["eqs", "--d", "2", "--n", "6", "--format", "json"])
+    (doc,) = json.loads(res.output)["payload"]["generators"]
+    assert doc["I"] == [1, 2, 3, 4, 5, 6] and "J" not in doc
     assert doc["ground"] == 6 and doc["width"] == 3
     assert [t["coef"] for t in doc["terms"]] == [1, -1]
     assert doc["terms"][0]["factors"][0] == [1, 2, 3]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ordered_partition_oracle, stirling2
+from oracles import edge_is_transversal_to, ordered_partition_oracle, stirling2
 
 from veronese_kit.configurations import make_config
 from veronese_kit.errors import BudgetExceededError, ShapeError
@@ -17,7 +17,6 @@ from veronese_kit.transversal import (
     BlockPartition,
     Hypergraph,
     bounds,
-    edge_is_transversal_to,
     failing_partition,
     is_transversal,
     min_transversal,
@@ -127,6 +126,17 @@ def test_exact_minimum_budget_is_checked_before_any_partition(monkeypatch):
         min_transversal(9, 5)
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_min_transversal_rejects_bad_shapes(mode, monkeypatch):
+    def walked(n, k):
+        raise AssertionError("set_partitions was called")
+
+    monkeypatch.setattr(tv, "set_partitions", walked)
+    for n, k in ((3, 5), (4, 0), (4, -1)):
+        with pytest.raises(ShapeError):
+            min_transversal(n, k, mode)
+
+
 def test_pentagon_is_transversal_and_tight():
     H = pentagon_hypergraph()
     assert is_transversal(H)
@@ -158,14 +168,14 @@ def test_ydn_witness_brackets():
 
 
 def test_v2n_witness_conic_values():
-    from veronese_kit.conic import phi_det, phi_pullback_eval
+    from veronese_kit.conic import phi_det
 
     part = BlockPartition(8, [(1, 7), (2, 8), (3,), (4,), (5,), (6,)])
     six = make_config(QQ, 2, 6, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4), (1, 3, 9)])
     assert phi_det(six) != 0
     p = v2n_witness(part, six)
     for S in combinations(range(1, 9), 6):
-        val = phi_pullback_eval(p, S)
+        val = phi_det(p.subconfig(S))
         assert (val != 0) == edge_is_transversal_to(S, part)
     with pytest.raises(ShapeError):
         v2n_witness(BlockPartition(8, [(1, 2, 3), (4, 5, 6), (7,), (8,)]), six)
