@@ -39,7 +39,7 @@ from .configurations import (
     sample_quasi_veronese_chain,
 )
 from .errors import BudgetExceededError, VeroneseKitError
-from .gale import affine_gale, duality_certificate, gale_of_config
+from .gale import duality_certificate, gale_of_config
 from .serialize import (
     config_from_json,
     config_to_json,
@@ -259,7 +259,7 @@ def cmd_gale(input: str):
     def body() -> CommandResult:
         p = _extract_config(_read_json_input(input))
         q = gale_of_config(p)
-        cert = duality_certificate(p.coords, affine_gale(p.coords))
+        cert = duality_certificate(p.coords, q.coords)
         payload = {
             "config": config_to_json(q),
             "source": {"d": p.d, "n": p.n},

@@ -16,18 +16,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .configurations import PointConfiguration, strong_nondegeneracy_witness
-from .errors import DegenerateInputError, NotAGalePairError, RankDeficiencyError, ShapeError
+from .errors import (
+    BudgetExceededError,
+    DegenerateInputError,
+    NotAGalePairError,
+    RankDeficiencyError,
+    ShapeError,
+)
 from .fields import Scalar, require_same_field
 from .linalg import (
     IndexSet,
     MaximalMinors,
     Matrix,
-    inverse,
     kernel_basis,
-    rank,
+    rref,
 )
+
+#: `duality_certificate` pairs at most this many complementary minors
+#: (C(n, d+1)); larger pairings exit 3 before any elimination.
+DUALITY_PAIR_BUDGET = 100_000
 
 
 def affine_gale(A: Matrix) -> Matrix:
@@ -47,25 +57,22 @@ def standard_gale_pair(A: Matrix) -> tuple[Matrix, Matrix]:
 
     Requires the first d+1 columns of A to be linearly independent; the error
     message names a lexicographically-first independent column set to use
-    instead when they are not.
+    instead when they are not: the pivot columns of the echelon form, since
+    greedy choice from the left gives the lex-first basis of a column matroid.
     """
     k, n = A.rows, A.cols
     if n < k + 1:
         raise ShapeError(f"need at least {k + 1} columns, got {n}")
-    lead = A.select_columns(range(1, k + 1))
-    if rank(lead) < k:
-        witness = None
-        for J in combinations(range(1, n + 1), k):
-            if rank(A.select_columns(J)) == k:
-                witness = J
-                break
-        if witness is None:
-            raise RankDeficiencyError("matrix has no independent column set of full height")
+    a_std, pivots, r = rref(A)
+    if r < k:
+        raise RankDeficiencyError("matrix has no independent column set of full height")
+    if pivots != tuple(range(k)):
+        witness = tuple(c + 1 for c in pivots)
         raise RankDeficiencyError(
             f"first {k} columns are dependent; columns {witness} are independent"
         )
+    # with pivots 1..k the reduced echelon form is [I | A'] = A_lead^-1 A
     f = A.field
-    a_std = inverse(lead).matmul(A)
     tail = a_std.select_columns(range(k + 1, n + 1))  # the A' block
     rows = []
     for j in range(n - k):
@@ -96,45 +103,51 @@ class GaleDualityCertificate:
 
 
 def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
-    """Verify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I."""
+    """Verify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
+
+    Each side's minors come from one echelon form (`MaximalMinors.vector`),
+    which also gives its rank. Pairings of more than `DUALITY_PAIR_BUDGET`
+    index sets raise BudgetExceededError before any elimination.
+    """
     require_same_field(A.field, B.field, "Gale pair")
     n = A.cols
     if B.cols != n:
         raise ShapeError(f"column counts differ: {A.cols} vs {B.cols}")
     if A.rows + B.rows != n:
         raise ShapeError(f"heights {A.rows} + {B.rows} must sum to {n}")
+    k = A.rows
+    count = comb(n, k)
+    if count > DUALITY_PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"the certificate of a {k} x {n} matrix pairs {count} minors, "
+            f"over the budget of {DUALITY_PAIR_BUDGET}"
+        )
     if not A.matmul(B.transpose()).is_zero():
         raise NotAGalePairError("A B^t != 0")
-    if rank(A) < A.rows or rank(B) < B.rows:
+    ma, mb = MaximalMinors(A), MaximalMinors(B)
+    if ma.rank() < A.rows or mb.rank() < B.rows:
         raise RankDeficiencyError("both matrices must have full row rank")
 
     f = A.field
-    k = A.rows
-    ma, mb = MaximalMinors(A), MaximalMinors(B)
     subsets = list(combinations(range(1, n + 1), k))
-    # the sign exponent S_I + height_B, with S_I = sum(I) - k(k+1)/2
+    va = ma.vector()
+    # the complements of lex-ordered k-sets run in reverse lex order
+    vb = mb.vector()[::-1]
+    # the parity of the sign exponent S_I + height_B, S_I = sum(I) - k(k+1)/2
     shift = B.rows - k * (k + 1) // 2
-    signs = (f.one, f.neg(f.one))
-    pairs = [
-        (I, tuple(i for i in range(1, n + 1) if i not in I), signs[(sum(I) + shift) % 2])
-        for I in subsets
-    ]
-    lam = None
-    for I, Ic, sign in pairs:
-        va = ma.get(I)
-        if va != 0:
-            vb = mb.get(Ic)
-            if vb == 0:
-                # genuine Gale pairs cannot do this; flag everything
-                return GaleDualityCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
-            lam = f.div(va, f.mul(sign, vb))
-            break
-    assert lam is not None  # full row rank guarantees a nonzero minor
-
+    odd = [(sum(I) + shift) % 2 for I in subsets]
+    first = next(i for i, x in enumerate(va) if x != 0)  # full row rank has one
+    if vb[first] == 0:
+        # genuine Gale pairs cannot do this; flag everything
+        return GaleDualityCertificate(n, k, B.rows, f.zero, count, tuple(subsets))
+    lam = f.div(va[first], vb[first])
+    if odd[first]:
+        lam = f.neg(lam)
+    signed_lam = (lam, f.neg(lam))
     failures = tuple(
-        I for I, Ic, sign in pairs if ma.get(I) != f.mul(sign, f.mul(lam, mb.get(Ic)))
+        I for I, x, y, e in zip(subsets, va, vb, odd) if x != f.mul(signed_lam[e], y)
     )
-    return GaleDualityCertificate(n, k, B.rows, lam, len(subsets), failures)
+    return GaleDualityCertificate(n, k, B.rows, lam, count, failures)
 
 
 def gale_of_config(p: PointConfiguration) -> PointConfiguration:

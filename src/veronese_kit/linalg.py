@@ -3,6 +3,8 @@
 Every determinant, rank, echelon form and minor runs on one exact core of
 plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants
 and fraction-free Gauss-Jordan (`int_rref`) for echelon forms.
+`MaximalMinors.get` reads one maximal minor as one determinant;
+`MaximalMinors.vector` reads all of them from a single echelon form.
 
 * Q — `fractions.Fraction` entries; each row (or column, for minors) is
   scaled to integers first, so the core never sees a Fraction.
@@ -16,8 +18,9 @@ tuples, matching the combinatorial notation used throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, repeat
+from math import comb, lcm
+from operator import mul, xor
 from typing import Iterable, Sequence
 
 from .errors import IndexSetError, RankDeficiencyError, ShapeError
@@ -338,17 +341,6 @@ def kernel_basis(M: Matrix) -> Matrix:
     return Matrix(f, basis)
 
 
-def inverse(M: Matrix) -> Matrix:
-    """Exact inverse of a square invertible matrix."""
-    if M.rows != M.cols:
-        raise ShapeError(f"inverse of non-square {M.shape}")
-    aug = M.hstack(Matrix.identity(M.field, M.rows))
-    R, pivots, r = rref(aug)
-    if r < M.rows or any(pc >= M.rows for pc in pivots):
-        raise RankDeficiencyError("matrix is singular")
-    return R.select_columns(range(M.rows + 1, 2 * M.rows + 1))
-
-
 # ---------------------------------------------------------------------------
 # cached maximal minors
 # ---------------------------------------------------------------------------
@@ -357,10 +349,11 @@ def inverse(M: Matrix) -> Matrix:
 class MaximalMinors:
     """Cache of the maximal minors m_J of a wide full-height matrix.
 
-    J ranges over 1-based column sets of size = the row count. Each minor is
-    computed on first use by `_bareiss_det_int`: over F_p on the residues,
+    J ranges over 1-based column sets of size = the row count. `get` computes
+    one minor on first use by `_bareiss_det_int`: over F_p on the residues,
     reduced mod p; over Q on a denominator-cleared copy (the per-column
     clearing factors are divided back out, so values match `minor` exactly).
+    `vector` reads every minor from one echelon form instead.
 
     Over Q, `int_columns` holds the denominator-cleared columns as int lists.
     """
@@ -371,13 +364,14 @@ class MaximalMinors:
         self.matrix = M
         self.width = M.rows
         self._cache: dict[IndexSet, Scalar] = {}
+        self._rref: tuple[list[list[int]], list[int]] | None = None
         if M.field.kind == "Q":
             cols = []
             factors = []
             for j in range(M.cols):
                 col = M.column(j)
                 m = lcm(*(x.denominator for x in col))
-                factors.append(Fraction(m))
+                factors.append(m)
                 cols.append([int(x * m) for x in col])
             self.int_columns = cols
             self._factors = factors
@@ -389,29 +383,117 @@ class MaximalMinors:
         M = self.matrix
         return M.entries if M.field.kind == "Fp" else list(zip(*self.int_columns))
 
+    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+        """`int_rref` of `int_rows`, computed once: (rows, 0-based pivots)."""
+        if self._rref is None:
+            f = self.matrix.field
+            self._rref = int_rref(self.int_rows(), f.p if f.kind == "Fp" else None)
+        return self._rref
+
     def rank(self) -> int:
-        """Rank of the matrix, by `int_rref` on `int_rows`."""
-        f = self.matrix.field
-        return len(int_rref(self.int_rows(), f.p if f.kind == "Fp" else None)[1])
+        """Rank of the matrix, by `int_rref` on `int_rows` (computed once)."""
+        return len(self._echelon()[1])
+
+    def _int_minor(self, cols: Sequence[int]) -> int:
+        """Unreduced Bareiss determinant of the int columns `cols` (0-based):
+        residues over F_p, denominator-cleared columns over Q."""
+        if self.matrix.field.kind == "Fp":
+            return _bareiss_det_int([[row[j] for j in cols] for row in self.matrix.entries])
+        return _bareiss_det_int([[self.int_columns[j][i] for j in cols] for i in range(self.width)])
 
     def get(self, J: Iterable[int]) -> Scalar:
         J = as_index_set(J, ground=self.matrix.cols, size=self.width)
         hit = self._cache.get(J)
         if hit is not None:
             return hit
-        M = self.matrix
-        if M.field.kind == "Fp":
-            rows = [[row[j - 1] for j in J] for row in M.entries]
-            val: Scalar = _bareiss_det_int(rows) % M.field.p
+        f = self.matrix.field
+        val = self._int_minor([j - 1 for j in J])
+        if f.kind == "Fp":
+            val = val % f.p
         else:
-            rows = [[self.int_columns[j - 1][i] for j in J] for i in range(self.width)]
-            scale = Fraction(1)
+            scale = 1
             for j in J:
                 scale *= self._factors[j - 1]
-            val = Fraction(_bareiss_det_int(rows)) / scale
+            val = Fraction(val, scale)
         self._cache[J] = val
         return val
 
     def vector(self) -> tuple[Scalar, ...]:
-        """All maximal minors in lexicographic order of the column sets."""
-        return tuple(self.get(J) for J in combinations(range(1, self.matrix.cols + 1), self.width))
+        """All maximal minors in lexicographic order of the column sets.
+
+        They come from one echelon form. In the pivot columns P the echelon
+        rows are D times the identity (D the last pivot, D = 1 over F_p); call
+        their free-column block N. For a column set J, let C = J minus P and
+        let R hold the rows whose pivot is not in J. Then
+
+            m_J = (-1)^e det(A_P) minor_{R,C}(N) / D^|C|,
+
+        where e sums, over the pivots u in J, the position of u in J and the
+        row of u. The minors of N are built size by size, each expanded along
+        its last column and divided by D (Sylvester), so every value is an
+        exact int: over Q the maximal minor of the cleared columns, whose
+        factors are then divided out as in `get`. A rank-deficient matrix has
+        only zero minors.
+        """
+        f = self.matrix.field
+        k, n = self.width, self.matrix.cols
+        a, pivots = self._echelon()
+        if len(pivots) < k:
+            return (f.zero,) * comb(n, k)
+        prime = f.p if f.kind == "Fp" else None
+        D = 1 if prime else a[k - 1][pivots[-1]]
+        free = [c for c in range(n) if c not in pivots]
+        # a column's bits in the key rows_mask | cols_mask << k of `minors`
+        pivot_row = [-1] * n
+        key_bit = [0] * n
+        for r, c in enumerate(pivots):
+            pivot_row[c] = r
+            key_bit[c] = 1 << r
+        for i, c in enumerate(free):
+            key_bit[c] = 1 << (k + i)
+        # minors[key] = minor_{R,C}(N) / D^(|C|-1); the empty minor is D
+        minors = {0: D}
+        for s in range(1, min(k, len(free)) + 1):
+            row_sets = [(R, sum(1 << r for r in R)) for R in combinations(range(k), s)]
+            for C in combinations(range(len(free)), s):
+                col = [a[r][free[C[-1]]] for r in range(k)]
+                cbits = sum(1 << (k + c) for c in C)
+                rest = cbits ^ (1 << (k + C[-1]))
+                for R, rbits in row_sets:
+                    total = 0
+                    neg = s % 2 == 0  # cofactor sign (-1)^(i + s - 1) at i = 0
+                    for r in R:
+                        x = col[r]
+                        if x:
+                            v = x * minors[rest | rbits ^ (1 << r)]
+                            total += -v if neg else v
+                        neg = not neg
+                    minors[cbits | rbits] = total % prime if prime else total // D
+        # the global sign and scale come from one determinant
+        g = self._int_minor(pivots)
+        g = g % prime if prime else g // D
+        # the key of each J, with bit n set when e is odd
+        odd = 1 << n
+        keys = _lex_subset_folds(
+            n, k, (1 << k) - 1, xor,
+            lambda j, t: key_bit[j] | (odd if pivot_row[j] >= 0 and (t + pivot_row[j]) % 2 else 0),
+        )
+        values = [minors[x] * g if x < odd else minors[x ^ odd] * -g for x in keys]
+        if prime:
+            return tuple([v % prime for v in values])
+        scales = _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
+        return tuple(map(Fraction, values, scales))
+
+
+def _lex_subset_folds(n: int, k: int, start: int, op, weight) -> list[int]:
+    """For every k-subset J of range(n), in lexicographic order: `start`
+    folded by `op` with weight(j, t) for each j in J, t its position in J.
+
+    Built from the right: the s-sets of columns i.. are i joined to each
+    (s-1)-set of columns i+1.., followed by the s-sets of columns i+1..
+    """
+    acc = [[start]] + [[] for _ in range(k)]
+    for i in range(n - 1, -1, -1):
+        for s in range(min(k, n - i), max(0, k - i - 1), -1):
+            acc[s] = list(map(op, repeat(weight(i, k - s)), acc[s - 1])) + acc[s]
+    return acc[k]

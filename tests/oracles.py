@@ -7,6 +7,9 @@ evaluates every generator pullback with the package's bracket evaluator, which
 is the definition the window rank test of `wdn_membership` must reproduce.
 `relabel` builds each pullback as a new canonical polynomial; it is the
 reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
+`pairwise_duality_certificate` reads every minor pair through
+`MaximalMinors.get`, one Bareiss determinant each; it is the reference for the
+echelon-form certificate of `gale.duality_certificate`.
 """
 
 import random
@@ -21,8 +24,10 @@ from veronese_kit.brackets import (
     psi_generators,
 )
 from veronese_kit.configurations import is_degenerate, make_config
-from veronese_kit.errors import ShapeError
-from veronese_kit.linalg import MaximalMinors, as_index_set
+from veronese_kit.errors import NotAGalePairError, RankDeficiencyError, ShapeError
+from veronese_kit.fields import require_same_field
+from veronese_kit.gale import GaleDualityCertificate
+from veronese_kit.linalg import MaximalMinors, as_index_set, rank
 
 
 def perm_sign(perm):
@@ -257,6 +262,50 @@ def wdn_scan_oracle(p, collect_values=False):
     if collect_values:
         return report, values
     return report
+
+
+def pairwise_duality_certificate(A, B):
+    """The complementary-minor certificate, one minor pair at a time.
+
+    Checks m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I, with
+    lambda fixed by the first I whose A-minor is nonzero.
+    """
+    require_same_field(A.field, B.field, "Gale pair")
+    n = A.cols
+    if B.cols != n:
+        raise ShapeError(f"column counts differ: {A.cols} vs {B.cols}")
+    if A.rows + B.rows != n:
+        raise ShapeError(f"heights {A.rows} + {B.rows} must sum to {n}")
+    if not A.matmul(B.transpose()).is_zero():
+        raise NotAGalePairError("A B^t != 0")
+    if rank(A) < A.rows or rank(B) < B.rows:
+        raise RankDeficiencyError("both matrices must have full row rank")
+
+    f = A.field
+    k = A.rows
+    ma, mb = MaximalMinors(A), MaximalMinors(B)
+    subsets = list(combinations(range(1, n + 1), k))
+    shift = B.rows - k * (k + 1) // 2
+    signs = (f.one, f.neg(f.one))
+    pairs = [
+        (I, tuple(i for i in range(1, n + 1) if i not in I), signs[(sum(I) + shift) % 2])
+        for I in subsets
+    ]
+    lam = None
+    for I, Ic, sign in pairs:
+        va = ma.get(I)
+        if va != 0:
+            vb = mb.get(Ic)
+            if vb == 0:
+                return GaleDualityCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
+            lam = f.div(va, f.mul(sign, vb))
+            break
+    assert lam is not None
+
+    failures = tuple(
+        I for I, Ic, sign in pairs if ma.get(I) != f.mul(sign, f.mul(lam, mb.get(Ic)))
+    )
+    return GaleDualityCertificate(n, k, B.rows, lam, len(subsets), failures)
 
 
 def sign_cloud(field, d, n, seed):

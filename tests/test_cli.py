@@ -179,6 +179,14 @@ def test_gale_chain_to_conic_equations():
     assert code == 0 and eval_doc["payload"]["report"]["all_vanish"] is True
 
 
+def test_gale_over_budget_exits_3():
+    # C(20, 10) = 184,756 minor pairs: counted before any certificate elimination
+    res = run(["sample", "--family", "generic", "--d", "9", "--n", "20", "--seed", "1"])
+    code, doc = run_json(["gale"], input=res.output)
+    assert code == 3 and doc["status"] == "BudgetExceeded"
+    assert "184756 minors, over the budget of 100000" in doc["payload"]["error"]
+
+
 def test_eval_rejects_malformed_json():
     code, doc = run_json(["eval"], input="{not json")
     assert code == 2 and doc["status"] == "PreconditionFailed"

@@ -1,9 +1,12 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
 
 from veronese_kit.configurations import make_config, sample_generic, sample_on_rnc
 from veronese_kit.errors import (
+    BudgetExceededError,
     DegenerateInputError,
     NotAGalePairError,
     RankDeficiencyError,
@@ -18,6 +21,8 @@ from veronese_kit.gale import (
     standard_gale_pair,
 )
 from veronese_kit.linalg import Matrix, rank
+
+from oracles import pairwise_duality_certificate
 
 FP = Field.prime()
 
@@ -133,3 +138,87 @@ def test_double_gale_is_minor_proportional():
         for d, n, seed in ((2, 6, 3), (3, 7, 4), (2, 7, 5)):
             p = sample_generic(field, d, n, seed=seed, height=9)
             assert double_gale_minor_check(p)
+
+
+CERT_FIELDS = (QQ, Field.prime(101), Field.prime(65521))
+
+
+def _same_certificate(A, B):
+    got, want = duality_certificate(A, B), pairwise_duality_certificate(A, B)
+    assert (got.lambda_, got.checked, got.failures) == (want.lambda_, want.checked, want.failures)
+    assert (got.n, got.height_a, got.height_b) == (want.n, want.height_a, want.height_b)
+    return got
+
+
+@pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
+def test_certificate_matches_pairwise_oracle(field):
+    rng = random.Random(29)
+    for d, n in ((1, 4), (2, 6), (3, 7), (3, 9), (4, 8), (2, 9)):
+        for sampler in (sample_on_rnc, sample_generic):
+            p = sampler(field, d, n, seed=rng.randrange(1000), height=9)
+            A = p.coords
+            B = affine_gale(A)
+            assert _same_certificate(A, B).ok
+            if rank(A.select_columns(range(1, d + 2))) == d + 1:
+                a_std, b_std = standard_gale_pair(A)
+                assert _same_certificate(a_std, b_std).lambda_ == field.one
+            c = field.random_nonzero(rng, 9)
+            scaled = Matrix(field, [[field.mul(c, x) for x in B.entries[0]]] + list(B.entries[1:]))
+            assert _same_certificate(A, scaled).ok
+
+
+@pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
+def test_certificate_failures_match_pairwise_oracle(field, monkeypatch):
+    # every full-rank pair with A B^t = 0 is a Gale pair and certifies, so the
+    # failure paths are reached only with the A B^t check switched off
+    monkeypatch.setattr(Matrix, "is_zero", lambda self: True)
+    rng = random.Random(31)
+    for d, n in ((2, 6), (3, 8)):
+        A = sample_generic(field, d, n, seed=rng.randrange(1000), height=9).coords
+        B = affine_gale(A)
+        for j, c in ((0, 3), (n - 1, 5), (n - 1, 0)):
+            # column j of B scaled by c: lambda is fixed on I = (1..d+1), so the
+            # sets on the other side of j fail; c = 0 zeroes that first B-minor
+            # when j lies in its complement, and every set is flagged
+            cols = [[field.mul(c, x) if i == j else x for i, x in enumerate(row)] for row in B.entries]
+            bad = Matrix(field, cols)
+            cert = _same_certificate(A, bad)
+            assert cert.failures
+            if c == 0:
+                assert cert.lambda_ == field.zero and len(cert.failures) == cert.checked
+
+
+def test_standard_pair_names_lex_first_basis():
+    rng = random.Random(37)
+    for field in (Field.prime(7), QQ):
+        for _ in range(20):
+            k, n = rng.choice(((2, 5), (3, 6), (3, 7)))
+            rows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(k)]
+            A = Matrix(field, rows)
+            first = next(
+                (J for J in combinations(range(1, n + 1), k) if rank(A.select_columns(J)) == k), None
+            )
+            if first == tuple(range(1, k + 1)):
+                a_std, _ = standard_gale_pair(A)
+                assert a_std.select_columns(first) == Matrix.identity(field, k)
+                assert A.select_columns(first).matmul(a_std) == A  # a_std = A_lead^-1 A
+            elif first is None:
+                with pytest.raises(RankDeficiencyError, match="no independent column set"):
+                    standard_gale_pair(A)
+            else:
+                with pytest.raises(RankDeficiencyError, match=re.escape(f"columns {first} are independent")):
+                    standard_gale_pair(A)
+
+
+def test_certificate_over_budget_raises_before_elimination(monkeypatch):
+    from veronese_kit import gale
+
+    monkeypatch.setattr(gale, "DUALITY_PAIR_BUDGET", 9)
+    A = Matrix(QQ, [[1, 0, 2, 7, 1], [0, 1, 3, 1, 4]])
+    B = affine_gale(A)
+    assert duality_certificate(Matrix(QQ, [[1, 0, 2], [0, 1, 3]]), Matrix(QQ, [[2, 3, -1]])).checked == 3
+    with pytest.raises(BudgetExceededError, match="10 minors, over the budget of 9"):
+        duality_certificate(A, B)
+    # the count comes first: not even the A B^t check runs
+    with pytest.raises(BudgetExceededError):
+        duality_certificate(A, Matrix(QQ, [[1] * 5] * 3))

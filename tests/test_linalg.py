@@ -16,7 +16,6 @@ from veronese_kit.linalg import (
     complement,
     det,
     int_rref,
-    inverse,
     kernel_basis,
     minor,
     rank,
@@ -291,15 +290,6 @@ def test_kernel_basis_rank_deficient_raises():
         kernel_basis(Matrix(QQ, [[1, 2], [3, 4]]))
 
 
-def test_inverse():
-    rng = random.Random(10)
-    for field in (QQ, FP):
-        m = rand_matrix(field, rng, 4, 4, 9)
-        while det(m) == 0:
-            m = rand_matrix(field, rng, 4, 4, 9)
-        assert m.matmul(inverse(m)) == Matrix.identity(field, 4)
-
-
 # -- cached maximal minors -----------------------------------------------------
 
 
@@ -337,3 +327,73 @@ def test_maximal_minors_q_with_denominators():
     mm = MaximalMinors(m)
     for J in ((1, 2), (1, 3), (2, 4), (3, 4)):
         assert mm.get(J) == minor(m, (1, 2), J)
+
+
+# -- all maximal minors from one echelon form ------------------------------------
+
+ALL_FIELDS = (QQ, Field.prime(7), Field.prime(101), Field.prime(65521))
+
+
+def _random_entry(field, rng):
+    # small integers over F_p meet accidental zeros at p = 7; Q entries carry denominators
+    if field.kind == "Q":
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
+    return rng.randrange(field.p) if rng.random() < 0.7 else rng.randint(0, 3)
+
+
+def _vector_cases(field, rng):
+    """Named matrices: full rank at k = 1, n - 1 and n, rank-deficient, zero and
+    repeated columns, and dependent leading columns (pivots other than 1..k)."""
+    def rand(k, n):
+        return [[_random_entry(field, rng) for _ in range(n)] for _ in range(k)]
+
+    cases = {f"random {k}x{n}": rand(k, n) for k, n in ((1, 1), (1, 5), (2, 6), (3, 7), (4, 8), (5, 8), (2, 3), (4, 5), (3, 3), (4, 4))}
+    m = rand(3, 6)
+    cases["dependent row"] = m[:2] + [[2 * x - y for x, y in zip(m[0], m[1])]]
+    cases["zero row"] = rand(2, 5) + [[0] * 5]
+    cases["rank-deficient square"] = m[:2] + [[x + y for x, y in zip(m[0], m[1])]]
+    m = rand(3, 7)
+    cases["zero column"] = [row[:2] + [0] + row[3:] for row in m]
+    cases["repeated columns"] = [row[:4] + [row[1], row[4]] + row[5:6] for row in m]
+    m = rand(3, 7)
+    # column 2 is 3 times column 1, column 3 their sum: pivots skip 2 and 3
+    cases["dependent leading columns"] = [[r[0], 3 * r[0], 4 * r[0]] + r[3:] for r in m]
+    m = rand(4, 6)
+    cases["only trailing columns independent"] = [[0, 0] + r[2:] for r in m]
+    return cases
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_vector_matches_get_and_leibniz(field):
+    rng = random.Random(71 + (field.p or 0))
+    for name, entries in _vector_cases(field, rng).items():
+        M = Matrix(field, entries)
+        k, n = M.shape
+        subsets = list(combinations(range(1, n + 1), k))
+        expected = []
+        for J in subsets:
+            v = leibniz_det([[row[j - 1] for j in J] for row in M.entries])
+            expected.append(field.normalize(v))
+        mm = MaximalMinors(M)
+        assert mm.vector() == tuple(expected), name
+        assert [MaximalMinors(M).get(J) for J in subsets] == expected, name
+        assert mm.rank() == rank(M), name
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_vector_matches_get_on_sampled_configurations(field):
+    from veronese_kit.configurations import sample_degenerate, sample_generic, sample_on_rnc
+
+    for sampler in (sample_on_rnc, sample_generic, sample_degenerate):
+        # the curve over F_7 has only 8 points, so its shapes stay small
+        for d, n in ((2, 6), (3, 7)) if field.p == 7 else ((2, 7), (3, 8), (4, 9)):
+            p = sampler(field, d, n, seed=d + n, height=9)
+            M = p.coords
+            subsets = combinations(range(1, n + 1), d + 1)
+            assert MaximalMinors(M).vector() == tuple(MaximalMinors(M).get(J) for J in subsets)
+
+
+def test_vector_rank_deficient_is_all_zero():
+    for field in ALL_FIELDS:
+        M = Matrix(field, [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]])
+        assert MaximalMinors(M).vector() == (field.zero,) * 10
