@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .configurations import PointConfiguration, is_degenerate
-from .errors import ShapeError
+from .errors import BudgetExceededError, ShapeError
 from .fields import Scalar
 from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, complement, int_rref, s_index
 
@@ -324,6 +324,50 @@ def _window_vanishes(rows: Sequence[Sequence[int]], p: Optional[int]) -> bool:
     return len(int_rref(products, p)[1]) <= 2
 
 
+#: `eval` at d >= 3 falls back to the full window scan only when the head
+#: windows vanish but are not in general position; a fallback with more than
+#: this many windows left exits 3 before it starts.
+WINDOW_SCAN_BUDGET = 20_000
+
+
+def _head_in_general_position(mm: MaximalMinors, prime: Optional[int]) -> bool:
+    """True when every head window {1..d+3, q} (1-based, q > d+3) is in
+    general position: every d+1 of its points are independent.
+
+    All minors are read from the cached echelon form of the whole matrix. Its
+    pivots must be the first d+1 columns; then the rows are D [I | N], and a
+    maximal minor of the window is nonzero exactly when the square minor of N
+    it corresponds to is (rows: the pivots it leaves out; columns: the free
+    points it takes). So the window is in general position when every square
+    minor of N at the point columns (d+2, d+3, q) is nonzero, mod p over F_p.
+    The minors without q are tested once; each 3 x 3 minor is expanded along
+    the column of q.
+    """
+    a, pivots = mm._echelon()
+    k = mm.width
+    if pivots != list(range(k)):
+        return False
+    nonzero = (lambda x: x % prime != 0) if prime else bool
+    rows = range(k)
+    pairs = list(combinations(rows, 2))
+    u = [r[k] for r in a]
+    v = [r[k + 1] for r in a]
+    uv = {(i, j): u[i] * v[j] - u[j] * v[i] for i, j in pairs}
+    if not all(map(nonzero, u + v + list(uv.values()))):
+        return False
+    for q in range(k + 2, mm.matrix.cols):
+        w = [r[q] for r in a]
+        if not all(map(nonzero, w)):
+            return False
+        for i, j in pairs:
+            if not (nonzero(u[i] * w[j] - u[j] * w[i]) and nonzero(v[i] * w[j] - v[j] * w[i])):
+                return False
+        for i, j, l in combinations(rows, 3):
+            if not nonzero(w[i] * uv[j, l] - w[j] * uv[i, l] + w[l] * uv[i, j]):
+                return False
+    return True
+
+
 def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     """Decide whether every pullback of every generator pattern vanishes on p (d >= 3).
 
@@ -332,6 +376,15 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     becomes the witness; `checked` counts the pullbacks up to and including
     it. Each window J is decided by one exact rank test (`_window_vanishes`);
     generators are evaluated only on the first window that fails it.
+
+    The first n - d - 3 windows are the head windows {1..d+3, q}. When they
+    all vanish and each is in general position, every window vanishes and the
+    scan stops there: a window in general position vanishes exactly when it
+    lies on a rational normal curve (its Gale points then lie on a smooth
+    conic; Goppa, Eisenbud-Popescu), and through the d+3 points 1..d+3 in
+    general position passes only one such curve (Castelnuovo), so it holds
+    every point. Otherwise the scan goes on, if at most `WINDOW_SCAN_BUDGET`
+    windows remain.
     """
     d, n = p.d, p.n
     if d < 3:
@@ -344,12 +397,20 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         mm = MaximalMinors(p.coords)
         prime = p.field.p if p.field.kind == "Fp" else None
         coord_rows = mm.int_rows()
+        windows = comb(n, d + 4)
         # points that do not span leave every window rank-deficient, so
         # every pullback vanishes and no window needs a test
-        windows = () if degenerate else combinations(range(1, n + 1), d + 4)
-        for j, J in enumerate(windows):
+        for j, J in enumerate(() if degenerate else combinations(range(1, n + 1), d + 4)):
             pick = itemgetter(*(i - 1 for i in J))
             if _window_vanishes([pick(row) for row in coord_rows], prime):
+                if j == n - d - 4:
+                    if _head_in_general_position(mm, prime):
+                        break
+                    if windows - j - 1 > WINDOW_SCAN_BUDGET:
+                        raise BudgetExceededError(
+                            f"(d, n) = ({d}, {n}) leaves {windows - j - 1} windows to scan, "
+                            f"over the budget of {WINDOW_SCAN_BUDGET}"
+                        )
                 continue
             for i, (I, poly) in enumerate(gens):
                 val = eval_bracket_poly(poly, mm, J)
@@ -359,8 +420,8 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
                     break
             if witness is not None:
                 break
-        else:
-            checked = comb(n, d + 4) * len(gens)
+        if witness is None:
+            checked = windows * len(gens)
     all_vanish = witness is None
     in_v, note = _in_v_annotation(d, n, degenerate, all_vanish)
     if not all_vanish:

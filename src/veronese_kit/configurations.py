@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
 from .fields import Field, Scalar, require_same_field
-from .linalg import Matrix, as_index_set, rank
+from .linalg import Matrix, as_index_set, rank, rref
 
 #: Resample budget for rejection loops (invertible draws, chart retries, spans).
 RETRY_BUDGET = 32
@@ -81,15 +81,22 @@ def is_degenerate(p: PointConfiguration) -> bool:
 
 
 def strong_nondegeneracy_witness(p: PointConfiguration) -> Optional[int]:
-    """1-based index i such that dropping point i kills the span, or None."""
+    """1-based index i such that dropping point i kills the span, or None.
+
+    Such a point is a coloop. In one reduced echelon form of the coordinates
+    its column is a pivot whose row is zero in every non-pivot column; the
+    smallest one is returned.
+    """
     if p.n < p.d + 2:
         # dropping any point leaves too few to span
         return 1 if p.n >= 1 else None
-    if is_degenerate(p):
+    R, pivots, r = rref(p.coords)
+    if r < p.d + 1:
         return 1
-    for i in range(1, p.n + 1):
-        if rank(p.coords.delete_column(i)) < p.d + 1:
-            return i
+    free = [c for c in range(p.n) if c not in pivots]
+    for row, c in zip(R.entries, pivots):
+        if not any(row[f] for f in free):
+            return c + 1
     return None
 
 

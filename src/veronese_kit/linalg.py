@@ -149,11 +149,6 @@ class Matrix:
     def select_columns(self, col_set: Iterable[int]) -> "Matrix":
         return self.submatrix(range(1, self.rows + 1), col_set)
 
-    def delete_column(self, j: int) -> "Matrix":
-        """Drop the 1-based column j."""
-        keep = [c for c in range(1, self.cols + 1) if c != j]
-        return self.select_columns(keep)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field, "hstack operands")
         if self.rows != other.rows:

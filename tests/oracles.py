@@ -7,6 +7,11 @@ evaluates every generator pullback with the package's bracket evaluator, which
 is the definition the window rank test of `wdn_membership` must reproduce.
 `relabel` builds each pullback as a new canonical polynomial; it is the
 reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
+`head_general_position_oracle` ranks every (d+1)-subset of the head windows;
+it is the reference for the echelon-form test of `wdn_membership`'s early exit.
+`strong_nondegeneracy_oracle` drops each point in turn and re-runs the rank
+elimination; it is the reference for the one-elimination coloop test of
+`configurations.strong_nondegeneracy_witness`.
 `pairwise_duality_certificate` reads every minor pair through
 `MaximalMinors.get`, one Bareiss determinant each; it is the reference for the
 echelon-form certificate of `gale.duality_certificate`.
@@ -207,6 +212,19 @@ def multidegree(P):
     return profiles.pop()
 
 
+def strong_nondegeneracy_oracle(p):
+    """1-based index of the first point whose removal kills the span, or None,
+    by one rank elimination per dropped point."""
+    if p.n < p.d + 2:
+        return 1 if p.n >= 1 else None
+    if is_degenerate(p):
+        return 1
+    for i in range(1, p.n + 1):
+        if rank(p.coords.select_columns([j for j in range(1, p.n + 1) if j != i])) < p.d + 1:
+            return i
+    return None
+
+
 def edge_is_transversal_to(edge, part):
     """The edge meets every block of the partition in exactly one point."""
     return all(len(set(edge) & set(block)) == 1 for block in part.blocks)
@@ -262,6 +280,17 @@ def wdn_scan_oracle(p, collect_values=False):
     if collect_values:
         return report, values
     return report
+
+
+def head_general_position_oracle(p):
+    """Every d+1 points of each window {1..d+3, q} (q > d+3) are independent,
+    by one rank elimination per (d+1)-subset."""
+    d, n = p.d, p.n
+    return all(
+        rank(p.coords.select_columns(S)) == d + 1
+        for q in range(d + 4, n + 1)
+        for S in combinations(tuple(range(1, d + 4)) + (q,), d + 1)
+    )
 
 
 def pairwise_duality_certificate(A, B):

@@ -3,7 +3,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import veronese_kit.brackets as brackets
 from veronese_kit.brackets import (
     BracketPolynomial,
     HigherEquationReport,
@@ -24,11 +27,11 @@ from veronese_kit.configurations import (
     sample_on_rnc,
     sample_quasi_veronese_chain,
 )
-from veronese_kit.errors import IndexSetError, ShapeError
+from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import MaximalMinors, minor
 
-from oracles import multidegree, relabel, sign_cloud, wdn_scan_oracle
+from oracles import head_general_position_oracle, multidegree, relabel, sign_cloud, wdn_scan_oracle
 
 FP = Field.prime()
 
@@ -219,24 +222,36 @@ def test_wdn_generic_witness_is_scan_first():
 CHAIN_DEGREES = {3: (2, 1), 4: (2, 2), 5: (3, 2)}
 
 
+def _moved_point(field, d, n, seed, i):
+    """A curve sample with point i (0-based) drawn again off the curve."""
+    rng = random.Random(seed)
+    cols = sample_on_rnc(field, d, n, seed=seed, height=9).points()
+    cols[i] = [field.random_nonzero(rng, 9) for _ in range(d + 1)]
+    return make_config(field, d, n, cols)
+
+
+def _repeated_point(p, i, j):
+    """p with point j (0-based) replaced by a copy of point i."""
+    cols = p.points()
+    cols[j] = cols[i]
+    return make_config(p.field, p.d, p.n, cols)
+
+
 def _higher_samples(field, d, n, seed):
+    """Every sampler family and sign clouds, plus curve samples with one point
+    moved (inside and after the first d+3 points), curve samples with a
+    repeated point, and a generic sample whose point 2 is point 1."""
     yield "rnc", sample_on_rnc(field, d, n, seed=seed, height=9)
     yield "generic", sample_generic(field, d, n, seed=seed, height=3)
     yield "degenerate", sample_degenerate(field, d, n, seed=seed, height=5)
     yield "chain", sample_quasi_veronese_chain(field, d, n, CHAIN_DEGREES[d], seed=seed, height=9)[1]
     yield "cloud", sign_cloud(field, d, n, seed)
-
-
-@pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
-def test_wdn_matches_brute_scan(field):
-    seen = set()
-    for d, n in ((3, 7), (3, 8), (4, 9), (5, 9)):
-        for seed in range(2):
-            for family, p in _higher_samples(field, d, n, seed):
-                rep = wdn_membership(p)
-                assert rep == wdn_scan_oracle(p), (family, d, n, seed)
-                seen.add(rep.classification)
-    assert seen == {"InW", "InY", "NotInW"}
+    yield "moved-head", _moved_point(field, d, n, seed, seed % (d + 3))
+    yield "moved-tail", _moved_point(field, d, n, seed, d + 3 + seed % (n - d - 3))
+    curve = sample_on_rnc(field, d, n, seed=seed, height=9)
+    yield "repeated-head", _repeated_point(curve, 0, 1 + seed % (d + 2))
+    yield "repeated-tail", _repeated_point(curve, seed % (d + 3), n - 1)
+    yield "generic-1=2", _repeated_point(sample_generic(field, d, n, seed=seed, height=3), 0, 1)
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(101)], ids=str)
@@ -254,9 +269,127 @@ def test_wdn_witness_past_first_window(field):
         assert rep.checked > comb(d + 4, 6)
 
 
-def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
-    import veronese_kit.brackets as brackets
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
+def test_wdn_matches_brute_scan(field):
+    # F_7 has too few parameters for more than 7 curve points
+    shapes = ((3, 7),) if field.p == 7 else ((3, 7), (3, 8), (3, 9), (4, 8), (4, 9), (4, 10), (5, 9), (5, 10))
+    seen = set()
+    for d, n in shapes:
+        for seed in range(6 if field.p == 7 else 2):
+            for family, p in _higher_samples(field, d, n, seed):
+                rep = wdn_membership(p)
+                assert rep == wdn_scan_oracle(p), (family, d, n, seed)
+                seen.add(rep.classification)
+    assert seen == {"InW", "InY", "NotInW"}
 
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
+def test_head_general_position_matches_rank_oracle(field):
+    shapes = ((3, 7),) if field.p == 7 else ((3, 8), (4, 9), (5, 10))
+    prime = field.p if field.kind == "Fp" else None
+    seen = set()
+    for d, n in shapes:
+        for seed in range(4):
+            samples = [p for _, p in _higher_samples(field, d, n, seed)]
+            samples += [
+                _repeated_point(sample_generic(field, d, n, seed=seed, height=9), i, j)
+                for i, j in ((0, d + 1), (d + 1, d + 2), (d + 1, n - 1), (0, n - 1))
+            ]
+            for p in samples:
+                fast = brackets._head_in_general_position(MaximalMinors(p.coords), prime)
+                assert fast == head_general_position_oracle(p), (d, n, seed)
+                seen.add(fast)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
+def test_head_windows_that_vanish_out_of_general_position_fall_back(field):
+    # a generic sample with point j a copy of point i, both among the first
+    # d+3: each head window holds both, so each vanishes, but a later window
+    # that drops one of them separates. The pairs put the repeat among the
+    # pivots, on the first free column, and on the two free columns.
+    for d in (3, 4, 5):
+        n = d + 5
+        head = list(combinations(range(1, n + 1), d + 4))[: n - d - 3]
+        for i, j in ((1, 2), (1, d + 2), (d + 2, d + 3)):
+            p = _repeated_point(sample_generic(field, d, n, seed=d, height=9), i - 1, j - 1)
+            values = wdn_scan_oracle(p, collect_values=True)[1]
+            assert all(values[I, J] == 0 for J in head for I, _ in psi_generators(d))
+            rep = wdn_membership(p)
+            assert rep == wdn_scan_oracle(p)
+            assert not {i, j} <= set(rep.witness[1])
+            if (i, j) == (1, 2):
+                assert rep.witness[1] == (1,) + tuple(range(3, d + 6))
+
+
+def test_curve_is_decided_from_the_head_windows(monkeypatch):
+    calls = []
+    window_vanishes = brackets._window_vanishes
+    monkeypatch.setattr(
+        brackets, "_window_vanishes", lambda rows, prime: calls.append(1) or window_vanishes(rows, prime)
+    )
+    for field in (QQ, FP):
+        for d, n in ((3, 14), (5, 14), (3, 40)):
+            calls.clear()
+            rep = wdn_membership(sample_on_rnc(field, d, n, seed=1))
+            assert rep.all_vanish and rep.classification == "InW"
+            assert rep.checked == comb(n, d + 4) * comb(d + 4, 6)
+            assert 0 < len(calls) <= n - d - 3
+
+
+def test_fallback_scan_budget(monkeypatch):
+    # a chain is not in general position, so its head windows do not decide
+    p = sample_quasi_veronese_chain(FP, 3, 11, (2, 1), seed=1)[1]
+    left = comb(11, 7) - (11 - 3 - 3)
+    monkeypatch.setattr(brackets, "WINDOW_SCAN_BUDGET", left)
+    assert wdn_membership(p).all_vanish
+    monkeypatch.setattr(brackets, "WINDOW_SCAN_BUDGET", left - 1)
+    with pytest.raises(BudgetExceededError, match=f"leaves {left} windows to scan"):
+        wdn_membership(p)
+    # the budget is not read when the head windows decide
+    monkeypatch.setattr(brackets, "WINDOW_SCAN_BUDGET", 0)
+    assert wdn_membership(sample_on_rnc(FP, 3, 11, seed=1)).all_vanish
+
+
+@st.composite
+def integer_configurations(draw):
+    """(d, columns): integer points g . (1, t, ..., t^d) of a moment curve,
+    with repeated parameters, a g that may be singular and up to three points
+    replaced by arbitrary integer vectors."""
+    d = draw(st.integers(3, 4))
+    n = draw(st.integers(d + 4, d + 5))
+    # a nonzero diagonal keeps most draws of g invertible
+    g = [[draw(st.integers(1, 2) if r == c else st.integers(-2, 2)) for c in range(d + 1)] for r in range(d + 1)]
+    ts = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    cols = [[sum(c * t**k for k, c in enumerate(row)) for row in g] for t in ts]
+    vector = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        cols[i] = draw(vector)
+    return d, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_configurations(), st.sampled_from([7, 101, 65521]))
+def test_rational_verdict_reduces_mod_p(config, prime):
+    # the generators have integer coefficients, so on integer points each
+    # value over F_p is the rational value mod p; the verdicts may still
+    # differ where a rational value is a nonzero multiple of p
+    d, cols = config
+    fp = Field.prime(prime)
+    assume(all(any(x % prime for x in col) for col in cols))
+    q = make_config(QQ, d, len(cols), cols)
+    rep_q = wdn_membership(q)
+    rep_p = wdn_membership(make_config(fp, d, len(cols), cols))
+    if rep_q.all_vanish:
+        assert rep_p.all_vanish
+    if rep_p.witness is not None:
+        I, J, value = rep_p.witness
+        exact = eval_bracket_poly(psi_pattern(d, I), q, J)
+        assert exact != 0 and exact.denominator == 1
+        assert exact.numerator % prime == value
+
+
+def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
     calls = []
     monkeypatch.setattr(brackets, "eval_bracket_poly", lambda *a, **k: calls.append("eval"))
     monkeypatch.setattr(MaximalMinors, "get", lambda self, J: calls.append(("get", J)))

@@ -168,6 +168,29 @@ def test_eval_generic_witness():
     assert rep["witness"] is not None and len(rep["witness"]["J"]) == 7
 
 
+def test_eval_large_curve_is_decided_from_the_head_windows():
+    res = run(["sample", "--family", "rnc", "--d", "3", "--n", "40", "--seed", "1"])
+    code, doc = run_json(["eval"], input=res.output)
+    rep = doc["payload"]["report"]
+    assert code == 0 and rep["all_vanish"] is True and rep["classification"] == "InW"
+    assert rep["checked"] == comb(40, 7) * comb(7, 6)
+
+
+def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
+    # a chain is not in general position; its head windows vanish and
+    # C(30, 7) - 24 windows would be left, so no window past the head is tested
+    calls = []
+    window_vanishes = brackets._window_vanishes
+    monkeypatch.setattr(
+        brackets, "_window_vanishes", lambda rows, prime: calls.append(1) or window_vanishes(rows, prime)
+    )
+    res = run(["sample", "--family", "chain", "--d", "3", "--n", "30", "--degrees", "2,1", "--seed", "1"])
+    code, doc = run_json(["eval"], input=res.output)
+    assert code == 3 and doc["status"] == "BudgetExceeded"
+    assert f"leaves {comb(30, 7) - 24} windows to scan, over the budget of 20000" in doc["payload"]["error"]
+    assert len(calls) == 24
+
+
 def test_gale_chain_to_conic_equations():
     res = run(["sample", "--family", "rnc", "--d", "3", "--n", "7", "--field", "Q", "--seed", "4"])
     code, gale_doc = run_json(["gale"], input=res.output)

@@ -21,6 +21,8 @@ from veronese_kit.errors import DegenerateInputError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import rank
 
+from oracles import sign_cloud, strong_nondegeneracy_oracle
+
 FP = Field.prime()
 
 
@@ -62,6 +64,34 @@ def test_strong_nondegeneracy_skew_lines():
     w = strong_nondegeneracy_witness(lopsided)
     assert w in (6, 7)  # dropping either point of the short line kills the span
     assert not is_strongly_nondegenerate(lopsided)
+
+
+def _coloop_samples(field, seed):
+    """Every sampler family, sign clouds (coincident and coordinate points
+    are common), skew lines and configurations too small to span."""
+    rng = random.Random(seed)
+    for d, n in ((2, 5), (3, 7), (4, 7)):
+        yield sample_on_rnc(field, d, n, seed=seed, height=9)
+        yield sample_generic(field, d, n, seed=seed, height=3)
+        yield sample_degenerate(field, d, n, seed=seed, height=3)
+        yield sample_quasi_veronese_chain(field, d, n, (d - 1, 1), seed=seed, height=9)[1]
+        yield sign_cloud(field, d, n, seed)
+        yield sign_cloud(field, d, rng.randint(1, d + 1), seed)
+    yield sample_nodal_conic(field, 6, seed=seed, split=(4, 2))
+    yield sample_nodal_conic(field, 5, seed=seed, split=(4, 1))
+    for n1, n2 in ((4, 3), (5, 2), (2, 5), (6, 1)):
+        yield make_config(field, 3, n1 + n2, skew_lines_config(n1, n2).points())
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
+def test_strong_nondegeneracy_matches_drop_each_point(field):
+    found = set()
+    for seed in range(12):
+        for p in _coloop_samples(field, seed):
+            w = strong_nondegeneracy_witness(p)
+            assert w == strong_nondegeneracy_oracle(p), (p, seed)
+            found.add(w is None)
+    assert found == {True, False}
 
 
 def test_rnc_point_values():
