@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
-from .errors import ShapeError
+from .errors import BudgetExceededError, ShapeError
 from .fields import Field, Scalar
 from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det
 
@@ -23,6 +24,10 @@ from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det
 #: the opposite overall sign from the determinant of the monomial matrix in
 #: the row order fixed by `veronese_lift`; both cut out the same hypersurface.
 BRACKET_TO_DET_SIGN = -1
+
+#: `w2n_membership` scans at most this many six-point subsets, one minor each;
+#: C(21, 6) = 54,264 is the largest admitted scan, about 2 s.
+SUBSET_SCAN_BUDGET = 60_000
 
 
 def veronese_lift(field: Field, point: Iterable) -> tuple[Scalar, ...]:
@@ -115,15 +120,22 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     lift matrix, so all of them vanish exactly when its rank is at most 5:
     then the report follows from that one rank, and the subsets are scanned
     only when the rank is 6 or the values are asked for. A nonzero first
-    minor already shows rank 6, so generic inputs skip the rank test.
+    minor already shows rank 6, so generic inputs skip the rank test. A scan
+    of more than SUBSET_SCAN_BUDGET subsets raises BudgetExceededError
+    before its first minor.
     """
-    subsets = list(combinations(range(1, p.n + 1), 6))
-    if p.d != 2 or not subsets or collect_values:
-        return _subset_report(p, subsets, collect_values)
-    lifted = MaximalMinors(lift_matrix(p))
-    if lifted.get(subsets[0]) == 0 and lifted.rank() <= 5:
-        return ConicEquationReport(n=p.n, checked=len(subsets), all_vanish=True, nonvanishing=(), values=None)
-    return _subset_report(p, subsets, collect_values, lifted)
+    count = comb(p.n, 6)
+    lifted = None
+    if p.d == 2 and count:
+        if not collect_values:
+            lifted = MaximalMinors(lift_matrix(p))
+            if lifted.get((1, 2, 3, 4, 5, 6)) == 0 and lifted.rank() <= 5:
+                return ConicEquationReport(n=p.n, checked=count, all_vanish=True, nonvanishing=(), values=None)
+        if count > SUBSET_SCAN_BUDGET:
+            raise BudgetExceededError(
+                f"n = {p.n} has {count} six-point subsets to scan, over the budget of {SUBSET_SCAN_BUDGET}"
+            )
+    return _subset_report(p, list(combinations(range(1, p.n + 1), 6)), collect_values, lifted)
 
 
 def v2n_subset_membership(

@@ -11,9 +11,9 @@ edge-indexed equation vanishes while some other pullback does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import ceil, comb
-from typing import Iterable, Iterator, Optional
+from itertools import combinations, product
+from math import ceil, comb, prod
+from typing import Callable, Iterable, Optional
 
 from .configurations import PointConfiguration, make_config
 from .errors import BudgetExceededError, ShapeError
@@ -21,7 +21,8 @@ from .linalg import IndexSet, Matrix, as_index_set, rank
 
 #: Exhaustive minimum search is limited to this many candidate edges (2^14 masks).
 MIN_SEARCH_EDGE_BUDGET = 14
-#: A partition walk is limited to S(n, k) * (edges tested) edge tests, about 2 s.
+#: A partition walk is limited to S(n, k) * (edges tested) edge tests; at the
+#: budget the walk itself takes under 0.1 s (README: Command line).
 PARTITION_WORK_BUDGET = 2_000_000
 
 
@@ -71,30 +72,36 @@ class BlockPartition:
         object.__setattr__(self, "labels", tuple(labels))
 
 
-def set_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of all partitions of [n] into exactly k blocks.
+def _walk_partitions(n: int, k: int, visit: Callable[[list[list[int]]], bool]) -> Optional[list[list[int]]]:
+    """Visit the k-block partitions of [n], 1 <= k <= n, in growth-string (lex) order.
 
-    Entry i - 1 of a string is the 0-based block of element i, blocks numbered
-    by their smallest element. Lexicographic, so the first string yielded
-    packs {1, ..., n-k+1} into the first block.
+    Block j is the list of bits 1 << (i - 1) of its elements i, blocks numbered
+    by their smallest element, so the first partition packs {1, ..., n-k+1}
+    into the first block. `visit` sees the live block lists; the walk stops at
+    the first partition for which it returns True and returns that
+    partition's blocks, or None when it returns True for none.
     """
-    if not 1 <= k <= n:
-        return
-    a = [0] * n
+    blocks: list[list[int]] = [[] for _ in range(k)]
 
-    def rec(i: int, used: int):
+    def rec(i: int, used: int) -> bool:
         if i == n:
-            if used == k:
-                yield tuple(a)
-            return
-        # can't finish with k blocks if too few slots remain
-        if used + (n - i) < k:
-            return
-        for b in range(min(used + 1, k)):
-            a[i] = b
-            yield from rec(i + 1, max(used, b + 1))
+            return visit(blocks)
+        bit = 1 << i
+        # element i + 1 joins an open block only if the rest can still open the others
+        if used + n - i > k:
+            for block in blocks[:used]:
+                block.append(bit)
+                if rec(i + 1, used):
+                    return True
+                block.pop()
+        if used < k:
+            blocks[used].append(bit)
+            if rec(i + 1, used + 1):
+                return True
+            blocks[used].pop()
+        return False
 
-    yield from rec(0, 0)
+    return blocks if rec(0, 0) else None
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -117,19 +124,29 @@ def _check_partition_work(n: int, k: int, edges_tested: int) -> None:
         )
 
 
-def _meets_every_block(edge: IndexSet, labels: tuple[int, ...], k: int) -> bool:
-    """A k-point edge meets each of the k blocks of growth string `labels` once."""
-    return len({labels[x - 1] for x in edge}) == k
+def _edge_mask(edge: IndexSet) -> int:
+    return sum(1 << (x - 1) for x in edge)
 
 
 def failing_partition(H: Hypergraph) -> Optional[BlockPartition]:
-    """First k-block partition (growth-string order) with no transversal edge."""
+    """First k-block partition (growth-string order) with no transversal edge.
+
+    The k-sets transversal to a partition are the products of its blocks,
+    prod(|block|) of them, all distinct. When that count exceeds the
+    C(n, k) - |E| k-sets missing from H, one of them is an edge, so the
+    partition is passed without looking any up.
+    """
     _check_partition_work(H.n, H.k, len(H.edges))
-    for labels in set_partitions(H.n, H.k):
-        if not any(_meets_every_block(e, labels, H.k) for e in H.edges):
-            blocks = [[i for i, b in enumerate(labels, 1) if b == j] for j in range(H.k)]
-            return BlockPartition(H.n, blocks)
-    return None
+    masks = {_edge_mask(e) for e in H.edges}
+    missing = comb(H.n, H.k) - len(masks)
+
+    def fails(blocks: list[list[int]]) -> bool:
+        return prod(map(len, blocks)) <= missing and masks.isdisjoint(map(sum, product(*blocks)))
+
+    blocks = _walk_partitions(H.n, H.k, fails)
+    if blocks is None:
+        return None
+    return BlockPartition(H.n, [[bit.bit_length() for bit in block] for block in blocks])
 
 
 def is_transversal(H: Hypergraph) -> bool:
@@ -180,15 +197,17 @@ def v2n_witness(part: BlockPartition, six: PointConfiguration) -> PointConfigura
 
 
 def _partition_edge_masks(n: int, k: int) -> tuple[list[IndexSet], list[int]]:
+    """All k-subsets of [n] as edges, and per partition the bitmask of its transversal edges."""
     edges = list(combinations(range(1, n + 1), k))
     _check_partition_work(n, k, len(edges))
-    masks = []
-    for labels in set_partitions(n, k):
-        m = 0
-        for bit, e in enumerate(edges):
-            if _meets_every_block(e, labels, k):
-                m |= 1 << bit
-        masks.append(m)
+    bit_of = {_edge_mask(e): 1 << j for j, e in enumerate(edges)}
+    masks: list[int] = []
+
+    def record(blocks: list[list[int]]) -> bool:
+        masks.append(sum(map(bit_of.__getitem__, map(sum, product(*blocks)))))
+        return False
+
+    _walk_partitions(n, k, record)
     return edges, masks
 
 

@@ -15,6 +15,9 @@ elimination; it is the reference for the one-elimination coloop test of
 `pairwise_duality_certificate` reads every minor pair through
 `MaximalMinors.get`, one Bareiss determinant each; it is the reference for the
 echelon-form certificate of `gale.duality_certificate`.
+`set_partitions` yields restricted growth strings one label at a time, and
+`partition_edge_masks_oracle` tests every edge against every string; they are
+the reference for the block-product walk of `transversal`.
 """
 
 import random
@@ -143,6 +146,46 @@ def stirling2(n, k):
     if k == 0 or k > n:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def set_partitions(n, k):
+    """Restricted growth strings of all partitions of [n] into exactly k blocks.
+
+    Entry i - 1 of a string is the 0-based block of element i, blocks numbered
+    by their smallest element. Lexicographic, so the first string yielded
+    packs {1, ..., n-k+1} into the first block.
+    """
+    if not 1 <= k <= n:
+        return
+    a = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            if used == k:
+                yield tuple(a)
+            return
+        # can't finish with k blocks if too few slots remain
+        if used + (n - i) < k:
+            return
+        for b in range(min(used + 1, k)):
+            a[i] = b
+            yield from rec(i + 1, max(used, b + 1))
+
+    yield from rec(0, 0)
+
+
+def partition_edge_masks_oracle(n, k):
+    """All k-subsets of [n] in lex order, and per growth string the bitmask of
+    the subsets that carry k distinct labels."""
+    edges = list(combinations(range(1, n + 1), k))
+    masks = []
+    for labels in set_partitions(n, k):
+        m = 0
+        for bit, e in enumerate(edges):
+            if len({labels[x - 1] for x in e}) == k:
+                m |= 1 << bit
+        masks.append(m)
+    return edges, masks
 
 
 def ordered_partition_oracle(H):

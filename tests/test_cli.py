@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import veronese_kit
 import veronese_kit.brackets as brackets
+import veronese_kit.conic as conic
 from veronese_kit.brackets import (
     BracketPolynomial,
     format_bracket_poly,
@@ -189,6 +190,25 @@ def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
     assert code == 3 and doc["status"] == "BudgetExceeded"
     assert f"leaves {comb(30, 7) - 24} windows to scan, over the budget of 20000" in doc["payload"]["error"]
     assert len(calls) == 24
+
+
+def test_eval_conic_subset_scan_over_budget_exits_3(monkeypatch):
+    # C(30, 6) = 593,775 six-point subsets: a generic sample's first minor is
+    # nonzero, so only a scan could decide it; a curve sample is one lift rank
+    scans = []
+    subset_report = conic._subset_report
+    monkeypatch.setattr(conic, "_subset_report", lambda *args: scans.append(1) or subset_report(*args))
+    res = run(["sample", "--family", "generic", "--d", "2", "--n", "30", "--seed", "1"])
+    code, doc = run_json(["eval"], input=res.output)
+    assert code == 3 and doc["status"] == "BudgetExceeded"
+    assert "593775 six-point subsets to scan, over the budget of 60000" in doc["payload"]["error"]
+    res = run(["sample", "--family", "rnc", "--d", "2", "--n", "30", "--seed", "1"])
+    code, doc = run_json(["eval"], input=res.output)
+    assert code == 0 and doc["payload"]["report"]["all_vanish"] is True
+    assert doc["payload"]["report"]["checked"] == comb(30, 6)
+    code, doc = run_json(["eval", "--values"], input=res.output)
+    assert code == 3 and doc["status"] == "BudgetExceeded"
+    assert scans == []
 
 
 def test_gale_chain_to_conic_equations():

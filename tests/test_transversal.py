@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_is_transversal_to, ordered_partition_oracle, stirling2
+from oracles import (
+    edge_is_transversal_to,
+    ordered_partition_oracle,
+    partition_edge_masks_oracle,
+    set_partitions,
+    stirling2,
+)
 
 from veronese_kit.configurations import make_config
 from veronese_kit.errors import BudgetExceededError, ShapeError
@@ -21,7 +27,6 @@ from veronese_kit.transversal import (
     is_transversal,
     min_transversal,
     pentagon_hypergraph,
-    set_partitions,
     v2n_witness,
     ydn_witness,
 )
@@ -53,15 +58,36 @@ def test_block_partition_canonicalization():
         BlockPartition(4, [(1, 2), (2, 3, 4)])  # overlap
 
 
+def walked_growth_strings(n, k):
+    """The growth strings of the partitions `_walk_partitions` visits, in its order."""
+    strings = []
+
+    def record(blocks):
+        labels = [0] * n
+        for j, block in enumerate(blocks):
+            for bit in block:
+                labels[bit.bit_length() - 1] = j
+        strings.append(tuple(labels))
+        return False
+
+    assert tv._walk_partitions(n, k, record) is None
+    return strings
+
+
 def test_set_partition_counts_match_stirling():
     for n in range(1, 8):
         for k in range(1, n + 1):
-            assert sum(1 for _ in set_partitions(n, k)) == stirling2(n, k)
+            strings = list(set_partitions(n, k))
+            assert len(strings) == stirling2(n, k)
+            assert walked_growth_strings(n, k) == strings
 
 
 def test_set_partitions_first_packs_front_block():
     first = next(set_partitions(6, 3))
     assert first == (0, 0, 0, 0, 1, 2)
+    assert walked_growth_strings(6, 3)[0] == first
+    # an early stop leaves the blocks of the partition it stopped at
+    assert tv._walk_partitions(6, 3, lambda blocks: True) == [[1, 2, 4, 8], [16], [32]]
 
 
 def test_agrees_with_ordered_partition_oracle():
@@ -109,6 +135,66 @@ def test_failing_partition_is_lex_first_failing_growth_string(H):
     assert (None if part is None else part.labels) == expected
 
 
+def first_failing_string(H):
+    """The lex-first growth string with no edge carrying k distinct labels."""
+    return next(
+        (s for s in set_partitions(H.n, H.k) if not any(len({s[x - 1] for x in e}) == H.k for e in H.edges)),
+        None,
+    )
+
+
+def random_growth_string(rng, n, k):
+    while True:
+        labels = [rng.randrange(k) for _ in range(n)]
+        if len(set(labels)) == k:
+            block_of = {}
+            return tuple(block_of.setdefault(b, len(block_of)) for b in labels)
+
+
+def transversal_sets(labels, k):
+    return [e for e in combinations(range(1, len(labels) + 1), k) if len({labels[x - 1] for x in e}) == k]
+
+
+@pytest.mark.parametrize("n, k", [(8, 4), (9, 5)])
+@pytest.mark.parametrize("seed", range(4))
+def test_failing_partition_matches_oracle_on_planted_families(n, k, seed):
+    # drop every edge transversal to a random partition, then a few more edges
+    rng = random.Random(f"planted:{n}:{k}:{seed}")
+    planted = random_growth_string(rng, n, k)
+    hit = set(transversal_sets(planted, k))
+    edges = [e for e in combinations(range(1, n + 1), k) if e not in hit]
+    for _ in range(seed):
+        edges.pop(rng.randrange(len(edges)))
+    H = Hypergraph(n, k, edges)
+    part = failing_partition(H)
+    assert part is not None
+    assert part.labels == first_failing_string(H)
+    assert part.labels <= planted
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (8, 4), (7, 6)])
+def test_block_count_shortcut_boundary(n, k):
+    # with exactly the prod(|block|) transversal sets of P missing, P is the one
+    # failing partition; one of them back leaves fewer missing sets than P has
+    rng = random.Random(f"boundary:{n}:{k}")
+    all_sets = list(combinations(range(1, n + 1), k))
+    for _ in range(6):
+        P = random_growth_string(rng, n, k)
+        hit = transversal_sets(P, k)
+        edges = [e for e in all_sets if e not in hit]
+        H = Hypergraph(n, k, edges)
+        part = failing_partition(H)
+        assert part is not None and part.labels == P == first_failing_string(H)
+        H = Hypergraph(n, k, edges + [rng.choice(hit)])
+        assert failing_partition(H) is None and first_failing_string(H) is None
+
+
+def test_partition_edge_masks_match_per_edge_reference():
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            assert tv._partition_edge_masks(n, k) == partition_edge_masks_oracle(n, k)
+
+
 def test_partition_walk_is_budgeted():
     # S(14, 7) = 49,329,280 partitions for even a single edge
     with pytest.raises(BudgetExceededError):
@@ -118,20 +204,20 @@ def test_partition_walk_is_budgeted():
 
 
 def test_exact_minimum_budget_is_checked_before_any_partition(monkeypatch):
-    def walked(n, k):
-        raise AssertionError("set_partitions was called")
+    def walked(n, k, visit):
+        raise AssertionError("_walk_partitions was called")
 
-    monkeypatch.setattr(tv, "set_partitions", walked)
+    monkeypatch.setattr(tv, "_walk_partitions", walked)
     with pytest.raises(BudgetExceededError):
         min_transversal(9, 5)
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
 def test_min_transversal_rejects_bad_shapes(mode, monkeypatch):
-    def walked(n, k):
-        raise AssertionError("set_partitions was called")
+    def walked(n, k, visit):
+        raise AssertionError("_walk_partitions was called")
 
-    monkeypatch.setattr(tv, "set_partitions", walked)
+    monkeypatch.setattr(tv, "_walk_partitions", walked)
     for n, k in ((3, 5), (4, 0), (4, -1)):
         with pytest.raises(ShapeError):
             min_transversal(n, k, mode)
