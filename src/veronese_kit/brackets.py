@@ -22,7 +22,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
-from .configurations import PointConfiguration, is_degenerate
+from .configurations import PointConfiguration
 from .errors import BudgetExceededError, ShapeError
 from .fields import Scalar
 from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, complement, int_rref, s_index
@@ -391,10 +391,11 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         raise ShapeError(f"use the conic module for d = {d}")
     witness = None
     checked = 0
-    degenerate = is_degenerate(p)
+    # n <= d points cannot span P^d, and MaximalMinors refuses their tall matrix
+    mm = MaximalMinors(p.coords) if n > d else None
+    degenerate = mm is None or mm.rank() < d + 1
     if n >= d + 4:
         gens = psi_generators(d)
-        mm = MaximalMinors(p.coords)
         prime = p.field.p if p.field.kind == "Fp" else None
         coord_rows = mm.int_rows()
         windows = comb(n, d + 4)

@@ -90,8 +90,14 @@ def strong_nondegeneracy_witness(p: PointConfiguration) -> Optional[int]:
     if p.n < p.d + 2:
         # dropping any point leaves too few to span
         return 1 if p.n >= 1 else None
-    R, pivots, r = rref(p.coords)
-    if r < p.d + 1:
+    R, pivots, _ = rref(p.coords)
+    return _coloop(p, R, pivots)
+
+
+def _coloop(p: PointConfiguration, R: Matrix, pivots: Sequence[int]) -> Optional[int]:
+    """`strong_nondegeneracy_witness` for n >= d + 2 points, read from the
+    reduced echelon form R of their coordinates with 0-based `pivots`."""
+    if len(pivots) < p.d + 1:
         return 1
     free = [c for c in range(p.n) if c not in pivots]
     for row, c in zip(R.entries, pivots):

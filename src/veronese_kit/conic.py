@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
@@ -25,8 +25,8 @@ from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det
 #: the row order fixed by `veronese_lift`; both cut out the same hypersurface.
 BRACKET_TO_DET_SIGN = -1
 
-#: `w2n_membership` scans at most this many six-point subsets, one minor each;
-#: C(21, 6) = 54,264 is the largest admitted scan, about 2 s.
+#: `w2n_membership` scans at most this many six-point subsets;
+#: C(21, 6) = 54,264 is the largest admitted scan, about 0.3 s.
 SUBSET_SCAN_BUDGET = 60_000
 
 
@@ -80,35 +80,21 @@ class ConicEquationReport:
     values: Optional[dict[IndexSet, Scalar]]
 
 
-def _subset_report(
-    p: PointConfiguration, subsets, collect_values: bool, lifted: Optional[MaximalMinors] = None
-) -> ConicEquationReport:
+def _check_plane(p: PointConfiguration) -> None:
     if p.d != 2:
         raise ShapeError(f"conic membership needs d=2, got d={p.d}")
-    if not subsets:
-        return ConicEquationReport(
-            n=p.n,
-            checked=0,
-            all_vanish=True,
-            nonvanishing=(),
-            values={} if collect_values else None,
-        )
-    if lifted is None:
-        lifted = MaximalMinors(lift_matrix(p))
-    bad = []
-    values = {} if collect_values else None
-    for I in subsets:
-        val = lifted.get(I)
-        if collect_values:
-            values[I] = val
-        if val != 0:
-            bad.append(I)
+
+
+def _report(
+    p: PointConfiguration, subsets: list[IndexSet], values: Sequence[Scalar], collect_values: bool
+) -> ConicEquationReport:
+    bad = tuple(I for I, val in zip(subsets, values) if val != 0)
     return ConicEquationReport(
         n=p.n,
         checked=len(subsets),
         all_vanish=not bad,
-        nonvanishing=tuple(bad),
-        values=values,
+        nonvanishing=bad,
+        values=dict(zip(subsets, values)) if collect_values else None,
     )
 
 
@@ -118,24 +104,24 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     With fewer than six points there is nothing to check and the report is
     trivially all-vanishing. Every subset's value is a 6 x 6 minor of the
     lift matrix, so all of them vanish exactly when its rank is at most 5:
-    then the report follows from that one rank, and the subsets are scanned
-    only when the rank is 6 or the values are asked for. A nonzero first
-    minor already shows rank 6, so generic inputs skip the rank test. A scan
-    of more than SUBSET_SCAN_BUDGET subsets raises BudgetExceededError
-    before its first minor.
+    then the report follows from that one rank, unless the values are asked
+    for. Otherwise every value is read from the same echelon form
+    (`MaximalMinors.vector`), whose column sets run in the lex order of the
+    subsets. A scan of more than SUBSET_SCAN_BUDGET subsets raises
+    BudgetExceededError before its first minor.
     """
+    _check_plane(p)
     count = comb(p.n, 6)
-    lifted = None
-    if p.d == 2 and count:
-        if not collect_values:
-            lifted = MaximalMinors(lift_matrix(p))
-            if lifted.get((1, 2, 3, 4, 5, 6)) == 0 and lifted.rank() <= 5:
-                return ConicEquationReport(n=p.n, checked=count, all_vanish=True, nonvanishing=(), values=None)
-        if count > SUBSET_SCAN_BUDGET:
-            raise BudgetExceededError(
-                f"n = {p.n} has {count} six-point subsets to scan, over the budget of {SUBSET_SCAN_BUDGET}"
-            )
-    return _subset_report(p, list(combinations(range(1, p.n + 1), 6)), collect_values, lifted)
+    if not count:
+        return _report(p, [], [], collect_values)
+    lifted = MaximalMinors(lift_matrix(p))
+    if not collect_values and lifted.rank() <= 5:
+        return ConicEquationReport(n=p.n, checked=count, all_vanish=True, nonvanishing=(), values=None)
+    if count > SUBSET_SCAN_BUDGET:
+        raise BudgetExceededError(
+            f"n = {p.n} has {count} six-point subsets to scan, over the budget of {SUBSET_SCAN_BUDGET}"
+        )
+    return _report(p, list(combinations(range(1, p.n + 1), 6)), lifted.vector(), collect_values)
 
 
 def v2n_subset_membership(
@@ -143,4 +129,7 @@ def v2n_subset_membership(
 ) -> ConicEquationReport:
     """Evaluate the conic condition only on the given six-point subsets."""
     sets = [as_index_set(I, ground=p.n, size=6) for I in subsets]
-    return _subset_report(p, sets, collect_values)
+    _check_plane(p)
+    # fewer than six points admit no subset, and their lift is not wide
+    lifted = MaximalMinors(lift_matrix(p)) if sets else None
+    return _report(p, sets, [lifted.get(I) for I in sets], collect_values)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .configurations import PointConfiguration, strong_nondegeneracy_witness
+from .configurations import PointConfiguration, _coloop
 from .errors import (
     BudgetExceededError,
     DegenerateInputError,
@@ -31,6 +31,7 @@ from .linalg import (
     IndexSet,
     MaximalMinors,
     Matrix,
+    _kernel_from_rref,
     kernel_basis,
     rref,
 )
@@ -158,13 +159,14 @@ def gale_of_config(p: PointConfiguration) -> PointConfiguration:
     """
     if p.n < p.d + 3:
         raise ShapeError(f"need n >= d + 3 for a projective Gale transform, got n={p.n}")
-    w = strong_nondegeneracy_witness(p)
+    # one echelon form gives both the coloop test and the kernel basis
+    R, pivots, _ = rref(p.coords)
+    w = _coloop(p, R, pivots)
     if w is not None:
         raise DegenerateInputError(
             f"dropping point {w} kills the span; Gale transform would have a zero column"
         )
-    B = affine_gale(p.coords)
-    return PointConfiguration(p.field, p.n - p.d - 2, p.n, B)
+    return PointConfiguration(p.field, p.n - p.d - 2, p.n, _kernel_from_rref(R, pivots))
 
 
 def double_gale_minor_check(p: PointConfiguration) -> bool:

@@ -173,10 +173,6 @@ class Matrix:
             )
         return Matrix(f, out)
 
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(x) for x in row] for row in self.entries])
-
 
 # ---------------------------------------------------------------------------
 # determinants
@@ -321,14 +317,19 @@ def kernel_basis(M: Matrix) -> Matrix:
     """
     if M.rows >= M.cols:
         raise ShapeError(f"kernel_basis expects a wide matrix, got {M.shape}")
-    R, pivots, r = rref(M)
-    if r < M.rows:
-        raise RankDeficiencyError(f"matrix has rank {r} < {M.rows} rows")
-    f = M.field
-    free = [c for c in range(M.cols) if c not in set(pivots)]
+    R, pivots, _ = rref(M)
+    return _kernel_from_rref(R, pivots)
+
+
+def _kernel_from_rref(R: Matrix, pivots: Sequence[int]) -> Matrix:
+    """`kernel_basis` read from a reduced echelon form R with 0-based `pivots`."""
+    if len(pivots) < R.rows:
+        raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {R.rows} rows")
+    f = R.field
+    free = [c for c in range(R.cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [f.zero] * M.cols
+        v = [f.zero] * R.cols
         v[fc] = f.one
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(R.entries[i][fc])

@@ -10,8 +10,9 @@ edge-indexed equation vanishes while some other pullback does not.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import ceil, comb, prod
 from typing import Callable, Iterable, Optional
 
@@ -232,22 +233,19 @@ def min_transversal(n: int, k: int, mode: str = "exact") -> tuple[int, Hypergrap
     edges, masks = _partition_edge_masks(n, k)
     m = len(edges)
     if mode == "greedy":
-        uncovered = list(masks)
+        # each partition as the set of its transversal edges; hits[b] counts
+        # the uncovered partitions that edge b is transversal to
+        uncovered = [{b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"} for mask in masks]
+        hits = Counter(chain.from_iterable(uncovered))
         chosen: list[int] = []
-        picked_mask = 0
         while uncovered:
-            best, best_hits = None, -1
-            for bit in range(m):
-                if picked_mask >> bit & 1:
-                    continue
-                hits = sum(1 for mm in uncovered if mm >> bit & 1)
-                if hits > best_hits:
-                    best, best_hits = bit, hits
-            if best_hits <= 0:
+            # the first edge of most hits; a chosen edge has none left
+            best = max(range(m), key=hits.__getitem__)
+            if hits[best] <= 0:
                 raise BudgetExceededError("greedy cover stalled (unhittable partition)")
-            picked_mask |= 1 << best
             chosen.append(best)
-            uncovered = [mm for mm in uncovered if not mm >> best & 1]
+            hits.subtract(chain.from_iterable(bits for bits in uncovered if best in bits))
+            uncovered = [bits for bits in uncovered if best not in bits]
         chosen.sort()
         return len(chosen), Hypergraph(n, k, [edges[b] for b in chosen])
 

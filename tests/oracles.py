@@ -18,6 +18,8 @@ echelon-form certificate of `gale.duality_certificate`.
 `set_partitions` yields restricted growth strings one label at a time, and
 `partition_edge_masks_oracle` tests every edge against every string; they are
 the reference for the block-product walk of `transversal`.
+`greedy_cover_oracle` recounts every edge's hits on each pick; it is the
+reference for the running hit counts of `min_transversal(n, k, "greedy")`.
 """
 
 import random
@@ -32,7 +34,7 @@ from veronese_kit.brackets import (
     psi_generators,
 )
 from veronese_kit.configurations import is_degenerate, make_config
-from veronese_kit.errors import NotAGalePairError, RankDeficiencyError, ShapeError
+from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import require_same_field
 from veronese_kit.gale import GaleDualityCertificate
 from veronese_kit.linalg import MaximalMinors, as_index_set, rank
@@ -186,6 +188,31 @@ def partition_edge_masks_oracle(n, k):
                 m |= 1 << bit
         masks.append(m)
     return edges, masks
+
+
+def greedy_cover_oracle(masks, m):
+    """Greedy hitting set of the partition masks over m edge bits, sorted.
+
+    Each pick recounts, for every edge not yet chosen, the uncovered masks it
+    hits, and takes the first edge of most hits.
+    """
+    uncovered = list(masks)
+    chosen = []
+    picked_mask = 0
+    while uncovered:
+        best, best_hits = None, -1
+        for bit in range(m):
+            if picked_mask >> bit & 1:
+                continue
+            hits = sum(1 for mm in uncovered if mm >> bit & 1)
+            if hits > best_hits:
+                best, best_hits = bit, hits
+        if best_hits <= 0:
+            raise BudgetExceededError("greedy cover stalled (unhittable partition)")
+        picked_mask |= 1 << best
+        chosen.append(best)
+        uncovered = [mm for mm in uncovered if not mm >> best & 1]
+    return sorted(chosen)
 
 
 def ordered_partition_oracle(H):

@@ -22,6 +22,7 @@ from veronese_kit.brackets import (
 )
 from veronese_kit.configurations import (
     make_config,
+    random_config,
     sample_degenerate,
     sample_generic,
     sample_on_rnc,
@@ -335,6 +336,16 @@ def test_curve_is_decided_from_the_head_windows(monkeypatch):
             assert rep.all_vanish and rep.classification == "InW"
             assert rep.checked == comb(n, d + 4) * comb(d + 4, 6)
             assert 0 < len(calls) <= n - d - 3
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=str)
+def test_too_few_points_to_span_are_in_y(field):
+    # n <= d points give a tall coordinate matrix, which MaximalMinors refuses
+    for d in (3, 5):
+        for n in range(1, d + 1):
+            rep = wdn_membership(random_config(field, d, n, random.Random(n)))
+            assert rep.degenerate and rep.classification == "InY", (d, n)
+            assert rep.all_vanish and rep.checked == 0 and rep.witness is None, (d, n)
 
 
 def test_fallback_scan_budget(monkeypatch):

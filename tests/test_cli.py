@@ -14,7 +14,6 @@ from click.testing import CliRunner
 
 import veronese_kit
 import veronese_kit.brackets as brackets
-import veronese_kit.conic as conic
 from veronese_kit.brackets import (
     BracketPolynomial,
     format_bracket_poly,
@@ -22,6 +21,7 @@ from veronese_kit.brackets import (
     psi_generators,
 )
 from veronese_kit.cli import SCHEMA, main
+from veronese_kit.linalg import MaximalMinors
 
 from oracles import relabel
 
@@ -193,11 +193,11 @@ def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
 
 
 def test_eval_conic_subset_scan_over_budget_exits_3(monkeypatch):
-    # C(30, 6) = 593,775 six-point subsets: a generic sample's first minor is
-    # nonzero, so only a scan could decide it; a curve sample is one lift rank
+    # C(30, 6) = 593,775 six-point subsets: a generic sample's lift has rank 6,
+    # so only a scan could decide it; a curve sample is one lift rank
     scans = []
-    subset_report = conic._subset_report
-    monkeypatch.setattr(conic, "_subset_report", lambda *args: scans.append(1) or subset_report(*args))
+    vector = MaximalMinors.vector
+    monkeypatch.setattr(MaximalMinors, "vector", lambda self: scans.append(1) or vector(self))
     res = run(["sample", "--family", "generic", "--d", "2", "--n", "30", "--seed", "1"])
     code, doc = run_json(["eval"], input=res.output)
     assert code == 3 and doc["status"] == "BudgetExceeded"

@@ -121,6 +121,10 @@ def test_w2n_matches_subset_scan(field):
                 scan = v2n_subset_membership(p, combinations(range(1, n + 1), 6))
                 assert rep == scan, (family, n, seed)
                 seen.add(rep.all_vanish)
+                rep = w2n_membership(p, collect_values=True)
+                scan = v2n_subset_membership(p, combinations(range(1, n + 1), 6), collect_values=True)
+                assert rep == scan, (family, n, seed)
+                assert list(rep.values.items()) == list(scan.values.items()), (family, n, seed)
     assert seen == {True, False}
 
 

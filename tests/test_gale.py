@@ -20,6 +20,7 @@ from veronese_kit.gale import (
     gale_of_config,
     standard_gale_pair,
 )
+import veronese_kit.linalg as linalg
 from veronese_kit.linalg import Matrix, rank
 
 from oracles import pairwise_duality_certificate
@@ -120,6 +121,19 @@ def test_gale_of_config_requirements():
     lopsided = make_config(QQ, 3, 7, cols)
     with pytest.raises(DegenerateInputError, match="dropping point 6"):
         gale_of_config(lopsided)
+
+
+def test_gale_of_config_eliminates_once(monkeypatch):
+    # the coloop test and the kernel basis read the same echelon form
+    calls = []
+    int_rref = linalg.int_rref
+    monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(len(rows)) or int_rref(rows, p))
+    for field in (QQ, FP):
+        p = sample_generic(field, 5, 12, seed=1)
+        calls.clear()
+        q = gale_of_config(p)
+        assert calls == [p.d + 1]
+        assert q.coords == affine_gale(p.coords)
 
 
 def test_gale_of_curve_lands_on_conic_equations():

@@ -1,6 +1,7 @@
 import random
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     edge_is_transversal_to,
+    greedy_cover_oracle,
     ordered_partition_oracle,
     partition_edge_masks_oracle,
     set_partitions,
@@ -272,6 +274,17 @@ def test_min_transversal_pentagon_shape():
     assert size == 5 and is_transversal(H)
     gsize, GH = min_transversal(5, 3, mode="greedy")
     assert gsize >= size and is_transversal(GH)
+
+
+def test_greedy_cover_matches_recounting_oracle():
+    # every admitted shape with n <= 9, and (11, 8), the largest admitted one
+    shapes = [(n, k) for n in range(1, 10) for k in range(1, n + 1)] + [(11, 8)]
+    for n, k in shapes:
+        assert tv._stirling2(n, k) * comb(n, k) <= tv.PARTITION_WORK_BUDGET, (n, k)
+        edges, masks = tv._partition_edge_masks(n, k)
+        chosen = greedy_cover_oracle(masks, len(edges))
+        size, H = min_transversal(n, k, "greedy")
+        assert size == len(chosen) and H.edges == tuple(edges[b] for b in chosen), (n, k)
 
 
 def test_min_transversal_star_cover_shape():
