@@ -396,7 +396,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     degenerate = mm is None or mm.rank() < d + 1
     if n >= d + 4:
         gens = psi_generators(d)
-        prime = p.field.p if p.field.kind == "Fp" else None
+        prime = p.field.p
         coord_rows = mm.int_rows()
         windows = comb(n, d + 4)
         # points that do not span leave every window rank-deficient, so

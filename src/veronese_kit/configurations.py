@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
 from .fields import Field, Scalar, require_same_field
-from .linalg import Matrix, as_index_set, rank, rref
+from .linalg import Matrix, rank, rref
 
 #: Resample budget for rejection loops (invertible draws, chart retries, spans).
 RETRY_BUDGET = 32
@@ -52,11 +52,6 @@ class PointConfiguration:
 
     def points(self) -> list[tuple[Scalar, ...]]:
         return self.coords.columns()
-
-    def subconfig(self, I: Iterable[int]) -> "PointConfiguration":
-        """Restrict to the 1-based point subset I (order preserved)."""
-        I = as_index_set(I, ground=self.n)
-        return PointConfiguration(self.field, self.d, len(I), self.coords.select_columns(I))
 
     def apply(self, g: Matrix) -> "PointConfiguration":
         """Act by a projectivity: columns become g . column."""

@@ -52,7 +52,8 @@ class Field:
     """The rationals (kind 'Q') or a prime field F_p (kind 'Fp').
 
     Instances are immutable and compare/hash by (kind, p), so two
-    `Field.prime(65521)` objects are interchangeable.
+    `Field.prime(65521)` objects are interchangeable. `p` is None over Q;
+    `linalg` reads it as the modulus of its integer core.
     """
 
     __slots__ = ("kind", "p")
@@ -85,8 +86,12 @@ class Field:
     # -- basic arithmetic ---------------------------------------------------
 
     def normalize(self, x) -> Scalar:
-        """Coerce ints/Fractions/strings into this field's canonical scalar form."""
+        """Coerce ints/Fractions/strings into this field's canonical scalar form.
+
+        A Fraction is already canonical over Q and comes back unchanged."""
         if self.kind == "Q":
+            if type(x) is Fraction:
+                return x
             if isinstance(x, bool):
                 raise TypeError("bool is not a scalar")
             if isinstance(x, (int, Fraction)):

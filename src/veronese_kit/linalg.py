@@ -6,9 +6,13 @@ and fraction-free Gauss-Jordan (`int_rref`) for echelon forms.
 `MaximalMinors.get` reads one maximal minor as one determinant;
 `MaximalMinors.vector` reads all of them from a single echelon form.
 
-* Q — `fractions.Fraction` entries; each row (or column, for minors) is
-  scaled to integers first, so the core never sees a Fraction.
-* F_p — ints in [0, p); the core runs on the residues and reduces mod p.
+The integer view is decided in one place. `_clear` turns a row or column
+of scalars into core ints and a clearing factor m: over Q (`Fraction`
+entries) the entries times the lcm m of their denominators, over F_p (ints
+in [0, p)) the residues themselves with m = 1. `Field.p` is the core's
+modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
+turns a core int back into a field scalar. `det`, `rank` and `rref` clear
+rows; `MaximalMinors` clears columns.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import mul, xor
 from typing import Iterable, Sequence
 
@@ -159,19 +163,25 @@ class Matrix:
         require_same_field(self.field, other.field, "matmul operands")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        f = self.field
         ot = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                [
-                    sum((f.mul(a, b) for a, b in zip(row, col)), start=f.zero)
-                    if f.kind == "Q"
-                    else sum(a * b for a, b in zip(row, col)) % f.p
-                    for col in ot
-                ]
-            )
-        return Matrix(f, out)
+        return Matrix(self.field, [[sum(map(mul, row, col)) for col in ot] for row in self.entries])
+
+
+# ---------------------------------------------------------------------------
+# the integer view
+# ---------------------------------------------------------------------------
+
+
+def _clear(xs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """The scalars xs as core ints: (xs times m, m), m the lcm of their
+    denominators. F_p residues are ints, so they come back as they are, m = 1."""
+    m = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (m // x.denominator) for x in xs], m
+
+
+def _scalar(field: Field, v: int, scale: int) -> Scalar:
+    """The field scalar v / scale of a core int v; scale is 1 over F_p."""
+    return Fraction(v, scale) if field.p is None else v % field.p
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +215,12 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _cleared_int_rows(entries) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; return rows and the product of scalings."""
-    out = []
-    scale = Fraction(1)
-    for row in entries:
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= m
-        out.append([int(x * m) for x in row])
-    return out, scale
-
-
 def det(M: Matrix) -> Scalar:
     """Exact determinant of a square matrix."""
     if M.rows != M.cols:
         raise ShapeError(f"determinant of non-square {M.shape}")
-    if M.field.kind == "Fp":
-        return _bareiss_det_int(M.entries) % M.field.p
-    rows, scale = _cleared_int_rows(M.entries)
-    return Fraction(_bareiss_det_int(rows)) / scale
+    rows, scales = zip(*map(_clear, M.entries))
+    return _scalar(M.field, _bareiss_det_int(rows), prod(scales))
 
 
 def minor(M: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Scalar:
@@ -288,23 +285,16 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form: (matrix, 0-based pivot columns, rank)."""
-    if M.field.kind == "Fp":
-        a, piv = int_rref(M.entries, M.field.p)
-    else:
-        # the cleared rows have the same row space; the fraction-free result
-        # is D times the reduced form, D its last pivot
-        a, piv = int_rref(_cleared_int_rows(M.entries)[0])
-        D = a[len(piv) - 1][piv[-1]] if piv else 1
-        a = [[Fraction(x, D) for x in row] for row in a]
-    return Matrix(M.field, a), tuple(piv), len(piv)
+    # the cleared rows have the same row space; the int result is D times
+    # the reduced form, D its last pivot (1 over F_p)
+    a, piv = int_rref([_clear(row)[0] for row in M.entries], M.field.p)
+    D = a[len(piv) - 1][piv[-1]] if piv else 1
+    return Matrix(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
 
 
 def rank(M: Matrix) -> int:
-    # scaling rows by nonzero constants keeps the rank, so over Q the
-    # elimination runs on the cleared integer rows
-    if M.field.kind == "Fp":
-        return len(int_rref(M.entries, M.field.p)[1])
-    return len(int_rref(_cleared_int_rows(M.entries)[0])[1])
+    # scaling rows by nonzero constants keeps the rank
+    return len(int_rref([_clear(row)[0] for row in M.entries], M.field.p)[1])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -345,13 +335,12 @@ def _kernel_from_rref(R: Matrix, pivots: Sequence[int]) -> Matrix:
 class MaximalMinors:
     """Cache of the maximal minors m_J of a wide full-height matrix.
 
-    J ranges over 1-based column sets of size = the row count. `get` computes
-    one minor on first use by `_bareiss_det_int`: over F_p on the residues,
-    reduced mod p; over Q on a denominator-cleared copy (the per-column
-    clearing factors are divided back out, so values match `minor` exactly).
-    `vector` reads every minor from one echelon form instead.
-
-    Over Q, `int_columns` holds the denominator-cleared columns as int lists.
+    J ranges over 1-based column sets of size = the row count. `int_columns`
+    holds the columns as core ints (`_clear`: denominator-cleared over Q,
+    the residues over F_p), `_factors` their clearing factors (1 over F_p).
+    `get` computes one minor on first use by `_bareiss_det_int` on the int
+    columns and divides their factors back out, so values match `minor`
+    exactly. `vector` reads every minor from one echelon form instead.
     """
 
     def __init__(self, M: Matrix):
@@ -361,29 +350,17 @@ class MaximalMinors:
         self.width = M.rows
         self._cache: dict[IndexSet, Scalar] = {}
         self._rref: tuple[list[list[int]], list[int]] | None = None
-        if M.field.kind == "Q":
-            cols = []
-            factors = []
-            for j in range(M.cols):
-                col = M.column(j)
-                m = lcm(*(x.denominator for x in col))
-                factors.append(m)
-                cols.append([int(x * m) for x in col])
-            self.int_columns = cols
-            self._factors = factors
+        self.int_columns, self._factors = zip(*map(_clear, zip(*M.entries)))
 
     def int_rows(self) -> Sequence[Sequence[int]]:
-        """The rows as ints for `int_rref`: the residues over F_p, the
-        denominator-cleared rows over Q. Scaling a column by a nonzero
-        constant changes no rank, so both have the rank of the matrix."""
-        M = self.matrix
-        return M.entries if M.field.kind == "Fp" else list(zip(*self.int_columns))
+        """The rows of `int_columns`, for `int_rref`. Scaling a column by a
+        nonzero constant changes no rank, so they have the rank of the matrix."""
+        return list(zip(*self.int_columns))
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """`int_rref` of `int_rows`, computed once: (rows, 0-based pivots)."""
         if self._rref is None:
-            f = self.matrix.field
-            self._rref = int_rref(self.int_rows(), f.p if f.kind == "Fp" else None)
+            self._rref = int_rref(self.int_rows(), self.matrix.field.p)
         return self._rref
 
     def rank(self) -> int:
@@ -391,26 +368,16 @@ class MaximalMinors:
         return len(self._echelon()[1])
 
     def _int_minor(self, cols: Sequence[int]) -> int:
-        """Unreduced Bareiss determinant of the int columns `cols` (0-based):
-        residues over F_p, denominator-cleared columns over Q."""
-        if self.matrix.field.kind == "Fp":
-            return _bareiss_det_int([[row[j] for j in cols] for row in self.matrix.entries])
-        return _bareiss_det_int([[self.int_columns[j][i] for j in cols] for i in range(self.width)])
+        """Unreduced Bareiss determinant of the int columns `cols` (0-based)."""
+        return _bareiss_det_int(list(zip(*[self.int_columns[j] for j in cols])))
 
     def get(self, J: Iterable[int]) -> Scalar:
         J = as_index_set(J, ground=self.matrix.cols, size=self.width)
         hit = self._cache.get(J)
         if hit is not None:
             return hit
-        f = self.matrix.field
-        val = self._int_minor([j - 1 for j in J])
-        if f.kind == "Fp":
-            val = val % f.p
-        else:
-            scale = 1
-            for j in J:
-                scale *= self._factors[j - 1]
-            val = Fraction(val, scale)
+        cols = [j - 1 for j in J]
+        val = _scalar(self.matrix.field, self._int_minor(cols), prod([self._factors[j] for j in cols]))
         self._cache[J] = val
         return val
 
@@ -436,8 +403,8 @@ class MaximalMinors:
         a, pivots = self._echelon()
         if len(pivots) < k:
             return (f.zero,) * comb(n, k)
-        prime = f.p if f.kind == "Fp" else None
-        D = 1 if prime else a[k - 1][pivots[-1]]
+        prime = f.p
+        D = a[k - 1][pivots[-1]]
         free = [c for c in range(n) if c not in pivots]
         # a column's bits in the key rows_mask | cols_mask << k of `minors`
         pivot_row = [-1] * n

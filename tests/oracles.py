@@ -9,6 +9,8 @@ is the definition the window rank test of `wdn_membership` must reproduce.
 reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
 `head_general_position_oracle` ranks every (d+1)-subset of the head windows;
 it is the reference for the echelon-form test of `wdn_membership`'s early exit.
+`subconfig` restricts a configuration to a point subset, the reference for
+every pullback along a window.
 `strong_nondegeneracy_oracle` drops each point in turn and re-runs the rank
 elimination; it is the reference for the one-elimination coloop test of
 `configurations.strong_nondegeneracy_witness`.
@@ -33,7 +35,7 @@ from veronese_kit.brackets import (
     eval_bracket_poly,
     psi_generators,
 )
-from veronese_kit.configurations import is_degenerate, make_config
+from veronese_kit.configurations import PointConfiguration, is_degenerate, make_config
 from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import require_same_field
 from veronese_kit.gale import GaleDualityCertificate
@@ -280,6 +282,12 @@ def multidegree(P):
     if len(profiles) > 1:
         raise ValueError("terms are not multihomogeneous of a common degree")
     return profiles.pop()
+
+
+def subconfig(p, I):
+    """Restrict p to the 1-based point subset I (order preserved)."""
+    I = as_index_set(I, ground=p.n)
+    return PointConfiguration(p.field, p.d, len(I), p.coords.select_columns(I))
 
 
 def strong_nondegeneracy_oracle(p):

@@ -32,7 +32,14 @@ from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import MaximalMinors, minor
 
-from oracles import head_general_position_oracle, multidegree, relabel, sign_cloud, wdn_scan_oracle
+from oracles import (
+    head_general_position_oracle,
+    multidegree,
+    relabel,
+    sign_cloud,
+    subconfig,
+    wdn_scan_oracle,
+)
 
 FP = Field.prime()
 
@@ -195,7 +202,7 @@ def test_pullback_commutes_with_subconfig():
                 pulled = eval_bracket_poly(relabel(poly, J, ground=9), mm)
                 assert eval_bracket_poly(poly, mm, J) == pulled
                 if J in ((1, 2, 3, 4, 5, 6, 7), (2, 3, 5, 6, 7, 8, 9)):
-                    assert pulled == eval_bracket_poly(poly, p.subconfig(J))
+                    assert pulled == eval_bracket_poly(poly, subconfig(p, J))
 
 
 # --- membership reports -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -329,10 +330,28 @@ def test_eval_rejects_inexact_integers():
         (5, "column 1 must be a list of 3 coordinates, got 5"),
         ("123", "column 1 must be a list of 3 coordinates, got '123'"),
         (["1", 1.5, "1"], "column 1, coordinate 2: Q scalar must be a fraction string or int, got 1.5"),
+        ([True, "1", "1"], "column 1, coordinate 1: Q scalar must be a fraction string or int, got True"),
+        (["1", None, "1"], "column 1, coordinate 2: Q scalar must be a fraction string or int, got None"),
+        (["1", "1", "abc"], "column 1, coordinate 3: Invalid literal for Fraction: 'abc'"),
     ],
 )
 def test_eval_names_the_bad_column_and_coordinate(col, message):
-    doc = json.loads(run(["sample", "--family", "generic", "--d", "2", "--n", "6", "--field", "Q"]).output)
+    _assert_bad_first_column("Q", col, message)
+
+
+@pytest.mark.parametrize(
+    "col, message",
+    [
+        ([1, "2", 3], "column 1, coordinate 2: F_p scalar must be an int, got '2'"),
+        ([1, 2, True], "column 1, coordinate 3: F_p scalar must be an int, got True"),
+    ],
+)
+def test_eval_names_the_bad_coordinate_of_an_fp_document(col, message):
+    _assert_bad_first_column("Fp:101", col, message)
+
+
+def _assert_bad_first_column(field, col, message):
+    doc = json.loads(run(["sample", "--family", "generic", "--d", "2", "--n", "6", "--field", field]).output)
     cfg = doc["payload"]["config"]
     code, out = run_json(["eval"], input=json.dumps({**cfg, "columns": [col] + cfg["columns"][1:]}))
     assert code == 2 and out["payload"]["error"] == message
@@ -370,3 +389,89 @@ def test_cli_import_loads_no_numpy_or_numba():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import veronese_kit.cli, sys; assert 'numpy' not in sys.modules and 'numba' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+#: sha256 of each CLI envelope, keyed by its pipeline: every stage gets the
+#: previous stage's stdout. Covers eval at d = 2 (with and without --values),
+#: 3 and 5 on rnc, chain, degenerate and generic samples over Q, F_101 and
+#: F_65521; eval on Q Gale outputs, whose coordinates are not integers; gale;
+#: dim. The digests were recorded before the Q/F_p integer view moved into
+#: linalg's `_clear` and `_scalar`.
+GOLDEN_ENVELOPES = {
+    "sample --family rnc --d 2 --n 8 --field Q --seed 1 | eval": "772129676a6c31e1d7a9e3caa983a3d8eec89584ebbfa6584281f23f6fdbad91",
+    "sample --family rnc --d 2 --n 8 --field Q --seed 1 | eval --values": "2a1a9c238f1df7151fe2b9f74131b496b600f378694b2bec6ef6cbad8e039fcf",
+    "sample --family rnc --d 2 --n 8 --field Fp:101 --seed 1 | eval": "47d622f030d935dc4f4d9359337f188294c0285c6d8596a37aab380cab3ec83e",
+    "sample --family rnc --d 2 --n 8 --field Fp:101 --seed 1 | eval --values": "63a0278123221e1565f95ba351183f4c6797fd134b72345520c077955cdb74e2",
+    "sample --family rnc --d 2 --n 8 --field Fp:65521 --seed 1 | eval": "b515cc441f9104480ce8c0c44c4b642d5fc71d35747b1ea74c10f47e4cbc0a33",
+    "sample --family rnc --d 2 --n 8 --field Fp:65521 --seed 1 | eval --values": "9f22469ff1088bd9a30dd0e61a085e8e9f4c1bd9929887ba2f7e38a864a307c9",
+    "sample --family chain --d 2 --n 8 --field Q --seed 1 --degrees 1,1 | eval": "08a521fbc007088aa36e071430e149c47651def9c9648a3a5c16c8cc5e49b615",
+    "sample --family chain --d 2 --n 8 --field Q --seed 1 --degrees 1,1 | eval --values": "09ee775d20c7a1eafa1b96782f81636008a2c6c970c2b5e54b682c16bf9921f4",
+    "sample --family chain --d 2 --n 8 --field Fp:101 --seed 1 --degrees 1,1 | eval": "914786ade2c4c03ff2ba7ed64b70dc014b6490fb5a1fa8584b6c2f772b7820dd",
+    "sample --family chain --d 2 --n 8 --field Fp:101 --seed 1 --degrees 1,1 | eval --values": "d490a988bd8e096bbc73ffa8e629784004ef575ae0180d355be3eb1438f01d3d",
+    "sample --family chain --d 2 --n 8 --field Fp:65521 --seed 1 --degrees 1,1 | eval": "4a9f1bbecc92ba85d21d5ec28eb77a0d9bb0b739c324e40d5d253bf2e2876bc0",
+    "sample --family chain --d 2 --n 8 --field Fp:65521 --seed 1 --degrees 1,1 | eval --values": "88b889cd5dce4c68db5be4dfa4a4a2423c68a065eec337a0e235a971c3140c23",
+    "sample --family degenerate --d 2 --n 8 --field Q --seed 1 | eval": "36347ba098ab6f8f33fcb72ccabaa884f0911dae426610ce012e4ffaf55df019",
+    "sample --family degenerate --d 2 --n 8 --field Q --seed 1 | eval --values": "85b090d16807b2a569b3af87dd995d3b513ee28eaf7bc7391c8687f8fc92e40a",
+    "sample --family degenerate --d 2 --n 8 --field Fp:101 --seed 1 | eval": "df3f0ad5d8b61cfb4a9b737efa486c9e519a22348a1f3bab8ec103ce08d69fb3",
+    "sample --family degenerate --d 2 --n 8 --field Fp:101 --seed 1 | eval --values": "5847c2532f823bcd58928e464c636db51a588b12b4b2d3df4a551ad772136024",
+    "sample --family degenerate --d 2 --n 8 --field Fp:65521 --seed 1 | eval": "3be7dbe74d11f1089ba0c177f6b8c49b41cf7dd5b41d745f02ef968e3dfb0c4c",
+    "sample --family degenerate --d 2 --n 8 --field Fp:65521 --seed 1 | eval --values": "2eba8f324f03bc034f1fd44cc8c5d77e0a5bf44594e89b9cf3f0fa400fc98f0c",
+    "sample --family generic --d 2 --n 8 --field Q --seed 1 | eval": "a2f3934360bd5bc6151a7114c55eb4251085a6cb544b7746623d92c4cd6e595c",
+    "sample --family generic --d 2 --n 8 --field Q --seed 1 | eval --values": "0c6cc1f6dea5708b526bb5cd396e5013fc9ee93ff51304a3756c0df86920ed71",
+    "sample --family generic --d 2 --n 8 --field Fp:101 --seed 1 | eval": "31649e2e80d92e4e2fb1db85b62d71655dbf4646480466672c3948272aa3b1ec",
+    "sample --family generic --d 2 --n 8 --field Fp:101 --seed 1 | eval --values": "6ca1bc52848127aeafcfcc663448ac83dac8d7ff76f45753f1b48f2f975de33f",
+    "sample --family generic --d 2 --n 8 --field Fp:65521 --seed 1 | eval": "aa280624e956a610747375056a350122e3fab6feae0c7559be3d5d79377d883d",
+    "sample --family generic --d 2 --n 8 --field Fp:65521 --seed 1 | eval --values": "73a02daf0e19691641b021ff105233856e29b9ae8bf8cb2c5ed7b629482516fd",
+    "sample --family rnc --d 3 --n 9 --field Q --seed 1 | eval": "c3818b5ae4d2606112a5272a4393722a9be807c59f9342429ebf40b65e9c205e",
+    "sample --family rnc --d 3 --n 9 --field Fp:101 --seed 1 | eval": "ec3760d2da2a3e7e5e926eba29b4bb48f64cda895503d0ef0725170b93b6100e",
+    "sample --family rnc --d 3 --n 9 --field Fp:65521 --seed 1 | eval": "2da3ae2466b41aab61c8ff4883a60fc276ce311b8e0b317d7ce6a4fd8f202a90",
+    "sample --family chain --d 3 --n 9 --field Q --seed 1 --degrees 2,1 | eval": "70b9ed7290489f6369775b13bcb85ca5d9005c5e26e108a0ea6c449193af5133",
+    "sample --family chain --d 3 --n 9 --field Fp:101 --seed 1 --degrees 2,1 | eval": "b1316c30f2e55f92d60c9460cea9dc00ec4a3f16ac188a36dacc0000034c65ed",
+    "sample --family chain --d 3 --n 9 --field Fp:65521 --seed 1 --degrees 2,1 | eval": "203b8fdc2da05969918259700a5413c3b3657fddcfda1cd571f4dbe49f07d962",
+    "sample --family degenerate --d 3 --n 9 --field Q --seed 1 | eval": "b23d1bf8576cde87f61bd74f00f1c90ba2cffff86c1686c1af1abbe99c30470a",
+    "sample --family degenerate --d 3 --n 9 --field Fp:101 --seed 1 | eval": "00de99a2f9dc33d467895216ca4cfbc8fa1b9d739ab30eb31d5eaf120048c898",
+    "sample --family degenerate --d 3 --n 9 --field Fp:65521 --seed 1 | eval": "a38e4a0a990285f636486e7e962b32588a9289cd140b201e8c79dbf03364becc",
+    "sample --family generic --d 3 --n 9 --field Q --seed 1 | eval": "7ce2004badd1e955470dd8a1ed7b491cc33fbe0830748268834fb688227e4c18",
+    "sample --family generic --d 3 --n 9 --field Fp:101 --seed 1 | eval": "330d0722f130eb158e28dd9cb906792f8aecc8935cc041c28f082e7fb98e2224",
+    "sample --family generic --d 3 --n 9 --field Fp:65521 --seed 1 | eval": "325b2a0e4fd7afc55eccc59cccd0e885a67c49a5e50285e91ee7eb0c8a1bc89d",
+    "sample --family rnc --d 5 --n 11 --field Q --seed 1 | eval": "e28663719a3aa5c0499ad0cb2fea0b976c80eafa5cff52b4afbd6fecef404a7c",
+    "sample --family rnc --d 5 --n 11 --field Fp:101 --seed 1 | eval": "8fd3fae757dd5995ba989f7807d028b97df47ed38f34f8878cd5ea0c4cfda18d",
+    "sample --family rnc --d 5 --n 11 --field Fp:65521 --seed 1 | eval": "0c417f663429474b620d5963fac993daa2bed11bff8645508edc7ccfcd7b4134",
+    "sample --family chain --d 5 --n 11 --field Q --seed 1 --degrees 3,2 | eval": "769b53541ef1dbd4b3542a2cb97ba713dc7ec77c7f52d2671484beababf17a6d",
+    "sample --family chain --d 5 --n 11 --field Fp:101 --seed 1 --degrees 3,2 | eval": "6b0a76d7a91dedeefe907bd137f520da8f8cce3a50261d12677d87c9118a25d0",
+    "sample --family chain --d 5 --n 11 --field Fp:65521 --seed 1 --degrees 3,2 | eval": "3db3ba7ba87ab254118524e0cb4d5e3ccb250126648aaaa1e97c3a8101d94bfc",
+    "sample --family degenerate --d 5 --n 11 --field Q --seed 1 | eval": "872126ea96df8d14ae2ee2cac6298f3387b846b57485931696056cbf4b51c20f",
+    "sample --family degenerate --d 5 --n 11 --field Fp:101 --seed 1 | eval": "ea4ec23e1d67380db0753987ecf954f80e6f683e609cfb2233c4311ce34b5bdb",
+    "sample --family degenerate --d 5 --n 11 --field Fp:65521 --seed 1 | eval": "b4a9c472b7594927b6add1540d4aac4d5d267f65c94220ce07fbfe3e69e88339",
+    "sample --family generic --d 5 --n 11 --field Q --seed 1 | eval": "6017a98a0f30727548014c13f6d423d1b019a1e621277ed11e7a4d9fc85bebac",
+    "sample --family generic --d 5 --n 11 --field Fp:101 --seed 1 | eval": "9bc27ff256bf01a9bdcc882b9790eab0ff0103fcda130863880a2b202e324067",
+    "sample --family generic --d 5 --n 11 --field Fp:65521 --seed 1 | eval": "807e390eec7ddac7faf83d69bc9d68cadb1f88984a14bcf8d583eabfea98f787",
+    "sample --family rnc --d 3 --n 9 --field Q --seed 1 | gale": "4f2102bbb26be3cd1f40ce8320bff9270a654811922743bb4129eae1ceecab12",
+    "sample --family rnc --d 3 --n 9 --field Fp:101 --seed 1 | gale": "6cd8b6f6f2163ebdc244986fe179d214534c5459aa98749de3c80b2094746541",
+    "sample --family rnc --d 3 --n 9 --field Fp:65521 --seed 1 | gale": "cf9358266b7c1869808706d5dece04e42823b2990fcba986df24cd4eb1719b40",
+    "sample --family generic --d 5 --n 11 --field Q --seed 1 | gale": "b43f73173e85549ea849d9a3783020a6ceada09d139b0c3ef893685113afd7a0",
+    "sample --family generic --d 5 --n 11 --field Fp:101 --seed 1 | gale": "ef5eff3536cd944545a5bdf22fa2021e887be96aa5ac68f81953f1ceb1b622f4",
+    "sample --family generic --d 5 --n 11 --field Fp:65521 --seed 1 | gale": "d99bb7df4d15bc40e02c835accc720aa351eb569b2948a4eadf6de099dc3b78d",
+    "sample --family rnc --d 3 --n 9 --field Q --seed 1 | gale | eval": "f76c055bae5cf95ca603d25ea6712b9ac057dc6522d5100503042464a53d3762",
+    "sample --family generic --d 5 --n 11 --field Q --seed 1 | gale | eval": "f41241a7bbcf212fdc60db6ad69ac0a06c4db6c3157389ff13fc0c828c8f3c3c",
+    "sample --family rnc --d 5 --n 11 --field Q --seed 1 | gale | eval": "9561cca2484c8150c804de305d828f2c2e84ac15c21f97a9820645a285ce6b2b",
+    "dim --d 2 --n 6 --field Q --seed 1": "6baeebc4c837b4a3f6905ef6e92f83acf4b72430e6d30142c201c9b649899231",
+    "dim --d 2 --n 6 --field Fp:101 --seed 1": "e0e7681a5d19f09c038c60e5a3bff61fc578d22101520bc6a6bb8ee92dbdb7e1",
+    "dim --d 2 --n 6 --field Fp:65521 --seed 1": "bbc509fd31b103f85f5e3be4a48122b856c89b026c1a822479b159c1be7143c1",
+    "dim --d 3 --n 8 --field Q --seed 1": "dd6171419b02c5492129844d5c1cdae6e6862150ccd8b3643b2b279d2ea352e6",
+    "dim --d 3 --n 8 --field Fp:101 --seed 1": "8dfb2130890479773424cb291d19235a3b4012a346b18cce3efd799b5c23d188",
+    "dim --d 3 --n 8 --field Fp:65521 --seed 1": "b02c6fbe3d475834d1d2ea8f15e151f9011d8dbb26cafd990e97525dbd880312",
+    "dim --d 4 --n 10 --field Q --seed 1": "cf1c04b949a870683144544daaa3c9a97a31d0bc2dde07e56181ea8e08c1fca1",
+    "dim --d 4 --n 10 --field Fp:101 --seed 1": "95bb494386ea28e6b1517dda294a70846c6a7f2ee3f579d7aed13ee606f308e6",
+    "dim --d 4 --n 10 --field Fp:65521 --seed 1": "fa12416ab32ed33ed2cb693bb31adb1df30a1261d0e29fbd3693037153b8aaab",
+}
+
+
+@pytest.mark.parametrize("pipeline", GOLDEN_ENVELOPES)
+def test_envelope_is_byte_stable(pipeline):
+    out = None
+    for stage in pipeline.split(" | "):
+        res = run(stage.split(), input=out)
+        assert res.exit_code == 0, res.output
+        out = res.output
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENVELOPES[pipeline]

@@ -21,7 +21,7 @@ from veronese_kit.errors import DegenerateInputError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import rank
 
-from oracles import sign_cloud, strong_nondegeneracy_oracle
+from oracles import sign_cloud, strong_nondegeneracy_oracle, subconfig
 
 FP = Field.prime()
 
@@ -44,7 +44,7 @@ def test_make_config_validation():
 def test_point_access_and_subconfig():
     p = make_config(QQ, 1, 3, [[1, 0], [0, 1], [1, 1]])
     assert p.point(3) == (1, 1)
-    q = p.subconfig((1, 3))
+    q = subconfig(p, (1, 3))
     assert q.n == 2 and q.point(2) == (1, 1)
     with pytest.raises(IndexError):
         p.point(4)

@@ -24,7 +24,7 @@ from veronese_kit.errors import IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import minor
 
-from oracles import cofactor_det, sign_cloud
+from oracles import cofactor_det, sign_cloud, subconfig
 
 FP = Field.prime()
 
@@ -82,7 +82,7 @@ def test_lift_matrix_minor_is_pullback():
     lifted = lift_matrix(p)
     assert lifted.shape == (6, 8)
     for I in ((1, 2, 3, 4, 5, 6), (2, 3, 4, 6, 7, 8)):
-        assert minor(lifted, range(1, 7), I) == phi_det(p.subconfig(I))
+        assert minor(lifted, range(1, 7), I) == phi_det(subconfig(p, I))
 
 
 def test_w2n_on_nodal_conic_vanishes():
@@ -96,7 +96,7 @@ def test_w2n_generic_report_is_lex_ordered_and_consistent():
     p = sample_generic(FP, 2, 8, seed=5)
     rep = w2n_membership(p, collect_values=True)
     assert not rep.all_vanish
-    expected = [I for I in combinations(range(1, 9), 6) if phi_det(p.subconfig(I)) != 0]
+    expected = [I for I in combinations(range(1, 9), 6) if phi_det(subconfig(p, I)) != 0]
     assert list(rep.nonvanishing) == expected
     assert len(rep.values) == rep.checked
     assert all(rep.values[I] == 0 for I in rep.values if I not in rep.nonvanishing)

@@ -23,7 +23,7 @@ from veronese_kit.linalg import (
     s_index,
 )
 from veronese_kit.transversal import Hypergraph
-from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank
+from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank, subconfig
 
 FP = Field.prime()
 PRIMES = (101, 65521)
@@ -60,7 +60,7 @@ def test_index_set_validation():
         (lambda: Hypergraph(5, 3, [[1.5, 2, 3]]), "1.5"),
         (lambda: Hypergraph(5, 3, [["1", 2, 3]]), "'1'"),
         (lambda: Hypergraph(5, 3, [[True, 2, 3]]), "True"),
-        (lambda: make_config(QQ, 2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).subconfig([1.9, 2, 3]), "1.9"),
+        (lambda: subconfig(make_config(QQ, 2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [1.9, 2, 3]), "1.9"),
     ],
     ids=["float-edge", "str-edge", "bool-edge", "float-subconfig"],
 )
@@ -118,6 +118,29 @@ def test_det_multiplicative(n, seed):
     a = rand_matrix(QQ, rng, n, n, 8)
     b = rand_matrix(QQ, rng, n, n, 8)
     assert det(a.matmul(b)) == det(a) * det(b)
+
+
+@pytest.mark.parametrize("field", (QQ, Field.prime(101)), ids=str)
+def test_matmul_matches_triple_loop(field):
+    rng = random.Random(29)
+    for _ in range(30):
+        a, b, c = (rng.randint(1, 5) for _ in range(3))
+        A = [[_random_entry(field, rng) for _ in range(b)] for _ in range(a)]
+        B = [[_random_entry(field, rng) for _ in range(c)] for _ in range(b)]
+        expected = []
+        for i in range(a):
+            row = []
+            for j in range(c):
+                acc = field.zero
+                for t in range(b):
+                    acc = field.add(acc, field.mul(A[i][t], B[t][j]))
+                row.append(acc)
+            expected.append(tuple(row))
+        product = Matrix(field, A).matmul(Matrix(field, B))
+        assert product.entries == tuple(expected)
+        # canonical scalars: Fractions over Q, residues in [0, p) over F_p
+        assert all(type(x) is type(field.zero) for row in product.entries for x in row)
+        assert field.p is None or all(0 <= x < field.p for row in product.entries for x in row)
 
 
 def test_det_transpose_invariant():

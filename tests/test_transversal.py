@@ -14,6 +14,7 @@ from oracles import (
     partition_edge_masks_oracle,
     set_partitions,
     stirling2,
+    subconfig,
 )
 
 from veronese_kit.configurations import make_config
@@ -263,7 +264,7 @@ def test_v2n_witness_conic_values():
     assert phi_det(six) != 0
     p = v2n_witness(part, six)
     for S in combinations(range(1, 9), 6):
-        val = phi_det(p.subconfig(S))
+        val = phi_det(subconfig(p, S))
         assert (val != 0) == edge_is_transversal_to(S, part)
     with pytest.raises(ShapeError):
         v2n_witness(BlockPartition(8, [(1, 2, 3), (4, 5, 6), (7,), (8,)]), six)
