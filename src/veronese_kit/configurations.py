@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
 from .fields import Field, Scalar, require_same_field
-from .linalg import Matrix, rank, rref
+from .linalg import Matrix, certified_rank, rank, rref
 
 #: Resample budget for rejection loops (invertible draws, chart retries, spans).
 RETRY_BUDGET = 32
@@ -461,6 +461,26 @@ def _chart_jacobian(field: Field, d: int, g_vals: Sequence, t_vals: Sequence) ->
     return rows
 
 
+def _gl2_kernel(d: int, g_vals: Sequence, t_vals: Sequence) -> list[list]:
+    """The four gl_2 kernel vectors of the `_chart_jacobian` rows at (g, t),
+    as listed in `dimension_estimate`.
+
+    A direction (dg, dt) moves point i by dg . m(t_i) + dt_i g . m'(t_i),
+    m(t) = (1, t, ..., t^d). Translation and dilation do not move the points,
+    inversion moves point i by d t_i times itself and scaling by itself, so
+    no chart coordinate y_r / y_0 moves. Entries are plain products of the
+    scalars; `Matrix` normalizes them.
+    """
+    w = d + 1
+    g = list(g_vals)
+    return [
+        [-(j % w + 1) * g[j + 1] if j % w < d else 0 for j in range(w * w)] + [1] * len(t_vals),
+        [-(j % w) * g[j] for j in range(w * w)] + list(t_vals),
+        [(w - j % w) * g[j - 1] if j % w else 0 for j in range(w * w)] + [t * t for t in t_vals],
+        g + [0] * len(t_vals),
+    ]
+
+
 def dimension_estimate(
     d: int,
     n: int,
@@ -472,16 +492,22 @@ def dimension_estimate(
 
     The map sends a (d+1) x (d+1) matrix g and parameters t_1..t_n to the
     affine-chart coordinates of the n points g . moment(t_i). For generic
-    inputs the rank equals the dimension of the closure of its image, which
-    is d^2 + 2d + n - 3 once n >= d + 3 (the fiber is the 3-dimensional
-    Mobius action plus the 1-dimensional scaling of g, which together span a
-    4-dimensional kernel — the scaling already lies inside the Mobius
-    directions' span under the degree-d action, which is why the raw rank is
-    returned unmodified).
+    inputs the rank equals the dimension of the closure of its image. Its
+    fibre is the 4-dimensional gl_2 action, so the Jacobian has these four
+    kernel vectors, in the columns g_rk row-major, then t_1..t_n:
+    - translation (-g A1, 1, ..., 1), (g A1)[r][k] = (k+1) g[r][k+1];
+    - dilation (-g A2, t_1, ..., t_n), (g A2)[r][k] = k g[r][k];
+    - inversion (-g A3, t_1^2, ..., t_n^2), (g A3)[r][k] = (k-1-d) g[r][k-1];
+    - scaling (g, 0, ..., 0).
+    With d n rows, the generic rank is min(d n, d^2 + 2d + n - 3). The two
+    agree at n = d + 3, since d n - (d^2 + 2d + n - 3) = (d-1)(n-d-3); the
+    formula holds from there on.
 
-    The rows come in closed form from `_chart_jacobian`. A draw that puts a
-    point outside the affine chart (leading coordinate zero) is redrawn with
-    fresh randomness, up to a budget.
+    The rows come in closed form from `_chart_jacobian`, the kernel vectors
+    from `_gl2_kernel`, and `certified_rank` reads the rank from a modular
+    rank capped by them, eliminating over Q only when the two miss. A draw
+    that puts a point outside the affine chart (leading coordinate zero) is
+    redrawn with fresh randomness, up to a budget.
     """
     if d < 1 or n < 1:
         raise ShapeError(f"need d >= 1 and n >= 1, got ({d}, {n})")
@@ -493,5 +519,5 @@ def dimension_estimate(
         t_vals = [a for (_, a) in _distinct_affine_params(field, n, rng, height)]
         rows = _chart_jacobian(field, d, g_vals, t_vals)
         if rows is not None:
-            return rank(Matrix(field, rows))
+            return certified_rank(Matrix(field, rows), Matrix(field, _gl2_kernel(d, g_vals, t_vals)))
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")

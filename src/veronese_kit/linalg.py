@@ -1,8 +1,10 @@
 """Field-generic exact matrices and the linear algebra the rest of the package uses.
 
 Every determinant, rank, echelon form and minor runs on one exact core of
-plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants
-and fraction-free Gauss-Jordan (`int_rref`) for echelon forms.
+plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants,
+forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
+Gauss-Jordan (`int_rref`) for echelon forms. `certified_rank` reads a rank
+over Q from a modular rank when known kernel vectors cap it.
 `MaximalMinors.get` reads one maximal minor as one determinant;
 `MaximalMinors.vector` reads all of them from a single echelon form.
 
@@ -292,9 +294,72 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return Matrix(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
 
 
+def int_rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
+    """Rank of an integer matrix given as plain rows, over Q (p None) or mod p.
+
+    Forward elimination only: no back-substitution, no pivot inverses. Over Q
+    it is Bareiss echelon, each step dividing exactly by the previous pivot;
+    mod p each row below the pivot becomes pivot * row - factor * pivot row.
+    Each step drops the pivot row and the pivot column, so the rows shrink as
+    the rank grows. The input is not modified.
+    """
+    if p is None:
+        a = [list(r) for r in rows]
+    else:
+        a = [[x % p for x in r] for r in rows]
+    r = 0
+    prev = 1
+    while a and a[0]:
+        piv = next((i for i, row in enumerate(a) if row[0]), None)
+        if piv is None:
+            a = [row[1:] for row in a]
+            continue
+        pr = a.pop(piv)
+        pk, tail = pr[0], pr[1:]
+        r += 1
+        if p is None:
+            a = [[(pk * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in a]
+            prev = pk
+        else:
+            a = [[(pk * x - row[0] * y) % p for x, y in zip(row[1:], tail)] if row[0] else row[1:] for row in a]
+    return r
+
+
 def rank(M: Matrix) -> int:
+    """Rank of M over its field, by `int_rank` on the cleared rows."""
     # scaling rows by nonzero constants keeps the rank
-    return len(int_rref([_clear(row)[0] for row in M.entries], M.field.p)[1])
+    return int_rank([_clear(row)[0] for row in M.entries], M.field.p)
+
+
+#: The prime 2^31 - 1, modulus of the lower bound in `certified_rank`.
+CERT_PRIME = (1 << 31) - 1
+
+
+def certified_rank(M: Matrix, kernel: Matrix) -> int:
+    """Rank of M, read from two bounds that meet when the rows of `kernel`
+    span the right kernel of M.
+
+    Over F_p this is `rank(M)`. Over Q, on the cleared rows of M:
+    - the rank mod `CERT_PRIME` is a lower bound, since a minor that is
+      nonzero mod a prime is nonzero over Z;
+    - once every row annihilates every row of `kernel` exactly, rank M is at
+      most min(rows, cols - rank K), and rank K is at least its rank mod
+      `CERT_PRIME`, which gives the upper bound.
+    When the bounds meet they are the rank; otherwise the rank comes from
+    exact elimination. A wrong `kernel` costs that fallback, never a wrong
+    rank, and no elimination here runs over Q unless the bounds miss.
+    """
+    require_same_field(M.field, kernel.field, "certified_rank operands")
+    if M.field.p is not None:
+        return rank(M)
+    rows = [_clear(row)[0] for row in M.entries]
+    low = int_rank(rows, CERT_PRIME)
+    K = [_clear(v)[0] for v in kernel.entries]
+    if all(not sum(map(mul, row, v)) for row in rows for v in K) and low == min(
+        M.rows, M.cols - int_rank(K, CERT_PRIME)
+    ):
+        return low
+    return int_rank(rows)
 
 
 def kernel_basis(M: Matrix) -> Matrix:

@@ -22,6 +22,9 @@ echelon-form certificate of `gale.duality_certificate`.
 the reference for the block-product walk of `transversal`.
 `greedy_cover_oracle` recounts every edge's hits on each pick; it is the
 reference for the running hit counts of `min_transversal(n, k, "greedy")`.
+`jacobian_rank_oracle` draws the `dimension_estimate` Jacobian and takes its
+rank by full Gauss-Jordan (`int_rref`); it is the reference for the
+certified rank of `dimension_estimate`.
 """
 
 import random
@@ -35,11 +38,18 @@ from veronese_kit.brackets import (
     eval_bracket_poly,
     psi_generators,
 )
-from veronese_kit.configurations import PointConfiguration, is_degenerate, make_config
+from veronese_kit.configurations import (
+    RETRY_BUDGET,
+    PointConfiguration,
+    _chart_jacobian,
+    _distinct_affine_params,
+    is_degenerate,
+    make_config,
+)
 from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
-from veronese_kit.fields import require_same_field
+from veronese_kit.fields import Field, require_same_field
 from veronese_kit.gale import GaleDualityCertificate
-from veronese_kit.linalg import MaximalMinors, as_index_set, rank
+from veronese_kit.linalg import MaximalMinors, _clear, as_index_set, int_rref, rank
 
 
 def perm_sign(perm):
@@ -253,6 +263,21 @@ def poly_partial(poly, var):
         key = tuple(new)
         out[key] = out.get(key, 0) + coef * expo[var]
     return out
+
+
+def jacobian_rank_oracle(d, n, seed=None, field=None, height=100):
+    """`dimension_estimate` by full Gauss-Jordan: the same draws and chart
+    retries, then the pivot count of `int_rref` on the cleared rows."""
+    if field is None:
+        field = Field.prime()
+    rng = random.Random(seed)
+    for _ in range(RETRY_BUDGET):
+        g_vals = [field.random_scalar(rng, height) for _ in range((d + 1) * (d + 1))]
+        t_vals = [a for (_, a) in _distinct_affine_params(field, n, rng, height)]
+        rows = _chart_jacobian(field, d, g_vals, t_vals)
+        if rows is not None:
+            return len(int_rref([_clear(row)[0] for row in rows], field.p)[1])
+    raise BudgetExceededError("all chart retries hit a zero leading coordinate")
 
 
 def relabel(P, I, ground=None):

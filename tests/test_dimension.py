@@ -1,19 +1,23 @@
-"""The closed-form Jacobian behind `dimension_estimate`.
+"""The closed-form Jacobian behind `dimension_estimate`, and its certified rank.
 
 Each row holds the first-order partials (the 1-jet) of one affine coordinate
 y_r / y_0 of a curve point y = g . (1, t, ..., t^d). The oracle builds the
 same rational function as exponent-dict polynomials and differentiates it
-formally with `poly_partial` and the quotient rule.
+formally with `poly_partial` and the quotient rule. The rank is checked
+against `jacobian_rank_oracle`, the full Gauss-Jordan elimination.
 """
 
 import random
 from fractions import Fraction
 
-from oracles import poly_eval, poly_partial
+import pytest
+from click.testing import CliRunner
+from oracles import jacobian_rank_oracle, poly_eval, poly_partial
 
-from veronese_kit import configurations
-from veronese_kit.configurations import _chart_jacobian, dimension_estimate
+from veronese_kit import cli, configurations, linalg
+from veronese_kit.configurations import _chart_jacobian, _gl2_kernel, dimension_estimate
 from veronese_kit.fields import Field, QQ
+from veronese_kit.linalg import Matrix
 
 FIELDS = (QQ, Field.prime(101), Field.prime(65521))
 
@@ -132,3 +136,96 @@ def test_fp_lane_matches_q_lane():
                 if rows_p is None:
                     continue  # some y_0 is divisible by p
                 assert rows_p == [[fp.normalize(x) for x in row] for row in rows_q]
+
+
+def record_eliminations(monkeypatch):
+    """Patch linalg's eliminations to log each call: the modulus of every
+    `int_rank` (None over Q) and "rref" for every `int_rref`."""
+    calls = []
+    int_rank, int_rref = linalg.int_rank, linalg.int_rref
+
+    def rank_spy(rows, p=None):
+        calls.append(p)
+        return int_rank(rows, p)
+
+    def rref_spy(rows, p=None):
+        calls.append("rref")
+        return int_rref(rows, p)
+
+    monkeypatch.setattr(linalg, "int_rank", rank_spy)
+    monkeypatch.setattr(linalg, "int_rref", rref_spy)
+    return calls
+
+
+def test_gl2_vectors_annihilate_the_jacobian():
+    rng = random.Random(3)
+    for field in FIELDS:
+        for d in range(1, 5):
+            for n in (1, 2, d + 3):
+                g = [field.random_scalar(rng, 20) for _ in range((d + 1) ** 2)]
+                t = [field.random_scalar(rng, 20) for _ in range(n)]
+                rows = _chart_jacobian(field, d, g, t)
+                if rows is None:
+                    continue
+                K = Matrix(field, _gl2_kernel(d, g, t))
+                J = Matrix(field, rows)
+                assert J.matmul(K.transpose()).is_zero()
+
+
+def test_q_draw_does_no_exact_elimination(monkeypatch):
+    calls = record_eliminations(monkeypatch)
+    for seed in range(3):
+        calls.clear()
+        assert dimension_estimate(4, 10, seed=seed, field=QQ) == 4 * 4 + 2 * 4 + 10 - 3
+        assert calls == [linalg.CERT_PRIME, linalg.CERT_PRIME]
+
+
+def test_fp_draw_runs_one_forward_rank(monkeypatch):
+    calls = record_eliminations(monkeypatch)
+    for p in (101, 65521):
+        for d, n in ((2, 6), (4, 10), (3, 2)):
+            calls.clear()
+            assert dimension_estimate(d, n, seed=1, field=Field.prime(p)) == jacobian_rank_oracle(d, n, 1, Field.prime(p))
+            assert calls == [p]
+
+
+SHAPES = ((1, 1), (2, 2), (2, 6), (3, 4), (3, 8), (4, 10))
+
+
+def test_corrupt_kernel_vector_falls_back_to_exact_rank(monkeypatch):
+    def corrupt(d, g_vals, t_vals):
+        K = _gl2_kernel(d, g_vals, t_vals)
+        K[1][0] += 1
+        return K
+
+    monkeypatch.setattr(configurations, "_gl2_kernel", corrupt)
+    calls = record_eliminations(monkeypatch)
+    for d, n in SHAPES:
+        calls.clear()
+        assert dimension_estimate(d, n, seed=2, field=QQ) == jacobian_rank_oracle(d, n, 2, QQ)
+        assert calls[-1] is None
+
+
+def test_short_modular_rank_falls_back_to_exact_rank(monkeypatch):
+    int_rank = linalg.int_rank
+    for d, n in SHAPES:
+        # one rank short mod P on the Jacobian's d * n rows, not on the 4 kernel rows
+        def short(rows, p=None, jacobian_rows=d * n):
+            return int_rank(rows, p) - (p == linalg.CERT_PRIME and len(rows) == jacobian_rows)
+
+        monkeypatch.setattr(linalg, "int_rank", short)
+        calls = record_eliminations(monkeypatch)
+        assert dimension_estimate(d, n, seed=2, field=QQ) == jacobian_rank_oracle(d, n, 2, QQ)
+        assert calls[-1] is None
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Fp:65521"])
+def test_dim_envelopes_match_gauss_jordan(spec, monkeypatch):
+    runner = CliRunner()
+    grid = [(d, n, seed) for d in range(1, 6) for n in range(1, d + 6) for seed in range(3)]
+    args = [["dim", "--d", str(d), "--n", str(n), "--seed", str(seed), "--field", spec] for d, n, seed in grid]
+    outputs = [runner.invoke(cli.main, a, catch_exceptions=False).output for a in args]
+    monkeypatch.setattr(cli, "dimension_estimate", jacobian_rank_oracle)
+    for a, out in zip(args, outputs):
+        assert out == runner.invoke(cli.main, a, catch_exceptions=False).output, a

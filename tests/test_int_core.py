@@ -1,11 +1,14 @@
 """Exact F_p kernels (det, rank, rref, batched maximal minors) at p = 65521,
-checked against the naive oracles through the public `linalg` API."""
+checked against the naive oracles through the public `linalg` API, and the
+forward-only `int_rank` checked against `int_rref` over Q, F_101 and F_65521."""
 
 import random
 from itertools import combinations
 
+import pytest
+
 from veronese_kit.fields import Field
-from veronese_kit.linalg import Matrix, MaximalMinors, det, int_rref, rank, rref
+from veronese_kit.linalg import Matrix, MaximalMinors, det, int_rank, int_rref, rank, rref
 from oracles import leibniz_det, naive_fraction_rank
 
 P = 65521
@@ -74,3 +77,36 @@ def test_rref_structure():
             assert R.entry(i, c) == 1
             assert all(R.entry(k, c) == 0 for k in range(R.rows) if k != i)
         assert all(x == 0 for row in R.entries[rk:] for x in row)
+
+
+def deficient_mat(rng, rows, cols):
+    """A rows x cols matrix built to lose rank: combinations of a few base
+    rows, a repeated row and a zeroed column."""
+    base = random_mat(rng, rng.randint(1, max(1, rows - 1)), cols, -9, 9)
+    m = [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)]
+         for coeffs in (random_mat(rng, 1, len(base), -3, 3)[0] for _ in range(rows))]
+    if rows > 1:
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    zero = rng.randrange(cols)
+    for row in m:
+        row[zero] = 0
+    return m
+
+
+@pytest.mark.parametrize("p", [None, 101, 65521], ids=["Q", "F_101", "F_65521"])
+def test_int_rank_matches_int_rref(p):
+    # F_101 with entries up to 10^4 hits accidental zeros mod p
+    rng = random.Random(31 if p is None else p)
+    cases = []
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(random_mat(rng, rows, cols, -10**4, 10**4))
+        cases.append(random_mat(rng, rows, cols, -2, 2))
+        cases.append(deficient_mat(rng, rows, cols))
+    for k in range(1, 7):
+        cases += [random_mat(rng, 1, k), random_mat(rng, k, 1), [[0] * k], [[0]] * k]
+    cases += [[[0, 0], [0, 0]], [[3, 5], [6, 10]], [[0, 1], [0, 2]], [[101, 202], [1, 3]]]
+    for m in cases:
+        copy = [list(row) for row in m]
+        assert int_rank(m, p) == len(int_rref(m, p)[1]), m
+        assert m == copy
