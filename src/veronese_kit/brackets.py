@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
@@ -294,39 +293,67 @@ def _in_v_annotation(d: int, n: int, degenerate: bool, all_vanish: bool) -> tupl
     )
 
 
-def _window_vanishes(rows: Sequence[Sequence[int]], p: Optional[int]) -> bool:
-    """True when every generator vanishes on the window with coordinate rows `rows`.
+def _echelon_window_vanishes(
+    a: Sequence[Sequence[int]], pivot_row: Sequence[int], window: Sequence[int], p: Optional[int]
+) -> bool:
+    """True when every generator vanishes on the 0-based column set `window`.
 
-    `rows` is the (d+1) x (d+4) coordinate matrix A of the window, with
-    integer columns (denominator-cleared over Q, residues over F_p; p is None
-    over Q). If A has rank < d+1 every width-(d+1) bracket is 0. Otherwise
-    let B (3 x (d+4)) be a basis of the right kernel of A, a Gale transform
-    of the window: by the sign law each generator equals +-lambda^4 times the
+    `a` is the reduced echelon form of the whole coordinate matrix
+    (`MaximalMinors._echelon()`: pivot entries D over Q, 1 over F_p; p is None
+    over Q) and `pivot_row[c]` the row of pivot column c, -1 for a free column.
+    If the window has rank < d+1 every width-(d+1) bracket is 0. Otherwise let
+    B (3 x (d+4)) be a basis of the window's right kernel, a Gale transform of
+    the window: by the sign law each generator equals +-lambda^4 times the
     conic polynomial on B restricted to its pattern, and that is -det of the
     6 x 6 minor of the quadratic lifts of B's columns. So all generators
-    vanish exactly when the 6 x (d+4) lift matrix has rank <= 5, that is when
-    one conic passes through all d+4 Gale points. Any kernel basis and any
-    column scaling of A give the same answer.
+    vanish exactly when one conic passes through the d+4 Gale points, for any
+    kernel basis and any scaling of the points.
 
-    The kernel basis read off the reduced echelon form of A puts three Gale
-    points at the coordinate points (the free columns) and the pivot column
-    of row i at -(a_i0, a_i1, a_i2), a_ik being row i's entry in the k-th free
-    column. A conic through the three coordinate points has no square terms,
-    so the test is whether some nonzero (c01, c02, c12) satisfies
-    c01 a_i0 a_i1 + c02 a_i0 a_i2 + c12 a_i1 a_i2 = 0 for every row i: whether
-    the (d+1) x 3 matrix of those products has rank <= 2.
+    Let S be the rows whose pivot lies in the window and F the other window
+    columns. The other rows are zero on the window's pivots, so the window
+    has rank |S| + rank T, T = a[rows not in S][F]. With t the echelon form
+    of T (last pivot D_T), T's free columns f_k are the coordinate points,
+    T's i-th pivot column c_i is (t[i][f_k])_k and the pivot column of a row r
+    in S is (a[r][f_k] D_T - sum_i a[r][c_i] t[i][f_k])_k, up to sign and 1/D.
+    If S holds every row, T is empty and F the three free columns. A conic
+    through the coordinate points has no square terms, so the test is whether
+    the (d+1) x 3 rows (xy, xz, yz) of the other points have rank <= 2: with
+    u the first nonzero row and v the first with u x v != 0, whether each
+    later row w has w . (u x v) = 0 (mod p over F_p).
     """
-    a, pivots = int_rref(rows, p)
-    if len(pivots) < len(rows):
+    S = [pivot_row[c] for c in window if pivot_row[c] >= 0]
+    F = [c for c in window if pivot_row[c] < 0]
+    points = [[a[r][c] for c in F] for r in S]
+    if len(S) < len(a):
+        t, tp = int_rref([[row[c] for c in F] for r, row in enumerate(a) if r not in S], p)
+        if len(tp) < len(t):
+            return True
+        D = t[-1][tp[-1]]
+        free = [f for f in range(len(F)) if f not in tp]
+        lead = [[row[f] for f in free] for row in t]
+        points = [
+            [x[f] * D - sum(x[c] * l[k] for c, l in zip(tp, lead)) for k, f in enumerate(free)]
+            for x in points
+        ] + lead
+    nonzero = (lambda x: x % p != 0) if p else bool
+    rows = iter([(x * y, x * z, y * z) for x, y, z in points])
+    for u in rows:
+        if any(map(nonzero, u)):
+            break
+    else:
         return True
-    f0, f1, f2 = (f for f in range(len(rows[0])) if f not in pivots)
-    products = [[r[f0] * r[f1], r[f0] * r[f2], r[f1] * r[f2]] for r in a]
-    return len(int_rref(products, p)[1]) <= 2
+    for w in rows:
+        uv = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        if any(map(nonzero, uv)):
+            return not any(nonzero(x * uv[0] + y * uv[1] + z * uv[2]) for x, y, z in rows)
+    return True
 
 
 #: `eval` at d >= 3 falls back to the full window scan only when the head
 #: windows vanish but are not in general position; a fallback with more than
-#: this many windows left exits 3 before it starts.
+#: this many windows left exits 3 before it starts. The largest admitted scans
+#: of chain samples take 0.8 s at (3, 17), 0.9 s at (5, 16), 1.9 s at (6, 17)
+#: and 3.0 s at (8, 18) over Q, in-process on a 2-core host.
 WINDOW_SCAN_BUDGET = 20_000
 
 
@@ -374,8 +401,11 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     Pullbacks are ordered lexicographically by (J, I) — J the point subset of
     size d + 4, I the six-element pattern — and the first nonzero value
     becomes the witness; `checked` counts the pullbacks up to and including
-    it. Each window J is decided by one exact rank test (`_window_vanishes`);
-    generators are evaluated only on the first window that fails it.
+    it. Each window J is decided from the cached echelon form of the whole
+    matrix (`_echelon_window_vanishes`): one small elimination of the rows
+    whose pivots lie outside J, or none, and a cross-product test of the
+    conic through J's Gale points. Generators are evaluated only on the
+    first window that fails it.
 
     The first n - d - 3 windows are the head windows {1..d+3, q}. When they
     all vanish and each is in general position, every window vanishes and the
@@ -397,13 +427,13 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     if n >= d + 4:
         gens = psi_generators(d)
         prime = p.field.p
-        coord_rows = mm.int_rows()
+        a, pivots = mm._echelon()
+        pivot_row = [pivots.index(c) if c in pivots else -1 for c in range(n)]
         windows = comb(n, d + 4)
         # points that do not span leave every window rank-deficient, so
         # every pullback vanishes and no window needs a test
-        for j, J in enumerate(() if degenerate else combinations(range(1, n + 1), d + 4)):
-            pick = itemgetter(*(i - 1 for i in J))
-            if _window_vanishes([pick(row) for row in coord_rows], prime):
+        for j, J0 in enumerate(() if degenerate else combinations(range(n), d + 4)):
+            if _echelon_window_vanishes(a, pivot_row, J0, prime):
                 if j == n - d - 4:
                     if _head_in_general_position(mm, prime):
                         break
@@ -413,6 +443,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
                             f"over the budget of {WINDOW_SCAN_BUDGET}"
                         )
                 continue
+            J = tuple(i + 1 for i in J0)
             for i, (I, poly) in enumerate(gens):
                 val = eval_bracket_poly(poly, mm, J)
                 if val != 0:

@@ -417,19 +417,16 @@ class MaximalMinors:
         self._rref: tuple[list[list[int]], list[int]] | None = None
         self.int_columns, self._factors = zip(*map(_clear, zip(*M.entries)))
 
-    def int_rows(self) -> Sequence[Sequence[int]]:
-        """The rows of `int_columns`, for `int_rref`. Scaling a column by a
-        nonzero constant changes no rank, so they have the rank of the matrix."""
-        return list(zip(*self.int_columns))
-
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
-        """`int_rref` of `int_rows`, computed once: (rows, 0-based pivots)."""
+        """`int_rref` of the rows of `int_columns`, computed once: (rows,
+        0-based pivots). Scaling a column by a nonzero constant changes no
+        rank and no pivot, so they are those of the matrix."""
         if self._rref is None:
-            self._rref = int_rref(self.int_rows(), self.matrix.field.p)
+            self._rref = int_rref(list(zip(*self.int_columns)), self.matrix.field.p)
         return self._rref
 
     def rank(self) -> int:
-        """Rank of the matrix, by `int_rref` on `int_rows` (computed once)."""
+        """Rank of the matrix, from the cached `_echelon` form."""
         return len(self._echelon()[1])
 
     def _int_minor(self, cols: Sequence[int]) -> int:

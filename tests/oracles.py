@@ -9,6 +9,8 @@ is the definition the window rank test of `wdn_membership` must reproduce.
 reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
 `head_general_position_oracle` ranks every (d+1)-subset of the head windows;
 it is the reference for the echelon-form test of `wdn_membership`'s early exit.
+`window_vanishes_oracle` eliminates each window's own coordinate block twice;
+it is the reference for the per-window test on the cached echelon form.
 `subconfig` restricts a configuration to a point subset, the reference for
 every pullback along a window.
 `strong_nondegeneracy_oracle` drops each point in turn and re-runs the rank
@@ -394,6 +396,27 @@ def head_general_position_oracle(p):
         for q in range(d + 4, n + 1)
         for S in combinations(tuple(range(1, d + 4)) + (q,), d + 1)
     )
+
+
+def window_vanishes_oracle(rows, p):
+    """True when every generator vanishes on the window with coordinate rows `rows`.
+
+    `rows` is the (d+1) x (d+4) coordinate matrix A of the window as ints
+    (denominator-cleared over Q, residues over F_p; p is None over Q). The
+    window vanishes when A has rank < d+1, or when the Gale points read off
+    A's own reduced echelon form lie on one conic: the free columns are the
+    coordinate points and the pivot column of row i is -(a_i0, a_i1, a_i2),
+    so the test is whether the (d+1) x 3 matrix of the products
+    (a_i0 a_i1, a_i0 a_i2, a_i1 a_i2) has rank <= 2. Two Gauss-Jordan
+    eliminations of the window's own block; the reference for the
+    echelon-form window test of `wdn_membership`.
+    """
+    a, pivots = int_rref(rows, p)
+    if len(pivots) < len(rows):
+        return True
+    f0, f1, f2 = (f for f in range(len(rows[0])) if f not in pivots)
+    products = [[r[f0] * r[f1], r[f0] * r[f2], r[f1] * r[f2]] for r in a]
+    return len(int_rref(products, p)[1]) <= 2
 
 
 def pairwise_duality_certificate(A, B):

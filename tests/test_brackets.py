@@ -30,7 +30,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import MaximalMinors, minor
+from veronese_kit.linalg import MaximalMinors, int_rank, minor
 
 from oracles import (
     head_general_position_oracle,
@@ -39,6 +39,7 @@ from oracles import (
     sign_cloud,
     subconfig,
     wdn_scan_oracle,
+    window_vanishes_oracle,
 )
 
 FP = Field.prime()
@@ -310,6 +311,43 @@ def test_head_general_position_matches_rank_oracle(field):
     assert seen == {True, False}
 
 
+def test_echelon_window_test_matches_the_window_oracle():
+    # every window of curve, chain, generic and height-2 random samples; a
+    # chain with d+4 points on its first component, which spans less than
+    # P^d, has rank-deficient windows. Over F_7 there are too few parameters
+    # for the curve and the crowded chain.
+    seen = set()
+    for field in (QQ, Field.prime(7), Field.prime(101), FP):
+        prime = field.p
+        for d, n in ((3, 8), (3, 9), (4, 10), (5, 11)):
+            degrees = CHAIN_DEGREES[d]
+            samples = [
+                sample_quasi_veronese_chain(field, d, n, degrees, seed=d, height=9)[1],
+                sample_generic(field, d, n, seed=d, height=3),
+            ]
+            samples += [random_config(field, d, n, random.Random(seed), height=2) for seed in range(3)]
+            if prime is None or prime > n:
+                samples.append(sample_on_rnc(field, d, n, seed=d, height=9))
+                counts = (d + 4, n - d - 4)
+                samples.append(sample_quasi_veronese_chain(field, d, n, degrees, seed=d, counts=counts)[1])
+            for p in samples:
+                mm = MaximalMinors(p.coords)
+                a, pivots = mm._echelon()
+                if len(pivots) <= d:
+                    continue  # wdn_membership tests no window of a degenerate sample
+                pivot_row = [pivots.index(c) if c in pivots else -1 for c in range(n)]
+                for J in combinations(range(n), d + 4):
+                    rows = list(zip(*(mm.int_columns[j] for j in J)))
+                    vanishes = brackets._echelon_window_vanishes(a, pivot_row, J, prime)
+                    assert vanishes == window_vanishes_oracle(rows, prime), (field, d, n, J)
+                    seen.add(vanishes)
+                    if int_rank(rows, prime) <= d:
+                        seen.add("rank-deficient T")
+                    if set(pivots) <= set(J):
+                        seen.add("empty T")
+    assert seen == {True, False, "rank-deficient T", "empty T"}
+
+
 @pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
 def test_head_windows_that_vanish_out_of_general_position_fall_back(field):
     # a generic sample with point j a copy of point i, both among the first
@@ -332,9 +370,9 @@ def test_head_windows_that_vanish_out_of_general_position_fall_back(field):
 
 def test_curve_is_decided_from_the_head_windows(monkeypatch):
     calls = []
-    window_vanishes = brackets._window_vanishes
+    window_vanishes = brackets._echelon_window_vanishes
     monkeypatch.setattr(
-        brackets, "_window_vanishes", lambda rows, prime: calls.append(1) or window_vanishes(rows, prime)
+        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
     )
     for field in (QQ, FP):
         for d, n in ((3, 14), (5, 14), (3, 40)):

@@ -182,9 +182,9 @@ def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
     # a chain is not in general position; its head windows vanish and
     # C(30, 7) - 24 windows would be left, so no window past the head is tested
     calls = []
-    window_vanishes = brackets._window_vanishes
+    window_vanishes = brackets._echelon_window_vanishes
     monkeypatch.setattr(
-        brackets, "_window_vanishes", lambda rows, prime: calls.append(1) or window_vanishes(rows, prime)
+        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
     )
     res = run(["sample", "--family", "chain", "--d", "3", "--n", "30", "--degrees", "2,1", "--seed", "1"])
     code, doc = run_json(["eval"], input=res.output)
