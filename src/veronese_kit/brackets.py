@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
 from .errors import BudgetExceededError, ShapeError
 from .fields import Scalar
-from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, complement, int_rref, s_index
+from .linalg import IndexSet, MaximalMinors, Matrix, _scalar, as_index_set, complement, int_rref, s_index
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
@@ -213,6 +213,45 @@ def eval_bracket_poly(
             term = f.mul(term, mm.get(F if J is None else [J[i - 1] for i in F]))
         total = f.add(total, term)
     return total
+
+
+@lru_cache(maxsize=None)
+def _degrees(P: BracketPolynomial) -> tuple[int, ...]:
+    """How often each index 1..P.ground occurs in a term of P. Every term
+    must give the same counts (P is multihomogeneous, as every generator is);
+    otherwise this raises ShapeError."""
+    counts = {
+        tuple(sum(i in F for F in factors) for i in range(1, P.ground + 1)) for _, factors in P.terms
+    }
+    if len(counts) > 1:
+        raise ShapeError(f"{format_bracket_poly(P)} is not multihomogeneous")
+    return counts.pop() if counts else (0,) * P.ground
+
+
+def _eval_on_echelon(
+    P: BracketPolynomial, mm: MaximalMinors, window: Sequence[int], minors: dict[IndexSet, int]
+) -> Scalar:
+    """`eval_bracket_poly(P, mm, J)` for the 0-based window J - 1, on core ints.
+
+    Each bracket F is `mm._echelon_minor` of the window columns it names,
+    kept in `minors` (keyed by F, so one dict serves one window). The sum of
+    coef * prod m_F is mapped back once by `_scalar`: over Q every term
+    carries the clearing factor of each window column to the power of that
+    column's degree in P (`_degrees`), so the sum is divided by that product.
+    """
+    total = 0
+    for coef, factors in P.terms:
+        term = coef
+        for F in factors:
+            m = minors.get(F)
+            if m is None:
+                m = minors[F] = mm._echelon_minor([window[i - 1] for i in F])
+            term *= m
+            if not term:
+                break
+        total += term
+    scale = prod([mm._factors[c] ** e for c, e in zip(window, _degrees(P))])
+    return _scalar(mm.matrix.field, total, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +482,11 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
                             f"over the budget of {WINDOW_SCAN_BUDGET}"
                         )
                 continue
-            J = tuple(i + 1 for i in J0)
+            minors: dict[IndexSet, int] = {}
             for i, (I, poly) in enumerate(gens):
-                val = eval_bracket_poly(poly, mm, J)
+                val = _eval_on_echelon(poly, mm, J0, minors)
                 if val != 0:
-                    witness = (I, J, val)
+                    witness = (I, tuple(i + 1 for i in J0), val)
                     checked = j * len(gens) + i + 1
                     break
             if witness is not None:

@@ -150,6 +150,13 @@ def random_config(field: Field, d: int, n: int, rng, height: int = 100) -> Point
 
 
 def _distinct_affine_params(field: Field, count: int, rng, height: int) -> list[tuple[Scalar, Scalar]]:
+    """`count` parameters (1, a) with distinct seeded a. `random_scalar`
+    draws from p values over F_p and 2 height + 1 over Q; a larger `count`
+    is a ShapeError, raised before anything is drawn."""
+    values = field.p or max(2 * height + 1, 0)
+    if count > values:
+        source = field if field.p else f"height {height}"
+        raise ShapeError(f"cannot draw {count} distinct affine parameters: {source} gives only {values}")
     seen: set = set()
     out: list[tuple[Scalar, Scalar]] = []
     budget = RETRY_BUDGET * count + RETRY_BUDGET

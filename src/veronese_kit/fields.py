@@ -167,7 +167,12 @@ class Field:
         return int(x)
 
     def scalar_from_json(self, v) -> Scalar:
+        """The canonical scalar of a JSON value. Over Q a plain ASCII integer
+        string (-?[0-9]+) is read by `int`; every other string goes through
+        `Fraction`, which decides what is accepted and the error text."""
         if self.kind == "Q":
+            if type(v) is str and v.isascii() and (v[1:] if v[:1] == "-" else v).isdigit():
+                return Fraction(int(v))
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise TypeError(f"Q scalar must be a fraction string or int, got {v!r}")
             return Fraction(v)

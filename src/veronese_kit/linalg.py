@@ -6,7 +6,8 @@ forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
 Gauss-Jordan (`int_rref`) for echelon forms. `certified_rank` reads a rank
 over Q from a modular rank when known kernel vectors cap it.
 `MaximalMinors.get` reads one maximal minor as one determinant;
-`MaximalMinors.vector` reads all of them from a single echelon form.
+`MaximalMinors._echelon_minor` reads one from the cached echelon form by a
+small determinant of its rows, and `MaximalMinors.vector` all of them.
 
 The integer view is decided in one place. `_clear` turns a row or column
 of scalars into core ints and a clearing factor m: over Q (`Fraction`
@@ -14,7 +15,9 @@ entries) the entries times the lcm m of their denominators, over F_p (ints
 in [0, p)) the residues themselves with m = 1. `Field.p` is the core's
 modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
 turns a core int back into a field scalar. `det`, `rank` and `rref` clear
-rows; `MaximalMinors` clears columns.
+rows; `MaximalMinors` clears columns. `Matrix(...)` normalizes its entries;
+`Matrix._trusted` takes entries that are canonical already (copies, `rref`
+results, decoded documents) as they are.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -78,7 +81,9 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
-        rows = tuple(tuple(field.normalize(x) for x in row) for row in entries)
+        self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
+
+    def _set(self, field: Field, rows: tuple[tuple[Scalar, ...], ...]) -> None:
         if not rows or not rows[0]:
             raise ShapeError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -95,13 +100,16 @@ class Matrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
+        """A matrix of rows whose entries are already canonical scalars of
+        `field`, taken as they are: the shape is checked, nothing normalized."""
+        m = object.__new__(cls)
+        m._set(field, tuple(map(tuple, rows)))
+        return m
+
+    @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(c) for c in columns]
-        if not cols or not cols[0]:
-            raise ShapeError("need at least one nonempty column")
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise ShapeError("ragged columns")
-        return cls(field, list(zip(*cols)))
+        return cls(field, _columns_to_rows(columns))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -144,13 +152,13 @@ class Matrix:
     # -- structural ops --------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)))
+        return Matrix._trusted(self.field, zip(*self.entries))
 
     def submatrix(self, row_set: Iterable[int], col_set: Iterable[int]) -> "Matrix":
         """Select rows and columns by 1-based index sets."""
         ri = as_index_set(row_set, ground=self.rows)
         ci = as_index_set(col_set, ground=self.cols)
-        return Matrix(self.field, [[self.entries[i - 1][j - 1] for j in ci] for i in ri])
+        return Matrix._trusted(self.field, [[self.entries[i - 1][j - 1] for j in ci] for i in ri])
 
     def select_columns(self, col_set: Iterable[int]) -> "Matrix":
         return self.submatrix(range(1, self.rows + 1), col_set)
@@ -159,7 +167,7 @@ class Matrix:
         require_same_field(self.field, other.field, "hstack operands")
         if self.rows != other.rows:
             raise ShapeError("hstack needs equal row counts")
-        return Matrix(self.field, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix._trusted(self.field, [a + b for a, b in zip(self.entries, other.entries)])
 
     def matmul(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field, "matmul operands")
@@ -167,6 +175,17 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         ot = list(zip(*other.entries))
         return Matrix(self.field, [[sum(map(mul, row, col)) for col in ot] for row in self.entries])
+
+
+def _columns_to_rows(columns: Sequence[Sequence]) -> list[tuple]:
+    """The rows of the matrix with these columns; raises ShapeError when
+    there is no nonempty column or the columns are ragged."""
+    cols = [tuple(c) for c in columns]
+    if not cols or not cols[0]:
+        raise ShapeError("need at least one nonempty column")
+    if any(len(c) != len(cols[0]) for c in cols):
+        raise ShapeError("ragged columns")
+    return list(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +310,7 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     # the reduced form, D its last pivot (1 over F_p)
     a, piv = int_rref([_clear(row)[0] for row in M.entries], M.field.p)
     D = a[len(piv) - 1][piv[-1]] if piv else 1
-    return Matrix(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
+    return Matrix._trusted(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
 
 
 def int_rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
@@ -389,7 +408,7 @@ def _kernel_from_rref(R: Matrix, pivots: Sequence[int]) -> Matrix:
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(R.entries[i][fc])
         basis.append(v)
-    return Matrix(f, basis)
+    return Matrix._trusted(f, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +424,8 @@ class MaximalMinors:
     the residues over F_p), `_factors` their clearing factors (1 over F_p).
     `get` computes one minor on first use by `_bareiss_det_int` on the int
     columns and divides their factors back out, so values match `minor`
-    exactly. `vector` reads every minor from one echelon form instead.
+    exactly. `vector` reads every minor from one echelon form instead, and
+    `_echelon_minor` one int minor from it, both through `_pivot_scale`.
     """
 
     def __init__(self, M: Matrix):
@@ -415,6 +435,7 @@ class MaximalMinors:
         self.width = M.rows
         self._cache: dict[IndexSet, Scalar] = {}
         self._rref: tuple[list[list[int]], list[int]] | None = None
+        self._scale: int | None = None
         self.int_columns, self._factors = zip(*map(_clear, zip(*M.entries)))
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
@@ -432,6 +453,45 @@ class MaximalMinors:
     def _int_minor(self, cols: Sequence[int]) -> int:
         """Unreduced Bareiss determinant of the int columns `cols` (0-based)."""
         return _bareiss_det_int(list(zip(*[self.int_columns[j] for j in cols])))
+
+    def _pivot_scale(self) -> int:
+        """det(A_P) / D, computed once: A_P the int columns at the pivots P of
+        the full-rank `_echelon` form, D its last pivot (exact over Q; mod p
+        over F_p, where D = 1). Every minor read from the echelon form is
+        this times a minor of the echelon rows."""
+        if self._scale is None:
+            a, pivots = self._echelon()
+            g = self._int_minor(pivots)
+            prime = self.matrix.field.p
+            self._scale = g % prime if prime else g // a[-1][pivots[-1]]
+        return self._scale
+
+    def _echelon_minor(self, cols: Sequence[int]) -> int:
+        """The maximal minor of the int columns `cols` (0-based, increasing),
+        read from `_echelon` by the formula of `vector`: (-1)^e det(A_P)
+        minor_{R,C}(a) / D^|C|, with the one small determinant minor_{R,C}
+        of the echelon rows a (C the columns of `cols` off the pivots, R the
+        rows whose pivot is not in `cols`). Equals `_int_minor(cols)` over Q
+        and is reduced mod p over F_p; 0 when the matrix is rank-deficient."""
+        a, pivots = self._echelon()
+        if len(pivots) < self.width:
+            return 0
+        rows = list(range(self.width))
+        free = []
+        e = 0
+        for t, c in enumerate(cols):
+            if c in pivots:
+                r = pivots.index(c)
+                rows.remove(r)
+                e += t + r
+            else:
+                free.append(c)
+        D = a[-1][pivots[-1]]
+        # a minor of size s of the echelon rows is divisible by D^(s-1) (Sylvester)
+        v = _bareiss_det_int([[a[r][c] for c in free] for r in rows]) // D ** (len(free) - 1) if free else D
+        v *= -self._pivot_scale() if e % 2 else self._pivot_scale()
+        prime = self.matrix.field.p
+        return v % prime if prime else v
 
     def get(self, J: Iterable[int]) -> Scalar:
         J = as_index_set(J, ground=self.matrix.cols, size=self.width)
@@ -494,9 +554,7 @@ class MaximalMinors:
                             total += -v if neg else v
                         neg = not neg
                     minors[cbits | rbits] = total % prime if prime else total // D
-        # the global sign and scale come from one determinant
-        g = self._int_minor(pivots)
-        g = g % prime if prime else g // D
+        g = self._pivot_scale()
         # the key of each J, with bit n set when e is odd
         odd = 1 << n
         keys = _lex_subset_folds(

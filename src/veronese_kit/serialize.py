@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from .configurations import PointConfiguration, make_config
+from .configurations import PointConfiguration
 from .fields import Field
+from .linalg import Matrix, _columns_to_rows
 
 
 def field_to_json(f: Field) -> Any:
@@ -75,7 +76,8 @@ def config_from_json(doc: dict) -> PointConfiguration:
         if not isinstance(col, list) or len(col) != d + 1:
             raise ValueError(f"column {j} must be a list of {d + 1} coordinates, got {col!r}")
         parsed.append([_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)])
-    return make_config(f, d, n, parsed)
+    # every scalar is canonical already; only the shape is left to check
+    return PointConfiguration(f, d, n, Matrix._trusted(f, _columns_to_rows(parsed)))
 
 
 def _scalar_from_json(f: Field, x: Any, j: int, i: int):

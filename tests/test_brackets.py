@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +30,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import MaximalMinors, int_rank, minor
+from veronese_kit.linalg import MaximalMinors, _scalar, int_rank, minor
 
 from oracles import (
     head_general_position_oracle,
@@ -108,6 +108,8 @@ def test_multidegree_rejects_mixed_terms():
     p = BracketPolynomial(4, 2, [(1, [(1, 2), (1, 2)]), (1, [(1, 2), (3, 4)])])
     with pytest.raises(ValueError):
         multidegree(p)
+    with pytest.raises(ShapeError, match="not multihomogeneous"):
+        brackets._degrees(p)
 
 
 def test_relabel_moves_indices():
@@ -153,6 +155,9 @@ def test_psi_pattern_multidegree():
     assert deg == (2, 2, 2, 2, 2, 2, 4)
     deg2 = multidegree(psi_pattern(4, (1, 2, 4, 5, 7, 8)))
     assert deg2 == tuple(2 if i in (1, 2, 4, 5, 7, 8) else 4 for i in range(1, 9))
+    for d in range(2, 7):
+        for _, P in psi_generators(d):
+            assert brackets._degrees(P) == multidegree(P)
 
 
 def test_psi_generators_enumeration():
@@ -348,6 +353,50 @@ def test_echelon_window_test_matches_the_window_oracle():
     assert seen == {True, False, "rank-deficient T", "empty T"}
 
 
+def test_echelon_brackets_match_eval_bracket_poly():
+    # every maximal minor through `_echelon_minor` against `MaximalMinors.get`,
+    # and every generator on every window through `_eval_on_echelon` against
+    # `eval_bracket_poly`, on curve, chain, generic, degenerate and height-2
+    # random samples; over F_7 there are too few parameters for the curve.
+    # Brackets holding no pivot (|C| = d + 1) occur at d = 3 and 4, where
+    # there are d + 1 free columns.
+    sizes = set()
+    no_pivot = set()
+    for field in (QQ, Field.prime(7), Field.prime(101), FP):
+        for d, n in ((3, 8), (4, 10), (5, 11)):
+            samples = [
+                sample_quasi_veronese_chain(field, d, n, CHAIN_DEGREES[d], seed=d, height=9)[1],
+                sample_generic(field, d, n, seed=d, height=3),
+                sample_degenerate(field, d, n, seed=d, height=5),
+            ]
+            samples += [random_config(field, d, n, random.Random(seed), height=2) for seed in range(2)]
+            if field.p is None or field.p > n:
+                samples.append(sample_on_rnc(field, d, n, seed=d, height=9))
+            if field.p is None:
+                # columns with denominators, so every clearing factor is > 1
+                cols = samples[1].points()
+                samples.append(make_config(field, d, n, [[x / (j + 2) for x in c] for j, c in enumerate(cols)]))
+            gens = psi_generators(d)
+            for p in samples:
+                mm = MaximalMinors(p.coords)
+                ref = MaximalMinors(p.coords)
+                pivots = mm._echelon()[1] if mm.rank() > d else []
+                for F in combinations(range(n), d + 1):
+                    value = _scalar(field, mm._echelon_minor(F), prod(mm._factors[c] for c in F))
+                    assert value == ref.get([c + 1 for c in F]), (field, d, n, F)
+                    C = set(F) - set(pivots)
+                    sizes.add(len(C) if pivots else "rank-deficient")
+                    if pivots and len(C) == d + 1:
+                        no_pivot.add(d)
+                for J in combinations(range(n), d + 4):
+                    minors = {}
+                    J1 = [c + 1 for c in J]
+                    for I, poly in gens:
+                        value = brackets._eval_on_echelon(poly, mm, J, minors)
+                        assert value == eval_bracket_poly(poly, ref, J1), (field, d, n, J, I)
+    assert sizes == set(range(6)) | {"rank-deficient"} and no_pivot == {3, 4}
+
+
 @pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
 def test_head_windows_that_vanish_out_of_general_position_fall_back(field):
     # a generic sample with point j a copy of point i, both among the first
@@ -446,8 +495,11 @@ def test_rational_verdict_reduces_mod_p(config, prime):
 
 
 def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
+    # every way to a generator value or a single bracket records a call
     calls = []
+    monkeypatch.setattr(brackets, "_eval_on_echelon", lambda *a, **k: calls.append("eval"))
     monkeypatch.setattr(brackets, "eval_bracket_poly", lambda *a, **k: calls.append("eval"))
+    monkeypatch.setattr(MaximalMinors, "_echelon_minor", lambda self, cols: calls.append(("minor", cols)))
     monkeypatch.setattr(MaximalMinors, "get", lambda self, J: calls.append(("get", J)))
     for field in (QQ, FP):
         rep = wdn_membership(sample_on_rnc(field, 4, 10, seed=2))

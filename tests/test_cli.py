@@ -252,6 +252,43 @@ def test_sample_chain_needs_degrees():
     assert doc["payload"]["descriptor"]["degrees"] == [2, 1]
 
 
+def test_more_distinct_parameters_than_values_is_a_shape_error():
+    # F_7 has 7 affine parameters and height 2 gives 5; asking for more exits
+    # 2 before any draw, while exactly as many still samples
+    for args, message in [
+        (["sample", "--family", "rnc", "--d", "3", "--n", "9", "--field", "Fp:7"], "F_7 gives only 7"),
+        (["sample", "--family", "rnc", "--d", "3", "--n", "8", "--field", "Fp:7"], "F_7 gives only 7"),
+        (["sample", "--family", "rnc", "--d", "3", "--n", "6", "--field", "Q", "--height", "2"], "height 2 gives only 5"),
+        (["sample", "--family", "chain", "--d", "3", "--n", "16", "--degrees", "2,1", "--field", "Fp:7"], "F_7 gives only 7"),
+        (["dim", "--d", "1", "--n", "8", "--field", "Fp:7"], "F_7 gives only 7"),
+    ]:
+        code, doc = run_json(args)
+        assert code == 2 and doc["status"] == "PreconditionFailed", args
+        assert doc["payload"]["error"].endswith(message), args
+    code, doc = run_json(["sample", "--family", "rnc", "--d", "3", "--n", "7", "--field", "Fp:7"])
+    assert code == 0 and len(doc["payload"]["config"]["columns"]) == 7
+
+
+def test_eval_echoes_q_coordinates_in_canonical_form():
+    doc = {"field": "Q", "d": 3, "n": 1, "columns": [[" 3", "+4", "1_0", "6/4"]]}
+    code, out = run_json(["eval"], input=json.dumps(doc))
+    assert code == 0 and out["payload"]["config"]["columns"] == [["3", "4", "10", "3/2"]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"field": "Q", "d": 2, "n": 0, "columns": []}, "need at least one nonempty column"),
+        ({"field": {"Fp": 7}, "d": -1, "n": 2, "columns": [[], []]}, "need at least one nonempty column"),
+        ({"field": "Q", "d": 0, "n": 2, "columns": [["1"], ["2"]]}, "d must be >= 1, got 0"),
+        ({"field": "Q", "d": 2, "n": 2, "columns": [["0", "0", "0"], ["1", "2", "3"]]}, "point 1 has all-zero coordinates"),
+    ],
+)
+def test_eval_rejects_empty_and_zero_shapes(doc, message):
+    code, out = run_json(["eval"], input=json.dumps(doc))
+    assert code == 2 and out["payload"]["error"] == message
+
+
 def test_sample_output_is_byte_stable():
     args = ["sample", "--family", "generic", "--d", "2", "--n", "6", "--seed", "7"]
     assert run(args).output == run(args).output

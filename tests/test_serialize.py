@@ -4,6 +4,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veronese_kit.configurations import make_config, sample_generic
 from veronese_kit.fields import Field, QQ
@@ -97,3 +99,48 @@ def test_bracket_poly_json_shape():
     assert [t["coef"] for t in doc["terms"]] == [1, -1]
     assert doc["terms"][0]["factors"][0] == [1, 2, 3]
     assert doc["text"].startswith("+ |1 2 3|")
+
+
+def _fraction_decode(v):
+    """Reference Q decoding: every string through `Fraction`."""
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise TypeError(f"Q scalar must be a fraction string or int, got {v!r}")
+    return Fraction(v)
+
+
+def _outcome(decode, v):
+    try:
+        x = decode(v)
+    except Exception as e:
+        return type(e), str(e)
+    return type(x), x
+
+
+# ASCII and non-ASCII digits (the superscript is a digit `int` refuses),
+# signs, whitespace, underscores, fraction bars, decimal points, exponents
+_PIECES = ["0", "7", "12", "007", "\u0663", "\uff10", "\u00b2", "\u07c0", "-", "+", " ", "\t", "\n",
+           "\u00a0", "\u2003", "_", "/", ".", "e", "E", "x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=8).map("".join),
+        st.text(max_size=6),
+        st.integers(),
+        st.booleans(),
+        st.floats(),
+        st.none(),
+    )
+)
+@example("")
+@example("-")
+@example("-0")
+@example(" 3")
+@example("+4")
+@example("1_0")
+@example("6/4")
+@example("1/0")
+@example("9" * 5000)
+def test_q_decoding_matches_fraction(v):
+    assert _outcome(QQ.scalar_from_json, v) == _outcome(_fraction_decode, v)
