@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
@@ -433,50 +436,77 @@ def sample_quasi_veronese_chain(
 # ---------------------------------------------------------------------------
 
 
-def _chart_jacobian(field: Field, d: int, g_vals: Sequence, t_vals: Sequence) -> Optional[list[list[Scalar]]]:
-    """Jacobian rows of (g, t) -> (y_r / y_0 for r = 1..d, for each point).
+def _left_kernel_band(d: int, t: Sequence[int], y0: Sequence[int], p: int | None) -> list[list[int]]:
+    """The banded left kernel of D_0 V, D_0 = diag(y0) and V the n x (d+1)
+    Vandermonde matrix of the points t, as n - d - 1 bands of d + 2 ints.
 
-    Point i is y = g . (1, t_i, ..., t_i^d), with g given row-major in
-    `g_vals`; the columns are the entries g_rk in that order, then t_1..t_n.
-    With y' = g . (0, 1, 2 t_i, ..., d t_i^(d-1)), the row of y_r / y_0 holds
-    t_i^k / y_0 at g_rk, -y_r t_i^k / y_0^2 at g_0k and
-    (y_r' y_0 - y_r y_0') / y_0^2 at t_i; every other entry is 0.
-    Returns None when some y_0 is 0, i.e. a point lies off the affine chart.
+    Band j holds row j of U in the window W = (j, ..., j + d + 1): the entry at
+    i in W is (-1)^pos(i) vdm(t_{W-i}) prod_{l in W-i} y0(l), pos(i) = i - j and
+    vdm the Vandermonde determinant prod_{a<b} (t_b - t_a). Then
+    u_i y0(i) t_i^k summed over W is prod_W y0 times the expansion of a
+    determinant whose first column repeats column k of the Vandermonde
+    matrix of t_W, so it is 0. The last entry of band j is nonzero for
+    distinct t and nonzero y0, so the rows are independent. Entries are
+    reduced mod p when p is given.
     """
-    f = field
+    bands = []
+    for j in range(len(t) - d - 1):
+        W = range(j, j + d + 2)
+        band = []
+        for i in W:
+            rest = [l for l in W if l != i]
+            u = prod([t[b] - t[a] for a, b in combinations(rest, 2)]) * prod([y0[l] for l in rest])
+            u = -u if (i - j) % 2 else u
+            band.append(u % p if p else u)
+        bands.append(band)
+    return bands
+
+
+def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None) -> Optional[list[list[int]]]:
+    """The d (n-d-1) rows of S in `dimension_estimate`, over the columns
+    g_0.0..g_0.d, t_1..t_n: U X_r for r = 1..d, U from `_left_kernel_band`.
+
+    g holds the (d+1) x (d+1) matrix row-major and t the n distinct
+    parameters, as ints (reduced mod p when p is given, as is S). S is empty
+    when n <= d + 1. Returns None when some y_0 is 0 (mod p), i.e. a point
+    lies off the affine chart.
+    """
     w = d + 1
-    ng = w * w
-    g = [g_vals[r * w : (r + 1) * w] for r in range(w)]
-    rows: list[list[Scalar]] = []
-    for i, t in enumerate(t_vals):
-        mom = [f.pow(t, k) for k in range(w)]
-        dmom = [f.zero] + [f.mul(k, mom[k - 1]) for k in range(1, w)]
-        y = [f.normalize(sum(a * b for a, b in zip(gr, mom))) for gr in g]
-        dy = [f.normalize(sum(a * b for a, b in zip(gr, dmom))) for gr in g]
-        if y[0] == 0:
+    rows_g = [g[r * w : (r + 1) * w] for r in range(w)]
+    moms, ys, cs = [], [], []
+    for x in t:
+        mom = [x**k % p if p else x**k for k in range(w)]
+        dmom = [0] + [k * mom[k - 1] for k in range(1, w)]
+        y = [sum(map(mul, gr, mom)) for gr in rows_g]
+        if (y[0] % p if p else y[0]) == 0:
             return None
-        inv = f.inv(y[0])
-        inv2 = f.mul(inv, inv)
-        for r in range(1, w):
-            row = [f.zero] * (ng + len(t_vals))
-            c = f.neg(f.mul(y[r], inv2))
-            for k in range(w):
-                row[k] = f.mul(c, mom[k])
-                row[r * w + k] = f.mul(mom[k], inv)
-            row[ng + i] = f.mul(f.sub(f.mul(dy[r], y[0]), f.mul(y[r], dy[0])), inv2)
-            rows.append(row)
-    return rows
+        dy = [sum(map(mul, gr, dmom)) for gr in rows_g]
+        moms.append(mom)
+        ys.append(y)
+        cs.append([dy[r] * y[0] - y[r] * dy[0] for r in range(w)])
+    n = len(t)
+    bands = _left_kernel_band(d, t, [y[0] for y in ys], p)
+    # the columns of V on the window of each band
+    windows = [list(zip(*moms[j : j + w + 1])) for j in range(len(bands))]
+    S = []
+    for r in range(1, w):
+        for j, (band, cols) in enumerate(zip(bands, windows)):
+            uy = [u * y[r] for u, y in zip(band, ys[j:])]
+            row = [-sum(map(mul, uy, col)) for col in cols] + [0] * j
+            row += [u * c[r] for u, c in zip(band, cs[j:])] + [0] * (n - j - w - 1)
+            S.append([x % p for x in row] if p else row)
+    return S
 
 
 def _gl2_kernel(d: int, g_vals: Sequence, t_vals: Sequence) -> list[list]:
-    """The four gl_2 kernel vectors of the `_chart_jacobian` rows at (g, t),
-    as listed in `dimension_estimate`.
+    """The four gl_2 kernel vectors of the chart Jacobian at (g, t), as
+    listed in `dimension_estimate`, over the columns g_rk row-major, then t.
 
     A direction (dg, dt) moves point i by dg . m(t_i) + dt_i g . m'(t_i),
     m(t) = (1, t, ..., t^d). Translation and dilation do not move the points,
     inversion moves point i by d t_i times itself and scaling by itself, so
     no chart coordinate y_r / y_0 moves. Entries are plain products of the
-    scalars; `Matrix` normalizes them.
+    scalars, ints for int (g, t).
     """
     w = d + 1
     g = list(g_vals)
@@ -495,13 +525,14 @@ def dimension_estimate(
     field: Field | None = None,
     height: int = 100,
 ) -> int:
-    """Rank of the exact Jacobian of (g, t) -> curve configuration at a random point.
+    """Rank of the exact Jacobian J of (g, t) -> curve configuration at a random point.
 
     The map sends a (d+1) x (d+1) matrix g and parameters t_1..t_n to the
-    affine-chart coordinates of the n points g . moment(t_i). For generic
-    inputs the rank equals the dimension of the closure of its image. Its
-    fibre is the 4-dimensional gl_2 action, so the Jacobian has these four
-    kernel vectors, in the columns g_rk row-major, then t_1..t_n:
+    affine-chart coordinates y_r / y_0 (r = 1..d) of the n points
+    y = g . m(t_i), m(t) = (1, t, ..., t^d). For generic inputs the rank
+    equals the dimension of the closure of its image. Its fibre is the
+    4-dimensional gl_2 action, so J has these four kernel vectors, in the
+    columns g_rk row-major, then t_1..t_n (`_gl2_kernel`):
     - translation (-g A1, 1, ..., 1), (g A1)[r][k] = (k+1) g[r][k+1];
     - dilation (-g A2, t_1, ..., t_n), (g A2)[r][k] = k g[r][k];
     - inversion (-g A3, t_1^2, ..., t_n^2), (g A3)[r][k] = (k-1-d) g[r][k-1];
@@ -510,21 +541,49 @@ def dimension_estimate(
     agree at n = d + 3, since d n - (d^2 + 2d + n - 3) = (d-1)(n-d-3); the
     formula holds from there on.
 
-    The rows come in closed form from `_chart_jacobian`, the kernel vectors
-    from `_gl2_kernel`, and `certified_rank` reads the rank from a modular
-    rank capped by them, eliminating over Q only when the two miss. A draw
-    that puts a point outside the affine chart (leading coordinate zero) is
-    redrawn with fresh randomness, up to a budget.
+    The rank is read from the blocks of J. Scale the row of y_r / y_0 at
+    point i by y_0(i)^2, which is nonzero. With y' = g . m'(t_i), the row
+    then holds -y_r m(t_i) at the columns g_0., y_0 m(t_i) at g_r. and
+    c_r(i) = y_r' y_0 - y_r y_0' at t_i. So the rows of block r (one per
+    point) are [D_0 V at the columns g_r. | X_r at the columns (g_0., t)],
+    D_0 = diag(y_0(i)), V the Vandermonde matrix of the t_i,
+    X_r = [-Y_r V | diag(c_r)] and Y_r = diag(y_r(i)), and the columns g_r.
+    (r >= 1) are zero outside block r. Since the t_i are distinct, D_0 V has
+    rank min(n, d+1):
+    - n <= d + 1: each block has rank n in its own columns g_r., so
+      rank J = d n;
+    - n > d + 1: the n - d - 1 rows of U (`_left_kernel_band`) span the left
+      kernel of D_0 V. Left-multiply each block by an invertible matrix whose
+      last rows are U: its first d + 1 rows map D_0 V to an invertible
+      block, U maps it to 0 and X_r to U X_r. Column operations with the
+      invertible blocks, whose columns g_r. meet no other rows, clear the
+      rest of their rows, so rank J = d (d+1) + rank S, S the stack of the
+      U X_r (`_schur_complement`).
+    No entry needs an inverse: g and t are integer draws over Q and residues
+    over F_p. The restricted gl_2 vectors (their g_0. and t entries)
+    annihilate S, because they annihilate J and U D_0 V = 0; over Q
+    `certified_rank` reads rank S from a modular rank capped by them,
+    eliminating over Q only when the two miss. A draw that puts a point
+    outside the affine chart (leading coordinate zero) is redrawn with fresh
+    randomness, up to a budget.
     """
     if d < 1 or n < 1:
         raise ShapeError(f"need d >= 1 and n >= 1, got ({d}, {n})")
     if field is None:
         field = Field.prime()
     rng = random.Random(seed)
+    w = d + 1
     for _ in range(RETRY_BUDGET):
-        g_vals = [field.random_scalar(rng, height) for _ in range((d + 1) * (d + 1))]
+        g_vals = [field.random_scalar(rng, height) for _ in range(w * w)]
         t_vals = [a for (_, a) in _distinct_affine_params(field, n, rng, height)]
-        rows = _chart_jacobian(field, d, g_vals, t_vals)
-        if rows is not None:
-            return certified_rank(Matrix(field, rows), Matrix(field, _gl2_kernel(d, g_vals, t_vals)))
+        # integer draws over Q, residues over F_p
+        g = [x.numerator for x in g_vals]
+        t = [x.numerator for x in t_vals]
+        S = _schur_complement(d, g, t, field.p)
+        if S is None:
+            continue
+        if not S:
+            return d * n
+        kernel = [v[:w] + v[w * w :] for v in _gl2_kernel(d, g, t)]
+        return d * w + certified_rank(S, kernel, field.p)
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")

@@ -31,7 +31,9 @@ from .linalg import (
     IndexSet,
     MaximalMinors,
     Matrix,
+    _clear,
     _kernel_from_rref,
+    _orthogonal,
     kernel_basis,
     rref,
 )
@@ -107,8 +109,10 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     """Verify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
 
     Each side's minors come from one echelon form (`MaximalMinors.vector`),
-    which also gives its rank. Pairings of more than `DUALITY_PAIR_BUDGET`
-    index sets raise BudgetExceededError before any elimination.
+    which also gives its rank. A B^t = 0 is checked on the cleared int rows
+    (`linalg._clear`), mod p over F_p. Pairings of more than
+    `DUALITY_PAIR_BUDGET` index sets raise BudgetExceededError before any
+    elimination.
     """
     require_same_field(A.field, B.field, "Gale pair")
     n = A.cols
@@ -123,7 +127,8 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
             f"the certificate of a {k} x {n} matrix pairs {count} minors, "
             f"over the budget of {DUALITY_PAIR_BUDGET}"
         )
-    if not A.matmul(B.transpose()).is_zero():
+    # scaling rows by their nonzero clearing factors keeps A B^t = 0 or not
+    if not _orthogonal((_clear(r)[0] for r in A.entries), [_clear(r)[0] for r in B.entries], A.field.p):
         raise NotAGalePairError("A B^t != 0")
     ma, mb = MaximalMinors(A), MaximalMinors(B)
     if ma.rank() < A.rows or mb.rank() < B.rows:

@@ -3,8 +3,9 @@
 Every determinant, rank, echelon form and minor runs on one exact core of
 plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants,
 forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
-Gauss-Jordan (`int_rref`) for echelon forms. `certified_rank` reads a rank
-over Q from a modular rank when known kernel vectors cap it.
+Gauss-Jordan (`int_rref`) for echelon forms. `certified_rank` reads the
+rank of int rows over Q from a modular rank when known kernel vectors cap
+it.
 `MaximalMinors.get` reads one maximal minor as one determinant;
 `MaximalMinors._echelon_minor` reads one from the cached echelon form by a
 small determinant of its rows, and `MaximalMinors.vector` all of them.
@@ -350,33 +351,35 @@ def rank(M: Matrix) -> int:
     return int_rank([_clear(row)[0] for row in M.entries], M.field.p)
 
 
+def _orthogonal(rows: Iterable[Sequence[int]], others: Sequence[Sequence[int]], p: int | None) -> bool:
+    """True when every int row is orthogonal to every row of `others`,
+    exactly over Q (p None) and mod p over F_p."""
+    dots = (sum(map(mul, a, b)) for a in rows for b in others)
+    return not any(x % p for x in dots) if p else not any(dots)
+
+
 #: The prime 2^31 - 1, modulus of the lower bound in `certified_rank`.
 CERT_PRIME = (1 << 31) - 1
 
 
-def certified_rank(M: Matrix, kernel: Matrix) -> int:
-    """Rank of M, read from two bounds that meet when the rows of `kernel`
-    span the right kernel of M.
+def certified_rank(rows: list[list[int]], kernel: list[list[int]], p: int | None) -> int:
+    """Rank of nonempty int rows over Q (p None) or mod p, read over Q from
+    two bounds that meet when the int rows `kernel` span their right kernel.
 
-    Over F_p this is `rank(M)`. Over Q, on the cleared rows of M:
+    Mod p this is `int_rank(rows, p)`. Over Q:
     - the rank mod `CERT_PRIME` is a lower bound, since a minor that is
       nonzero mod a prime is nonzero over Z;
-    - once every row annihilates every row of `kernel` exactly, rank M is at
-      most min(rows, cols - rank K), and rank K is at least its rank mod
+    - once every row annihilates every row of `kernel` exactly, the rank is
+      at most min(rows, cols - rank K), and rank K is at least its rank mod
       `CERT_PRIME`, which gives the upper bound.
     When the bounds meet they are the rank; otherwise the rank comes from
     exact elimination. A wrong `kernel` costs that fallback, never a wrong
     rank, and no elimination here runs over Q unless the bounds miss.
     """
-    require_same_field(M.field, kernel.field, "certified_rank operands")
-    if M.field.p is not None:
-        return rank(M)
-    rows = [_clear(row)[0] for row in M.entries]
+    if p is not None:
+        return int_rank(rows, p)
     low = int_rank(rows, CERT_PRIME)
-    K = [_clear(v)[0] for v in kernel.entries]
-    if all(not sum(map(mul, row, v)) for row in rows for v in K) and low == min(
-        M.rows, M.cols - int_rank(K, CERT_PRIME)
-    ):
+    if _orthogonal(rows, kernel, None) and low == min(len(rows), len(rows[0]) - int_rank(kernel, CERT_PRIME)):
         return low
     return int_rank(rows)
 

@@ -24,9 +24,11 @@ echelon-form certificate of `gale.duality_certificate`.
 the reference for the block-product walk of `transversal`.
 `greedy_cover_oracle` recounts every edge's hits on each pick; it is the
 reference for the running hit counts of `min_transversal(n, k, "greedy")`.
-`jacobian_rank_oracle` draws the `dimension_estimate` Jacobian and takes its
-rank by full Gauss-Jordan (`int_rref`); it is the reference for the
-certified rank of `dimension_estimate`.
+`chart_jacobian` writes every row of the chart Jacobian in field scalars,
+and `jacobian_rank_oracle` draws it as `dimension_estimate` does and takes
+its rank by full Gauss-Jordan (`int_rref`); they are the reference for the
+block rank of `dimension_estimate` (a banded left kernel of the Vandermonde
+block, then the certified rank of the Schur complement).
 """
 
 import random
@@ -43,7 +45,6 @@ from veronese_kit.brackets import (
 from veronese_kit.configurations import (
     RETRY_BUDGET,
     PointConfiguration,
-    _chart_jacobian,
     _distinct_affine_params,
     is_degenerate,
     make_config,
@@ -267,6 +268,42 @@ def poly_partial(poly, var):
     return out
 
 
+def chart_jacobian(field, d, g_vals, t_vals):
+    """Jacobian rows of (g, t) -> (y_r / y_0 for r = 1..d, for each point),
+    as field scalars.
+
+    Point i is y = g . (1, t_i, ..., t_i^d), with g given row-major in
+    `g_vals`; the columns are the entries g_rk in that order, then t_1..t_n.
+    With y' = g . (0, 1, 2 t_i, ..., d t_i^(d-1)), the row of y_r / y_0 holds
+    t_i^k / y_0 at g_rk, -y_r t_i^k / y_0^2 at g_0k and
+    (y_r' y_0 - y_r y_0') / y_0^2 at t_i; every other entry is 0.
+    Returns None when some y_0 is 0, i.e. a point lies off the affine chart.
+    """
+    f = field
+    w = d + 1
+    ng = w * w
+    g = [g_vals[r * w : (r + 1) * w] for r in range(w)]
+    rows = []
+    for i, t in enumerate(t_vals):
+        mom = [f.pow(t, k) for k in range(w)]
+        dmom = [f.zero] + [f.mul(k, mom[k - 1]) for k in range(1, w)]
+        y = [f.normalize(sum(a * b for a, b in zip(gr, mom))) for gr in g]
+        dy = [f.normalize(sum(a * b for a, b in zip(gr, dmom))) for gr in g]
+        if y[0] == 0:
+            return None
+        inv = f.inv(y[0])
+        inv2 = f.mul(inv, inv)
+        for r in range(1, w):
+            row = [f.zero] * (ng + len(t_vals))
+            c = f.neg(f.mul(y[r], inv2))
+            for k in range(w):
+                row[k] = f.mul(c, mom[k])
+                row[r * w + k] = f.mul(mom[k], inv)
+            row[ng + i] = f.mul(f.sub(f.mul(dy[r], y[0]), f.mul(y[r], dy[0])), inv2)
+            rows.append(row)
+    return rows
+
+
 def jacobian_rank_oracle(d, n, seed=None, field=None, height=100):
     """`dimension_estimate` by full Gauss-Jordan: the same draws and chart
     retries, then the pivot count of `int_rref` on the cleared rows."""
@@ -276,7 +313,7 @@ def jacobian_rank_oracle(d, n, seed=None, field=None, height=100):
     for _ in range(RETRY_BUDGET):
         g_vals = [field.random_scalar(rng, height) for _ in range((d + 1) * (d + 1))]
         t_vals = [a for (_, a) in _distinct_affine_params(field, n, rng, height)]
-        rows = _chart_jacobian(field, d, g_vals, t_vals)
+        rows = chart_jacobian(field, d, g_vals, t_vals)
         if rows is not None:
             return len(int_rref([_clear(row)[0] for row in rows], field.p)[1])
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")

@@ -1,10 +1,15 @@
-"""The closed-form Jacobian behind `dimension_estimate`, and its certified rank.
+"""The chart Jacobian behind `dimension_estimate`, its blocks and their certified rank.
 
-Each row holds the first-order partials (the 1-jet) of one affine coordinate
-y_r / y_0 of a curve point y = g . (1, t, ..., t^d). The oracle builds the
-same rational function as exponent-dict polynomials and differentiates it
-formally with `poly_partial` and the quotient rule. The rank is checked
-against `jacobian_rank_oracle`, the full Gauss-Jordan elimination.
+Each row of the Jacobian holds the first-order partials (the 1-jet) of one
+affine coordinate y_r / y_0 of a curve point y = g . (1, t, ..., t^d). The
+oracle `chart_jacobian` writes them in closed form; the tests here build the
+same rational function as exponent-dict polynomials and differentiate it
+formally with `poly_partial` and the quotient rule. `dimension_estimate`
+never builds the whole Jacobian: it ranks the Schur complement S of the
+shared Vandermonde block (`_schur_complement`), whose banded left kernel
+(`_left_kernel_band`) and restricted gl_2 kernel vectors are checked here.
+Its rank is checked against `jacobian_rank_oracle`, the full Gauss-Jordan
+elimination of the Jacobian.
 """
 
 import random
@@ -12,14 +17,37 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
-from oracles import jacobian_rank_oracle, poly_eval, poly_partial
+from oracles import chart_jacobian, jacobian_rank_oracle, poly_eval, poly_partial
 
 from veronese_kit import cli, configurations, linalg
-from veronese_kit.configurations import _chart_jacobian, _gl2_kernel, dimension_estimate
+from veronese_kit.configurations import (
+    _distinct_affine_params,
+    _gl2_kernel,
+    _left_kernel_band,
+    _schur_complement,
+    dimension_estimate,
+)
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import Matrix
+from veronese_kit.linalg import Matrix, _clear, int_rref
 
 FIELDS = (QQ, Field.prime(101), Field.prime(65521))
+BLOCK_FIELDS = (QQ, Field.prime(7), Field.prime(101), Field.prime(65521))
+
+
+def core_ints(field, xs):
+    """Integer scalars over Q and residues over F_p as the ints the block builder takes."""
+    return [field.normalize(x).numerator for x in xs]
+
+
+def draw(field, d, n, rng):
+    """g and distinct t as in `dimension_estimate`, as field scalars."""
+    g = [field.random_scalar(rng, 30) for _ in range((d + 1) ** 2)]
+    return g, [a for _, a in _distinct_affine_params(field, n, rng, 30)]
+
+
+def band_rows(d, n, bands):
+    """The full n-wide rows of U from the bands of `_left_kernel_band`."""
+    return [[0] * j + band + [0] * (n - j - d - 2) for j, band in enumerate(bands)]
 
 
 def coordinate_polys(d, n, i):
@@ -65,14 +93,14 @@ def test_polynomial_partials_match_formal_derivative():
                 for _ in range(3):
                     g = [field.random_scalar(rng, 20) for _ in range((d + 1) ** 2)]
                     t = [field.random_scalar(rng, 20) for _ in range(n)]
-                    assert _chart_jacobian(field, d, g, t) == quotient_rule_rows(field, d, g, t)
+                    assert chart_jacobian(field, d, g, t) == quotient_rule_rows(field, d, g, t)
 
 
 def test_quotient_rule():
     # d = 1, g = [[1, 2], [3, 4]]: y_0 = 1 + 2t, y_1 = 3 + 4t.
     # At t = 5: y = (11, 23), y' = (2, 4); at t = 0: y = (1, 3), y' = (2, 4).
     g = [QQ.normalize(x) for x in (1, 2, 3, 4)]
-    rows = _chart_jacobian(QQ, 1, g, [QQ.normalize(5), QQ.zero])
+    rows = chart_jacobian(QQ, 1, g, [QQ.normalize(5), QQ.zero])
     F = Fraction
     assert rows == [
         [F(-23, 121), F(-115, 121), F(1, 11), F(5, 11), F(4 * 11 - 23 * 2, 121), 0],
@@ -87,7 +115,7 @@ def test_variable_and_constant():
         ts = [field.normalize(2), field.normalize(7)]
         # g = I: the coordinates are the powers t^r, whose derivative is r t^(r-1)
         ident = [field.one if r == k else field.zero for r in range(d + 1) for k in range(d + 1)]
-        rows = _chart_jacobian(field, d, ident, ts)
+        rows = chart_jacobian(field, d, ident, ts)
         for i, t in enumerate((2, 7)):
             for r in range(1, d + 1):
                 row = rows[i * d + r - 1]
@@ -95,7 +123,7 @@ def test_variable_and_constant():
                 assert row[ng + 1 - i] == 0
         # rows of g proportional to row 0: every coordinate is a constant
         g = [field.normalize(c * x) for c in (1, 2, 5, 9) for x in (3, 1, 4, 1)]
-        rows = _chart_jacobian(field, d, g, ts)
+        rows = chart_jacobian(field, d, g, ts)
         assert all(row[ng] == row[ng + 1] == 0 for row in rows)
 
 
@@ -104,19 +132,23 @@ def test_division_by_zero_value(monkeypatch):
     for field in FIELDS:
         g = [field.normalize(x) for x in (2, 1, 0, 1)]
         t_on, t_off = field.normalize(3), field.normalize(-2)
-        assert _chart_jacobian(field, 1, g, [t_on]) is not None
-        assert _chart_jacobian(field, 1, g, [t_off]) is None
-        assert _chart_jacobian(field, 1, g, [t_on, t_off]) is None
+        assert chart_jacobian(field, 1, g, [t_on]) is not None
+        assert chart_jacobian(field, 1, g, [t_off]) is None
+        assert chart_jacobian(field, 1, g, [t_on, t_off]) is None
+        gi = core_ints(field, g)
+        assert _schur_complement(1, gi, core_ints(field, [t_on]), field.p) == []
+        assert _schur_complement(1, gi, core_ints(field, [t_off]), field.p) is None
+        assert _schur_complement(1, gi, core_ints(field, [t_on, t_off]), field.p) is None
 
     # dimension_estimate redraws off-chart draws; these seeds each redraw
     on_chart = []
 
     def spy(*args):
-        rows = _chart_jacobian(*args)
+        rows = _schur_complement(*args)
         on_chart.append(rows is not None)
         return rows
 
-    monkeypatch.setattr(configurations, "_chart_jacobian", spy)
+    monkeypatch.setattr(configurations, "_schur_complement", spy)
     for d, n, seed, p, expected in ((2, 6, 5, 101, 11), (3, 7, 0, 7, 18)):
         on_chart.clear()
         assert dimension_estimate(d, n, seed=seed, field=Field.prime(p)) == expected
@@ -131,11 +163,14 @@ def test_fp_lane_matches_q_lane():
             for _ in range(5):
                 g = [rng.randint(-30, 30) for _ in range((d + 1) ** 2)]
                 t = [rng.randint(-30, 30) for _ in range(d + 2)]
-                rows_q = _chart_jacobian(QQ, d, [QQ.normalize(x) for x in g], [QQ.normalize(x) for x in t])
-                rows_p = _chart_jacobian(fp, d, [fp.normalize(x) for x in g], [fp.normalize(x) for x in t])
+                rows_q = chart_jacobian(QQ, d, [QQ.normalize(x) for x in g], [QQ.normalize(x) for x in t])
+                rows_p = chart_jacobian(fp, d, [fp.normalize(x) for x in g], [fp.normalize(x) for x in t])
+                S_p = _schur_complement(d, core_ints(fp, g), core_ints(fp, t), p)
+                assert (rows_p is None) == (S_p is None)
                 if rows_p is None:
                     continue  # some y_0 is divisible by p
                 assert rows_p == [[fp.normalize(x) for x in row] for row in rows_q]
+                assert S_p == [[x % p for x in row] for row in _schur_complement(d, g, t, None)]
 
 
 def record_eliminations(monkeypatch):
@@ -164,12 +199,68 @@ def test_gl2_vectors_annihilate_the_jacobian():
             for n in (1, 2, d + 3):
                 g = [field.random_scalar(rng, 20) for _ in range((d + 1) ** 2)]
                 t = [field.random_scalar(rng, 20) for _ in range(n)]
-                rows = _chart_jacobian(field, d, g, t)
+                rows = chart_jacobian(field, d, g, t)
                 if rows is None:
                     continue
                 K = Matrix(field, _gl2_kernel(d, g, t))
                 J = Matrix(field, rows)
                 assert J.matmul(K.transpose()).is_zero()
+
+
+def test_banded_left_kernel_annihilates_the_vandermonde_block():
+    rng = random.Random(4)
+    for field in BLOCK_FIELDS:
+        p = field.p
+        for d in range(1, 6):
+            for n in range(d + 2, min(d + 7, p or d + 7) + 1):
+                g, t = draw(field, d, n, rng)
+                g, t = core_ints(field, g), core_ints(field, t)
+                y0 = [sum(g[k] * x**k for k in range(d + 1)) for x in t]
+                if any((v % p if p else v) == 0 for v in y0):
+                    continue
+                U = band_rows(d, n, _left_kernel_band(d, t, y0, p))
+                D0V = [[v * x**k for k in range(d + 1)] for v, x in zip(y0, t)]
+                for u in U:
+                    for col in zip(*D0V):
+                        dot = sum(a * b for a, b in zip(u, col))
+                        assert (dot % p if p else dot) == 0
+                assert len(U) == len(int_rref(U, p)[1]) == n - d - 1
+
+
+def test_restricted_gl2_vectors_annihilate_the_schur_complement():
+    rng = random.Random(6)
+    for field in BLOCK_FIELDS:
+        p = field.p
+        for d in range(1, 6):
+            for n in range(d + 2, min(d + 7, p or d + 7) + 1):
+                g, t = draw(field, d, n, rng)
+                g, t = core_ints(field, g), core_ints(field, t)
+                S = _schur_complement(d, g, t, p)
+                if S is None:
+                    continue
+                assert len(S) == d * (n - d - 1) and len(S[0]) == n + d + 1
+                w = d + 1
+                for v in _gl2_kernel(d, g, t):
+                    kv = v[:w] + v[w * w :]
+                    for row in S:
+                        dot = sum(a * b for a, b in zip(row, kv))
+                        assert (dot % p if p else dot) == 0
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_block_rank_matches_full_jacobian(field):
+    rng = random.Random(8)
+    p = field.p
+    for d in range(1, 6):
+        for n in range(1, min(d + 6, p or d + 6) + 1):
+            g, t = draw(field, d, n, rng)
+            rows = chart_jacobian(field, d, g, t)
+            S = _schur_complement(d, core_ints(field, g), core_ints(field, t), p)
+            assert (rows is None) == (S is None)
+            if rows is None:
+                continue
+            full = len(int_rref([_clear(row)[0] for row in rows], p)[1])
+            assert full == d * min(n, d + 1) + (len(int_rref(S, p)[1]) if S else 0), (d, n)
 
 
 def test_q_draw_does_no_exact_elimination(monkeypatch):
@@ -186,7 +277,8 @@ def test_fp_draw_runs_one_forward_rank(monkeypatch):
         for d, n in ((2, 6), (4, 10), (3, 2)):
             calls.clear()
             assert dimension_estimate(d, n, seed=1, field=Field.prime(p)) == jacobian_rank_oracle(d, n, 1, Field.prime(p))
-            assert calls == [p]
+            # n <= d + 1 needs no elimination
+            assert calls == ([p] if n > d + 1 else [])
 
 
 SHAPES = ((1, 1), (2, 2), (2, 6), (3, 4), (3, 8), (4, 10))
@@ -203,24 +295,30 @@ def test_corrupt_kernel_vector_falls_back_to_exact_rank(monkeypatch):
     for d, n in SHAPES:
         calls.clear()
         assert dimension_estimate(d, n, seed=2, field=QQ) == jacobian_rank_oracle(d, n, 2, QQ)
-        assert calls[-1] is None
+        if n > d + 1:
+            assert calls[-1] is None
+        else:
+            assert calls == []
 
 
 def test_short_modular_rank_falls_back_to_exact_rank(monkeypatch):
     int_rank = linalg.int_rank
     for d, n in SHAPES:
-        # one rank short mod P on the Jacobian's d * n rows, not on the 4 kernel rows
-        def short(rows, p=None, jacobian_rows=d * n):
-            return int_rank(rows, p) - (p == linalg.CERT_PRIME and len(rows) == jacobian_rows)
+        # one rank short mod P on the d (n - d - 1) rows of S, not on the 4 kernel rows
+        def short(rows, p=None, schur_rows=d * (n - d - 1)):
+            return int_rank(rows, p) - (p == linalg.CERT_PRIME and len(rows) == schur_rows)
 
         monkeypatch.setattr(linalg, "int_rank", short)
         calls = record_eliminations(monkeypatch)
         assert dimension_estimate(d, n, seed=2, field=QQ) == jacobian_rank_oracle(d, n, 2, QQ)
-        assert calls[-1] is None
+        if n > d + 1:
+            assert calls[-1] is None
+        else:
+            assert calls == []
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Fp:65521"])
+@pytest.mark.parametrize("spec", ["Q", "Fp:7", "Fp:101", "Fp:65521"])
 def test_dim_envelopes_match_gauss_jordan(spec, monkeypatch):
     runner = CliRunner()
     grid = [(d, n, seed) for d in range(1, 6) for n in range(1, d + 6) for seed in range(3)]

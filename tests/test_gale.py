@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from veronese_kit.gale import (
     gale_of_config,
     standard_gale_pair,
 )
+import veronese_kit.gale as gale
 import veronese_kit.linalg as linalg
 from veronese_kit.linalg import Matrix, rank
 
@@ -113,6 +115,26 @@ def test_certificate_rejects_non_pairs():
         duality_certificate(A, degenerate)
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(101)], ids=str)
+def test_pair_check_reads_cleared_rows(field):
+    # non-integer Q entries on both sides: each row is cleared on its own
+    F = Fraction
+    A = Matrix(field, [[F(1, 2), 0, F(2, 3), 7, 1], [0, F(5, 4), 3, F(1, 6), 2]])
+    B = affine_gale(A)
+    assert any(x.denominator > 1 for row in B.entries for x in row) or field.p
+    assert duality_certificate(A, B).ok
+    bad = Matrix(field, [list(B.entries[0]), list(B.entries[1]), [x + (c == 3) for c, x in enumerate(B.entries[2])]])
+    with pytest.raises(NotAGalePairError, match=re.escape("A B^t != 0")):
+        duality_certificate(A, bad)
+    # the integer dot products are 101 and 0: a pair mod 101, not over Q
+    A, B = Matrix(field, [[1, 2, 0], [0, 0, 1]]), Matrix(field, [[99, 1, 0]])
+    if field.p:
+        assert duality_certificate(A, B).ok
+    else:
+        with pytest.raises(NotAGalePairError, match=re.escape("A B^t != 0")):
+            duality_certificate(A, B)
+
+
 def test_gale_of_config_requirements():
     small = sample_generic(QQ, 3, 5, seed=0)
     with pytest.raises(ShapeError):
@@ -184,7 +206,9 @@ def test_certificate_matches_pairwise_oracle(field):
 @pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
 def test_certificate_failures_match_pairwise_oracle(field, monkeypatch):
     # every full-rank pair with A B^t = 0 is a Gale pair and certifies, so the
-    # failure paths are reached only with the A B^t check switched off
+    # failure paths are reached only with the A B^t checks (the certificate's
+    # on cleared rows, the oracle's on the product matrix) switched off
+    monkeypatch.setattr(gale, "_orthogonal", lambda *args: True)
     monkeypatch.setattr(Matrix, "is_zero", lambda self: True)
     rng = random.Random(31)
     for d, n in ((2, 6), (3, 8)):
