@@ -14,13 +14,13 @@ back to `eval`/`gale` directly.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-
-import click
 
 from .brackets import (
     HigherEquationReport,
@@ -60,11 +60,12 @@ EQS_GENERATOR_BUDGET = 20_000
 
 @dataclass(frozen=True)
 class CommandResult:
-    """Envelope for one CLI invocation."""
+    """Envelope for one CLI invocation; `text`, when set, is printed in its place."""
 
     status: str
     payload: dict
     log: tuple[str, ...] = ()
+    text: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -75,9 +76,15 @@ class CommandResult:
 
 
 def _finish(result: CommandResult) -> None:
-    # An explicit file keeps click from caching a wrapper per sys.stdout object;
-    # that cache holds the stream itself, so a swapped-in stdout would never be freed.
-    click.echo(json.dumps(result.to_document(), sort_keys=True, indent=2), file=sys.stdout)
+    text = result.text if result.text is not None else json.dumps(result.to_document(), sort_keys=True, indent=2)
+    try:
+        # one write: on unbuffered stdout a reader that stops early cuts it short silently
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: exit 1 quietly, and let the interpreter's final flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     sys.exit(result.exit_code)
 
 
@@ -85,9 +92,9 @@ def _fail(status: str, message: str) -> None:
     _finish(CommandResult(status, {"error": message}, (message,)))
 
 
-def _run(fn) -> None:
+def _run(cmd, opts: dict) -> None:
     try:
-        result = fn()
+        result = cmd(**opts)
     except BudgetExceededError as e:
         _fail("BudgetExceeded", str(e))
     except (VeroneseKitError, ValueError) as e:
@@ -163,270 +170,262 @@ def _higher_report_json(field, r: HigherEquationReport) -> dict:
     }
 
 
-@click.group()
-def main():
-    """Exact equations, Gale transforms and transversality for point configurations."""
-
-
 # -- eqs ---------------------------------------------------------------------
 
 
-@main.command("eqs")
-@click.option("--d", "d", type=int, required=True, help="ambient projective dimension")
-@click.option("--n", "n", type=int, required=True, help="number of points")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    show_default=True,
-    help="plain generator file or JSON envelope",
-)
-def cmd_eqs(d: int, n: int, fmt: str):
+def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
     """Emit the membership equation generators for (P^d)^n in lex order."""
-
-    def body() -> CommandResult:
-        if d < 2:
-            raise ValueError(f"generators are defined for d >= 2, got d={d}")
-        if d == 2 and n < 6:
-            raise ValueError(f"d=2 needs n >= 6, got n={n}")
-        if d >= 3 and n < d + 4:
-            raise ValueError(f"d={d} needs n >= {d + 4}, got n={n}")
-        count = comb(n, 6) if d == 2 else comb(n, d + 4) * comb(d + 4, 6)
-        if count > EQS_GENERATOR_BUDGET:
-            raise BudgetExceededError(
-                f"(d, n) = ({d}, {n}) has {count} generators, over the budget of {EQS_GENERATOR_BUDGET}"
-            )
-        # each pattern is compiled once; a window J pulls it back as the index map i -> J[i-1]
-        if d == 2:
-            size, patterns = 6, [(None, phi_as_bracket_poly())]
-        else:
-            size, patterns = d + 4, psi_generators(d)
-        compiled = [(I, P, bracket_template(P)) for I, P in patterns]
-        lines, gens = [], []
-        for J in combinations(range(1, n + 1), size):
-            window = ",".join(map(str, J))
-            for I, P, template in compiled:
-                text = template.format(*J)
-                if fmt == "text":
-                    label = window if I is None else ",".join(map(str, I)) + "; " + window
-                    lines.append(f"({label}) {text}")
-                    continue
-                terms = [{"coef": c, "factors": [[J[i - 1] for i in f] for f in fs]} for c, fs in P.terms]
-                labels = {"I": list(J)} if I is None else {"I": list(I), "J": list(J)}
-                gens.append(labels | {"ground": n, "width": P.width, "terms": terms, "text": text})
-        if fmt == "text":
-            click.echo("\n".join(lines), file=sys.stdout)
-            sys.exit(0)
-        payload = {"d": d, "n": n, "count": len(gens), "generators": gens}
-        return CommandResult("Ok", payload)
-
-    _run(body)
+    if d < 2:
+        raise ValueError(f"generators are defined for d >= 2, got d={d}")
+    if d == 2 and n < 6:
+        raise ValueError(f"d=2 needs n >= 6, got n={n}")
+    if d >= 3 and n < d + 4:
+        raise ValueError(f"d={d} needs n >= {d + 4}, got n={n}")
+    count = comb(n, 6) if d == 2 else comb(n, d + 4) * comb(d + 4, 6)
+    if count > EQS_GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"(d, n) = ({d}, {n}) has {count} generators, over the budget of {EQS_GENERATOR_BUDGET}"
+        )
+    # each pattern is compiled once; a window J pulls it back as the index map i -> J[i-1]
+    if d == 2:
+        size, patterns = 6, [(None, phi_as_bracket_poly())]
+    else:
+        size, patterns = d + 4, psi_generators(d)
+    compiled = [(I, P, bracket_template(P)) for I, P in patterns]
+    lines, gens = [], []
+    for J in combinations(range(1, n + 1), size):
+        window = ",".join(map(str, J))
+        for I, P, template in compiled:
+            text = template.format(*J)
+            if fmt == "text":
+                label = window if I is None else ",".join(map(str, I)) + "; " + window
+                lines.append(f"({label}) {text}")
+                continue
+            terms = [{"coef": c, "factors": [[J[i - 1] for i in f] for f in fs]} for c, fs in P.terms]
+            labels = {"I": list(J)} if I is None else {"I": list(I), "J": list(J)}
+            gens.append(labels | {"ground": n, "width": P.width, "terms": terms, "text": text})
+    if fmt == "text":
+        return CommandResult("Ok", {}, text="\n".join(lines))
+    payload = {"d": d, "n": n, "count": len(gens), "generators": gens}
+    return CommandResult("Ok", payload)
 
 
 # -- eval ---------------------------------------------------------------------
 
 
-@main.command("eval")
-@click.argument("input", default="-")
-@click.option("--values/--no-values", "with_values", default=False, help="include per-subset values (d=2 only)")
-def cmd_eval(input: str, with_values: bool):
+def cmd_eval(input: str, with_values: bool) -> CommandResult:
     """Evaluate the membership equations on a configuration JSON document."""
-
-    def body() -> CommandResult:
-        p = _extract_config(_read_json_input(input))
-        if p.d == 2:
-            report = w2n_membership(p, collect_values=with_values)
-            payload = {"config": config_to_json(p), "report": _conic_report_json(p.field, report)}
-        elif p.d >= 3:
-            report = wdn_membership(p)
-            payload = {"config": config_to_json(p), "report": _higher_report_json(p.field, report)}
-        else:
-            raise ValueError(f"no membership equations for d={p.d}")
-        return CommandResult("Ok", payload)
-
-    _run(body)
+    p = _extract_config(_read_json_input(input))
+    if p.d == 2:
+        report = w2n_membership(p, collect_values=with_values)
+        payload = {"config": config_to_json(p), "report": _conic_report_json(p.field, report)}
+    elif p.d >= 3:
+        report = wdn_membership(p)
+        payload = {"config": config_to_json(p), "report": _higher_report_json(p.field, report)}
+    else:
+        raise ValueError(f"no membership equations for d={p.d}")
+    return CommandResult("Ok", payload)
 
 
 # -- gale ----------------------------------------------------------------------
 
 
-@main.command("gale")
-@click.argument("input", default="-")
-def cmd_gale(input: str):
+def cmd_gale(input: str) -> CommandResult:
     """Gale-transform a configuration; certifies the minor duality exactly."""
-
-    def body() -> CommandResult:
-        p = _extract_config(_read_json_input(input))
-        q = gale_of_config(p)
-        cert = duality_certificate(p.coords, q.coords)
-        payload = {
-            "config": config_to_json(q),
-            "source": {"d": p.d, "n": p.n},
-            "certificate": {
-                "lambda": p.field.scalar_to_json(cert.lambda_),
-                "checked": cert.checked,
-                "ok": cert.ok,
-            },
-        }
-        return CommandResult("Ok", payload, (f"certified {cert.checked} complementary minor pairs",))
-
-    _run(body)
+    p = _extract_config(_read_json_input(input))
+    q = gale_of_config(p)
+    cert = duality_certificate(p.coords, q.coords)
+    payload = {
+        "config": config_to_json(q),
+        "source": {"d": p.d, "n": p.n},
+        "certificate": {
+            "lambda": p.field.scalar_to_json(cert.lambda_),
+            "checked": cert.checked,
+            "ok": cert.ok,
+        },
+    }
+    return CommandResult("Ok", payload, (f"certified {cert.checked} complementary minor pairs",))
 
 
 # -- sample ----------------------------------------------------------------------
 
 
-@main.command("sample")
-@click.option("--family", type=click.Choice(["rnc", "generic", "degenerate", "nodal-conic", "chain"]), required=True)
-@click.option("--d", "d", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--field", "field_spec", default="Fp:65521", show_default=True, help="Q, Fp, or Fp:<prime>")
-@click.option("--height", type=int, default=100, show_default=True)
-@click.option("--degrees", default=None, help="chain component degrees, e.g. '2,1'")
-@click.option("--counts", default=None, help="chain points per component, e.g. '4,3'")
-@click.option("--split", default=None, help="nodal-conic line split, e.g. '4,3'")
-def cmd_sample(family, d, n, seed, field_spec, height, degrees, counts, split):
+def cmd_sample(family, d, n, seed, field_spec, height, degrees, counts, split) -> CommandResult:
     """Produce a seeded configuration from one of the sample families."""
-
-    def body() -> CommandResult:
-        field = parse_field_spec(field_spec)
-        payload: dict = {"family": family, "seed": seed, "field": field_to_json(field)}
-        if family == "rnc":
-            p = sample_on_rnc(field, d, n, seed=seed, height=height)
-        elif family == "generic":
-            p = sample_generic(field, d, n, seed=seed, height=height)
-        elif family == "degenerate":
-            p = sample_degenerate(field, d, n, seed=seed, height=height)
-        elif family == "nodal-conic":
-            if d != 2:
-                raise ValueError("nodal-conic sampling is a d=2 family")
-            sp = tuple(int(x) for x in split.split(",")) if split else None
-            p = sample_nodal_conic(field, n, seed=seed, split=sp, height=height)
-        else:
-            if degrees is None:
-                raise ValueError("chain sampling needs --degrees, e.g. --degrees 2,1")
-            degs = tuple(int(x) for x in degrees.split(","))
-            cts = tuple(int(x) for x in counts.split(",")) if counts else None
-            desc, p = sample_quasi_veronese_chain(field, d, n, degs, seed=seed, counts=cts, height=height)
-            payload["descriptor"] = {
-                "degrees": list(desc.degrees),
-                "components": [
-                    {
-                        "degree": c.degree,
-                        "fresh_axes": list(c.fresh_axes),
-                        "parent": c.parent,
-                    }
-                    for c in desc.components
-                ],
-            }
-        payload["config"] = config_to_json(p)
-        return CommandResult("Ok", payload)
-
-    _run(body)
+    field = parse_field_spec(field_spec)
+    payload: dict = {"family": family, "seed": seed, "field": field_to_json(field)}
+    if family == "rnc":
+        p = sample_on_rnc(field, d, n, seed=seed, height=height)
+    elif family == "generic":
+        p = sample_generic(field, d, n, seed=seed, height=height)
+    elif family == "degenerate":
+        p = sample_degenerate(field, d, n, seed=seed, height=height)
+    elif family == "nodal-conic":
+        if d != 2:
+            raise ValueError("nodal-conic sampling is a d=2 family")
+        sp = tuple(int(x) for x in split.split(",")) if split else None
+        p = sample_nodal_conic(field, n, seed=seed, split=sp, height=height)
+    else:
+        if degrees is None:
+            raise ValueError("chain sampling needs --degrees, e.g. --degrees 2,1")
+        degs = tuple(int(x) for x in degrees.split(","))
+        cts = tuple(int(x) for x in counts.split(",")) if counts else None
+        desc, p = sample_quasi_veronese_chain(field, d, n, degs, seed=seed, counts=cts, height=height)
+        payload["descriptor"] = {
+            "degrees": list(desc.degrees),
+            "components": [
+                {
+                    "degree": c.degree,
+                    "fresh_axes": list(c.fresh_axes),
+                    "parent": c.parent,
+                }
+                for c in desc.components
+            ],
+        }
+    payload["config"] = config_to_json(p)
+    return CommandResult("Ok", payload)
 
 
 # -- transversal -------------------------------------------------------------------
 
 
-@main.command("transversal")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--edges", default=None, help="JSON list of k-subsets, inline or @file")
-@click.option("--min", "minimum", type=click.Choice(["exact", "greedy"]), default=None)
-def cmd_transversal(n, k, edges, minimum):
+def cmd_transversal(n, k, edges, minimum) -> CommandResult:
     """Partition-transversality checks, minimum families, and lower bounds."""
-
-    def body() -> CommandResult:
-        payload: dict = {"n": n, "k": k}
-        inc, avg = bounds(n, k)
-        payload["bounds"] = {"incidence": inc, "averaging": avg}
-        if edges is not None:
-            doc = (
-                _read_json_input(edges[1:])
-                if edges.startswith("@")
-                else json.loads(edges)
-            )
-            H = Hypergraph(n, k, _edges_from_json(doc))
-            part = failing_partition(H)
-            payload["edges"] = [list(e) for e in H.edges]
-            payload["transversal"] = part is None
-            payload["failing_partition"] = None if part is None else [list(b) for b in part.blocks]
-        if minimum is not None:
-            size, example = min_transversal(n, k, mode=minimum)
-            payload["minimum"] = {
-                "mode": minimum,
-                "size": size,
-                "edges": [list(e) for e in example.edges],
-            }
-        return CommandResult("Ok", payload)
-
-    _run(body)
+    payload: dict = {"n": n, "k": k}
+    inc, avg = bounds(n, k)
+    payload["bounds"] = {"incidence": inc, "averaging": avg}
+    if edges is not None:
+        doc = (
+            _read_json_input(edges[1:])
+            if edges.startswith("@")
+            else json.loads(edges)
+        )
+        H = Hypergraph(n, k, _edges_from_json(doc))
+        part = failing_partition(H)
+        payload["edges"] = [list(e) for e in H.edges]
+        payload["transversal"] = part is None
+        payload["failing_partition"] = None if part is None else [list(b) for b in part.blocks]
+    if minimum is not None:
+        size, example = min_transversal(n, k, mode=minimum)
+        payload["minimum"] = {
+            "mode": minimum,
+            "size": size,
+            "edges": [list(e) for e in example.edges],
+        }
+    return CommandResult("Ok", payload)
 
 
 # -- dim -------------------------------------------------------------------------
 
 
-@main.command("dim")
-@click.option("--d", "d", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--field", "field_spec", default="Fp:65521", show_default=True)
-def cmd_dim(d, n, seed, field_spec):
+def cmd_dim(d, n, seed, field_spec) -> CommandResult:
     """Exact Jacobian rank of the curve-configuration map, vs the formula."""
-
-    def body() -> CommandResult:
-        field = parse_field_spec(field_spec)
-        est = dimension_estimate(d, n, seed=seed, field=field)
-        formula = d * d + 2 * d + n - 3
-        payload = {
-            "d": d,
-            "n": n,
-            "seed": seed,
-            "field": field_to_json(field),
-            "estimate": est,
-            "formula": formula,
-            "agrees": est == formula,
-        }
-        return CommandResult("Ok", payload)
-
-    _run(body)
+    field = parse_field_spec(field_spec)
+    est = dimension_estimate(d, n, seed=seed, field=field)
+    formula = d * d + 2 * d + n - 3
+    payload = {
+        "d": d,
+        "n": n,
+        "seed": seed,
+        "field": field_to_json(field),
+        "estimate": est,
+        "formula": formula,
+        "agrees": est == formula,
+    }
+    return CommandResult("Ok", payload)
 
 
 # -- verify ------------------------------------------------------------------------
 
 
-@main.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(sorted(verify_mod.SUITES) + ["all"]),
-    default="all",
-    show_default=True,
-)
-@click.option("--seed", type=int, default=0, show_default=True)
-def cmd_verify(suite, seed):
+def cmd_verify(suite, seed) -> CommandResult:
     """Run the self-verification suites; nonzero exit on any failing check."""
+    names = sorted(verify_mod.SUITES) if suite == "all" else [suite]
+    suites = {}
+    log = []
+    all_passed = True
+    for name in names:
+        results = verify_mod.run_suite(name, seed)
+        suites[name] = [
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "seed": r.seed}
+            for r in results
+        ]
+        for r in results:
+            log.append(f"{'PASS' if r.passed else 'FAIL'} [{name}] {r.name}: {r.detail}")
+            all_passed = all_passed and r.passed
+    payload = {"seed": seed, "suites": suites, "all_passed": all_passed}
+    status = "Ok" if all_passed else "PreconditionFailed"
+    return CommandResult(status, payload, tuple(log))
 
-    def body() -> CommandResult:
-        names = sorted(verify_mod.SUITES) if suite == "all" else [suite]
-        suites = {}
-        log = []
-        all_passed = True
-        for name in names:
-            results = verify_mod.run_suite(name, seed)
-            suites[name] = [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "seed": r.seed}
-                for r in results
-            ]
-            for r in results:
-                log.append(f"{'PASS' if r.passed else 'FAIL'} [{name}] {r.name}: {r.detail}")
-                all_passed = all_passed and r.passed
-        payload = {"seed": seed, "suites": suites, "all_passed": all_passed}
-        status = "Ok" if all_passed else "PreconditionFailed"
-        return CommandResult(status, payload, tuple(log))
 
-    _run(body)
+# -- the parser ----------------------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="veronese-kit",
+        description="Exact equations, Gale transforms and transversality for point configurations.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(cmd) -> argparse.ArgumentParser:
+        name = cmd.__name__.removeprefix("cmd_")
+        sub = commands.add_parser(name, help=cmd.__doc__, description=cmd.__doc__, allow_abbrev=False)
+        sub.set_defaults(cmd=cmd)
+        return sub
+
+    p = command(cmd_eqs)
+    p.add_argument("--d", type=int, required=True, help="ambient projective dimension")
+    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument(
+        "--format", dest="fmt", choices=["text", "json"], default="text", help="plain generator file or JSON envelope"
+    )
+    p = command(cmd_eval)
+    p.add_argument("input", nargs="?", default="-")
+    p.add_argument(
+        "--values", dest="with_values", action=argparse.BooleanOptionalAction, default=False,
+        help="include per-subset values (d=2 only)",
+    )
+    p = command(cmd_gale)
+    p.add_argument("input", nargs="?", default="-")
+    p = command(cmd_sample)
+    p.add_argument("--family", choices=["rnc", "generic", "degenerate", "nodal-conic", "chain"], required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--field", dest="field_spec", default="Fp:65521", help="Q, Fp, or Fp:<prime>")
+    p.add_argument("--height", type=int, default=100)
+    p.add_argument("--degrees", help="chain component degrees, e.g. '2,1'")
+    p.add_argument("--counts", help="chain points per component, e.g. '4,3'")
+    p.add_argument("--split", help="nodal-conic line split, e.g. '4,3'")
+    p = command(cmd_transversal)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--edges", help="JSON list of k-subsets, inline or @file")
+    p.add_argument("--min", dest="minimum", choices=["exact", "greedy"])
+    p = command(cmd_dim)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--field", dest="field_spec", default="Fp:65521")
+    p = command(cmd_verify)
+    p.add_argument("--suite", choices=sorted(verify_mod.SUITES) + ["all"], default="all")
+    p.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None) -> None:
+    """The `veronese-kit` console script: run the subcommand `args` names (default: sys.argv[1:])."""
+    opts = vars(_PARSER.parse_args(args))
+    _run(opts.pop("cmd"), opts)
+
+
+# the click-era in-process call, which takes and ignores `prog_name` and `standalone_mode`
+main.main = lambda args=None, prog_name=None, standalone_mode=None: main(args)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from click.testing import CliRunner
 
 import veronese_kit
 import veronese_kit.brackets as brackets
@@ -24,11 +23,12 @@ from veronese_kit.brackets import (
 from veronese_kit.cli import SCHEMA, main
 from veronese_kit.linalg import MaximalMinors
 
+from cli_runner import invoke
 from oracles import relabel
 
 
 def run(args, input=None):
-    return CliRunner().invoke(main, args, input=input, catch_exceptions=False)
+    return invoke(args, input=input, catch_exceptions=False)
 
 
 def run_json(args, input=None):
@@ -416,15 +416,45 @@ def test_internal_errors_are_not_bad_input(monkeypatch):
 
     monkeypatch.setattr(cli, "w2n_membership", broken)
     sample = run(["sample", "--family", "rnc", "--d", "2", "--n", "7"]).output
-    res = CliRunner().invoke(main, ["eval"], input=sample)
+    res = invoke(["eval"], input=sample)
     assert isinstance(res.exception, TypeError) and res.exit_code == 1
     assert "PreconditionFailed" not in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eqs", "--d", "2"],  # a missing required option
+        ["eqs", "--d", "2", "--n", "6", "--format", "xml"],  # a bad choice
+        ["eqs", "--d", "x", "--n", "6"],  # a bad integer
+        ["eqs", "--d", "2", "--n", "6", "--form", "json"],  # an abbreviated option
+        ["nope"],  # an unknown subcommand
+        [],  # no subcommand
+    ],
+)
+def test_usage_errors_exit_2(args):
+    res = invoke(args)
+    assert res.exit_code == 2 and res.output == ""
+
+
+@pytest.mark.parametrize("unbuffered, code", [("", 1), ("1", 0)])
+def test_a_reader_closing_the_pipe_early_gets_a_quiet_exit(unbuffered, code):
+    # 713,713 bytes of generators, far more than a pipe holds, so the write is cut short.
+    # Buffered, that surfaces as BrokenPipeError (exit 1); unbuffered, as a short write nobody sees (exit 0).
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    args = [sys.executable, "-m", "veronese_kit.cli", "eqs", "--d", "2", "--n", "16"]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == code
+        assert proc.stderr.read() == b""
 
 
 def test_cli_import_loads_no_numpy_or_numba():
     src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import veronese_kit.cli, sys; assert 'numpy' not in sys.modules and 'numba' not in sys.modules"
+    code = "import veronese_kit.cli, sys; assert not {'numpy', 'numba', 'click'} & set(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 

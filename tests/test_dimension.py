@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 from oracles import chart_jacobian, jacobian_rank_oracle, poly_eval, poly_partial
 
 from veronese_kit import cli, configurations, linalg
@@ -320,10 +320,9 @@ def test_short_modular_rank_falls_back_to_exact_rank(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:7", "Fp:101", "Fp:65521"])
 def test_dim_envelopes_match_gauss_jordan(spec, monkeypatch):
-    runner = CliRunner()
     grid = [(d, n, seed) for d in range(1, 6) for n in range(1, d + 6) for seed in range(3)]
     args = [["dim", "--d", str(d), "--n", str(n), "--seed", str(seed), "--field", spec] for d, n, seed in grid]
-    outputs = [runner.invoke(cli.main, a, catch_exceptions=False).output for a in args]
+    outputs = [invoke(a, catch_exceptions=False).output for a in args]
     monkeypatch.setattr(cli, "dimension_estimate", jacobian_rank_oracle)
     for a, out in zip(args, outputs):
-        assert out == runner.invoke(cli.main, a, catch_exceptions=False).output, a
+        assert out == invoke(a, catch_exceptions=False).output, a

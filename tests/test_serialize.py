@@ -3,13 +3,12 @@ from fractions import Fraction
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from cli_runner import invoke
 
 from veronese_kit.configurations import make_config, sample_generic
 from veronese_kit.fields import Field, QQ
-from veronese_kit.cli import main
 from veronese_kit.serialize import (
     config_from_json,
     config_to_json,
@@ -92,7 +91,7 @@ def test_codecs_reject_inexact_integers():
 
 
 def test_bracket_poly_json_shape():
-    res = CliRunner().invoke(main, ["eqs", "--d", "2", "--n", "6", "--format", "json"])
+    res = invoke(["eqs", "--d", "2", "--n", "6", "--format", "json"])
     (doc,) = json.loads(res.output)["payload"]["generators"]
     assert doc["I"] == [1, 2, 3, 4, 5, 6] and "J" not in doc
     assert doc["ground"] == 6 and doc["width"] == 3
