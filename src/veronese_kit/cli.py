@@ -361,13 +361,24 @@ def cmd_verify(suite, seed) -> CommandResult:
 # -- the parser ----------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports options it does not know under its
+    own usage line, where the top parser would report them under its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        opts, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return opts, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="veronese-kit",
         description="Exact equations, Gale transforms and transversality for point configurations.",
         allow_abbrev=False,
     )
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True, parser_class=_CommandParser)
 
     def command(cmd) -> argparse.ArgumentParser:
         name = cmd.__name__.removeprefix("cmd_")

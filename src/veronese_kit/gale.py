@@ -9,14 +9,19 @@ minors of A and B agree up to one global scalar and a per-set sign:
 with lambda independent of I, and lambda = 1 for the standard pair
 A = [I | A'], B = [A'^t | -I]. `duality_certificate` determines lambda
 empirically and then checks the identity for every I, so it certifies any
-representative, not just a normalized one.
+representative, not just a normalized one. It reads both sides' minors as
+core ints (`MaximalMinors._int_vector`) and compares them by
+cross-multiplication over Q and mod p over F_p, so no field scalar is built
+per I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, repeat
 from math import comb
+from operator import xor
 
 from .configurations import PointConfiguration, _coloop
 from .errors import (
@@ -33,6 +38,7 @@ from .linalg import (
     Matrix,
     _clear,
     _kernel_from_rref,
+    _lex_subset_folds,
     _orthogonal,
     kernel_basis,
     rref,
@@ -108,11 +114,13 @@ class GaleDualityCertificate:
 def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     """Verify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
 
-    Each side's minors come from one echelon form (`MaximalMinors.vector`),
-    which also gives its rank. A B^t = 0 is checked on the cleared int rows
-    (`linalg._clear`), mod p over F_p. Pairings of more than
-    `DUALITY_PAIR_BUDGET` index sets raise BudgetExceededError before any
-    elimination.
+    Each side's minors come from one echelon form as core ints
+    (`MaximalMinors._int_vector`), which also gives its rank. lambda is fixed
+    once, from the first I with a nonzero A-minor; every I is then checked by
+    `_off_line` on ints, and lambda is the one field scalar built. A B^t = 0
+    is checked on the cleared int rows (`linalg._clear`), mod p over F_p.
+    Pairings of more than `DUALITY_PAIR_BUDGET` index sets raise
+    BudgetExceededError before any elimination.
     """
     require_same_field(A.field, B.field, "Gale pair")
     n = A.cols
@@ -134,26 +142,52 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     if ma.rank() < A.rows or mb.rank() < B.rows:
         raise RankDeficiencyError("both matrices must have full row rank")
 
-    f = A.field
-    subsets = list(combinations(range(1, n + 1), k))
-    va = ma.vector()
+    va = ma._int_vector()
     # the complements of lex-ordered k-sets run in reverse lex order
-    vb = mb.vector()[::-1]
-    # the parity of the sign exponent S_I + height_B, S_I = sum(I) - k(k+1)/2
-    shift = B.rows - k * (k + 1) // 2
-    odd = [(sum(I) + shift) % 2 for I in subsets]
-    first = next(i for i, x in enumerate(va) if x != 0)  # full row rank has one
-    if vb[first] == 0:
+    ys, sy = mb._int_vector()
+    vb = (ys[::-1], sy[::-1] if sy else None)
+    # the parity of the sign exponent S_I + height_B, S_I = sum(I) - k(k+1)/2:
+    # that of height_B - k(k+1)/2, flipped by each odd label in I
+    odd = _lex_subset_folds(n, k, (B.rows - k * (k + 1) // 2) % 2, xor, lambda j, t: (j + 1) % 2)
+    first = next(i for i, x in enumerate(va[0]) if x)  # full row rank has one
+    if vb[0][first]:
+        lam = _ratio(va, vb, first, A.field.p)
+        if odd[first]:
+            lam = A.field.neg(lam)
+        bad = _off_line(va, vb, lam, A.field.p, odd)
+    else:
         # genuine Gale pairs cannot do this; flag everything
-        return GaleDualityCertificate(n, k, B.rows, f.zero, count, tuple(subsets))
-    lam = f.div(va[first], vb[first])
-    if odd[first]:
-        lam = f.neg(lam)
-    signed_lam = (lam, f.neg(lam))
-    failures = tuple(
-        I for I, x, y, e in zip(subsets, va, vb, odd) if x != f.mul(signed_lam[e], y)
-    )
-    return GaleDualityCertificate(n, k, B.rows, lam, count, failures)
+        lam, bad = A.field.zero, range(count)
+    subsets = list(combinations(range(1, n + 1), k)) if bad else []
+    return GaleDualityCertificate(n, k, B.rows, lam, count, tuple(subsets[i] for i in bad))
+
+
+def _ratio(v, w, i: int, p: int | None) -> Scalar:
+    """The field scalar v_i / w_i of two `MaximalMinors._int_vector` results
+    v and w, w_i nonzero: a `Fraction` over Q (p None), a residue mod p."""
+    (x, sx), (y, sy) = v, w
+    if p:
+        return x[i] * pow(y[i], -1, p) % p
+    return Fraction(x[i] * sy[i], sx[i] * y[i])
+
+
+def _off_line(v, w, lam: Scalar, p: int | None, flips) -> list[int]:
+    """The positions i at which v_i != (-1)^flips[i] lam w_i, for two
+    `MaximalMinors._int_vector` results v and w of equal length.
+
+    Over Q the minors are x_i / s_x and y_i / s_y, and lam = num / den, so the
+    test is the cross-multiplied x_i s_y den == +-num y_i s_x, on ints. Over
+    F_p it is x_i == +-lam y_i mod p.
+    """
+    (x, sx), (y, sy) = v, w
+    if p:
+        signed = (lam, -lam)
+        return [i for i, (a, b, e) in enumerate(zip(x, y, flips)) if a != signed[e] * b % p]
+    num, den = lam.numerator, lam.denominator
+    signed = (num, -num)
+    return [
+        i for i, (a, s, b, t, e) in enumerate(zip(x, sx, y, sy, flips)) if a * t * den != signed[e] * b * s
+    ]
 
 
 def gale_of_config(p: PointConfiguration) -> PointConfiguration:
@@ -177,18 +211,18 @@ def gale_of_config(p: PointConfiguration) -> PointConfiguration:
 def double_gale_minor_check(p: PointConfiguration) -> bool:
     """Maximal minors of Gale(Gale(p)) are proportional to those of p."""
     q = gale_of_config(gale_of_config(p))
-    va = MaximalMinors(p.coords).vector()
-    vb = MaximalMinors(q.coords).vector()
-    return _proportional(p.field, va, vb)
+    return _proportional(MaximalMinors(p.coords)._int_vector(), MaximalMinors(q.coords)._int_vector(), p.field.p)
 
 
-def _proportional(field, v, w) -> bool:
-    if len(v) != len(w):
+def _proportional(v, w, p: int | None) -> bool:
+    """Whether the minors of two `MaximalMinors._int_vector` results are
+    proportional: both zero, or v = c w for one nonzero c."""
+    x, y = v[0], w[0]
+    if len(x) != len(y):
         return False
-    pivot = next((i for i, x in enumerate(v) if x != 0 or w[i] != 0), None)
+    pivot = next((i for i, (a, b) in enumerate(zip(x, y)) if a or b), None)
     if pivot is None:
         return True
-    if v[pivot] == 0 or w[pivot] == 0:
+    if not x[pivot] or not y[pivot]:
         return False
-    c = field.div(v[pivot], w[pivot])
-    return all(x == field.mul(c, y) for x, y in zip(v, w))
+    return not _off_line(v, w, _ratio(v, w, pivot, p), p, repeat(0))

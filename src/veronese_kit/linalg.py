@@ -8,7 +8,9 @@ rank of int rows over Q from a modular rank when known kernel vectors cap
 it.
 `MaximalMinors.get` reads one maximal minor as one determinant;
 `MaximalMinors._echelon_minor` reads one from the cached echelon form by a
-small determinant of its rows, and `MaximalMinors.vector` all of them.
+small determinant of its rows, and `MaximalMinors._int_vector` all of them,
+as core ints with their clearing scales; `MaximalMinors.vector` maps those
+back to field scalars.
 
 The integer view is decided in one place. `_clear` turns a row or column
 of scalars into core ints and a clearing factor m: over Q (`Fraction`
@@ -151,9 +153,6 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
     # -- structural ops --------------------------------------------------------
-
-    def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.field, zip(*self.entries))
 
     def submatrix(self, row_set: Iterable[int], col_set: Iterable[int]) -> "Matrix":
         """Select rows and columns by 1-based index sets."""
@@ -427,8 +426,10 @@ class MaximalMinors:
     the residues over F_p), `_factors` their clearing factors (1 over F_p).
     `get` computes one minor on first use by `_bareiss_det_int` on the int
     columns and divides their factors back out, so values match `minor`
-    exactly. `vector` reads every minor from one echelon form instead, and
-    `_echelon_minor` one int minor from it, both through `_pivot_scale`.
+    exactly. `_int_vector` reads every minor from one echelon form instead,
+    as ints with the products of their factors, and `_echelon_minor` one int
+    minor from it, both through `_pivot_scale`; `vector` is `_int_vector` as
+    field scalars.
     """
 
     def __init__(self, M: Matrix):
@@ -506,29 +507,33 @@ class MaximalMinors:
         self._cache[J] = val
         return val
 
-    def vector(self) -> tuple[Scalar, ...]:
-        """All maximal minors in lexicographic order of the column sets.
+    def _int_vector(self) -> tuple[list[int], list[int] | None]:
+        """All maximal minors as core ints, in lexicographic order of the
+        column sets: (values, scales).
 
-        They come from one echelon form. In the pivot columns P the echelon
-        rows are D times the identity (D the last pivot, D = 1 over F_p); call
-        their free-column block N. For a column set J, let C = J minus P and
-        let R hold the rows whose pivot is not in J. Then
+        Over Q, values[i] is the maximal minor of the cleared `int_columns`
+        and scales[i] the product of their clearing factors, so the minor of
+        the matrix is values[i] / scales[i]. Over F_p values are the minors'
+        residues and scales is None.
+
+        The values come from one echelon form. In the pivot columns P the
+        echelon rows are D times the identity (D the last pivot, D = 1 over
+        F_p); call their free-column block N. For a column set J, let
+        C = J minus P and let R hold the rows whose pivot is not in J. Then
 
             m_J = (-1)^e det(A_P) minor_{R,C}(N) / D^|C|,
 
         where e sums, over the pivots u in J, the position of u in J and the
         row of u. The minors of N are built size by size, each expanded along
         its last column and divided by D (Sylvester), so every value is an
-        exact int: over Q the maximal minor of the cleared columns, whose
-        factors are then divided out as in `get`. A rank-deficient matrix has
-        only zero minors.
+        exact int. A rank-deficient matrix has only zero minors.
         """
-        f = self.matrix.field
         k, n = self.width, self.matrix.cols
+        prime = self.matrix.field.p
+        scales = None if prime else _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
         a, pivots = self._echelon()
         if len(pivots) < k:
-            return (f.zero,) * comb(n, k)
-        prime = f.p
+            return [0] * comb(n, k), scales
         D = a[k - 1][pivots[-1]]
         free = [c for c in range(n) if c not in pivots]
         # a column's bits in the key rows_mask | cols_mask << k of `minors`
@@ -566,9 +571,15 @@ class MaximalMinors:
         )
         values = [minors[x] * g if x < odd else minors[x ^ odd] * -g for x in keys]
         if prime:
-            return tuple([v % prime for v in values])
-        scales = _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
-        return tuple(map(Fraction, values, scales))
+            return [v % prime for v in values], None
+        return values, scales
+
+    def vector(self) -> tuple[Scalar, ...]:
+        """All maximal minors as field scalars, in lexicographic order of the
+        column sets: `_int_vector` mapped back, values[i] / scales[i] over Q
+        and the residues over F_p. They equal `get` at every column set."""
+        values, scales = self._int_vector()
+        return tuple(values) if scales is None else tuple(map(Fraction, values, scales))
 
 
 def _lex_subset_folds(n: int, k: int, start: int, op, weight) -> list[int]:

@@ -136,10 +136,19 @@ def failing_partition(H: Hypergraph) -> Optional[BlockPartition]:
     prod(|block|) of them, all distinct. When that count exceeds the
     C(n, k) - |E| k-sets missing from H, one of them is an edge, so the
     partition is passed without looking any up.
+
+    Every k-block partition has prod(|block|) >= n - k + 1, so H is
+    transversal, with no walk, when at most n - k k-sets are missing. For
+    ints a, b >= 1, ab >= a + b - 1 since (a - 1)(b - 1) >= 0; folding the
+    blocks one at a time gives prod(|block|) >= 1 + sum(|block| - 1) =
+    n - k + 1. The budget check comes first, so an input over it exits 3
+    whether or not the count decides it.
     """
     _check_partition_work(H.n, H.k, len(H.edges))
     masks = {_edge_mask(e) for e in H.edges}
     missing = comb(H.n, H.k) - len(masks)
+    if missing <= H.n - H.k:
+        return None
 
     def fails(blocks: list[list[int]]) -> bool:
         return prod(map(len, blocks)) <= missing and masks.isdisjoint(map(sum, product(*blocks)))

@@ -17,8 +17,10 @@ every pullback along a window.
 elimination; it is the reference for the one-elimination coloop test of
 `configurations.strong_nondegeneracy_witness`.
 `pairwise_duality_certificate` reads every minor pair through
-`MaximalMinors.get`, one Bareiss determinant each; it is the reference for the
-echelon-form certificate of `gale.duality_certificate`.
+`MaximalMinors.get`, one Bareiss determinant each, and compares field
+scalars; it is the reference for the echelon-form certificate of
+`gale.duality_certificate`, which compares ints by cross-multiplication.
+`transpose` is a test helper: the package itself never transposes a `Matrix`.
 `set_partitions` yields restricted growth strings one label at a time, and
 `partition_edge_masks_oracle` tests every edge against every string; they are
 the reference for the block-product walk of `transversal`.
@@ -52,7 +54,12 @@ from veronese_kit.configurations import (
 from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import Field, require_same_field
 from veronese_kit.gale import GaleDualityCertificate
-from veronese_kit.linalg import MaximalMinors, _clear, as_index_set, int_rref, rank
+from veronese_kit.linalg import Matrix, MaximalMinors, _clear, as_index_set, int_rref, rank
+
+
+def transpose(M):
+    """The transpose of a `Matrix`."""
+    return Matrix(M.field, list(zip(*M.entries)))
 
 
 def perm_sign(perm):
@@ -468,7 +475,7 @@ def pairwise_duality_certificate(A, B):
         raise ShapeError(f"column counts differ: {A.cols} vs {B.cols}")
     if A.rows + B.rows != n:
         raise ShapeError(f"heights {A.rows} + {B.rows} must sum to {n}")
-    if not A.matmul(B.transpose()).is_zero():
+    if not A.matmul(transpose(B)).is_zero():
         raise NotAGalePairError("A B^t != 0")
     if rank(A) < A.rows or rank(B) < B.rows:
         raise RankDeficiencyError("both matrices must have full row rank")

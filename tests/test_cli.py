@@ -437,6 +437,15 @@ def test_usage_errors_exit_2(args):
     assert res.exit_code == 2 and res.output == ""
 
 
+def test_an_unknown_option_is_reported_under_its_subcommand(capsys):
+    res = invoke(["eqs", "--d", "2", "--n", "6", "--form", "json"])
+    err = capsys.readouterr().err
+    assert res.exit_code == 2 and res.output == ""
+    # the usage line of `eqs` names the option meant
+    assert err.startswith("usage: veronese-kit eqs ") and "--format" in err
+    assert "veronese-kit eqs: error: unrecognized arguments: --form json" in err
+
+
 @pytest.mark.parametrize("unbuffered, code", [("", 1), ("1", 0)])
 def test_a_reader_closing_the_pipe_early_gets_a_quiet_exit(unbuffered, code):
     # 713,713 bytes of generators, far more than a pipe holds, so the write is cut short.

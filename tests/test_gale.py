@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -25,7 +26,7 @@ import veronese_kit.gale as gale
 import veronese_kit.linalg as linalg
 from veronese_kit.linalg import Matrix, rank
 
-from oracles import pairwise_duality_certificate
+from oracles import pairwise_duality_certificate, transpose
 
 FP = Field.prime()
 
@@ -39,7 +40,7 @@ def test_affine_gale_annihilates():
                 continue
             B = affine_gale(A)
             assert B.shape == (cols - rows, cols)
-            assert A.matmul(B.transpose()).is_zero()
+            assert A.matmul(transpose(B)).is_zero()
             assert rank(B) == cols - rows
 
 
@@ -176,31 +177,60 @@ def test_double_gale_is_minor_proportional():
             assert double_gale_minor_check(p)
 
 
-CERT_FIELDS = (QQ, Field.prime(101), Field.prime(65521))
+CERT_FIELDS = (QQ, Field.prime(7), Field.prime(101), Field.prime(65521))
+
+
+def _cert_shapes(field, shapes):
+    # the curve sampler draws distinct affine parameters, and F_7 has only 7
+    return [(d, n) for d, n in shapes if n <= 7] if field.p == 7 else shapes
+
+
+def _factor(field, rng):
+    # over Q a factor that is rarely an integer, so the clearing scales are not all 1
+    if field.p is None:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+    return field.random_nonzero(rng, 9)
+
+
+def _scale_columns(M, factors, op):
+    return Matrix(M.field, [[op(x, c) for x, c in zip(row, factors)] for row in M.entries])
 
 
 def _same_certificate(A, B):
     got, want = duality_certificate(A, B), pairwise_duality_certificate(A, B)
     assert (got.lambda_, got.checked, got.failures) == (want.lambda_, want.checked, want.failures)
     assert (got.n, got.height_a, got.height_b) == (want.n, want.height_a, want.height_b)
+    assert type(got.lambda_) is type(A.field.zero)
     return got
 
 
 @pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
 def test_certificate_matches_pairwise_oracle(field):
     rng = random.Random(29)
-    for d, n in ((1, 4), (2, 6), (3, 7), (3, 9), (4, 8), (2, 9)):
+    for d, n in _cert_shapes(field, ((1, 4), (2, 6), (3, 7), (3, 9), (4, 8), (2, 9))):
         for sampler in (sample_on_rnc, sample_generic):
             p = sampler(field, d, n, seed=rng.randrange(1000), height=9)
             A = p.coords
             B = affine_gale(A)
-            assert _same_certificate(A, B).ok
+            lam = _same_certificate(A, B).lambda_
             if rank(A.select_columns(range(1, d + 2))) == d + 1:
                 a_std, b_std = standard_gale_pair(A)
                 assert _same_certificate(a_std, b_std).lambda_ == field.one
             c = field.random_nonzero(rng, 9)
             scaled = Matrix(field, [[field.mul(c, x) for x in B.entries[0]]] + list(B.entries[1:]))
             assert _same_certificate(A, scaled).ok
+            # every row of B scaled: lambda is divided by the product of the factors
+            factors = [_factor(field, rng) for _ in range(B.rows)]
+            scaled = Matrix(field, [[field.mul(c, x) for x in row] for c, row in zip(factors, B.entries)])
+            cert = _same_certificate(A, scaled)
+            assert cert.ok
+            assert field.mul(cert.lambda_, prod(factors)) == lam
+            # column j of A times c_j and of B divided by c_j: A D (B D^-1)^t = A B^t,
+            # and lambda is multiplied by the product of the c_j
+            factors = [_factor(field, rng) for _ in range(n)]
+            cert = _same_certificate(_scale_columns(A, factors, field.mul), _scale_columns(B, factors, field.div))
+            assert cert.ok
+            assert cert.lambda_ == field.mul(lam, prod(factors))
 
 
 @pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
@@ -211,7 +241,7 @@ def test_certificate_failures_match_pairwise_oracle(field, monkeypatch):
     monkeypatch.setattr(gale, "_orthogonal", lambda *args: True)
     monkeypatch.setattr(Matrix, "is_zero", lambda self: True)
     rng = random.Random(31)
-    for d, n in ((2, 6), (3, 8)):
+    for d, n in _cert_shapes(field, ((2, 6), (3, 8))):
         A = sample_generic(field, d, n, seed=rng.randrange(1000), height=9).coords
         B = affine_gale(A)
         for j, c in ((0, 3), (n - 1, 5), (n - 1, 0)):
@@ -224,6 +254,12 @@ def test_certificate_failures_match_pairwise_oracle(field, monkeypatch):
             assert cert.failures
             if c == 0:
                 assert cert.lambda_ == field.zero and len(cert.failures) == cert.checked
+        # both sides column-scaled by factors that do not cancel: over Q, both
+        # sides' clearing scales and lambda's denominator are not all 1
+        one = [_factor(field, rng) for _ in range(n)]
+        other = [_factor(field, rng) for _ in range(n)]
+        cert = _same_certificate(_scale_columns(A, one, field.mul), _scale_columns(B, other, field.mul))
+        assert cert.failures
 
 
 def test_standard_pair_names_lex_first_basis():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from veronese_kit.linalg import (
     s_index,
 )
 from veronese_kit.transversal import Hypergraph
-from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank, subconfig
+from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank, subconfig, transpose
 
 FP = Field.prime()
 PRIMES = (101, 65521)
@@ -146,7 +147,7 @@ def test_matmul_matches_triple_loop(field):
 def test_det_transpose_invariant():
     rng = random.Random(17)
     m = rand_matrix(FP, rng, 5, 5)
-    assert det(m) == det(m.transpose())
+    assert det(m) == det(transpose(m))
 
 
 def test_det_rejects_nonsquare():
@@ -291,7 +292,7 @@ def test_kernel_basis_annihilates():
             B = kernel_basis(m)
             assert B.shape == (b - a, b)
             assert rank(B) == b - a
-            assert m.matmul(B.transpose()).is_zero()
+            assert m.matmul(transpose(B)).is_zero()
 
 
 def test_kernel_basis_echelon_block_form():
@@ -403,6 +404,28 @@ def test_vector_matches_get_and_leibniz(field):
         assert mm.vector() == tuple(expected), name
         assert [MaximalMinors(M).get(J) for J in subsets] == expected, name
         assert mm.rank() == rank(M), name
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_int_vector_maps_back_to_vector(field):
+    # over Q values / scales with scales the products of the column clearing
+    # factors, over F_p the residues; rank-deficient cases read all zeros
+    rng = random.Random(73 + (field.p or 0))
+    for name, entries in _vector_cases(field, rng).items():
+        M = Matrix(field, entries)
+        k, n = M.shape
+        mm = MaximalMinors(M)
+        values, scales = mm._int_vector()
+        assert len(values) == comb(n, k) and all(type(v) is int for v in values), name
+        if mm.rank() < k:
+            assert not any(values), name
+        if field.p:
+            assert scales is None and all(0 <= v < field.p for v in values), name
+            assert tuple(values) == MaximalMinors(M).vector(), name
+        else:
+            factors = [lcm(*(x.denominator for x in col)) for col in zip(*M.entries)]
+            assert scales == [prod(factors[j - 1] for j in J) for J in combinations(range(1, n + 1), k)], name
+            assert tuple(map(Fraction, values, scales)) == MaximalMinors(M).vector(), name
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)

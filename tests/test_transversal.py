@@ -192,6 +192,41 @@ def test_block_count_shortcut_boundary(n, k):
         assert failing_partition(H) is None and first_failing_string(H) is None
 
 
+def test_counting_rule_matches_partition_masks(monkeypatch):
+    # a family missing at most n - k of the k-sets is transversal: every
+    # k-block partition has at least n - k + 1 transversal k-sets
+    rng = random.Random(43)
+    walk = tv._walk_partitions
+    walks = []
+    monkeypatch.setattr(tv, "_walk_partitions", lambda n, k, visit: walks.append((n, k)) or walk(n, k, visit))
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            all_sets, masks = partition_edge_masks_oracle(n, k)
+            # one block of n - k + 1 points and k - 1 singletons: exactly
+            # n - k + 1 transversal k-sets, so the bound is tight
+            tight = tuple([0] * (n - k + 1) + list(range(1, k)))
+            sizes = {n - k, n - k + 1, rng.randint(0, len(all_sets))}
+            families = [rng.sample(all_sets, len(all_sets) - m) for m in sizes if m <= len(all_sets) for _ in range(3)]
+            hit = set(transversal_sets(tight, k))
+            families.append([e for e in all_sets if e not in hit])
+            for edges in families:
+                H = Hypergraph(n, k, edges)
+                chosen = sum(1 << b for b, e in enumerate(all_sets) if e in H.edges)
+                walks.clear()
+                part = failing_partition(H)
+                assert (part is None) == all(m & chosen for m in masks)
+                assert (part is None and not walks) == (len(all_sets) - len(H.edges) <= n - k)
+                if part is not None:
+                    assert part.labels == first_failing_string(H)
+            assert failing_partition(Hypergraph(n, k, families[-1])).labels == tight
+
+
+def test_counting_rule_comes_after_the_budget():
+    # the complete family needs no walk, yet S(14, 7) * C(14, 7) is over the budget
+    with pytest.raises(BudgetExceededError):
+        failing_partition(Hypergraph(14, 7, combinations(range(1, 15), 7)))
+
+
 def test_partition_edge_masks_match_per_edge_reference():
     for n in range(1, 8):
         for k in range(1, n + 1):
