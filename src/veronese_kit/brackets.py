@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
 from .errors import BudgetExceededError, ShapeError
@@ -91,21 +91,27 @@ class BracketPolynomial:
         return f"BracketPolynomial(ground={self.ground}, width={self.width}, {format_bracket_poly(self)!r})"
 
 
-def bracket_template(P: BracketPolynomial) -> str:
-    """The text form of P with each index i written as the field {i-1}.
+def bracket_template(P: BracketPolynomial, slots: Optional[Mapping[IndexSet, int]] = None) -> str:
+    """The text form of P as a `str.format` template; the one renderer of its
+    signs, coefficients and bars.
 
-    `bracket_template(P).format(*J)` is the text of P pulled back along a
-    strictly increasing window J (index i reads J[i-1]). Such a map keeps
-    every bracket sorted and the order of factors and terms, so P's canonical
-    form maps to the canonical form of the pullback.
+    Each index i is the field {i-1}: `bracket_template(P).format(*J)` is the
+    text of P pulled back along a strictly increasing window J (index i reads
+    J[i-1]). Such a map keeps every bracket sorted and the order of factors
+    and terms, so P's canonical form maps to the canonical form of the
+    pullback. A bracket F in `slots` is instead the one field {slots[F]},
+    filled with the space-joined labels of F's pullback: templates that share
+    `slots` then share the text of each such bracket, built once per window.
     """
     if not P.terms:
         return "0"
+    slots = slots or {}
+    inner = lambda f: f"{{{slots[f]}}}" if f in slots else " ".join(f"{{{i - 1}}}" for i in f)
     parts = []
     for coef, factors in P.terms:
         sign = "+" if coef > 0 else "-"
         mag = abs(coef)
-        body = "".join("|" + " ".join(f"{{{i - 1}}}" for i in f) + "|" for f in factors)
+        body = "".join("|" + inner(f) + "|" for f in factors)
         parts.append(f"{sign} {mag} {body}" if mag != 1 else f"{sign} {body}")
     return " ".join(parts)
 

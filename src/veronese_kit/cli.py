@@ -18,9 +18,11 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .brackets import (
     HigherEquationReport,
@@ -53,8 +55,10 @@ SCHEMA = "veronese-kit/1"
 
 _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
 
-#: `eqs` emits at most this many generators (about 0.15 s as text, 2.5 s as
-#: JSON); larger requests exit 3 before any generator is built.
+#: `eqs` emits at most this many generators; larger requests exit 3 before
+#: any generator is built. In-process on a 2-core host, the largest admitted
+#: shapes take 0.03-0.1 s as text ((5, 12), (2, 18)), 0.45 s at (14, 18),
+#: where compiling its 18,564 patterns dominates, and 2.5-6.5 s as JSON.
 EQS_GENERATOR_BUDGET = 20_000
 
 
@@ -77,10 +81,15 @@ class CommandResult:
 
 def _finish(result: CommandResult) -> None:
     text = result.text if result.text is not None else json.dumps(result.to_document(), sort_keys=True, indent=2)
+    out, data = sys.stdout, text + "\n"
     try:
-        # one write: on unbuffered stdout a reader that stops early cuts it short silently
-        sys.stdout.write(text + "\n")
-        sys.stdout.flush()
+        if hasattr(out, "buffer"):
+            out.flush()
+            out, data = out.buffer, memoryview(data.encode(out.encoding))
+        # an unbuffered stream's raw write may take only part of the data: write the rest
+        while data:
+            data = data[out.write(data) :]
+        out.flush()
     except BrokenPipeError:
         # the reader is gone: exit 1 quietly, and let the interpreter's final flush go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -174,7 +183,14 @@ def _higher_report_json(field, r: HigherEquationReport) -> dict:
 
 
 def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
-    """Emit the membership equation generators for (P^d)^n in lex order."""
+    """Emit the membership equation generators for (P^d)^n in lex order.
+
+    Rendered one window J at a time: every pattern's line is compiled once
+    into one block template (`bracket_template` with `slots`) whose fields
+    are J's labels, J's own label and each bracket the block uses more than
+    once, so a window costs one join per such bracket and one format. A
+    bracket used once keeps a field per label, which costs less than a join.
+    """
     if d < 2:
         raise ValueError(f"generators are defined for d >= 2, got d={d}")
     if d == 2 and n < 6:
@@ -191,19 +207,27 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
         size, patterns = 6, [(None, phi_as_bracket_poly())]
     else:
         size, patterns = d + 4, psi_generators(d)
-    compiled = [(I, P, bracket_template(P)) for I, P in patterns]
+    uses = Counter(F for _, P in patterns for _, fs in P.terms for F in fs)
+    shared = [F for F in uses if uses[F] > 1]
+    slots = {F: k for k, F in enumerate(shared, start=size + 1)}
+    getters = [itemgetter(*[i - 1 for i in F]) for F in shared]
+    templates = [bracket_template(P, slots) for _, P in patterns]
+    window = "{%d}" % size  # the field of J's label
+    block = "\n".join(
+        f"({window}) {t}" if I is None else f"({','.join(map(str, I))}; {window}) {t}"
+        for (I, _), t in zip(patterns, templates)
+    )
     lines, gens = [], []
-    for J in combinations(range(1, n + 1), size):
-        window = ",".join(map(str, J))
-        for I, P, template in compiled:
-            text = template.format(*J)
-            if fmt == "text":
-                label = window if I is None else ",".join(map(str, I)) + "; " + window
-                lines.append(f"({label}) {text}")
-                continue
+    for J in combinations([str(j) for j in range(1, n + 1)], size):
+        fields = (*J, ",".join(J), *[" ".join(g(J)) for g in getters])
+        if fmt == "text":
+            lines.append(block.format(*fields))
+            continue
+        J = [int(j) for j in J]
+        for (I, P), template in zip(patterns, templates):
             terms = [{"coef": c, "factors": [[J[i - 1] for i in f] for f in fs]} for c, fs in P.terms]
-            labels = {"I": list(J)} if I is None else {"I": list(I), "J": list(J)}
-            gens.append(labels | {"ground": n, "width": P.width, "terms": terms, "text": text})
+            labels = {"I": J} if I is None else {"I": list(I), "J": J}
+            gens.append(labels | {"ground": n, "width": P.width, "terms": terms, "text": template.format(*fields)})
     if fmt == "text":
         return CommandResult("Ok", {}, text="\n".join(lines))
     payload = {"d": d, "n": n, "count": len(gens), "generators": gens}

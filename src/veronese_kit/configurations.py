@@ -467,9 +467,10 @@ def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None)
     g_0.0..g_0.d, t_1..t_n: U X_r for r = 1..d, U from `_left_kernel_band`.
 
     g holds the (d+1) x (d+1) matrix row-major and t the n distinct
-    parameters, as ints (reduced mod p when p is given, as is S). S is empty
-    when n <= d + 1. Returns None when some y_0 is 0 (mod p), i.e. a point
-    lies off the affine chart.
+    parameters, as ints (reduced mod p when p is given). S holds ints, over
+    F_p congruent to S mod p and left unreduced: its rank reduces them on
+    entry. S is empty when n <= d + 1. Returns None when some y_0 is 0
+    (mod p), i.e. a point lies off the affine chart.
     """
     w = d + 1
     rows_g = [g[r * w : (r + 1) * w] for r in range(w)]
@@ -494,7 +495,7 @@ def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None)
             uy = [u * y[r] for u, y in zip(band, ys[j:])]
             row = [-sum(map(mul, uy, col)) for col in cols] + [0] * j
             row += [u * c[r] for u, c in zip(band, cs[j:])] + [0] * (n - j - w - 1)
-            S.append([x % p for x in row] if p else row)
+            S.append(row)
     return S
 
 
