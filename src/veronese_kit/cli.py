@@ -113,15 +113,19 @@ def _run(cmd, opts: dict) -> None:
         _finish(result)
 
 
+def _decode_json(raw: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+
+
 def _read_json_input(source: str):
     try:
         raw = sys.stdin.read() if source == "-" else open(source, "r", encoding="utf-8").read()
     except OSError as e:
         raise ValueError(f"cannot read {source!r}: {e}") from e
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    return _decode_json(raw)
 
 
 def _edges_from_json(doc) -> list[list[int]]:
@@ -319,11 +323,7 @@ def cmd_transversal(n, k, edges, minimum) -> CommandResult:
     inc, avg = bounds(n, k)
     payload["bounds"] = {"incidence": inc, "averaging": avg}
     if edges is not None:
-        doc = (
-            _read_json_input(edges[1:])
-            if edges.startswith("@")
-            else json.loads(edges)
-        )
+        doc = _read_json_input(edges[1:]) if edges.startswith("@") else _decode_json(edges)
         H = Hypergraph(n, k, _edges_from_json(doc))
         part = failing_partition(H)
         payload["edges"] = [list(e) for e in H.edges]

@@ -22,8 +22,11 @@ from .linalg import IndexSet, Matrix, as_index_set, rank
 
 #: Exhaustive minimum search is limited to this many candidate edges (2^14 masks).
 MIN_SEARCH_EDGE_BUDGET = 14
-#: A partition walk is limited to S(n, k) * (edges tested) edge tests; at the
-#: budget the walk itself takes under 0.1 s (README: Command line).
+#: A partition search or walk is limited to S(n, k) * (edges tested) edge
+#: tests, S(n, k) bounding the partitions either can reach. At the budget the
+#: `--min` walk takes about 0.06 s; the `--edges` search, which reaches only
+#: partitions whose minima are a missing k-set, takes under 10 ms on the
+#: slowest families measured (README: Command line).
 PARTITION_WORK_BUDGET = 2_000_000
 
 
@@ -73,36 +76,32 @@ class BlockPartition:
         object.__setattr__(self, "labels", tuple(labels))
 
 
-def _walk_partitions(n: int, k: int, visit: Callable[[list[list[int]]], bool]) -> Optional[list[list[int]]]:
-    """Visit the k-block partitions of [n], 1 <= k <= n, in growth-string (lex) order.
+def _walk_partitions(n: int, k: int, visit: Callable[[list[list[int]]], None]) -> None:
+    """Visit every k-block partition of [n], 1 <= k <= n, in growth-string (lex) order.
 
     Block j is the list of bits 1 << (i - 1) of its elements i, blocks numbered
     by their smallest element, so the first partition packs {1, ..., n-k+1}
-    into the first block. `visit` sees the live block lists; the walk stops at
-    the first partition for which it returns True and returns that
-    partition's blocks, or None when it returns True for none.
+    into the first block. `visit` sees the live block lists.
     """
     blocks: list[list[int]] = [[] for _ in range(k)]
 
-    def rec(i: int, used: int) -> bool:
+    def rec(i: int, used: int) -> None:
         if i == n:
-            return visit(blocks)
+            visit(blocks)
+            return
         bit = 1 << i
         # element i + 1 joins an open block only if the rest can still open the others
         if used + n - i > k:
             for block in blocks[:used]:
                 block.append(bit)
-                if rec(i + 1, used):
-                    return True
+                rec(i + 1, used)
                 block.pop()
         if used < k:
             blocks[used].append(bit)
-            if rec(i + 1, used + 1):
-                return True
+            rec(i + 1, used + 1)
             blocks[used].pop()
-        return False
 
-    return blocks if rec(0, 0) else None
+    rec(0, 0)
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -116,7 +115,7 @@ def _stirling2(n: int, k: int) -> int:
 
 
 def _check_partition_work(n: int, k: int, edges_tested: int) -> None:
-    """Refuse a walk over the k-block partitions of [n] above the work budget."""
+    """Refuse a search over the k-block partitions of [n] above the work budget."""
     count = _stirling2(n, k)
     if count * edges_tested > PARTITION_WORK_BUDGET:
         raise BudgetExceededError(
@@ -129,6 +128,63 @@ def _edge_mask(edge: IndexSet) -> int:
     return sum(1 << (x - 1) for x in edge)
 
 
+def _growth_string(n: int, blocks: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """The growth string of blocks of point bits, numbered by their smallest element."""
+    labels = [0] * n
+    for j, block in enumerate(blocks):
+        for bit in block:
+            labels[bit.bit_length() - 1] = j
+    return tuple(labels)
+
+
+def _meets_no_edge(blocks: list[list[int]], masks: set[int], missing: int) -> bool:
+    """Whether no k-set transversal to the blocks of point bits is in `masks`.
+
+    `missing` counts the k-sets outside `masks`: a partition with more
+    transversal k-sets than that meets an edge, with no lookup made.
+    """
+    return prod(map(len, blocks)) <= missing and masks.isdisjoint(map(sum, product(*blocks)))
+
+
+def _search_by_minima(n: int, k: int, masks: set[int], missing: int) -> Optional[list[list[int]]]:
+    """Blocks (point bits) of the lex-first k-block partition with no k-set of `masks` transversal.
+
+    Searches the partitions by their minima sets t, each a k-set missing
+    from `masks`; `failing_partition` has the proof. `missing` counts the
+    k-sets outside `masks`; the result is None when every partition meets one.
+    """
+    full = (1 << n) - 1
+    best: Optional[tuple[int, ...]] = None
+    found: Optional[list[list[int]]] = None
+    # the points outside t are the ones floor(t) labels 0, so their sets in
+    # lex order give the minima sets t (all holding point 1) in floor order
+    for rest in combinations([1 << x for x in range(1, n)], n - k):
+        t = full - sum(rest)
+        if t in masks:
+            continue
+        minima = [bit for bit in (1 << x for x in range(n)) if t & bit]
+        if best is not None and _growth_string(n, ([m] for m in minima)) >= best:
+            break
+        # the blocks point y may join: t with that block's minimum swapped for y is missing
+        options = []
+        for y in rest:
+            allowed = [i for i, m in enumerate(minima) if m < y and t - m + y not in masks]
+            if not allowed:
+                break
+            options.append(allowed)
+        else:
+            for choice in product(*options):
+                blocks = [[m] for m in minima]
+                for y, i in zip(rest, choice):
+                    blocks[i].append(y)
+                if _meets_no_edge(blocks, masks, missing):
+                    labels = _growth_string(n, blocks)
+                    if best is None or labels < best:
+                        best, found = labels, blocks
+                    break
+    return found
+
+
 def failing_partition(H: Hypergraph) -> Optional[BlockPartition]:
     """First k-block partition (growth-string order) with no transversal edge.
 
@@ -138,22 +194,41 @@ def failing_partition(H: Hypergraph) -> Optional[BlockPartition]:
     partition is passed without looking any up.
 
     Every k-block partition has prod(|block|) >= n - k + 1, so H is
-    transversal, with no walk, when at most n - k k-sets are missing. For
+    transversal, with no search, when at most n - k k-sets are missing. For
     ints a, b >= 1, ab >= a + b - 1 since (a - 1)(b - 1) >= 0; folding the
     blocks one at a time gives prod(|block|) >= 1 + sum(|block| - 1) =
     n - k + 1. The budget check comes first, so an input over it exits 3
     whether or not the count decides it.
+
+    Otherwise the search starts from the missing k-sets, the family M. Let P
+    fail, with block minima t = {1 = t_1 < ... < t_k}. Then t meets every
+    block once, so t is in M; and for y in block i, t - t_i + y also meets
+    every block once, so it is in M too. Hence, for each t in M holding 1:
+      - point y outside t may join only the blocks i with t_i < y (block i
+        is numbered by its minimum) and t - t_i + y in M, one set lookup
+        each; when no block is left for some y, no partition with minima t
+        fails and t is dropped;
+      - the partitions with minima t are the choices of one such block per
+        y, and taking y ascending and blocks ascending (a depth-first search,
+        `product` of the allowed blocks) visits them in growth-string order,
+        so the first that fails (prod(|block|) <= |M| and every product of
+        its blocks in M) is the lex-first failing partition with minima t.
+    The least growth string with minima t, floor(t), labels every other
+    point 0. Two floors first differ at a point one labels 0 and the other
+    opens a block at, so the sorted 0-labelled points, taken in lex order
+    (`combinations`), give the t's in floor order. Every string with minima
+    t' is at least floor(t'), so once floor(t) reaches the best string found,
+    no later t' can beat it and the search stops.
+    A partition has one minima set and one block per point, so none is
+    reached twice, and the search tests at most the S(n, k) partitions the
+    budget counts.
     """
     _check_partition_work(H.n, H.k, len(H.edges))
     masks = {_edge_mask(e) for e in H.edges}
     missing = comb(H.n, H.k) - len(masks)
     if missing <= H.n - H.k:
         return None
-
-    def fails(blocks: list[list[int]]) -> bool:
-        return prod(map(len, blocks)) <= missing and masks.isdisjoint(map(sum, product(*blocks)))
-
-    blocks = _walk_partitions(H.n, H.k, fails)
+    blocks = _search_by_minima(H.n, H.k, masks, missing)
     if blocks is None:
         return None
     return BlockPartition(H.n, [[bit.bit_length() for bit in block] for block in blocks])
@@ -213,9 +288,8 @@ def _partition_edge_masks(n: int, k: int) -> tuple[list[IndexSet], list[int]]:
     bit_of = {_edge_mask(e): 1 << j for j, e in enumerate(edges)}
     masks: list[int] = []
 
-    def record(blocks: list[list[int]]) -> bool:
+    def record(blocks: list[list[int]]) -> None:
         masks.append(sum(map(bit_of.__getitem__, map(sum, product(*blocks)))))
-        return False
 
     _walk_partitions(n, k, record)
     return edges, masks

@@ -23,7 +23,8 @@ scalars; it is the reference for the echelon-form certificate of
 `transpose` is a test helper: the package itself never transposes a `Matrix`.
 `set_partitions` yields restricted growth strings one label at a time, and
 `partition_edge_masks_oracle` tests every edge against every string; they are
-the reference for the block-product walk of `transversal`.
+the reference for the minima search of `transversal.failing_partition` and
+the block-product walk behind `min_transversal`.
 `greedy_cover_oracle` recounts every edge's hits on each pick; it is the
 reference for the running hit counts of `min_transversal(n, k, "greedy")`.
 `chart_jacobian` writes every row of the chart Jacobian in field scalars,

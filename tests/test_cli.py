@@ -408,6 +408,15 @@ def test_transversal_rejects_malformed_edges(edges, message):
     assert code == 2 and doc["payload"]["error"] == message
 
 
+def test_malformed_edges_read_the_same_inline_and_from_a_file(tmp_path):
+    path = tmp_path / "edges.json"
+    path.write_text("[[1, 2,")
+    message = "malformed JSON at line 1, column 8: Expecting value"
+    for edges in ("[[1, 2,", f"@{path}"):
+        code, doc = run_json(["transversal", "--n", "5", "--k", "3", "--edges", edges])
+        assert code == 2 and doc["payload"]["error"] == message, edges
+
+
 def test_internal_errors_are_not_bad_input(monkeypatch):
     import veronese_kit.cli as cli
 

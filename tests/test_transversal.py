@@ -61,19 +61,19 @@ def test_block_partition_canonicalization():
         BlockPartition(4, [(1, 2), (2, 3, 4)])  # overlap
 
 
+def bit_blocks_to_labels(n, blocks):
+    """The growth string of blocks of point bits 1 << (i - 1), in the order given."""
+    labels = [0] * n
+    for j, block in enumerate(blocks):
+        for bit in block:
+            labels[bit.bit_length() - 1] = j
+    return tuple(labels)
+
+
 def walked_growth_strings(n, k):
     """The growth strings of the partitions `_walk_partitions` visits, in its order."""
     strings = []
-
-    def record(blocks):
-        labels = [0] * n
-        for j, block in enumerate(blocks):
-            for bit in block:
-                labels[bit.bit_length() - 1] = j
-        strings.append(tuple(labels))
-        return False
-
-    assert tv._walk_partitions(n, k, record) is None
+    tv._walk_partitions(n, k, lambda blocks: strings.append(bit_blocks_to_labels(n, blocks)))
     return strings
 
 
@@ -89,8 +89,10 @@ def test_set_partitions_first_packs_front_block():
     first = next(set_partitions(6, 3))
     assert first == (0, 0, 0, 0, 1, 2)
     assert walked_growth_strings(6, 3)[0] == first
-    # an early stop leaves the blocks of the partition it stopped at
-    assert tv._walk_partitions(6, 3, lambda blocks: True) == [[1, 2, 4, 8], [16], [32]]
+    # the walk shows each block as the bits 1 << (i - 1) of its elements i
+    seen = []
+    tv._walk_partitions(6, 3, lambda blocks: seen.append([list(b) for b in blocks]))
+    assert seen[0] == [[1, 2, 4, 8], [16], [32]]
 
 
 def test_agrees_with_ordered_partition_oracle():
@@ -175,6 +177,87 @@ def test_failing_partition_matches_oracle_on_planted_families(n, k, seed):
     assert part.labels <= planted
 
 
+def minima_search_families(n, k, rng):
+    """Families for the minima search: random, planted, near-complete, empty, greedy covers."""
+    all_sets = list(combinations(range(1, n + 1), k))
+    families = [rng.sample(all_sets, rng.randint(0, len(all_sets))) for _ in range(3)]
+    for _ in range(2):
+        hit = set(transversal_sets(random_growth_string(rng, n, k), k))
+        planted = [e for e in all_sets if e not in hit]
+        families.append(planted)
+        families.append(rng.sample(planted, rng.randint(0, len(planted))))
+    if len(all_sets) >= n - k + 1:
+        families.append(rng.sample(all_sets, len(all_sets) - (n - k + 1)))
+    families.append([])
+    cover = min_transversal(n, k, "greedy")[1].edges
+    families.append(cover)
+    families.extend([f for f in cover if f != e] for e in cover)
+    return families
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(1, 9) for k in range(1, n + 1)] + [(9, 4), (9, 5)]
+)
+def test_minima_search_matches_oracle(n, k):
+    rng = random.Random(f"minima:{n}:{k}")
+    for edges in minima_search_families(n, k, rng):
+        part = failing_partition(Hypergraph(n, k, edges))
+        assert (None if part is None else part.labels) == first_failing_string(Hypergraph(n, k, edges)), edges
+
+
+def minima_and_swaps(labels, k):
+    """A partition's block minima, and those minima with one swapped for another point of its block."""
+    n = len(labels)
+    minima = tuple(labels.index(j) + 1 for j in range(k))
+    swaps = [tuple(sorted(set(minima) - {minima[labels[y - 1]]} | {y})) for y in range(1, n + 1) if y not in minima]
+    return minima, swaps
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (6, 3), (7, 3), (7, 4), (8, 4)])
+def test_minima_search_tests_only_the_partitions_it_must(n, k, monkeypatch):
+    leaf = tv._meets_no_edge
+    tested = []
+
+    def spy(blocks, masks, missing):
+        tested.append(bit_blocks_to_labels(n, blocks))
+        return leaf(blocks, masks, missing)
+
+    monkeypatch.setattr(tv, "_meets_no_edge", spy)
+    rng = random.Random(f"minima-work:{n}:{k}")
+    for edges in minima_search_families(n, k, rng):
+        H = Hypergraph(n, k, edges)
+        if comb(n, k) - len(H.edges) <= n - k:
+            continue  # decided by counting
+        edge_set = set(H.edges)
+        # a partition can fail only if its minima and every single swap are missing
+        candidates = set()
+        for labels in set_partitions(n, k):
+            minima, swaps = minima_and_swaps(labels, k)
+            if minima not in edge_set and not edge_set.intersection(swaps):
+                candidates.add(labels)
+        tested.clear()
+        part = failing_partition(H)
+        assert len(set(tested)) == len(tested)
+        assert candidates.issuperset(tested)
+        if part is None:
+            assert set(tested) == candidates
+            continue
+        by_minima = {}
+        for labels in tested:
+            by_minima.setdefault(minima_and_swaps(labels, k)[0], []).append(labels)
+        for minima, strings in by_minima.items():
+            floor = tuple(minima.index(x) if x in minima else 0 for x in range(1, n + 1))
+            # no minima set past the answer's is searched ...
+            assert floor <= part.labels
+            # ... and each searched one stops at its first failing partition
+            assert strings == sorted(strings)
+            assert all(any(len({s[x - 1] for x in e}) == k for e in H.edges) for s in strings[:-1])
+    # the empty family fails at its first partition, and no other is tested
+    tested.clear()
+    assert failing_partition(Hypergraph(n, k, [])).labels == tested[0]
+    assert len(tested) == 1
+
+
 @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (8, 4), (7, 6)])
 def test_block_count_shortcut_boundary(n, k):
     # with exactly the prod(|block|) transversal sets of P missing, P is the one
@@ -196,9 +279,11 @@ def test_counting_rule_matches_partition_masks(monkeypatch):
     # a family missing at most n - k of the k-sets is transversal: every
     # k-block partition has at least n - k + 1 transversal k-sets
     rng = random.Random(43)
-    walk = tv._walk_partitions
-    walks = []
-    monkeypatch.setattr(tv, "_walk_partitions", lambda n, k, visit: walks.append((n, k)) or walk(n, k, visit))
+    search = tv._search_by_minima
+    searches = []
+    monkeypatch.setattr(
+        tv, "_search_by_minima", lambda n, k, *args: searches.append((n, k)) or search(n, k, *args)
+    )
     for n in range(1, 9):
         for k in range(1, n + 1):
             all_sets, masks = partition_edge_masks_oracle(n, k)
@@ -212,17 +297,17 @@ def test_counting_rule_matches_partition_masks(monkeypatch):
             for edges in families:
                 H = Hypergraph(n, k, edges)
                 chosen = sum(1 << b for b, e in enumerate(all_sets) if e in H.edges)
-                walks.clear()
+                searches.clear()
                 part = failing_partition(H)
                 assert (part is None) == all(m & chosen for m in masks)
-                assert (part is None and not walks) == (len(all_sets) - len(H.edges) <= n - k)
+                assert (part is None and not searches) == (len(all_sets) - len(H.edges) <= n - k)
                 if part is not None:
                     assert part.labels == first_failing_string(H)
             assert failing_partition(Hypergraph(n, k, families[-1])).labels == tight
 
 
 def test_counting_rule_comes_after_the_budget():
-    # the complete family needs no walk, yet S(14, 7) * C(14, 7) is over the budget
+    # the complete family needs no search, yet S(14, 7) * C(14, 7) is over the budget
     with pytest.raises(BudgetExceededError):
         failing_partition(Hypergraph(14, 7, combinations(range(1, 15), 7)))
 
