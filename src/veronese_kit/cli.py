@@ -41,7 +41,7 @@ from .configurations import (
     sample_quasi_veronese_chain,
 )
 from .errors import BudgetExceededError, VeroneseKitError
-from .gale import duality_certificate, gale_of_config
+from .gale import _duality_certificate, _gale_of_config
 from .serialize import (
     config_from_json,
     config_to_json,
@@ -261,8 +261,9 @@ def cmd_eval(input: str, with_values: bool) -> CommandResult:
 def cmd_gale(input: str) -> CommandResult:
     """Gale-transform a configuration; certifies the minor duality exactly."""
     p = _extract_config(_read_json_input(input))
-    q = gale_of_config(p)
-    cert = duality_certificate(p.coords, q.coords)
+    # the certificate reads p's minors from the echelon form the transform used
+    ma, q = _gale_of_config(p)
+    cert = _duality_certificate(p.coords, q.coords, ma)
     payload = {
         "config": config_to_json(q),
         "source": {"d": p.d, "n": p.n},

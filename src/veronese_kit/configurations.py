@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
 from .fields import Field, Scalar, require_same_field
-from .linalg import Matrix, certified_rank, rank, rref
+from .linalg import Matrix, MaximalMinors, certified_rank, rank
 
 #: Resample budget for rejection loops (invertible draws, chart retries, spans).
 RETRY_BUDGET = 32
@@ -36,9 +36,9 @@ class PointConfiguration:
         if coords.shape != (d + 1, n):
             raise ShapeError(f"coords must be {(d + 1, n)}, got {coords.shape}")
         require_same_field(field, coords.field, "configuration coordinates")
-        for j in range(n):
-            if all(x == 0 for x in coords.column(j)):
-                raise DegenerateInputError(f"point {j + 1} has all-zero coordinates")
+        for j, col in enumerate(zip(*coords.entries), start=1):
+            if not any(col):
+                raise DegenerateInputError(f"point {j} has all-zero coordinates")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
@@ -88,17 +88,17 @@ def strong_nondegeneracy_witness(p: PointConfiguration) -> Optional[int]:
     if p.n < p.d + 2:
         # dropping any point leaves too few to span
         return 1 if p.n >= 1 else None
-    R, pivots, _ = rref(p.coords)
-    return _coloop(p, R, pivots)
+    return _coloop(p, *MaximalMinors(p.coords)._echelon())
 
 
-def _coloop(p: PointConfiguration, R: Matrix, pivots: Sequence[int]) -> Optional[int]:
+def _coloop(p: PointConfiguration, rows: Sequence[Sequence], pivots: Sequence[int]) -> Optional[int]:
     """`strong_nondegeneracy_witness` for n >= d + 2 points, read from the
-    reduced echelon form R of their coordinates with 0-based `pivots`."""
+    rows of a reduced echelon form of their coordinates (columns scaled by
+    nonzero constants allowed) with 0-based `pivots`."""
     if len(pivots) < p.d + 1:
         return 1
     free = [c for c in range(p.n) if c not in pivots]
-    for row, c in zip(R.entries, pivots):
+    for row, c in zip(rows, pivots):
         if not any(row[f] for f in free):
             return c + 1
     return None
@@ -232,7 +232,7 @@ def sample_degenerate(
             continue
         coeffs = random_matrix(field, d, n, rng, height)
         cols = frame.matmul(coeffs)
-        if any(all(x == 0 for x in cols.column(j)) for j in range(n)):
+        if not all(map(any, zip(*cols.entries))):
             continue
         return PointConfiguration(field, d, n, cols)
     raise BudgetExceededError("no hyperplane sample within budget")

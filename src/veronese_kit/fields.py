@@ -8,6 +8,7 @@ samplers field-generic; `linalg` eliminates over both fields on plain ints.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -19,6 +20,9 @@ Scalar = Union[Fraction, int]
 DEFAULT_PRIME = 65521
 
 _MAX_PRIME = (1 << 31) - 1
+
+#: A plain ASCII integer string, the form Q coordinates are usually written in.
+_PLAIN_INT = re.compile(r"-?[0-9]+")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -166,12 +170,29 @@ class Field:
             return str(x)
         return int(x)
 
+    def scalars_to_json(self, xs) -> list:
+        """`scalar_to_json` of each scalar of xs, in one pass."""
+        return list(map(str if self.p is None else int, xs))
+
+    def scalars_from_json(self, vs) -> list | None:
+        """The canonical scalars of a list of JSON values in one pass, when
+        the list is of the one common kind: exact ints over F_p (reduced mod
+        p), plain ASCII integer strings (-?[0-9]+) over Q (read by `int`).
+        None for any other list; `scalar_from_json` would give each of these
+        the same scalar, and it alone decides every other value."""
+        kinds = set(map(type, vs))
+        if self.p is not None:
+            return list(map(self.p.__rmod__, vs)) if kinds == {int} else None
+        if kinds == {str} and all(map(_PLAIN_INT.fullmatch, vs)):
+            return list(map(Fraction, map(int, vs)))
+        return None
+
     def scalar_from_json(self, v) -> Scalar:
         """The canonical scalar of a JSON value. Over Q a plain ASCII integer
         string (-?[0-9]+) is read by `int`; every other string goes through
         `Fraction`, which decides what is accepted and the error text."""
         if self.kind == "Q":
-            if type(v) is str and v.isascii() and (v[1:] if v[:1] == "-" else v).isdigit():
+            if type(v) is str and _PLAIN_INT.fullmatch(v):
                 return Fraction(int(v))
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise TypeError(f"Q scalar must be a fraction string or int, got {v!r}")

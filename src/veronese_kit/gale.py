@@ -37,7 +37,6 @@ from .linalg import (
     MaximalMinors,
     Matrix,
     _clear,
-    _kernel_from_rref,
     _lex_subset_folds,
     _orthogonal,
     kernel_basis,
@@ -122,6 +121,13 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     Pairings of more than `DUALITY_PAIR_BUDGET` index sets raise
     BudgetExceededError before any elimination.
     """
+    return _duality_certificate(A, B, None)
+
+
+def _duality_certificate(A: Matrix, B: Matrix, ma: MaximalMinors | None) -> GaleDualityCertificate:
+    """`duality_certificate` of (A, B) that reads A's minors from `ma`, the
+    `MaximalMinors` of A whose echelon form a caller already has, or from
+    fresh ones when `ma` is None."""
     require_same_field(A.field, B.field, "Gale pair")
     n = A.cols
     if B.cols != n:
@@ -136,9 +142,10 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
             f"over the budget of {DUALITY_PAIR_BUDGET}"
         )
     # scaling rows by their nonzero clearing factors keeps A B^t = 0 or not
-    if not _orthogonal((_clear(r)[0] for r in A.entries), [_clear(r)[0] for r in B.entries], A.field.p):
+    p = A.field.p
+    if not _orthogonal((_clear(r, p)[0] for r in A.entries), [_clear(r, p)[0] for r in B.entries], p):
         raise NotAGalePairError("A B^t != 0")
-    ma, mb = MaximalMinors(A), MaximalMinors(B)
+    ma, mb = ma or MaximalMinors(A), MaximalMinors(B)
     if ma.rank() < A.rows or mb.rank() < B.rows:
         raise RankDeficiencyError("both matrices must have full row rank")
 
@@ -151,10 +158,10 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     odd = _lex_subset_folds(n, k, (B.rows - k * (k + 1) // 2) % 2, xor, lambda j, t: (j + 1) % 2)
     first = next(i for i, x in enumerate(va[0]) if x)  # full row rank has one
     if vb[0][first]:
-        lam = _ratio(va, vb, first, A.field.p)
+        lam = _ratio(va, vb, first, p)
         if odd[first]:
             lam = A.field.neg(lam)
-        bad = _off_line(va, vb, lam, A.field.p, odd)
+        bad = _off_line(va, vb, lam, p, odd)
     else:
         # genuine Gale pairs cannot do this; flag everything
         lam, bad = A.field.zero, range(count)
@@ -196,16 +203,22 @@ def gale_of_config(p: PointConfiguration) -> PointConfiguration:
     Defined when n >= d + 3 and the input is strongly nondegenerate (any n-1
     points span); that is exactly what keeps every transform column nonzero.
     """
+    return _gale_of_config(p)[1]
+
+
+def _gale_of_config(p: PointConfiguration) -> tuple[MaximalMinors, PointConfiguration]:
+    """`gale_of_config(p)` with the `MaximalMinors` of p's coordinates, whose
+    one echelon form gave both the coloop test and the kernel basis; the
+    certificate of the pair reads p's minors from that same form."""
     if p.n < p.d + 3:
         raise ShapeError(f"need n >= d + 3 for a projective Gale transform, got n={p.n}")
-    # one echelon form gives both the coloop test and the kernel basis
-    R, pivots, _ = rref(p.coords)
-    w = _coloop(p, R, pivots)
+    ma = MaximalMinors(p.coords)
+    w = _coloop(p, *ma._echelon())
     if w is not None:
         raise DegenerateInputError(
             f"dropping point {w} kills the span; Gale transform would have a zero column"
         )
-    return PointConfiguration(p.field, p.n - p.d - 2, p.n, _kernel_from_rref(R, pivots))
+    return ma, PointConfiguration(p.field, p.n - p.d - 2, p.n, ma._kernel())
 
 
 def double_gale_minor_check(p: PointConfiguration) -> bool:

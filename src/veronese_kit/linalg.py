@@ -10,13 +10,16 @@ it.
 `MaximalMinors._echelon_minor` reads one from the cached echelon form by a
 small determinant of its rows, and `MaximalMinors._int_vector` all of them,
 as core ints with their clearing scales; `MaximalMinors.vector` maps those
-back to field scalars.
+back to field scalars. `MaximalMinors._kernel` reads the reduced-echelon
+kernel basis (`kernel_basis`) from the same cached echelon form, so a caller
+that needs a matrix's kernel and its minors eliminates it once.
 
-The integer view is decided in one place. `_clear` turns a row or column
-of scalars into core ints and a clearing factor m: over Q (`Fraction`
-entries) the entries times the lcm m of their denominators, over F_p (ints
-in [0, p)) the residues themselves with m = 1. `Field.p` is the core's
-modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
+The integer view is decided in one place. `_clear(xs, p)` turns a row or
+column of scalars into core ints and a clearing factor m, keyed on the
+field's modulus p = `Field.p` that every caller holds: over Q (p None) the
+`Fraction` entries times the lcm m of their denominators, over F_p the
+residues in [0, p) as they are, with m = 1 and no work. `Field.p` is the
+core's modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
 turns a core int back into a field scalar. `det`, `rank` and `rref` clear
 rows; `MaximalMinors` clears columns. `Matrix(...)` normalizes its entries;
 `Matrix._trusted` takes entries that are canonical already (copies, `rref`
@@ -193,9 +196,12 @@ def _columns_to_rows(columns: Sequence[Sequence]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _clear(xs: Sequence[Scalar]) -> tuple[list[int], int]:
-    """The scalars xs as core ints: (xs times m, m), m the lcm of their
-    denominators. F_p residues are ints, so they come back as they are, m = 1."""
+def _clear(xs: Sequence[Scalar], p: int | None) -> tuple[Sequence[int], int]:
+    """The scalars xs of the field of modulus p (`Field.p`) as core ints:
+    over Q (p None) (xs times m, m), m the lcm of their denominators; over
+    F_p the residues xs themselves, as they are, with m = 1."""
+    if p is not None:
+        return xs, 1
     m = lcm(*(x.denominator for x in xs))
     return [x.numerator * (m // x.denominator) for x in xs], m
 
@@ -240,7 +246,7 @@ def det(M: Matrix) -> Scalar:
     """Exact determinant of a square matrix."""
     if M.rows != M.cols:
         raise ShapeError(f"determinant of non-square {M.shape}")
-    rows, scales = zip(*map(_clear, M.entries))
+    rows, scales = zip(*map(_clear, M.entries, repeat(M.field.p)))
     return _scalar(M.field, _bareiss_det_int(rows), prod(scales))
 
 
@@ -308,7 +314,7 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form: (matrix, 0-based pivot columns, rank)."""
     # the cleared rows have the same row space; the int result is D times
     # the reduced form, D its last pivot (1 over F_p)
-    a, piv = int_rref([_clear(row)[0] for row in M.entries], M.field.p)
+    a, piv = int_rref([_clear(row, M.field.p)[0] for row in M.entries], M.field.p)
     D = a[len(piv) - 1][piv[-1]] if piv else 1
     return Matrix._trusted(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
 
@@ -347,7 +353,7 @@ def int_rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
 def rank(M: Matrix) -> int:
     """Rank of M over its field, by `int_rank` on the cleared rows."""
     # scaling rows by nonzero constants keeps the rank
-    return int_rank([_clear(row)[0] for row in M.entries], M.field.p)
+    return int_rank([_clear(row, M.field.p)[0] for row in M.entries], M.field.p)
 
 
 def _orthogonal(rows: Iterable[Sequence[int]], others: Sequence[Sequence[int]], p: int | None) -> bool:
@@ -393,24 +399,7 @@ def kernel_basis(M: Matrix) -> Matrix:
     """
     if M.rows >= M.cols:
         raise ShapeError(f"kernel_basis expects a wide matrix, got {M.shape}")
-    R, pivots, _ = rref(M)
-    return _kernel_from_rref(R, pivots)
-
-
-def _kernel_from_rref(R: Matrix, pivots: Sequence[int]) -> Matrix:
-    """`kernel_basis` read from a reduced echelon form R with 0-based `pivots`."""
-    if len(pivots) < R.rows:
-        raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {R.rows} rows")
-    f = R.field
-    free = [c for c in range(R.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [f.zero] * R.cols
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(R.entries[i][fc])
-        basis.append(v)
-    return Matrix._trusted(f, basis)
+    return MaximalMinors(M)._kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +429,7 @@ class MaximalMinors:
         self._cache: dict[IndexSet, Scalar] = {}
         self._rref: tuple[list[list[int]], list[int]] | None = None
         self._scale: int | None = None
-        self.int_columns, self._factors = zip(*map(_clear, zip(*M.entries)))
+        self.int_columns, self._factors = zip(*map(_clear, zip(*M.entries), repeat(M.field.p)))
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """`int_rref` of the rows of `int_columns`, computed once: (rows,
@@ -453,6 +442,30 @@ class MaximalMinors:
     def rank(self) -> int:
         """Rank of the matrix, from the cached `_echelon` form."""
         return len(self._echelon()[1])
+
+    def _kernel(self) -> Matrix:
+        """`kernel_basis` of the matrix, read from the cached `_echelon` form.
+
+        The basis vector of free column f is 1 at f and -R[i][f] at the i-th
+        pivot c_i, R the reduced echelon form. The echelon rows a are those
+        of the columns scaled by their clearing factors m, so over Q
+        R[i][f] = a[i][f] m_{c_i} / (m_f D), D the last pivot; over F_p R = a.
+        """
+        a, pivots = self._echelon()
+        if len(pivots) < self.width:
+            raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {self.width} rows")
+        f, n, m = self.matrix.field, self.matrix.cols, self._factors
+        D = a[-1][pivots[-1]]
+        basis = []
+        for fc in range(n):
+            if fc in pivots:
+                continue
+            v = [f.zero] * n
+            v[fc] = f.one
+            for row, c in zip(a, pivots):
+                v[c] = -row[fc] % f.p if f.p else Fraction(-row[fc] * m[c], m[fc] * D)
+            basis.append(v)
+        return Matrix._trusted(f, basis)
 
     def _int_minor(self, cols: Sequence[int]) -> int:
         """Unreduced Bareiss determinant of the int columns `cols` (0-based)."""

@@ -7,6 +7,14 @@ The configuration document is:
 with rational scalars as fraction strings ("3", "-5/7") and prime-field
 scalars as plain ints. Round-tripping preserves configurations up to nothing
 at all — coordinates are written verbatim.
+
+Both directions work a column at a time, and `Field` decides the form of
+each scalar. `config_to_json` writes each column by `Field.scalars_to_json`.
+`config_from_json` reads a column of the common kind (exact ints over F_p,
+plain ASCII integer strings over Q) in one pass by
+`Field.scalars_from_json`; every other column goes entry by entry through
+`Field.scalar_from_json`, the one rule of acceptance and of error text, so
+both paths give the same scalars and the same errors.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ def config_to_json(p: PointConfiguration) -> dict:
         "field": field_to_json(f),
         "d": p.d,
         "n": p.n,
-        "columns": [[f.scalar_to_json(x) for x in col] for col in p.points()],
+        "columns": list(map(f.scalars_to_json, zip(*p.coords.entries))),
     }
 
 
@@ -75,7 +83,10 @@ def config_from_json(doc: dict) -> PointConfiguration:
     for j, col in enumerate(cols, start=1):
         if not isinstance(col, list) or len(col) != d + 1:
             raise ValueError(f"column {j} must be a list of {d + 1} coordinates, got {col!r}")
-        parsed.append([_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)])
+        scalars = f.scalars_from_json(col)
+        if scalars is None:
+            scalars = [_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)]
+        parsed.append(scalars)
     # every scalar is canonical already; only the shape is left to check
     return PointConfiguration(f, d, n, Matrix._trusted(f, _columns_to_rows(parsed)))
 

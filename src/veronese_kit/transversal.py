@@ -82,26 +82,41 @@ def _walk_partitions(n: int, k: int, visit: Callable[[list[list[int]]], None]) -
     Block j is the list of bits 1 << (i - 1) of its elements i, blocks numbered
     by their smallest element, so the first partition packs {1, ..., n-k+1}
     into the first block. `visit` sees the live block lists.
+
+    The walk is iterative, so n is not bounded by the recursion limit. It
+    steps through the placements of elements 1..n-1 in the same order: each
+    is completed by the least choices (element i + 1 joins the first block
+    while the rest can still open the others, and opens the next block
+    otherwise), and the next one moves the last element that has a next
+    choice (the next open block, or a new one). Element n then joins every
+    block when all k are open, and opens the last one otherwise.
     """
     blocks: list[list[int]] = [[] for _ in range(k)]
-
-    def rec(i: int, used: int) -> None:
-        if i == n:
+    label = [0] * n  # the block of each element
+    opened = [0] * n  # the blocks opened before each element
+    last = 1 << (n - 1)
+    i = used = 0
+    while True:
+        for j in range(i, n - 1):
+            b = 0 if used + n - j > k else used
+            opened[j], label[j] = used, b
+            blocks[b].append(1 << j)
+            used += b == used
+        for block in blocks if used == k else blocks[used:used + 1]:
+            block.append(last)
             visit(blocks)
+            block.pop()
+        for i in range(n - 2, -1, -1):
+            blocks[label[i]].pop()
+            used, b = opened[i], label[i] + 1
+            if b < used or b == used < k:
+                label[i] = b
+                blocks[b].append(1 << i)
+                used += b == used
+                i += 1
+                break
+        else:
             return
-        bit = 1 << i
-        # element i + 1 joins an open block only if the rest can still open the others
-        if used + n - i > k:
-            for block in blocks[:used]:
-                block.append(bit)
-                rec(i + 1, used)
-                block.pop()
-        if used < k:
-            blocks[used].append(bit)
-            rec(i + 1, used + 1)
-            blocks[used].pop()
-
-    rec(0, 0)
 
 
 def _stirling2(n: int, k: int) -> int:

@@ -323,7 +323,7 @@ def jacobian_rank_oracle(d, n, seed=None, field=None, height=100):
         t_vals = [a for (_, a) in _distinct_affine_params(field, n, rng, height)]
         rows = chart_jacobian(field, d, g_vals, t_vals)
         if rows is not None:
-            return len(int_rref([_clear(row)[0] for row in rows], field.p)[1])
+            return len(int_rref([_clear(row, field.p)[0] for row in rows], field.p)[1])
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")
 
 

@@ -223,6 +223,20 @@ def test_gale_chain_to_conic_equations():
     assert code == 0 and eval_doc["payload"]["report"]["all_vanish"] is True
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:65521"])
+def test_gale_eliminates_each_side_once(monkeypatch, field):
+    # the transform and the certificate share the input's one echelon form
+    import veronese_kit.linalg as linalg
+
+    res = run(["sample", "--family", "rnc", "--d", "4", "--n", "12", "--field", field, "--seed", "2"])
+    calls = []
+    int_rref = linalg.int_rref
+    monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(len(rows)) or int_rref(rows, p))
+    code, doc = run_json(["gale"], input=res.output)
+    assert code == 0 and doc["payload"]["certificate"]["ok"] is True
+    assert calls == [5, 7]
+
+
 def test_gale_over_budget_exits_3():
     # C(20, 10) = 184,756 minor pairs: counted before any certificate elimination
     res = run(["sample", "--family", "generic", "--d", "9", "--n", "20", "--seed", "1"])
@@ -309,6 +323,16 @@ def test_transversal_failing_partition_surfaces():
     assert code == 0
     assert doc["payload"]["transversal"] is False
     assert doc["payload"]["failing_partition"] == [[1, 2, 3], [4], [5]]
+
+
+@pytest.mark.parametrize("k", [1, 1100])
+def test_transversal_greedy_minimum_at_large_n(k):
+    # one partition of 1,100 points: the walk must not recurse once per point
+    code, doc = run_json(["transversal", "--n", "1100", "--k", str(k), "--min", "greedy"])
+    assert code == 0
+    minimum = doc["payload"]["minimum"]
+    assert minimum["size"] == 1 and len(minimum["edges"]) == 1
+    assert minimum["edges"] == ([[1]] if k == 1 else [list(range(1, 1101))])
 
 
 def test_transversal_budget_exceeded():

@@ -260,7 +260,7 @@ def test_block_rank_matches_full_jacobian(field):
             assert (rows is None) == (S is None)
             if rows is None:
                 continue
-            full = len(int_rref([_clear(row)[0] for row in rows], p)[1])
+            full = len(int_rref([_clear(row, p)[0] for row in rows], p)[1])
             assert full == d * min(n, d + 1) + (len(int_rref(S, p)[1]) if S else 0), (d, n)
 
 

@@ -9,6 +9,7 @@ from cli_runner import invoke
 
 from veronese_kit.configurations import make_config, sample_generic
 from veronese_kit.fields import Field, QQ
+from veronese_kit.linalg import _clear
 from veronese_kit.serialize import (
     config_from_json,
     config_to_json,
@@ -143,3 +144,108 @@ _PIECES = ["0", "7", "12", "007", "\u0663", "\uff10", "\u00b2", "\u07c0", "-", "
 @example("9" * 5000)
 def test_q_decoding_matches_fraction(v):
     assert _outcome(QQ.scalar_from_json, v) == _outcome(_fraction_decode, v)
+
+
+F101 = Field.prime(101)
+
+# each column-pass candidate and each near miss, as column 2 of a d = 2 document
+_COLUMNS = [
+    [1, 2, 3],
+    [101, -1, 7],
+    [3 * 65521 + 4, -65522, -(10**30)],
+    [True, 1, 2],
+    [1, 2, False],
+    [1.0, 2, 3],
+    ["1", "2", "3"],
+    ["007", "-0", "12"],
+    [" 3", "+4", "6/4"],
+    ["1", 2, "3"],
+    ["1_0", "2", "3"],
+    ["1/0", "2", "3"],
+    ["\u0663", "2", "3"],
+    ["\uff11", "2", "3"],
+    ["2", "3", "\u00b2"],
+    ["9" * 60, "-" + "9" * 60, "1"],
+    [None, 1, 2],
+    [1, 2],
+    [1, 2, 3, 4],
+    [],
+    "123",
+    {"1": 1},
+    [101, 0, 202],
+    [65521, 0, -65521],
+    ["0", "-0", "000"],
+    [0, 0, 0],
+]
+
+
+def _doc(field, column):
+    good = config_to_json(sample_generic(field, 2, 6, seed=3))
+    good["columns"][1] = column
+    return good
+
+
+def _decoded(doc):
+    """The entries of `config_from_json(doc)` with their types, or the error."""
+    try:
+        coords = config_from_json(doc).coords
+    except Exception as e:
+        return type(e), str(e)
+    return [[(type(x), x) for x in row] for row in coords.entries]
+
+
+@pytest.mark.parametrize("field", [QQ, F101, FP], ids=str)
+@pytest.mark.parametrize("column", _COLUMNS, ids=repr)
+def test_column_pass_decodes_as_each_entry_would(monkeypatch, field, column):
+    doc = _doc(field, column)
+    text = json.dumps(doc)
+    with_pass = _decoded(doc), invoke(["eval"], input=text)
+    # the same document with every column sent entry by entry
+    monkeypatch.setattr(Field, "scalars_from_json", lambda self, vs: None)
+    entry_by_entry = _decoded(doc), invoke(["eval"], input=text)
+    assert with_pass == entry_by_entry
+    assert with_pass[1].exit_code in (0, 2)
+
+
+def test_column_pass_takes_only_its_two_kinds():
+    assert F101.scalars_from_json([101, -1, 7]) == [0, 100, 7]
+    assert FP.scalars_from_json([3 * 65521 + 4, -65522, 0]) == [4, 65520, 0]
+    assert QQ.scalars_from_json(["007", "-0", "-12"]) == [Fraction(7), Fraction(0), Fraction(-12)]
+    for field, column in [
+        (F101, [True, 1, 2]),
+        (F101, [1.0, 2, 3]),
+        (F101, ["1", "2", "3"]),
+        (QQ, [1, 2, 3]),
+        (QQ, [" 3", "2", "3"]),
+        (QQ, ["+4", "2", "3"]),
+        (QQ, ["6/4", "2", "3"]),
+        (QQ, ["\u0663", "2", "3"]),
+        (QQ, ["1", 2, "3"]),
+    ]:
+        assert field.scalars_from_json(column) is None
+
+
+@pytest.mark.parametrize("field", [F101, FP], ids=str)
+def test_zero_column_after_reduction_is_rejected(field):
+    res = invoke(["eval"], input=json.dumps(_doc(field, [field.p, 0, 2 * field.p])))
+    assert res.exit_code == 2
+    assert json.loads(res.output)["payload"]["error"] == "point 2 has all-zero coordinates"
+
+
+@pytest.mark.parametrize("field", [QQ, F101, FP], ids=str)
+def test_column_encoding_matches_each_entry(field):
+    F = Fraction
+    p = make_config(field, 2, 4, [[1, F(-5, 7), 0], [F(3, 2), 2, -1], [F(1, 3), 0, 7], [0, 0, F(-9, 4)]])
+    doc = config_to_json(p)
+    assert doc["columns"] == [[field.scalar_to_json(x) for x in col] for col in p.points()]
+    assert all(type(x) is (str if field.p is None else int) for col in doc["columns"] for x in col)
+    if field.p is None:
+        assert doc["columns"][0] == ["1", "-5/7", "0"]
+    assert config_from_json(doc).coords == p.coords
+    # F_p residues are core ints already: `_clear` hands them back as they are
+    for row in p.coords.entries:
+        ints, m = _clear(row, field.p)
+        if field.p:
+            assert ints is row and m == 1
+        else:
+            assert [F(x, m) for x in ints] == list(row)
