@@ -45,6 +45,7 @@ from .gale import _duality_certificate, _gale_of_config
 from .serialize import (
     config_from_json,
     config_to_json,
+    envelope_text,
     field_to_json,
     parse_field_spec,
 )
@@ -58,7 +59,7 @@ _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
 #: `eqs` emits at most this many generators; larger requests exit 3 before
 #: any generator is built. In-process on a 2-core host, the largest admitted
 #: shapes take 0.03-0.1 s as text ((5, 12), (2, 18)), 0.45 s at (14, 18),
-#: where compiling its 18,564 patterns dominates, and 2.5-6.5 s as JSON.
+#: where compiling its 18,564 patterns dominates, and 1-2 s as JSON.
 EQS_GENERATOR_BUDGET = 20_000
 
 
@@ -80,7 +81,7 @@ class CommandResult:
 
 
 def _finish(result: CommandResult) -> None:
-    text = result.text if result.text is not None else json.dumps(result.to_document(), sort_keys=True, indent=2)
+    text = result.text if result.text is not None else envelope_text(result.to_document())
     out, data = sys.stdout, text + "\n"
     try:
         if hasattr(out, "buffer"):

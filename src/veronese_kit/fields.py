@@ -24,14 +24,17 @@ _MAX_PRIME = (1 << 31) - 1
 #: A plain ASCII integer string, the form Q coordinates are usually written in.
 _PLAIN_INT = re.compile(r"-?[0-9]+")
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Miller-Rabin bases that decide primality for every p < 3,215,031,751
+#: (Pomerance-Selfridge-Wagstaff; Jaeschke), so for every p <= `_MAX_PRIME`.
+_MR_BASES = (2, 3, 5, 7)
 
 
 def _is_prime(p: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond 2^31
+    """Deterministic Miller-Rabin, exact for p < 3,215,031,751, the least
+    strong pseudoprime to all of `_MR_BASES`."""
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if p % q == 0:
             return p == q
     d = p - 1

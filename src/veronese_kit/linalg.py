@@ -17,7 +17,8 @@ that needs a matrix's kernel and its minors eliminates it once.
 The integer view is decided in one place. `_clear(xs, p)` turns a row or
 column of scalars into core ints and a clearing factor m, keyed on the
 field's modulus p = `Field.p` that every caller holds: over Q (p None) the
-`Fraction` entries times the lcm m of their denominators, over F_p the
+`Fraction` entries times the lcm m of their denominators (their numerators,
+read in one C-level pass, when m = 1), over F_p the
 residues in [0, p) as they are, with m = 1 and no work. `Field.p` is the
 core's modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
 turns a core int back into a field scalar. `det`, `rank` and `rref` clear
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, lcm, prod
-from operator import mul, xor
+from operator import attrgetter, mul, xor
 from typing import Iterable, Sequence
 
 from .errors import IndexSetError, RankDeficiencyError, ShapeError
@@ -196,13 +197,18 @@ def _columns_to_rows(columns: Sequence[Sequence]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
 def _clear(xs: Sequence[Scalar], p: int | None) -> tuple[Sequence[int], int]:
     """The scalars xs of the field of modulus p (`Field.p`) as core ints:
     over Q (p None) (xs times m, m), m the lcm of their denominators; over
     F_p the residues xs themselves, as they are, with m = 1."""
     if p is not None:
         return xs, 1
-    m = lcm(*(x.denominator for x in xs))
+    m = lcm(*map(_denominator, xs))
+    if m == 1:
+        return list(map(_numerator, xs)), 1
     return [x.numerator * (m // x.denominator) for x in xs], m
 
 

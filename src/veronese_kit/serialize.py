@@ -1,4 +1,4 @@
-"""JSON codecs for fields and configurations.
+"""JSON codecs for fields and configurations, and the envelope renderer.
 
 The configuration document is:
 
@@ -15,10 +15,16 @@ plain ASCII integer strings over Q) in one pass by
 `Field.scalars_from_json`; every other column goes entry by entry through
 `Field.scalar_from_json`, the one rule of acceptance and of error text, so
 both paths give the same scalars and the same errors.
+
+`envelope_text` renders a CLI envelope as `json.dumps(doc, sort_keys=True,
+indent=2)` does, byte for byte, without the stdlib's pure-Python `indent`
+encoder.
 """
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
 
 from .configurations import PointConfiguration
@@ -100,3 +106,69 @@ def _scalar_from_json(f: Field, x: Any, j: int, i: int):
     except (TypeError, ValueError) as e:
         reason = str(e)
     raise ValueError(f"column {j}, coordinate {i}: {reason}")
+
+
+#: How each item of a list whose items are all of one exact type is
+#: rendered, by one C-level `map` for the whole list, keyed by the set of item
+#: types as a tuple (a bool is not an exact int, so bool lists recurse).
+_LEAF_ITEMS = {(int,): int.__repr__, (str,): _esc}
+
+
+def envelope_text(doc: Any) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, in one join.
+
+    Dict keys must be strings (a TypeError otherwise; no envelope has
+    another). Scalars other than str, int, bool and None go through
+    `json.dumps`, so floats and unsupported types come out as they would
+    there. The renderer is a module-level function, not a closure that calls
+    itself: a closure would make a reference cycle per envelope and keep its
+    fragments alive until the garbage collector ran.
+    """
+    parts: list[str] = []
+    _render(doc, parts, "\n")
+    return "".join(parts)
+
+
+def _render(o: Any, parts: list[str], nl: str) -> None:
+    """Append the text of o to parts; nl is a newline and o's indentation."""
+    t = type(o)
+    if t is str:
+        parts.append(_esc(o))
+    elif t is int:
+        parts.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        leaf = _LEAF_ITEMS.get(tuple(set(map(type, o))))
+        if leaf is not None:
+            parts.append(f"[{inner}{sep.join(map(leaf, o))}{nl}]")
+            return
+        head = "[" + inner
+        for x in o:
+            parts.append(head)
+            _render(x, parts, inner)
+            head = sep
+        parts.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        head = "{" + inner
+        for k, v in sorted(o.items()):
+            parts.append(f"{head}{_esc(k)}: ")
+            _render(v, parts, inner)
+            head = sep
+        parts.append(nl + "}")
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    else:
+        parts.append(json.dumps(o))

@@ -362,15 +362,18 @@ def bounds(n: int, k: int) -> tuple[int, int]:
 
     Returns (incidence bound, degree-averaging bound):
       incidence:  ceil(C(n, k-1) / k)
-      averaging:  ceil(2 C(n, k) / (n - k + 2))
-    The averaging bound is implemented in the form consistent with arbitrary
-    (n, k); a variant reading replaces the numerator by 2 C(n, k-1). Both
-    are lower bounds for the pairs this package verifies exactly.
+      averaging:  ceil(2 C(n, k) / (n - k + 2)) for k >= 2, and 1 at k = 1
+    At k = 1 the formula reads ceil(2n / (n + 1)) = 2 for n >= 2, while any
+    one edge is transversal to the one partition, so the minimum is 1. For
+    k >= 2 the averaging bound is not proved here; it is checked against the
+    exact minimum of every shape with n <= 14 that `min_transversal` admits.
+    A variant reading replaces the numerator by 2 C(n, k-1), which exceeds
+    the minimum 6 at (7, 6).
     """
     if not 1 <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got k={k}, n={n}")
     incidence = ceil(comb(n, k - 1) / k)
-    averaging = ceil(2 * comb(n, k) / (n - k + 2))
+    averaging = 1 if k == 1 else ceil(2 * comb(n, k) / (n - k + 2))
     return incidence, averaging
 
 

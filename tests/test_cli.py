@@ -536,6 +536,8 @@ def test_eqs_outputs_match_the_recorded_digests():
         res = run(["eqs", "--d", d, "--n", n, "--format", fmt])
         assert res.exit_code == 0
         assert hashlib.sha256(res.output.encode()).hexdigest() == digest, name
+        if fmt == "json":
+            assert res.output == _stdlib_rendering(res.output), name
 
 
 def test_cli_import_loads_no_numpy_or_numba():
@@ -629,3 +631,28 @@ def test_envelope_is_byte_stable(pipeline):
         assert res.exit_code == 0, res.output
         out = res.output
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENVELOPES[pipeline]
+    assert out == _stdlib_rendering(out)
+
+
+def _stdlib_rendering(out):
+    """The stdlib's `sort_keys=True, indent=2` rendering of a printed envelope, which must equal it."""
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["transversal", "--n", "9", "--k", "5", "--edges", "[[1,2,3,4,5],[5,6,7,8,9]]"], 0),
+        (["transversal", "--n", "6", "--k", "1", "--min", "exact"], 0),
+        (["transversal", "--n", "9", "--k", "4", "--min", "greedy"], 0),
+        (["verify", "--suite", "gale", "--seed", "0"], 0),
+        (["eqs", "--d", "3", "--n", "6"], 2),
+        (["transversal", "--n", "5", "--k", "3", "--edges", "[[1,2,2]]"], 2),
+        (["eqs", "--d", "8", "--n", "30"], 3),
+        (["transversal", "--n", "7", "--k", "5", "--min", "exact"], 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_envelope_is_the_stdlib_rendering(args, code):
+    res = run(args)
+    assert res.exit_code == code and res.output == _stdlib_rendering(res.output)

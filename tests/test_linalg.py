@@ -13,6 +13,7 @@ from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import (
     Matrix,
     MaximalMinors,
+    _clear,
     as_index_set,
     complement,
     det,
@@ -351,6 +352,37 @@ def test_maximal_minors_q_with_denominators():
     mm = MaximalMinors(m)
     for J in ((1, 2), (1, 3), (2, 4), (3, 4)):
         assert mm.get(J) == minor(m, (1, 2), J)
+
+
+def _clear_by_formula(xs):
+    """Q clearing by the general formula, with no integer fast path."""
+    m = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (m // x.denominator) for x in xs], m
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [],
+        [0],
+        [3, -4, 0, 7, 10**30],
+        [Fraction(1, 2), Fraction(-5, 7), Fraction(3, 14)],
+        [1, Fraction(2, 3), -7, 0, Fraction(-1, 6)],
+        [Fraction(4, 2), Fraction(-9, 3), 5],
+        [Fraction(1, 2**80), 3],
+    ],
+    ids=repr,
+)
+def test_clear_matches_the_formula(column):
+    xs = [QQ.normalize(x) for x in column]
+    ints, m = _clear(xs, None)
+    assert (ints, m) == _clear_by_formula(xs)
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, m) for v in ints] == xs
+    for p in PRIMES:
+        residues = [Field.prime(p).normalize(x) for x in column if not isinstance(x, Fraction)]
+        out, one = _clear(residues, p)
+        assert out is residues and one == 1
 
 
 # -- all maximal minors from one echelon form ------------------------------------

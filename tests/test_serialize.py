@@ -1,6 +1,7 @@
-from fractions import Fraction
-
+import enum
+import gc
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from cli_runner import invoke
 
 from veronese_kit.configurations import make_config, sample_generic
-from veronese_kit.fields import Field, QQ
+from veronese_kit.fields import _MAX_PRIME, Field, QQ, _is_prime
 from veronese_kit.linalg import _clear
 from veronese_kit.serialize import (
     config_from_json,
     config_to_json,
+    envelope_text,
     field_from_json,
     field_to_json,
     parse_field_spec,
@@ -30,6 +32,24 @@ def test_field_codec_round_trip():
         field_from_json({"GF": 9})
     with pytest.raises(ValueError):
         field_from_json("R")
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    assert [p for p in range(limit) if _is_prime(p)] == [p for p in range(limit) if sieve[p]]
+    # strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+    for n in (2047, 1373653, 25326001):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="is not prime"):
+            Field.prime(n)
+    # the least strong pseudoprime to 2, 3, 5, 7 is beyond every admitted prime
+    assert _MAX_PRIME < 3_215_031_751
+    assert _is_prime(_MAX_PRIME) and Field.prime(_MAX_PRIME).p == _MAX_PRIME
 
 
 def test_parse_field_spec():
@@ -249,3 +269,94 @@ def test_column_encoding_matches_each_entry(field):
             assert ints is row and m == 1
         else:
             assert [F(x, m) for x in ints] == list(row)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+#: documents of kinds no envelope holds today, rendered as the stdlib renders them
+_HAND_DOCS = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}], "d": [{}, [[]]], "e": ()},
+    [True, False, True],
+    [1, True, 0, False, None],
+    [1, 2.5, "x"],
+    ("a", (1, 2), [3, ("x", "y")], {"t": (None,)}),
+    {"s": ["é", "\u2603", "\U0001f600", "\x00\x1f\x7f", '"', "\\", "tab\there\nnl"]},
+    {"é\"\\\u2603": 1, "\x00": [2], "": "", "B": 3, "a": 4},
+    [2**100, -(2**127), 0, -1, 10**40],
+    {"f": [1.5, -0.0, float("nan"), float("inf"), float("-inf")], "g": 1e300},
+    [_Small.ONE, _Small.ONE],
+    {"k": [_Small.ONE, 2], "t": [_Text("q"), "r"], "u": _Text("\u00e9")},
+    "top",
+    17,
+    None,
+    True,
+    -0.0,
+]
+
+
+@pytest.mark.parametrize("doc", _HAND_DOCS, ids=repr)
+def test_envelope_text_matches_stdlib_on_hand_made_documents(doc):
+    assert envelope_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(st.text(), max_size=6),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_envelope_text_matches_stdlib_on_random_documents(doc):
+    assert envelope_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": 1, 2: "b"}, {"x": [{None: 0}]}, {(1,): 2}], ids=repr)
+def test_envelope_text_rejects_non_string_keys(doc):
+    with pytest.raises(TypeError):
+        envelope_text(doc)
+
+
+def test_envelope_text_rejects_what_json_rejects():
+    for value in (object(), {1, 2}, b"x", Fraction(1, 2)):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps({"v": [value]}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as ours:
+            envelope_text({"v": [value]})
+        assert str(ours.value) == str(stdlib.value)
+
+
+def test_envelope_text_makes_no_reference_cycles():
+    config = invoke(["sample", "--family", "generic", "--d", "3", "--n", "9", "--field", "Q", "--seed", "1"]).output
+    docs = [json.loads(config)] + [
+        json.loads(invoke(args, input=config).output)
+        for args in (["eval"], ["gale"], ["transversal", "--n", "7", "--k", "3", "--min", "greedy"])
+    ]
+    docs += _HAND_DOCS
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(1000):
+            envelope_text(docs[i % len(docs)])
+        # a renderer that closed over itself would leave one cycle per call
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

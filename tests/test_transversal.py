@@ -422,6 +422,15 @@ def test_min_transversal_budget_and_mode():
         min_transversal(5, 3, mode="best")
 
 
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(1, 15) for k in range(1, n + 1) if comb(n, k) <= tv.MIN_SEARCH_EDGE_BUDGET] + [(40, 40)],
+)
+def test_bounds_do_not_exceed_the_exact_minimum(n, k):
+    size, _ = min_transversal(n, k)
+    assert max(bounds(n, k)) <= size
+
+
 def test_bounds_hand_values():
     assert bounds(5, 3) == (4, 5)
     assert bounds(7, 6) == (4, 5)
