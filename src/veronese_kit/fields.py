@@ -24,9 +24,28 @@ _MAX_PRIME = (1 << 31) - 1
 #: A plain ASCII integer string, the form Q coordinates are usually written in.
 _PLAIN_INT = re.compile(r"-?[0-9]+")
 
+#: The largest decimal exponent a Q string may carry: the default digit limit
+#: `int` puts on integer strings, so a scalar can be no longer written with an
+#: exponent than written out. `Fraction("1e9999999999")` would build
+#: 10**9999999999 before anything could refuse it.
+_MAX_Q_EXPONENT = 4300
+
+#: The exponent that ends a decimal string, as `Fraction` reads one.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 #: Miller-Rabin bases that decide primality for every p < 3,215,031,751
 #: (Pomerance-Selfridge-Wagstaff; Jaeschke), so for every p <= `_MAX_PRIME`.
 _MR_BASES = (2, 3, 5, 7)
+
+
+def _fraction_from_str(s: str) -> Fraction:
+    """`Fraction(s)`, but a string ending in an exponent beyond
+    `_MAX_Q_EXPONENT` is refused before any power of ten is built."""
+    if "e" in s or "E" in s:
+        m = _EXPONENT.search(s)
+        if m and abs(int(m[1])) > _MAX_Q_EXPONENT:
+            raise ValueError(f"exponent of {s!r} exceeds {_MAX_Q_EXPONENT} in absolute value")
+    return Fraction(s)
 
 
 def _is_prime(p: int) -> bool:
@@ -104,7 +123,7 @@ class Field:
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             if isinstance(x, str):
-                return Fraction(x)
+                return _fraction_from_str(x)
             raise TypeError(f"cannot coerce {type(x).__name__} into Q")
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
@@ -113,7 +132,7 @@ class Field:
         if isinstance(x, Fraction):
             return self.normalize(x.numerator) * self.inv(self.normalize(x.denominator)) % self.p
         if isinstance(x, str):
-            return self.normalize(Fraction(x))
+            return self.normalize(_fraction_from_str(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into F_{self.p}")
 
     @property
@@ -193,13 +212,14 @@ class Field:
     def scalar_from_json(self, v) -> Scalar:
         """The canonical scalar of a JSON value. Over Q a plain ASCII integer
         string (-?[0-9]+) is read by `int`; every other string goes through
-        `Fraction`, which decides what is accepted and the error text."""
+        `Fraction`, which decides what is accepted and the error text, once
+        an exponent beyond `_MAX_Q_EXPONENT` has been refused."""
         if self.kind == "Q":
             if type(v) is str and _PLAIN_INT.fullmatch(v):
                 return Fraction(int(v))
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise TypeError(f"Q scalar must be a fraction string or int, got {v!r}")
-            return Fraction(v)
+            return _fraction_from_str(v) if isinstance(v, str) else Fraction(v)
         if isinstance(v, bool) or not isinstance(v, int):
             raise TypeError(f"F_p scalar must be an int, got {v!r}")
         return v % self.p

@@ -1,6 +1,8 @@
 import enum
 import gc
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -122,9 +124,14 @@ def test_bracket_poly_json_shape():
 
 
 def _fraction_decode(v):
-    """Reference Q decoding: every string through `Fraction`."""
+    """Reference Q decoding: every string through `Fraction`, once a string
+    ending in an exponent beyond 4300 in absolute value has been refused."""
     if isinstance(v, bool) or not isinstance(v, (str, int)):
         raise TypeError(f"Q scalar must be a fraction string or int, got {v!r}")
+    if isinstance(v, str):
+        _, e, tail = v.replace("E", "e").rpartition("e")
+        if e and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", tail) and abs(int(tail.rstrip())) > 4300:
+            raise ValueError(f"exponent of {v!r} exceeds 4300 in absolute value")
     return Fraction(v)
 
 
@@ -162,8 +169,30 @@ _PIECES = ["0", "7", "12", "007", "\u0663", "\uff10", "\u00b2", "\u07c0", "-", "
 @example("6/4")
 @example("1/0")
 @example("9" * 5000)
+@example("1e4300")
+@example("-.5E-4300 ")
+@example("7e4301")
+@example("7e7007007007")
+@example("12e-1_2120312")
+@example("xe99999")
 def test_q_decoding_matches_fraction(v):
     assert _outcome(QQ.scalar_from_json, v) == _outcome(_fraction_decode, v)
+
+
+def test_q_decoding_refuses_huge_exponents_at_once():
+    assert QQ.scalar_from_json("1e4300") == 10**4300
+    assert QQ.scalar_from_json("1E-4300") == Fraction(1, 10**4300)
+    start = time.perf_counter()
+    for s in ("1e4301", "1e-4301", "7e7007007007", " -2.5E+1_000_000_000_000\n"):
+        with pytest.raises(ValueError, match="exceeds 4300 in absolute value"):
+            QQ.scalar_from_json(s)
+        for f in (QQ, FP):
+            with pytest.raises(ValueError, match="exceeds 4300 in absolute value"):
+                f.normalize(s)
+    with pytest.raises(ValueError, match=r"column 2, coordinate 1: exponent of '1e9999999999' exceeds"):
+        config_from_json({"field": "Q", "d": 1, "n": 2, "columns": [["1", "0"], ["1e9999999999", "1"]]})
+    # building any of these powers of ten would take seconds to forever
+    assert time.perf_counter() - start < 1.0
 
 
 F101 = Field.prime(101)
