@@ -395,49 +395,60 @@ def _echelon_window_vanishes(
 
 
 #: `eval` at d >= 3 falls back to the full window scan only when the head
-#: windows vanish but are not in general position; a fallback with more than
-#: this many windows left exits 3 before it starts. The largest admitted scans
-#: of chain samples take 0.8 s at (3, 17), 0.9 s at (5, 16), 1.9 s at (6, 17)
-#: and 3.0 s at (8, 18) over Q, in-process on a 2-core host.
+#: windows vanish but points 1..d+3 are not in general position; a fallback
+#: with more than this many windows left exits 3 before it starts. The
+#: largest admitted scans of chain samples take 0.8 s at (3, 17), 0.9 s at
+#: (5, 16), 1.9 s at (6, 17) and 3.0 s at (8, 18) over Q, in-process on a
+#: 2-core host.
 WINDOW_SCAN_BUDGET = 20_000
 
 
-def _head_in_general_position(mm: MaximalMinors, prime: Optional[int]) -> bool:
-    """True when every head window {1..d+3, q} (1-based, q > d+3) is in
-    general position: every d+1 of its points are independent.
+def _head_points_in_general_position(mm: MaximalMinors, prime: Optional[int]) -> bool:
+    """True when points 1..d+3 are in general position: every d+1 of them
+    are independent.
 
-    All minors are read from the cached echelon form of the whole matrix. Its
-    pivots must be the first d+1 columns; then the rows are D [I | N], and a
-    maximal minor of the window is nonzero exactly when the square minor of N
-    it corresponds to is (rows: the pivots it leaves out; columns: the free
-    points it takes). So the window is in general position when every square
-    minor of N at the point columns (d+2, d+3, q) is nonzero, mod p over F_p.
-    The minors without q are tested once; each 3 x 3 minor is expanded along
-    the column of q.
+    The test reads the cached echelon form of the whole matrix. Its pivots
+    must be the first d+1 columns; then the rows are D [I | N], and the
+    maximal minor of d+1 of the points is nonzero exactly when the square
+    minor of N it corresponds to is (rows: the pivots it leaves out;
+    columns: the free points it takes). So the test is that every entry and
+    every 2 x 2 minor of N's columns d+2 and d+3 is nonzero, mod p over F_p.
+
+    Then, when every head window W = {1..d+3, q} vanishes, each point q lies
+    on the one rational normal curve C through points 1..d+3 (Castelnuovo),
+    so every window vanishes. Work over the algebraic closure. W vanishes when
+    its d+4 Gale points lie on one conic (`_echelon_window_vanishes`), and a
+    set T of Gale points is independent exactly when W minus T spans P^d.
+    - W minus one or two points still holds d+1 of the points 1..d+3, so it
+      spans: no Gale point is 0 and no two are parallel.
+    - A 3-set of Gale points that holds q is independent, since its
+      complement is d+1 of the points 1..d+3.
+    - If the conic is smooth, no three of its distinct points are collinear,
+      so W is in general position and lies on a rational normal curve
+      (Goppa; Eisenbud-Popescu, J. Algebra 230, 2000). That curve passes
+      through points 1..d+3, so it is C, and q lies on C.
+    - A double line puts q in a collinear 3-set, so it cannot occur.
+    - For a line pair L1 and L2 with q on L1, L1 holds at most one other
+      point a, since a third one would make a collinear 3-set with q. Nor is
+      q on L2, since then each line would hold at most one of the d+3 other
+      points. If L1 holds no other point, all of points 1..d+3 lie on L2, so
+      W minus any 3 of them does not span: q lies in the span of every d of
+      those points, and these hyperplanes meet only in 0. So L1 holds a, and
+      the other d+2 of points 1..d+3 lie on L2. W minus any 3 of those does
+      not span, so q lies in the hyperplane span(a, R) for every d-1 of them
+      R. These hyperplanes meet in span(a), so q is point a, which is on C.
+    So every point lies on C, repeats included, and the configuration is in
+    the closure of the configurations on C, where every generator vanishes.
     """
     a, pivots = mm._echelon()
     k = mm.width
     if pivots != list(range(k)):
         return False
     nonzero = (lambda x: x % prime != 0) if prime else bool
-    rows = range(k)
-    pairs = list(combinations(rows, 2))
     u = [r[k] for r in a]
     v = [r[k + 1] for r in a]
-    uv = {(i, j): u[i] * v[j] - u[j] * v[i] for i, j in pairs}
-    if not all(map(nonzero, u + v + list(uv.values()))):
-        return False
-    for q in range(k + 2, mm.matrix.cols):
-        w = [r[q] for r in a]
-        if not all(map(nonzero, w)):
-            return False
-        for i, j in pairs:
-            if not (nonzero(u[i] * w[j] - u[j] * w[i]) and nonzero(v[i] * w[j] - v[j] * w[i])):
-                return False
-        for i, j, l in combinations(rows, 3):
-            if not nonzero(w[i] * uv[j, l] - w[j] * uv[i, l] + w[l] * uv[i, j]):
-                return False
-    return True
+    uv = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(k), 2)]
+    return all(map(nonzero, u + v + uv))
 
 
 def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
@@ -453,13 +464,11 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     first window that fails it.
 
     The first n - d - 3 windows are the head windows {1..d+3, q}. When they
-    all vanish and each is in general position, every window vanishes and the
-    scan stops there: a window in general position vanishes exactly when it
-    lies on a rational normal curve (its Gale points then lie on a smooth
-    conic; Goppa, Eisenbud-Popescu), and through the d+3 points 1..d+3 in
-    general position passes only one such curve (Castelnuovo), so it holds
-    every point. Otherwise the scan goes on, if at most `WINDOW_SCAN_BUDGET`
-    windows remain.
+    all vanish and points 1..d+3 are in general position, every point lies
+    on the one rational normal curve through points 1..d+3, so every window
+    vanishes and the scan stops there (`_head_points_in_general_position`
+    gives the proof). Otherwise the scan goes on, if at most
+    `WINDOW_SCAN_BUDGET` windows remain.
     """
     d, n = p.d, p.n
     if d < 3:
@@ -480,7 +489,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         for j, J0 in enumerate(() if degenerate else combinations(range(n), d + 4)):
             if _echelon_window_vanishes(a, pivot_row, J0, prime):
                 if j == n - d - 4:
-                    if _head_in_general_position(mm, prime):
+                    if _head_points_in_general_position(mm, prime):
                         break
                     if windows - j - 1 > WINDOW_SCAN_BUDGET:
                         raise BudgetExceededError(

@@ -123,7 +123,11 @@ def _decode_json(raw: str):
 
 def _read_json_input(source: str):
     try:
-        raw = sys.stdin.read() if source == "-" else open(source, "r", encoding="utf-8").read()
+        if source == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as f:
+                raw = f.read()
     except OSError as e:
         raise ValueError(f"cannot read {source!r}: {e}") from e
     return _decode_json(raw)

@@ -17,7 +17,7 @@ from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, DegenerateInputError, ShapeError, SpanFailureError
+from .errors import BudgetExceededError, DegenerateInputError, ShapeError
 from .fields import Field, Scalar, require_same_field
 from .linalg import Matrix, MaximalMinors, certified_rank, rank
 
@@ -176,29 +176,18 @@ def _distinct_affine_params(field: Field, count: int, rng, height: int) -> list[
 
 
 def sample_on_rnc(
-    field: Field,
-    d: int,
-    n: int,
-    seed: int | None = None,
-    rng=None,
-    g: Matrix | None = None,
-    params: Sequence[Sequence] | None = None,
-    height: int = 100,
+    field: Field, d: int, n: int, seed: int | None = None, rng=None, height: int = 100
 ) -> PointConfiguration:
     """n points on a rational normal curve of degree d.
 
-    The curve is g . (moment curve); g defaults to a seeded random invertible
-    matrix, so distinct seeds give distinct curves. Parameters default to n
-    distinct seeded values.
+    The curve is g . (moment curve), g a seeded random invertible matrix, so
+    distinct seeds give distinct curves. The n parameters are distinct seeded
+    values, drawn before g.
     """
     if rng is None:
         rng = random.Random(seed)
-    if params is None:
-        params = _distinct_affine_params(field, n, rng, height)
-    elif len(params) != n:
-        raise ShapeError(f"expected {n} parameters, got {len(params)}")
-    if g is None:
-        g = random_invertible(field, d + 1, rng, height)
+    params = _distinct_affine_params(field, n, rng, height)
+    g = random_invertible(field, d + 1, rng, height)
     cols = [rnc_point(field, d, t) for t in params]
     return make_config(field, d, n, cols).apply(g)
 
@@ -336,6 +325,13 @@ def quasi_veronese_descriptor(
     `degree` fresh coordinate directions, so the union always spans P^d.
     `attachments[j-1] = (parent, t)` places component j (0-based `parent` <
     j); default attaches to the previous component at a seeded parameter.
+
+    Every frame has full column rank, and the frames span P^d together. The
+    root frame is unit vectors. A later frame is the gluing point, its
+    parent's frame times the nonzero moment vector of t (`rnc_point` refuses
+    (0, 0)), and unit vectors on its fresh axes. By induction the gluing
+    point is nonzero and lies on earlier axes, so it is independent of
+    those unit vectors. Between them the frames hold all d+1 unit vectors.
     """
     degrees = tuple(int(x) for x in degrees)
     if not degrees or any(x < 1 for x in degrees):
@@ -375,18 +371,7 @@ def quasi_veronese_descriptor(
         frame_cols = [glue] + [
             [field.one if r == ax - 1 else field.zero for r in range(d + 1)] for ax in axes
         ]
-        frame = Matrix.from_columns(field, frame_cols)
-        if rank(frame) < deg + 1:
-            raise DegenerateInputError(
-                f"component {j} frame is rank deficient (gluing point hit a fresh axis)"
-            )
-        comps.append(ChainComponent(deg, frame, axes, parent, t))
-
-    all_frames = comps[0].frame
-    for c in comps[1:]:
-        all_frames = all_frames.hstack(c.frame)
-    if rank(all_frames) < d + 1:
-        raise SpanFailureError("component spans do not fill P^d")
+        comps.append(ChainComponent(deg, Matrix.from_columns(field, frame_cols), axes, parent, t))
     return QuasiVeroneseDescriptor(field, d, tuple(comps))
 
 
@@ -405,7 +390,9 @@ def sample_quasi_veronese_chain(
 
     `counts` fixes how many points land on each component (default: as even
     as possible, front-loaded). Points use distinct nonzero parameters per
-    component, so they avoid the gluing points generically.
+    component, so they avoid the gluing points generically. No point is zero:
+    it is a frame of full column rank times the moment vector of (1, a),
+    whose first entry is 1.
     """
     if rng is None:
         rng = random.Random(seed)
@@ -423,11 +410,7 @@ def sample_quasi_veronese_chain(
         if count == 0:
             continue
         params = _distinct_affine_params(field, count, rng, height)
-        for t in params:
-            col = desc.point_on(j, t)
-            if all(x == 0 for x in col):
-                raise DegenerateInputError("sampled a zero vector on a chain component")
-            cols.append(col)
+        cols += [desc.point_on(j, t) for t in params]
     return desc, make_config(field, d, n, cols)
 
 

@@ -31,7 +31,3 @@ class NotAGalePairError(VeroneseKitError):
 
 class BudgetExceededError(VeroneseKitError):
     """A bounded search or resampling loop ran out of budget."""
-
-
-class SpanFailureError(BudgetExceededError):
-    """Sampler could not produce a spanning configuration within its retry budget."""

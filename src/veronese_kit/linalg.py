@@ -167,12 +167,6 @@ class Matrix:
     def select_columns(self, col_set: Iterable[int]) -> "Matrix":
         return self.submatrix(range(1, self.rows + 1), col_set)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        require_same_field(self.field, other.field, "hstack operands")
-        if self.rows != other.rows:
-            raise ShapeError("hstack needs equal row counts")
-        return Matrix._trusted(self.field, [a + b for a, b in zip(self.entries, other.entries)])
-
     def matmul(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field, "matmul operands")
         if self.cols != other.rows:

@@ -7,7 +7,7 @@ evaluates every generator pullback with the package's bracket evaluator, which
 is the definition the window rank test of `wdn_membership` must reproduce.
 `relabel` builds each pullback as a new canonical polynomial; it is the
 reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
-`head_general_position_oracle` ranks every (d+1)-subset of the head windows;
+`head_general_position_oracle` ranks every (d+1)-subset of points 1..d+3;
 it is the reference for the echelon-form test of `wdn_membership`'s early exit.
 `window_vanishes_oracle` eliminates each window's own coordinate block twice;
 it is the reference for the per-window test on the cached echelon form.
@@ -432,15 +432,15 @@ def wdn_scan_oracle(p, collect_values=False):
     return report
 
 
+def in_general_position(p, points):
+    """Every d+1 of the 1-based `points` of p are independent, by one rank
+    elimination per (d+1)-subset."""
+    return all(rank(p.coords.select_columns(S)) == p.d + 1 for S in combinations(points, p.d + 1))
+
+
 def head_general_position_oracle(p):
-    """Every d+1 points of each window {1..d+3, q} (q > d+3) are independent,
-    by one rank elimination per (d+1)-subset."""
-    d, n = p.d, p.n
-    return all(
-        rank(p.coords.select_columns(S)) == d + 1
-        for q in range(d + 4, n + 1)
-        for S in combinations(tuple(range(1, d + 4)) + (q,), d + 1)
-    )
+    """Points 1..d+3 of p are in general position."""
+    return in_general_position(p, range(1, p.d + 4))
 
 
 def window_vanishes_oracle(rows, p):

@@ -23,6 +23,8 @@ from veronese_kit.brackets import (
 from veronese_kit.configurations import (
     make_config,
     random_config,
+    random_invertible,
+    rnc_point,
     sample_degenerate,
     sample_generic,
     sample_on_rnc,
@@ -34,6 +36,7 @@ from veronese_kit.linalg import MaximalMinors, _scalar, int_rank, minor
 
 from oracles import (
     head_general_position_oracle,
+    in_general_position,
     multidegree,
     relabel,
     sign_cloud,
@@ -310,7 +313,7 @@ def test_head_general_position_matches_rank_oracle(field):
                 for i, j in ((0, d + 1), (d + 1, d + 2), (d + 1, n - 1), (0, n - 1))
             ]
             for p in samples:
-                fast = brackets._head_in_general_position(MaximalMinors(p.coords), prime)
+                fast = brackets._head_points_in_general_position(MaximalMinors(p.coords), prime)
                 assert fast == head_general_position_oracle(p), (d, n, seed)
                 seen.add(fast)
     assert seen == {True, False}
@@ -430,6 +433,71 @@ def test_curve_is_decided_from_the_head_windows(monkeypatch):
             assert rep.all_vanish and rep.classification == "InW"
             assert rep.checked == comb(n, d + 4) * comb(d + 4, 6)
             assert 0 < len(calls) <= n - d - 3
+
+
+def _adversarial_config(field, d, n, rng, height=3):
+    """n points of P^d whose points 1..d+3 lie on a seeded curve (when the
+    field has d+3 parameters) or are random; each later point is a copy of
+    an earlier one, a multiple of one, a point on the line through two, a
+    random point or a point of the curve, which may repeat a head point."""
+    line = range(field.p) if field.p else range(-height, height + 1)
+    params = [(0, 1)] + [(1, a) for a in line]
+    g = random_invertible(field, d + 1, rng, height)
+
+    def on_curve(t):
+        return g.matmul(make_config(field, d, 1, [rnc_point(field, d, t)]).coords).column(0)
+
+    def anywhere():
+        col = [field.random_scalar(rng, height) for _ in range(d + 1)]
+        return col if any(col) else anywhere()
+
+    if len(params) >= d + 3 and rng.random() < 0.75:
+        cols = [on_curve(t) for t in rng.sample(params, d + 3)]
+    else:
+        cols = [anywhere() for _ in range(d + 3)]
+    while len(cols) < n:
+        kind = rng.randrange(5)
+        if kind == 0:
+            col = rng.choice(cols)
+        elif kind == 1:
+            c = field.random_nonzero(rng, height)
+            col = [field.mul(c, x) for x in rng.choice(cols)]
+        elif kind == 2:
+            a, b = field.random_nonzero(rng, height), field.random_nonzero(rng, height)
+            col = [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(*rng.sample(cols, 2))]
+        elif kind == 3:
+            col = anywhere()
+        else:
+            col = on_curve(rng.choice(params))
+        if any(col):
+            cols.append(col)
+    return make_config(field, d, n, cols)
+
+
+def test_head_points_decide_adversarial_configurations(monkeypatch):
+    # repeated, scaled, collinear, random and curve points after a curve or
+    # random head, against the full scan. Each field must show an all-vanish
+    # case decided from the head windows although some head window is not
+    # in general position.
+    calls = []
+    window_vanishes = brackets._echelon_window_vanishes
+    monkeypatch.setattr(
+        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
+    )
+    rng = random.Random(0)
+    for field in (Field.prime(5), Field.prime(7), Field.prime(11), Field.prime(13), Field.prime(101), QQ):
+        early = 0
+        for i in range(84):
+            d = 3 + i % 3
+            n = d + 5 + (d == 3 and i % 2)
+            p = _adversarial_config(field, d, n, rng)
+            calls.clear()
+            rep = wdn_membership(p)
+            assert rep == wdn_scan_oracle(p), (field, d, n, i)
+            head = tuple(range(1, d + 4))
+            if rep.classification == "InW" and len(calls) <= n - d - 3:
+                early += not all(in_general_position(p, head + (q,)) for q in range(d + 4, n + 1))
+        assert early, field
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=str)

@@ -178,6 +178,24 @@ def test_eval_large_curve_is_decided_from_the_head_windows():
     assert rep["checked"] == comb(40, 7) * comb(7, 6)
 
 
+def test_eval_curve_with_a_repeated_point_is_decided_from_the_head_windows(monkeypatch):
+    # point 30 is a copy of point 1, so the head window {1..6, 30} is not in
+    # general position; points 1..6 are, so the 24 head windows decide
+    calls = []
+    window_vanishes = brackets._echelon_window_vanishes
+    monkeypatch.setattr(
+        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
+    )
+    doc = json.loads(run(["sample", "--family", "rnc", "--d", "3", "--n", "30", "--seed", "1", "--field", "Q"]).output)
+    columns = doc["payload"]["config"]["columns"]
+    columns[29] = columns[0]
+    code, doc = run_json(["eval"], input=json.dumps(doc["payload"]["config"]))
+    rep = doc["payload"]["report"]
+    assert code == 0 and rep["all_vanish"] is True and rep["classification"] == "InW"
+    assert rep["checked"] == comb(30, 7) * comb(7, 6) == 14250600
+    assert len(calls) == 24
+
+
 def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
     # a chain is not in general position; its head windows vanish and
     # C(30, 7) - 24 windows would be left, so no window past the head is tested
@@ -439,6 +457,25 @@ def test_malformed_edges_read_the_same_inline_and_from_a_file(tmp_path):
     for edges in ("[[1, 2,", f"@{path}"):
         code, doc = run_json(["transversal", "--n", "5", "--k", "3", "--edges", edges])
         assert code == 2 and doc["payload"]["error"] == message, edges
+
+
+def test_input_files_are_closed(tmp_path):
+    # an unclosed file is a ResourceWarning in development mode, here an error
+    sample = tmp_path / "sample.json"
+    sample.write_text(run(["sample", "--family", "rnc", "--d", "3", "--n", "8", "--seed", "1"]).output)
+    edges = tmp_path / "edges.json"
+    edges.write_text("[[1, 2, 3], [2, 3, 4]]")
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    dev = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "veronese_kit.cli"]
+    commands = (
+        ["eval", str(sample)],
+        ["gale", str(sample)],
+        ["transversal", "--n", "5", "--k", "3", "--edges", f"@{edges}"],
+    )
+    for args in commands:
+        proc = subprocess.run(dev + args, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", (args, proc.stderr)
 
 
 def test_internal_errors_are_not_bad_input(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import DegenerateInputError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import rank
+from veronese_kit.linalg import Matrix, rank
 
 from oracles import sign_cloud, strong_nondegeneracy_oracle, subconfig
 
@@ -174,6 +175,40 @@ def test_chain_samples_span_and_count():
     assert cfg.n == 7
     with pytest.raises(ShapeError):
         sample_quasi_veronese_chain(QQ, 3, 7, (2, 1), seed=4, counts=(4, 4))
+
+
+def _degree_splits(d):
+    """Every ordered list of positive degrees summing to d."""
+    for cuts in product((False, True), repeat=d - 1):
+        degrees = [1]
+        for cut in cuts:
+            if cut:
+                degrees.append(1)
+            else:
+                degrees[-1] += 1
+        yield tuple(degrees)
+
+
+def test_chain_frames_have_full_rank_and_span():
+    # the sampler has no rank or zero-point guard: these invariants hold by
+    # construction, for default and explicit attachments, gluing at the
+    # parent's t = (1, 0) and t = (0, 1) included
+    rng = random.Random(0)
+    params = [(1, 0), (0, 1), (1, 1), (3, -2)]
+    for field in (QQ, Field.prime(7), Field.prime(101)):
+        for d in range(3, 7):
+            for degrees in _degree_splits(d):
+                m = len(degrees)
+                explicit = [(rng.randrange(j), params[j % len(params)]) for j in range(1, m)]
+                for attachments in (None, explicit):
+                    desc, cfg = sample_quasi_veronese_chain(
+                        field, d, d + 1, degrees, rng=rng, attachments=attachments, height=9
+                    )
+                    frames = [c.frame for c in desc.components]
+                    assert all(rank(f) == f.cols for f in frames), (field, degrees, attachments)
+                    columns = [col for f in frames for col in f.columns()]
+                    assert rank(Matrix.from_columns(field, columns)) == d + 1, (field, degrees, attachments)
+                    assert all(map(any, cfg.points())), (field, degrees, attachments)
 
 
 def test_star_attachment_concurrent_lines():
