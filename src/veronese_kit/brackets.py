@@ -84,9 +84,6 @@ class BracketPolynomial:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "terms", canon)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self):
         return f"BracketPolynomial(ground={self.ground}, width={self.width}, {format_bracket_poly(self)!r})"
 
@@ -370,7 +367,7 @@ def _echelon_window_vanishes(
     F = [c for c in window if pivot_row[c] < 0]
     points = [[a[r][c] for c in F] for r in S]
     if len(S) < len(a):
-        t, tp = int_rref([[row[c] for c in F] for r, row in enumerate(a) if r not in S], p)
+        t, tp, _ = int_rref([[row[c] for c in F] for r, row in enumerate(a) if r not in S], p)
         if len(tp) < len(t):
             return True
         D = t[-1][tp[-1]]

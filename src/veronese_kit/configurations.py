@@ -36,7 +36,7 @@ class PointConfiguration:
         if coords.shape != (d + 1, n):
             raise ShapeError(f"coords must be {(d + 1, n)}, got {coords.shape}")
         require_same_field(field, coords.field, "configuration coordinates")
-        for j, col in enumerate(zip(*coords.entries), start=1):
+        for j, col in enumerate(coords._raw_columns(), start=1):
             if not any(col):
                 raise DegenerateInputError(f"point {j} has all-zero coordinates")
         object.__setattr__(self, "field", field)

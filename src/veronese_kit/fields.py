@@ -146,9 +146,6 @@ class Field:
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         return x + y if self.kind == "Q" else (x + y) % self.p
 
-    def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        return x - y if self.kind == "Q" else (x - y) % self.p
-
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
         return x * y if self.kind == "Q" else (x * y) % self.p
 
@@ -161,9 +158,6 @@ class Field:
         if self.kind == "Q":
             return 1 / x  # Fraction division
         return pow(x, self.p - 2, self.p)
-
-    def div(self, x: Scalar, y: Scalar) -> Scalar:
-        return self.mul(x, self.inv(y))
 
     def pow(self, x: Scalar, e: int) -> Scalar:
         if e < 0:
@@ -196,17 +190,22 @@ class Field:
         """`scalar_to_json` of each scalar of xs, in one pass."""
         return list(map(str if self.p is None else int, xs))
 
-    def scalars_from_json(self, vs) -> list | None:
-        """The canonical scalars of a list of JSON values in one pass, when
-        the list is of the one common kind: exact ints over F_p (reduced mod
-        p), plain ASCII integer strings (-?[0-9]+) over Q (read by `int`).
-        None for any other list; `scalar_from_json` would give each of these
-        the same scalar, and it alone decides every other value."""
+    def ints_from_json(self, vs) -> list[int] | None:
+        """The scalars of a list of JSON values as core ints of clearing
+        factor 1 (`linalg._clear`), in one pass, when the list is of the one
+        common kind: exact ints over F_p (reduced mod p), plain ASCII integer
+        strings (-?[0-9]+) over Q (read by `int`). None for any other list,
+        and for a string `int` refuses; `scalar_from_json` would give each of
+        these ints as its scalar, and it alone decides every other value and
+        every error."""
         kinds = set(map(type, vs))
         if self.p is not None:
             return list(map(self.p.__rmod__, vs)) if kinds == {int} else None
         if kinds == {str} and all(map(_PLAIN_INT.fullmatch, vs)):
-            return list(map(Fraction, map(int, vs)))
+            try:
+                return list(map(int, vs))
+            except ValueError:  # longer than int's digit limit
+                return None
         return None
 
     def scalar_from_json(self, v) -> Scalar:

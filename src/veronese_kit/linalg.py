@@ -3,16 +3,18 @@
 Every determinant, rank, echelon form and minor runs on one exact core of
 plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants,
 forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
-Gauss-Jordan (`int_rref`) for echelon forms. `certified_rank` reads the
-rank of int rows over Q from a modular rank when known kernel vectors cap
-it.
+Gauss-Jordan (`int_rref`) for echelon forms, which also gives the
+determinant of the pivot columns. `certified_rank` reads the rank of int
+rows over Q from a modular rank when known kernel vectors cap it.
 `MaximalMinors.get` reads one maximal minor as one determinant;
 `MaximalMinors._echelon_minor` reads one from the cached echelon form by a
 small determinant of its rows, and `MaximalMinors._int_vector` all of them,
 as core ints with their clearing scales; `MaximalMinors.vector` maps those
-back to field scalars. `MaximalMinors._kernel` reads the reduced-echelon
-kernel basis (`kernel_basis`) from the same cached echelon form, so a caller
-that needs a matrix's kernel and its minors eliminates it once.
+back to field scalars. Both scale by the pivot determinant the elimination
+gave, so no determinant is taken twice. `MaximalMinors._kernel` reads the
+reduced-echelon kernel basis (`kernel_basis`) from the same cached echelon
+form, so a caller that needs a matrix's kernel and its minors eliminates it
+once.
 
 The integer view is decided in one place. `_clear(xs, p)` turns a row or
 column of scalars into core ints and a clearing factor m, keyed on the
@@ -21,10 +23,14 @@ field's modulus p = `Field.p` that every caller holds: over Q (p None) the
 read in one C-level pass, when m = 1), over F_p the
 residues in [0, p) as they are, with m = 1 and no work. `Field.p` is the
 core's modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
-turns a core int back into a field scalar. `det`, `rank` and `rref` clear
-rows; `MaximalMinors` clears columns. `Matrix(...)` normalizes its entries;
-`Matrix._trusted` takes entries that are canonical already (copies, `rref`
-results, decoded documents) as they are.
+turns a core int back into a field scalar, `_scalars` a column of them of
+factor 1. `det`, `rank` and `rref` clear rows; `MaximalMinors` clears
+columns. `Matrix(...)` normalizes its entries; `Matrix._trusted` takes
+entries that are canonical already (copies, `rref` results) as they are;
+`Matrix._from_int_columns` takes columns that are core ints of factor 1
+already (decoded documents) and keeps them, so `MaximalMinors` and the
+zero-point test read them with no `_clear`, and the `entries` rows over Q
+are built only on first read.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -82,10 +88,12 @@ def s_index(I: Iterable[int]) -> int:
 class Matrix:
     """Immutable dense matrix over a `Field`.
 
-    Entries are stored as a tuple of row tuples of normalized scalars.
+    Entries are stored as a tuple of row tuples of normalized scalars. A
+    matrix built by `_from_int_columns` keeps its columns as core ints in
+    `_ints` instead, and builds the `entries` rows from them on first read.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_ints")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
@@ -100,9 +108,18 @@ class Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: `entries` of a matrix of `_ints`
+        if name != "entries":
+            raise AttributeError(name)
+        rows = tuple(_scalars(self.field, row) for row in zip(*self._ints))
+        object.__setattr__(self, "entries", rows)
+        return rows
 
     # -- constructors --------------------------------------------------------
 
@@ -115,8 +132,21 @@ class Matrix:
         return m
 
     @classmethod
+    def _from_int_columns(cls, field: Field, columns: Iterable[Sequence[int]]) -> "Matrix":
+        """The matrix with these columns of core ints of clearing factor 1
+        (`_clear`: integers over Q, residues in [0, p) over F_p), kept as
+        `_ints`; the shape is checked as `from_columns` checks it."""
+        cols = _check_columns(columns)
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", len(cols[0]))
+        object.__setattr__(m, "cols", len(cols))
+        object.__setattr__(m, "_ints", tuple(cols))
+        return m
+
+    @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "Matrix":
-        return cls(field, _columns_to_rows(columns))
+        return cls(field, list(zip(*_check_columns(columns))))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -139,8 +169,18 @@ class Matrix:
     def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+    def _raw_columns(self) -> Iterable[Sequence]:
+        """The columns as stored: `_ints` for a matrix built from them, else
+        tuples of `entries`. A column of ints is zero, and renders by `str`
+        and `int`, exactly as its column of entries does."""
+        return self._ints if self._ints is not None else zip(*self.entries)
+
+    def _int_columns(self) -> tuple[Sequence[Sequence[int]], Sequence[int]]:
+        """The columns as core ints and their clearing factors (`_clear`);
+        `_ints` and factors 1 for a matrix built from them."""
+        if self._ints is not None:
+            return self._ints, (1,) * self.cols
+        return tuple(zip(*map(_clear, zip(*self.entries), repeat(self.field.p))))
 
     def __eq__(self, other):
         return (
@@ -175,15 +215,15 @@ class Matrix:
         return Matrix(self.field, [[sum(map(mul, row, col)) for col in ot] for row in self.entries])
 
 
-def _columns_to_rows(columns: Sequence[Sequence]) -> list[tuple]:
-    """The rows of the matrix with these columns; raises ShapeError when
-    there is no nonempty column or the columns are ragged."""
+def _check_columns(columns: Iterable[Sequence]) -> list[tuple]:
+    """The columns as tuples; raises ShapeError when there is no nonempty
+    column or the columns are ragged."""
     cols = [tuple(c) for c in columns]
     if not cols or not cols[0]:
         raise ShapeError("need at least one nonempty column")
     if any(len(c) != len(cols[0]) for c in cols):
         raise ShapeError("ragged columns")
-    return list(zip(*cols))
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +249,12 @@ def _clear(xs: Sequence[Scalar], p: int | None) -> tuple[Sequence[int], int]:
 def _scalar(field: Field, v: int, scale: int) -> Scalar:
     """The field scalar v / scale of a core int v; scale is 1 over F_p."""
     return Fraction(v, scale) if field.p is None else v % field.p
+
+
+def _scalars(field: Field, xs: Iterable[int]) -> tuple[Scalar, ...]:
+    """The field scalars of core ints xs of clearing factor 1, in one pass:
+    `_scalar(field, x, 1)` of each, for residues already reduced over F_p."""
+    return tuple(map(Fraction, xs)) if field.p is None else tuple(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +310,9 @@ def minor(M: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon form of an integer matrix given as plain rows: (rows, pivots).
+def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[list[int]], list[int], int]:
+    """Reduced echelon form of an integer matrix given as plain rows:
+    (rows, pivots, det).
 
     Over Q (p None) this is fraction-free Gauss-Jordan elimination: each step
     divides exactly by the previous pivot, entries stay minors of the input,
@@ -275,6 +322,13 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
     vector per free column f: v_f = D, v_c = -a[i][f] for the i-th pivot
     column c, zero elsewhere. Pivots are 0-based columns; the input is not
     modified.
+
+    `det` is det(A_P), the determinant of the input's pivot columns, when the
+    rank equals the row count, and 0 when it is lower. Over Q it is the sign
+    of the row swaps times D: each pivot is the minor of the swapped rows so
+    far on the pivot columns so far (Bareiss, 1968). Over F_p it is that sign
+    times the product of the pivots before scaling, mod p, since the rest of
+    the elimination keeps determinants.
     """
     if p is None:
         a = [list(r) for r in rows]
@@ -282,7 +336,8 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
         a = [[x % p for x in r] for r in rows]
     height = len(a)
     pivots: list[int] = []
-    prev = 1
+    prev = 1  # the last pivot over Q; the product of the raw pivots mod p
+    sign = 1
     for c in range(len(a[0])):
         r = len(pivots)
         if r == height:
@@ -290,7 +345,9 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
         piv = next((i for i in range(r, height) if a[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         pr = a[r]
         if p is None:
             pk = pr[c]
@@ -300,6 +357,7 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
                     a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pr)]
             prev = pk
         else:
+            prev = prev * pr[c] % p
             inv = pow(pr[c], -1, p)
             pr = a[r] = [x * inv % p for x in pr]
             for i in range(height):
@@ -307,14 +365,16 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
                 if i != r and f:
                     a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
         pivots.append(c)
-    return a, pivots
+    if len(pivots) < height:
+        return a, pivots, 0
+    return a, pivots, sign * prev if p is None else sign * prev % p
 
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form: (matrix, 0-based pivot columns, rank)."""
     # the cleared rows have the same row space; the int result is D times
     # the reduced form, D its last pivot (1 over F_p)
-    a, piv = int_rref([_clear(row, M.field.p)[0] for row in M.entries], M.field.p)
+    a, piv, _ = int_rref([_clear(row, M.field.p)[0] for row in M.entries], M.field.p)
     D = a[len(piv) - 1][piv[-1]] if piv else 1
     return Matrix._trusted(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
 
@@ -411,14 +471,15 @@ class MaximalMinors:
     """Cache of the maximal minors m_J of a wide full-height matrix.
 
     J ranges over 1-based column sets of size = the row count. `int_columns`
-    holds the columns as core ints (`_clear`: denominator-cleared over Q,
-    the residues over F_p), `_factors` their clearing factors (1 over F_p).
-    `get` computes one minor on first use by `_bareiss_det_int` on the int
-    columns and divides their factors back out, so values match `minor`
-    exactly. `_int_vector` reads every minor from one echelon form instead,
-    as ints with the products of their factors, and `_echelon_minor` one int
-    minor from it, both through `_pivot_scale`; `vector` is `_int_vector` as
-    field scalars.
+    holds the columns as core ints (`Matrix._int_columns`: denominator-cleared
+    over Q, the residues over F_p; a matrix built from int columns gives them
+    as they are), `_factors` their clearing factors (1 over F_p and for int
+    columns). `get` computes one minor on first use by `_bareiss_det_int` on
+    the int columns and divides their factors back out, so values match
+    `minor` exactly. `_int_vector` reads every minor from one echelon form
+    instead, as ints with the products of their factors, and `_echelon_minor`
+    one int minor from it, both through `_pivot_scale`; `vector` is
+    `_int_vector` as field scalars.
     """
 
     def __init__(self, M: Matrix):
@@ -428,15 +489,17 @@ class MaximalMinors:
         self.width = M.rows
         self._cache: dict[IndexSet, Scalar] = {}
         self._rref: tuple[list[list[int]], list[int]] | None = None
-        self._scale: int | None = None
-        self.int_columns, self._factors = zip(*map(_clear, zip(*M.entries), repeat(M.field.p)))
+        self._det = 0
+        self.int_columns, self._factors = M._int_columns()
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """`int_rref` of the rows of `int_columns`, computed once: (rows,
-        0-based pivots). Scaling a column by a nonzero constant changes no
-        rank and no pivot, so they are those of the matrix."""
+        0-based pivots); its det(A_P) is kept for `_pivot_scale`. Scaling a
+        column by a nonzero constant changes no rank and no pivot, so they
+        are those of the matrix."""
         if self._rref is None:
-            self._rref = int_rref(list(zip(*self.int_columns)), self.matrix.field.p)
+            a, pivots, self._det = int_rref(list(zip(*self.int_columns)), self.matrix.field.p)
+            self._rref = a, pivots
         return self._rref
 
     def rank(self) -> int:
@@ -472,16 +535,14 @@ class MaximalMinors:
         return _bareiss_det_int(list(zip(*[self.int_columns[j] for j in cols])))
 
     def _pivot_scale(self) -> int:
-        """det(A_P) / D, computed once: A_P the int columns at the pivots P of
-        the full-rank `_echelon` form, D its last pivot (exact over Q; mod p
-        over F_p, where D = 1). Every minor read from the echelon form is
-        this times a minor of the echelon rows."""
-        if self._scale is None:
-            a, pivots = self._echelon()
-            g = self._int_minor(pivots)
-            prime = self.matrix.field.p
-            self._scale = g % prime if prime else g // a[-1][pivots[-1]]
-        return self._scale
+        """det(A_P) / D: A_P the int columns at the pivots P of the full-rank
+        `_echelon` form, D its last pivot. `int_rref` gave det(A_P) with the
+        form, so no determinant is taken here: over Q det(A_P) = +-D and this
+        is the sign of the elimination's row swaps; over F_p, where D = 1, it
+        is det(A_P) mod p. Every minor read from the echelon form is this
+        times a minor of the echelon rows."""
+        a, pivots = self._echelon()
+        return self._det if self.matrix.field.p else self._det // a[-1][pivots[-1]]
 
     def _echelon_minor(self, cols: Sequence[int]) -> int:
         """The maximal minor of the int columns `cols` (0-based, increasing),

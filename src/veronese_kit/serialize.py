@@ -9,12 +9,16 @@ scalars as plain ints. Round-tripping preserves configurations up to nothing
 at all — coordinates are written verbatim.
 
 Both directions work a column at a time, and `Field` decides the form of
-each scalar. `config_to_json` writes each column by `Field.scalars_to_json`.
-`config_from_json` reads a column of the common kind (exact ints over F_p,
-plain ASCII integer strings over Q) in one pass by
-`Field.scalars_from_json`; every other column goes entry by entry through
-`Field.scalar_from_json`, the one rule of acceptance and of error text, so
-both paths give the same scalars and the same errors.
+each scalar. `config_from_json` reads a column of the common kind (exact
+ints over F_p, plain ASCII integer strings over Q) in one pass by
+`Field.ints_from_json`, as core ints; every other column, and one that
+`int` refuses, goes entry by entry through `Field.scalar_from_json`, the one
+rule of acceptance and of error text, so both paths give the same scalars
+and the same errors. When every column is of the common kind the coordinate
+matrix keeps those int columns (`Matrix._from_int_columns`): the minors
+start from them, and the `Fraction` entries over Q are built only if read.
+`config_to_json` writes each column as stored (`Matrix._raw_columns`) by
+`Field.scalars_to_json`.
 
 `envelope_text` renders a CLI envelope as `json.dumps(doc, sort_keys=True,
 indent=2)` does, byte for byte, without the stdlib's pure-Python `indent`
@@ -29,7 +33,7 @@ from typing import Any
 
 from .configurations import PointConfiguration
 from .fields import Field
-from .linalg import Matrix, _columns_to_rows
+from .linalg import Matrix
 
 
 def field_to_json(f: Field) -> Any:
@@ -70,7 +74,7 @@ def config_to_json(p: PointConfiguration) -> dict:
         "field": field_to_json(f),
         "d": p.d,
         "n": p.n,
-        "columns": list(map(f.scalars_to_json, zip(*p.coords.entries))),
+        "columns": list(map(f.scalars_to_json, p.coords._raw_columns())),
     }
 
 
@@ -86,15 +90,19 @@ def config_from_json(doc: dict) -> PointConfiguration:
     if not isinstance(cols, list) or len(cols) != n:
         raise ValueError(f"expected {n} columns")
     parsed = []
+    common = True
     for j, col in enumerate(cols, start=1):
         if not isinstance(col, list) or len(col) != d + 1:
             raise ValueError(f"column {j} must be a list of {d + 1} coordinates, got {col!r}")
-        scalars = f.scalars_from_json(col)
-        if scalars is None:
-            scalars = [_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)]
-        parsed.append(scalars)
-    # every scalar is canonical already; only the shape is left to check
-    return PointConfiguration(f, d, n, Matrix._trusted(f, _columns_to_rows(parsed)))
+        column = f.ints_from_json(col)
+        if column is None:
+            common = False
+            column = [_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)]
+        parsed.append(column)
+    if common:
+        return PointConfiguration(f, d, n, Matrix._from_int_columns(f, parsed))
+    # a mix of int columns and scalar columns: normalizing makes each int its scalar
+    return PointConfiguration(f, d, n, Matrix.from_columns(f, parsed))
 
 
 def _scalar_from_json(f: Field, x: Any, j: int, i: int):

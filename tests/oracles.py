@@ -21,6 +21,8 @@ elimination; it is the reference for the one-elimination coloop test of
 scalars; it is the reference for the echelon-form certificate of
 `gale.duality_certificate`, which compares ints by cross-multiplication.
 `transpose` is a test helper: the package itself never transposes a `Matrix`.
+`field_sub`, `field_div`, `matrix_is_zero` and `poly_is_zero` are test
+helpers too: the package computes none of them.
 `set_partitions` yields restricted growth strings one label at a time, and
 `partition_edge_masks_oracle` tests every edge against every string; they are
 the reference for the minima search of `transversal.failing_partition` and
@@ -61,6 +63,26 @@ from veronese_kit.linalg import Matrix, MaximalMinors, _clear, as_index_set, int
 def transpose(M):
     """The transpose of a `Matrix`."""
     return Matrix(M.field, list(zip(*M.entries)))
+
+
+def field_sub(f, x, y):
+    """x - y in the field f."""
+    return f.add(x, f.neg(y))
+
+
+def field_div(f, x, y):
+    """x / y in the field f; y must be nonzero."""
+    return f.mul(x, f.inv(y))
+
+
+def matrix_is_zero(M):
+    """Every entry of the `Matrix` M is zero."""
+    return all(x == 0 for row in M.entries for x in row)
+
+
+def poly_is_zero(P):
+    """The `BracketPolynomial` P has no term left."""
+    return not P.terms
 
 
 def perm_sign(perm):
@@ -307,7 +329,7 @@ def chart_jacobian(field, d, g_vals, t_vals):
             for k in range(w):
                 row[k] = f.mul(c, mom[k])
                 row[r * w + k] = f.mul(mom[k], inv)
-            row[ng + i] = f.mul(f.sub(f.mul(dy[r], y[0]), f.mul(y[r], dy[0])), inv2)
+            row[ng + i] = f.mul(field_sub(f, f.mul(dy[r], y[0]), f.mul(y[r], dy[0])), inv2)
             rows.append(row)
     return rows
 
@@ -456,7 +478,7 @@ def window_vanishes_oracle(rows, p):
     eliminations of the window's own block; the reference for the
     echelon-form window test of `wdn_membership`.
     """
-    a, pivots = int_rref(rows, p)
+    a, pivots, _ = int_rref(rows, p)
     if len(pivots) < len(rows):
         return True
     f0, f1, f2 = (f for f in range(len(rows[0])) if f not in pivots)
@@ -476,7 +498,7 @@ def pairwise_duality_certificate(A, B):
         raise ShapeError(f"column counts differ: {A.cols} vs {B.cols}")
     if A.rows + B.rows != n:
         raise ShapeError(f"heights {A.rows} + {B.rows} must sum to {n}")
-    if not A.matmul(transpose(B)).is_zero():
+    if not matrix_is_zero(A.matmul(transpose(B))):
         raise NotAGalePairError("A B^t != 0")
     if rank(A) < A.rows or rank(B) < B.rows:
         raise RankDeficiencyError("both matrices must have full row rank")
@@ -498,7 +520,7 @@ def pairwise_duality_certificate(A, B):
             vb = mb.get(Ic)
             if vb == 0:
                 return GaleDualityCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
-            lam = f.div(va, f.mul(sign, vb))
+            lam = field_div(f, va, f.mul(sign, vb))
             break
     assert lam is not None
 

@@ -1,14 +1,17 @@
 """Exact F_p kernels (det, rank, rref, batched maximal minors) at p = 65521,
-checked against the naive oracles through the public `linalg` API, and the
-forward-only `int_rank` checked against `int_rref` over Q, F_101 and F_65521."""
+checked against the naive oracles through the public `linalg` API, the
+forward-only `int_rank` checked against `int_rref` over Q, F_101 and F_65521,
+and the pivot-column determinant of `int_rref` checked against Bareiss
+determinants over Q, F_7, F_101 and F_65521."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from veronese_kit.fields import Field
-from veronese_kit.linalg import Matrix, MaximalMinors, det, int_rank, int_rref, rank, rref
+import veronese_kit.linalg as linalg
+from veronese_kit.fields import QQ, Field
+from veronese_kit.linalg import Matrix, MaximalMinors, _bareiss_det_int, det, int_rank, int_rref, rank, rref
 from oracles import leibniz_det, naive_fraction_rank
 
 P = 65521
@@ -110,3 +113,73 @@ def test_int_rank_matches_int_rref(p):
         copy = [list(row) for row in m]
         assert int_rank(m, p) == len(int_rref(m, p)[1]), m
         assert m == copy
+
+
+def _swap_heavy(rng, rows, cols, height):
+    """Random int rows with zero columns, leading zeros and dependent rows, so
+    skipped columns, row swaps and deficient ranks are all common."""
+    m = [[rng.randint(-height, height) for _ in range(cols)] for _ in range(rows)]
+    for r in rng.sample(range(rows), rng.randint(0, rows)):
+        lead = rng.randint(0, cols)
+        m[r][:lead] = [0] * lead
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = 0
+    if rows > 1 and rng.random() < 0.2:
+        m[-1] = [x - 2 * y for x, y in zip(m[0], m[1 % rows])]
+    return m
+
+
+@pytest.mark.parametrize("p", [None, 7, 101, 65521], ids=str)
+def test_int_rref_det_is_the_determinant_of_the_pivot_columns(p):
+    rng = random.Random(29 + (p or 0))
+    signs, full, deficient = set(), 0, 0
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        m = _swap_heavy(rng, rows, cols, rng.choice((3, 100, 10**6)))
+        a, pivots, g = int_rref(m, p)
+        if len(pivots) < rows:
+            # the contract on deficient ranks: no determinant, 0
+            assert g == 0, m
+            deficient += 1
+            continue
+        full += 1
+        expected = _bareiss_det_int([[row[c] for c in pivots] for row in m])
+        if p is None:
+            assert g == expected, m
+            D = a[-1][pivots[-1]]
+            assert g in (D, -D), m
+            signs.add(g // D)
+        else:
+            assert g == expected % p and g != 0, m
+    assert full > 300 and deficient > 300
+    if p is None:
+        # both parities of row swaps were met
+        assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
+def test_pivot_scale_reads_the_elimination(monkeypatch, field):
+    rng = random.Random(37 + (field.p or 0))
+    bareiss = linalg._bareiss_det_int
+    calls = []
+    monkeypatch.setattr(linalg, "_bareiss_det_int", lambda rows: calls.append(rows) or bareiss(rows))
+    checked = 0
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        m = _swap_heavy(rng, k, k + rng.randint(0, 4), 10**6)
+        mm = MaximalMinors(Matrix(field, m))
+        a, pivots = mm._echelon()
+        if len(pivots) < k:
+            continue
+        calls.clear()
+        g = mm._pivot_scale()
+        assert calls == []
+        A_P = [[row[c] for c in pivots] for row in zip(*mm.int_columns)]
+        if field.p:
+            assert g == bareiss(A_P) % field.p
+        else:
+            assert g in (1, -1) and g * a[-1][pivots[-1]] == bareiss(A_P)
+        checked += 1
+    assert checked > 50

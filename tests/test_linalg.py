@@ -25,7 +25,15 @@ from veronese_kit.linalg import (
     s_index,
 )
 from veronese_kit.transversal import Hypergraph
-from oracles import fp_minor_rank, fraction_rref_oracle, leibniz_det, naive_fraction_rank, subconfig, transpose
+from oracles import (
+    fp_minor_rank,
+    fraction_rref_oracle,
+    leibniz_det,
+    matrix_is_zero,
+    naive_fraction_rank,
+    subconfig,
+    transpose,
+)
 
 FP = Field.prime()
 PRIMES = (101, 65521)
@@ -241,7 +249,7 @@ def test_int_rref_rank_pivots_and_kernel():
         v = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
         ints = [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
         for p in (None, 101, 7):
-            a, pivots = int_rref(ints, p)
+            a, pivots, _ = int_rref(ints, p)
             D = a[len(pivots) - 1][pivots[-1]] if pivots else 1
             assert all(a[i][c] == D for i, c in enumerate(pivots))
             if p is None:
@@ -293,7 +301,7 @@ def test_kernel_basis_annihilates():
             B = kernel_basis(m)
             assert B.shape == (b - a, b)
             assert rank(B) == b - a
-            assert m.matmul(transpose(B)).is_zero()
+            assert matrix_is_zero(m.matmul(transpose(B)))
 
 
 def test_kernel_basis_echelon_block_form():
@@ -472,3 +480,41 @@ def test_vector_matches_get_on_sampled_configurations(field):
             subsets = combinations(range(1, n + 1), d + 1)
             assert MaximalMinors(M).vector() == tuple(MaximalMinors(M).get(J) for J in subsets)
 
+
+
+# -- matrices kept as int columns -----------------------------------------------
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_int_column_matrix_matches_the_normalized_one(field):
+    # integers of up to 10^6 over Q, residues over F_p; zero columns and zero rows included
+    rng = random.Random(79 + (field.p or 0))
+    for k, n in ((1, 1), (1, 4), (2, 5), (3, 7), (4, 8), (4, 4), (3, 6)):
+        entry = (lambda: rng.randint(-(10**6), 10**6)) if field.p is None else (lambda: rng.randrange(field.p))
+        cols = [[entry() for _ in range(k)] for _ in range(n)]
+        if n > 2:
+            cols[1] = [0] * k
+        if k > 2:
+            for col in cols:
+                col[-1] = 0
+        old = Matrix.from_columns(field, cols)
+        new = Matrix._from_int_columns(field, cols)
+        assert new.shape == old.shape
+        # the minors first: they read the int columns, not the entries
+        mm_new, mm_old = MaximalMinors(new), MaximalMinors(old)
+        assert list(map(tuple, mm_new.int_columns)) == list(map(tuple, mm_old.int_columns))
+        assert tuple(mm_new._factors) == tuple(mm_old._factors) == (1,) * n
+        assert mm_new.vector() == mm_old.vector()
+        for J in combinations(range(1, n + 1), k):
+            got, want = mm_new.get(J), mm_old.get(J)
+            assert got == want and type(got) is type(want)
+        assert [[(type(x), x) for x in row] for row in new.entries] == [
+            [(type(x), x) for x in row] for row in old.entries
+        ]
+        assert new == old and hash(new) == hash(old)
+
+
+def test_int_column_matrix_checks_its_shape():
+    for cols, message in (([], "nonempty"), ([[]], "nonempty"), ([[1, 2], [3]], "ragged")):
+        with pytest.raises(ShapeError, match=message):
+            Matrix._from_int_columns(QQ, cols)

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cli_runner import invoke
 
-from veronese_kit.configurations import make_config, sample_generic
+from veronese_kit.configurations import make_config, sample_degenerate, sample_generic, sample_on_rnc
 from veronese_kit.fields import _MAX_PRIME, Field, QQ, _is_prime
-from veronese_kit.linalg import _clear
+from veronese_kit.linalg import Matrix, _clear
 from veronese_kit.serialize import (
     config_from_json,
     config_to_json,
@@ -215,6 +215,7 @@ _COLUMNS = [
     ["\uff11", "2", "3"],
     ["2", "3", "\u00b2"],
     ["9" * 60, "-" + "9" * 60, "1"],
+    ["1" * 4301, "2", "3"],
     [None, 1, 2],
     [1, 2],
     [1, 2, 3, 4],
@@ -226,6 +227,12 @@ _COLUMNS = [
     ["0", "-0", "000"],
     [0, 0, 0],
 ]
+
+
+def _column_id(column):
+    # the 4301-digit column is named by its length, not its digits
+    text = repr(column)
+    return text if len(text) <= 200 else f"{text[:12]}...({len(text)} chars)"
 
 
 def _doc(field, column):
@@ -244,22 +251,23 @@ def _decoded(doc):
 
 
 @pytest.mark.parametrize("field", [QQ, F101, FP], ids=str)
-@pytest.mark.parametrize("column", _COLUMNS, ids=repr)
+@pytest.mark.parametrize("column", _COLUMNS, ids=_column_id)
 def test_column_pass_decodes_as_each_entry_would(monkeypatch, field, column):
     doc = _doc(field, column)
     text = json.dumps(doc)
     with_pass = _decoded(doc), invoke(["eval"], input=text)
     # the same document with every column sent entry by entry
-    monkeypatch.setattr(Field, "scalars_from_json", lambda self, vs: None)
+    monkeypatch.setattr(Field, "ints_from_json", lambda self, vs: None)
     entry_by_entry = _decoded(doc), invoke(["eval"], input=text)
     assert with_pass == entry_by_entry
     assert with_pass[1].exit_code in (0, 2)
 
 
 def test_column_pass_takes_only_its_two_kinds():
-    assert F101.scalars_from_json([101, -1, 7]) == [0, 100, 7]
-    assert FP.scalars_from_json([3 * 65521 + 4, -65522, 0]) == [4, 65520, 0]
-    assert QQ.scalars_from_json(["007", "-0", "-12"]) == [Fraction(7), Fraction(0), Fraction(-12)]
+    assert F101.ints_from_json([101, -1, 7]) == [0, 100, 7]
+    assert FP.ints_from_json([3 * 65521 + 4, -65522, 0]) == [4, 65520, 0]
+    ints = QQ.ints_from_json(["007", "-0", "-12"])
+    assert ints == [7, 0, -12] and all(type(x) is int for x in ints)
     for field, column in [
         (F101, [True, 1, 2]),
         (F101, [1.0, 2, 3]),
@@ -270,8 +278,35 @@ def test_column_pass_takes_only_its_two_kinds():
         (QQ, ["6/4", "2", "3"]),
         (QQ, ["\u0663", "2", "3"]),
         (QQ, ["1", 2, "3"]),
+        # longer than int's digit limit: left to the entry that names its position
+        (QQ, ["1" * 4301, "2", "3"]),
     ]:
-        assert field.scalars_from_json(column) is None
+        assert field.ints_from_json(column) is None
+
+
+def test_eval_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
+    # every `entries` read of a matrix kept as int columns passes the spy
+    reads = []
+    getattr_ = Matrix.__getattr__
+    monkeypatch.setattr(Matrix, "__getattr__", lambda self, name: reads.append(name) or getattr_(self, name))
+    samples = [
+        (sample_generic(QQ, 3, 8, seed=1), "NotInW"),
+        (sample_generic(QQ, 5, 12, seed=1), "NotInW"),
+        (sample_on_rnc(QQ, 3, 9, seed=2), "InW"),
+        (sample_degenerate(QQ, 4, 9, seed=3), "InY"),
+    ]
+    for p, classification in samples:
+        doc = config_to_json(p)
+        res = invoke(["eval"], input=json.dumps(doc))
+        assert res.exit_code == 0
+        payload = json.loads(res.output)["payload"]
+        assert payload["report"]["classification"] == classification
+        assert payload["config"] == doc
+    assert reads == []
+    # the rows are there on demand, as Fractions
+    coords = config_from_json(doc).coords
+    assert coords == p.coords and type(coords.entries[0][0]) is Fraction
+    assert reads == ["entries"]
 
 
 @pytest.mark.parametrize("field", [F101, FP], ids=str)
