@@ -22,7 +22,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
-from .errors import BudgetExceededError, ShapeError
+from .errors import ShapeError, check_budget
 from .fields import Scalar
 from .linalg import IndexSet, MaximalMinors, Matrix, _scalar, as_index_set, complement, int_rref, s_index
 
@@ -197,16 +197,16 @@ def eval_bracket_poly(
     if isinstance(source, MaximalMinors):
         mm = source
     elif isinstance(source, PointConfiguration):
-        mm = MaximalMinors(source.coords)
+        mm = source.coords.minors()
     else:
-        mm = MaximalMinors(source)
+        mm = source.minors()
     if mm.width != P.width:
         raise ShapeError(f"bracket width {P.width} != matrix height {mm.width}")
     if J is not None:
-        J = as_index_set(J, ground=mm.matrix.cols, size=P.ground)
-    elif mm.matrix.cols < P.ground:
-        raise ShapeError(f"ground set [{P.ground}] exceeds {mm.matrix.cols} columns")
-    f = mm.matrix.field
+        J = as_index_set(J, ground=mm.cols, size=P.ground)
+    elif mm.cols < P.ground:
+        raise ShapeError(f"ground set [{P.ground}] exceeds {mm.cols} columns")
+    f = mm.field
     total = f.zero
     for coef, factors in P.terms:
         term = f.normalize(coef)
@@ -254,7 +254,7 @@ def _eval_on_echelon(
                 break
         total += term
     scale = prod([mm._factors[c] ** e for c, e in zip(window, _degrees(P))])
-    return _scalar(mm.matrix.field, total, scale)
+    return _scalar(mm.field, total, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     witness = None
     checked = 0
     # n <= d points cannot span P^d, and MaximalMinors refuses their tall matrix
-    mm = MaximalMinors(p.coords) if n > d else None
+    mm = p.coords.minors() if n > d else None
     degenerate = mm is None or mm.rank() < d + 1
     if n >= d + 4:
         gens = psi_generators(d)
@@ -488,11 +488,8 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
                 if j == n - d - 4:
                     if _head_points_in_general_position(mm, prime):
                         break
-                    if windows - j - 1 > WINDOW_SCAN_BUDGET:
-                        raise BudgetExceededError(
-                            f"(d, n) = ({d}, {n}) leaves {windows - j - 1} windows to scan, "
-                            f"over the budget of {WINDOW_SCAN_BUDGET}"
-                        )
+                    rest = windows - j - 1
+                    check_budget(rest, WINDOW_SCAN_BUDGET, f"(d, n) = ({d}, {n}) leaves {rest} windows to scan")
                 continue
             minors: dict[IndexSet, int] = {}
             for i, (I, poly) in enumerate(gens):

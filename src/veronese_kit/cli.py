@@ -40,8 +40,8 @@ from .configurations import (
     sample_on_rnc,
     sample_quasi_veronese_chain,
 )
-from .errors import BudgetExceededError, VeroneseKitError
-from .gale import _duality_certificate, _gale_of_config
+from .errors import BudgetExceededError, VeroneseKitError, check_budget
+from .gale import duality_certificate, gale_of_config
 from .serialize import (
     config_from_json,
     config_to_json,
@@ -119,6 +119,9 @@ def _decode_json(raw: str):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        # the decoder recurses once per nesting level
+        raise ValueError("malformed JSON: nested too deeply to decode") from e
 
 
 def _read_json_input(source: str):
@@ -207,10 +210,7 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
     if d >= 3 and n < d + 4:
         raise ValueError(f"d={d} needs n >= {d + 4}, got n={n}")
     count = comb(n, 6) if d == 2 else comb(n, d + 4) * comb(d + 4, 6)
-    if count > EQS_GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"(d, n) = ({d}, {n}) has {count} generators, over the budget of {EQS_GENERATOR_BUDGET}"
-        )
+    check_budget(count, EQS_GENERATOR_BUDGET, f"(d, n) = ({d}, {n}) has {count} generators")
     # each pattern is compiled once; a window J pulls it back as the index map i -> J[i-1]
     if d == 2:
         size, patterns = 6, [(None, phi_as_bracket_poly())]
@@ -266,9 +266,8 @@ def cmd_eval(input: str, with_values: bool) -> CommandResult:
 def cmd_gale(input: str) -> CommandResult:
     """Gale-transform a configuration; certifies the minor duality exactly."""
     p = _extract_config(_read_json_input(input))
-    # the certificate reads p's minors from the echelon form the transform used
-    ma, q = _gale_of_config(p)
-    cert = _duality_certificate(p.coords, q.coords, ma)
+    q = gale_of_config(p)
+    cert = duality_certificate(p.coords, q.coords)
     payload = {
         "config": config_to_json(q),
         "source": {"d": p.d, "n": p.n},

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, ShapeError
 from .fields import Field, Scalar, require_same_field
-from .linalg import Matrix, MaximalMinors, certified_rank, rank
+from .linalg import Matrix, certified_rank, rank
 
 #: Resample budget for rejection loops (invertible draws, chart retries, spans).
 RETRY_BUDGET = 32
@@ -81,20 +81,15 @@ def is_degenerate(p: PointConfiguration) -> bool:
 def strong_nondegeneracy_witness(p: PointConfiguration) -> Optional[int]:
     """1-based index i such that dropping point i kills the span, or None.
 
-    Such a point is a coloop. In one reduced echelon form of the coordinates
-    its column is a pivot whose row is zero in every non-pivot column; the
-    smallest one is returned.
+    Such a point is a coloop. In the reduced echelon form of the coordinates
+    (`Matrix.minors()`, shared with every other reader of it) its column is
+    a pivot whose row is zero in every non-pivot column; the smallest one is
+    returned.
     """
     if p.n < p.d + 2:
         # dropping any point leaves too few to span
         return 1 if p.n >= 1 else None
-    return _coloop(p, *MaximalMinors(p.coords)._echelon())
-
-
-def _coloop(p: PointConfiguration, rows: Sequence[Sequence], pivots: Sequence[int]) -> Optional[int]:
-    """`strong_nondegeneracy_witness` for n >= d + 2 points, read from the
-    rows of a reduced echelon form of their coordinates (columns scaled by
-    nonzero constants allowed) with 0-based `pivots`."""
+    rows, pivots = p.coords.minors()._echelon()
     if len(pivots) < p.d + 1:
         return 1
     free = [c for c in range(p.n) if c not in pivots]

@@ -15,9 +15,9 @@ from typing import Iterable, Optional, Sequence
 
 from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
-from .errors import BudgetExceededError, ShapeError
+from .errors import ShapeError, check_budget
 from .fields import Field, Scalar
-from .linalg import IndexSet, MaximalMinors, Matrix, as_index_set, det
+from .linalg import IndexSet, Matrix, as_index_set, det
 
 #: phi_det == BRACKET_TO_DET_SIGN * (the displayed bracket polynomial).
 #: The classical display |123||145||246||356| - |124||135||236||456| carries
@@ -114,13 +114,10 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     count = comb(p.n, 6)
     if not count:
         return _report(p, [], [], collect_values)
-    lifted = MaximalMinors(lift_matrix(p))
+    lifted = lift_matrix(p).minors()
     if not collect_values and lifted.rank() <= 5:
         return ConicEquationReport(n=p.n, checked=count, all_vanish=True, nonvanishing=(), values=None)
-    if count > SUBSET_SCAN_BUDGET:
-        raise BudgetExceededError(
-            f"n = {p.n} has {count} six-point subsets to scan, over the budget of {SUBSET_SCAN_BUDGET}"
-        )
+    check_budget(count, SUBSET_SCAN_BUDGET, f"n = {p.n} has {count} six-point subsets to scan")
     return _report(p, list(combinations(range(1, p.n + 1), 6)), lifted.vector(), collect_values)
 
 
@@ -131,5 +128,5 @@ def v2n_subset_membership(
     sets = [as_index_set(I, ground=p.n, size=6) for I in subsets]
     _check_plane(p)
     # fewer than six points admit no subset, and their lift is not wide
-    lifted = MaximalMinors(lift_matrix(p)) if sets else None
+    lifted = lift_matrix(p).minors() if sets else None
     return _report(p, sets, [lifted.get(I) for I in sets], collect_values)

@@ -31,3 +31,10 @@ class NotAGalePairError(VeroneseKitError):
 
 class BudgetExceededError(VeroneseKitError):
     """A bounded search or resampling loop ran out of budget."""
+
+
+def check_budget(count: int, budget: int, what: str) -> None:
+    """Raise BudgetExceededError("{what}, over the budget of {budget}") when
+    count exceeds the budget."""
+    if count > budget:
+        raise BudgetExceededError(f"{what}, over the budget of {budget}")

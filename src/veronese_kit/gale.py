@@ -10,7 +10,8 @@ with lambda independent of I, and lambda = 1 for the standard pair
 A = [I | A'], B = [A'^t | -I]. `duality_certificate` determines lambda
 empirically and then checks the identity for every I, so it certifies any
 representative, not just a normalized one. It reads both sides' minors as
-core ints (`MaximalMinors._int_vector`) and compares them by
+core ints (`MaximalMinors._int_vector`) from each matrix's one echelon form
+(`Matrix.minors()`), which `gale_of_config` also reads, and compares them by
 cross-multiplication over Q and mod p over F_p, so no field scalar is built
 per I.
 """
@@ -23,25 +24,16 @@ from itertools import combinations, repeat
 from math import comb
 from operator import xor
 
-from .configurations import PointConfiguration, _coloop
+from .configurations import PointConfiguration, strong_nondegeneracy_witness
 from .errors import (
-    BudgetExceededError,
     DegenerateInputError,
     NotAGalePairError,
     RankDeficiencyError,
     ShapeError,
+    check_budget,
 )
 from .fields import Scalar, require_same_field
-from .linalg import (
-    IndexSet,
-    MaximalMinors,
-    Matrix,
-    _clear,
-    _lex_subset_folds,
-    _orthogonal,
-    kernel_basis,
-    rref,
-)
+from .linalg import IndexSet, Matrix, _lex_subset_folds, _orthogonal, kernel_basis, rref
 
 #: `duality_certificate` pairs at most this many complementary minors
 #: (C(n, d+1)); larger pairings exit 3 before any elimination.
@@ -113,21 +105,15 @@ class GaleDualityCertificate:
 def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     """Verify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
 
-    Each side's minors come from one echelon form as core ints
-    (`MaximalMinors._int_vector`), which also gives its rank. lambda is fixed
-    once, from the first I with a nonzero A-minor; every I is then checked by
-    `_off_line` on ints, and lambda is the one field scalar built. A B^t = 0
-    is checked on the cleared int rows (`linalg._clear`), mod p over F_p.
+    Each side's minors come from its matrix's one echelon form
+    (`Matrix.minors()`, not redone for a side already eliminated) as core
+    ints (`MaximalMinors._int_vector`), which also gives its rank. lambda is
+    fixed once, from the first I with a nonzero A-minor; every I is then
+    checked by `_off_line` on ints, and lambda is the one field scalar built.
+    A B^t = 0 is checked on both sides' `MaximalMinors._int_rows`, mod p.
     Pairings of more than `DUALITY_PAIR_BUDGET` index sets raise
     BudgetExceededError before any elimination.
     """
-    return _duality_certificate(A, B, None)
-
-
-def _duality_certificate(A: Matrix, B: Matrix, ma: MaximalMinors | None) -> GaleDualityCertificate:
-    """`duality_certificate` of (A, B) that reads A's minors from `ma`, the
-    `MaximalMinors` of A whose echelon form a caller already has, or from
-    fresh ones when `ma` is None."""
     require_same_field(A.field, B.field, "Gale pair")
     n = A.cols
     if B.cols != n:
@@ -136,16 +122,12 @@ def _duality_certificate(A: Matrix, B: Matrix, ma: MaximalMinors | None) -> Gale
         raise ShapeError(f"heights {A.rows} + {B.rows} must sum to {n}")
     k = A.rows
     count = comb(n, k)
-    if count > DUALITY_PAIR_BUDGET:
-        raise BudgetExceededError(
-            f"the certificate of a {k} x {n} matrix pairs {count} minors, "
-            f"over the budget of {DUALITY_PAIR_BUDGET}"
-        )
-    # scaling rows by their nonzero clearing factors keeps A B^t = 0 or not
+    check_budget(count, DUALITY_PAIR_BUDGET, f"the certificate of a {k} x {n} matrix pairs {count} minors")
+    # scaling a matrix by a nonzero constant keeps A B^t = 0 or not
     p = A.field.p
-    if not _orthogonal((_clear(r, p)[0] for r in A.entries), [_clear(r, p)[0] for r in B.entries], p):
+    ma, mb = A.minors(), B.minors()
+    if not _orthogonal(ma._int_rows(), mb._int_rows(), p):
         raise NotAGalePairError("A B^t != 0")
-    ma, mb = ma or MaximalMinors(A), MaximalMinors(B)
     if ma.rank() < A.rows or mb.rank() < B.rows:
         raise RankDeficiencyError("both matrices must have full row rank")
 
@@ -202,29 +184,24 @@ def gale_of_config(p: PointConfiguration) -> PointConfiguration:
 
     Defined when n >= d + 3 and the input is strongly nondegenerate (any n-1
     points span); that is exactly what keeps every transform column nonzero.
+    The coloop test and the kernel basis read the one echelon form of p's
+    coordinates (`Matrix.minors()`), which a certificate of the pair reads
+    again without eliminating.
     """
-    return _gale_of_config(p)[1]
-
-
-def _gale_of_config(p: PointConfiguration) -> tuple[MaximalMinors, PointConfiguration]:
-    """`gale_of_config(p)` with the `MaximalMinors` of p's coordinates, whose
-    one echelon form gave both the coloop test and the kernel basis; the
-    certificate of the pair reads p's minors from that same form."""
     if p.n < p.d + 3:
         raise ShapeError(f"need n >= d + 3 for a projective Gale transform, got n={p.n}")
-    ma = MaximalMinors(p.coords)
-    w = _coloop(p, *ma._echelon())
+    w = strong_nondegeneracy_witness(p)
     if w is not None:
         raise DegenerateInputError(
             f"dropping point {w} kills the span; Gale transform would have a zero column"
         )
-    return ma, PointConfiguration(p.field, p.n - p.d - 2, p.n, ma._kernel())
+    return PointConfiguration(p.field, p.n - p.d - 2, p.n, kernel_basis(p.coords))
 
 
 def double_gale_minor_check(p: PointConfiguration) -> bool:
     """Maximal minors of Gale(Gale(p)) are proportional to those of p."""
     q = gale_of_config(gale_of_config(p))
-    return _proportional(MaximalMinors(p.coords)._int_vector(), MaximalMinors(q.coords)._int_vector(), p.field.p)
+    return _proportional(p.coords.minors()._int_vector(), q.coords.minors()._int_vector(), p.field.p)
 
 
 def _proportional(v, w, p: int | None) -> bool:

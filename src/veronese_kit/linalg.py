@@ -6,15 +6,16 @@ forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
 Gauss-Jordan (`int_rref`) for echelon forms, which also gives the
 determinant of the pivot columns. `certified_rank` reads the rank of int
 rows over Q from a modular rank when known kernel vectors cap it.
-`MaximalMinors.get` reads one maximal minor as one determinant;
-`MaximalMinors._echelon_minor` reads one from the cached echelon form by a
-small determinant of its rows, and `MaximalMinors._int_vector` all of them,
-as core ints with their clearing scales; `MaximalMinors.vector` maps those
-back to field scalars. Both scale by the pivot determinant the elimination
-gave, so no determinant is taken twice. `MaximalMinors._kernel` reads the
-reduced-echelon kernel basis (`kernel_basis`) from the same cached echelon
-form, so a caller that needs a matrix's kernel and its minors eliminates it
-once.
+Each wide matrix owns one `MaximalMinors` (`Matrix.minors()`), and every
+reader of its minors, echelon form or kernel asks the matrix for it, so a
+matrix is eliminated at most once. `MaximalMinors.get` reads one maximal
+minor as one determinant; `MaximalMinors._echelon_minor` reads one from the
+cached echelon form by a small determinant of its rows, and
+`MaximalMinors._int_vector` all of them, as core ints with their clearing
+scales; `MaximalMinors.vector` maps those back to field scalars. Both scale
+by the pivot determinant the elimination gave, so no determinant is taken
+twice. `MaximalMinors._kernel` reads the reduced-echelon kernel basis
+(`kernel_basis`) from the same echelon form.
 
 The integer view is decided in one place. `_clear(xs, p)` turns a row or
 column of scalars into core ints and a clearing factor m, keyed on the
@@ -93,7 +94,7 @@ class Matrix:
     `_ints` instead, and builds the `entries` rows from them on first read.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_ints")
+    __slots__ = ("field", "rows", "cols", "entries", "_ints", "_minors")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
@@ -109,6 +110,7 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_minors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -142,6 +144,7 @@ class Matrix:
         object.__setattr__(m, "rows", len(cols[0]))
         object.__setattr__(m, "cols", len(cols))
         object.__setattr__(m, "_ints", tuple(cols))
+        object.__setattr__(m, "_minors", None)
         return m
 
     @classmethod
@@ -181,6 +184,14 @@ class Matrix:
         if self._ints is not None:
             return self._ints, (1,) * self.cols
         return tuple(zip(*map(_clear, zip(*self.entries), repeat(self.field.p))))
+
+    def minors(self) -> "MaximalMinors":
+        """The `MaximalMinors` of this wide matrix, built on first use and
+        kept: the matrix is immutable, so every reader of its minors,
+        echelon form or kernel shares one elimination."""
+        if self._minors is None:
+            object.__setattr__(self, "_minors", MaximalMinors(self))
+        return self._minors
 
     def __eq__(self, other):
         return (
@@ -459,7 +470,7 @@ def kernel_basis(M: Matrix) -> Matrix:
     """
     if M.rows >= M.cols:
         raise ShapeError(f"kernel_basis expects a wide matrix, got {M.shape}")
-    return MaximalMinors(M)._kernel()
+    return M.minors()._kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +479,28 @@ def kernel_basis(M: Matrix) -> Matrix:
 
 
 class MaximalMinors:
-    """Cache of the maximal minors m_J of a wide full-height matrix.
+    """The maximal minors m_J of a wide matrix, read through `Matrix.minors()`.
 
-    J ranges over 1-based column sets of size = the row count. `int_columns`
-    holds the columns as core ints (`Matrix._int_columns`: denominator-cleared
-    over Q, the residues over F_p; a matrix built from int columns gives them
-    as they are), `_factors` their clearing factors (1 over F_p and for int
-    columns). `get` computes one minor on first use by `_bareiss_det_int` on
-    the int columns and divides their factors back out, so values match
-    `minor` exactly. `_int_vector` reads every minor from one echelon form
-    instead, as ints with the products of their factors, and `_echelon_minor`
-    one int minor from it, both through `_pivot_scale`; `vector` is
-    `_int_vector` as field scalars.
+    J ranges over 1-based column sets of size = the row count. `field` and
+    `cols` are the matrix's; the matrix itself is not kept, so it and its
+    minors make no reference cycle. `int_columns` holds the columns as core
+    ints (`Matrix._int_columns`: denominator-cleared over Q, the residues
+    over F_p; a matrix built from int columns gives them as they are),
+    `_factors` their clearing factors (1 over F_p and for int columns). `get`
+    computes one minor per call by `_bareiss_det_int` on the int columns and
+    divides their factors back out, so values match `minor` exactly.
+    `_int_vector` reads every minor from one cached echelon form instead, as
+    ints with the products of their factors, and `_echelon_minor` one int
+    minor from it, both through `_pivot_scale`; `vector` is `_int_vector` as
+    field scalars.
     """
 
     def __init__(self, M: Matrix):
         if M.rows > M.cols:
             raise ShapeError(f"expected a wide matrix, got {M.shape}")
-        self.matrix = M
+        self.field = M.field
+        self.cols = M.cols
         self.width = M.rows
-        self._cache: dict[IndexSet, Scalar] = {}
         self._rref: tuple[list[list[int]], list[int]] | None = None
         self._det = 0
         self.int_columns, self._factors = M._int_columns()
@@ -498,7 +511,7 @@ class MaximalMinors:
         column by a nonzero constant changes no rank and no pivot, so they
         are those of the matrix."""
         if self._rref is None:
-            a, pivots, self._det = int_rref(list(zip(*self.int_columns)), self.matrix.field.p)
+            a, pivots, self._det = int_rref(list(zip(*self.int_columns)), self.field.p)
             self._rref = a, pivots
         return self._rref
 
@@ -517,7 +530,7 @@ class MaximalMinors:
         a, pivots = self._echelon()
         if len(pivots) < self.width:
             raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {self.width} rows")
-        f, n, m = self.matrix.field, self.matrix.cols, self._factors
+        f, n, m = self.field, self.cols, self._factors
         D = a[-1][pivots[-1]]
         basis = []
         for fc in range(n):
@@ -529,6 +542,12 @@ class MaximalMinors:
                 v[c] = -row[fc] % f.p if f.p else Fraction(-row[fc] * m[c], m[fc] * D)
             basis.append(v)
         return Matrix._trusted(f, basis)
+
+    def _int_rows(self) -> list[tuple[int, ...]]:
+        """The rows as core ints, all scaled by the lcm L of the clearing
+        factors: L = 1 over F_p and for int columns, which are the rows."""
+        L, cols = lcm(*self._factors), self.int_columns
+        return list(zip(*(cols if L == 1 else [[x * (L // m) for x in c] for c, m in zip(cols, self._factors)])))
 
     def _int_minor(self, cols: Sequence[int]) -> int:
         """Unreduced Bareiss determinant of the int columns `cols` (0-based)."""
@@ -542,7 +561,7 @@ class MaximalMinors:
         is det(A_P) mod p. Every minor read from the echelon form is this
         times a minor of the echelon rows."""
         a, pivots = self._echelon()
-        return self._det if self.matrix.field.p else self._det // a[-1][pivots[-1]]
+        return self._det if self.field.p else self._det // a[-1][pivots[-1]]
 
     def _echelon_minor(self, cols: Sequence[int]) -> int:
         """The maximal minor of the int columns `cols` (0-based, increasing),
@@ -568,18 +587,12 @@ class MaximalMinors:
         # a minor of size s of the echelon rows is divisible by D^(s-1) (Sylvester)
         v = _bareiss_det_int([[a[r][c] for c in free] for r in rows]) // D ** (len(free) - 1) if free else D
         v *= -self._pivot_scale() if e % 2 else self._pivot_scale()
-        prime = self.matrix.field.p
+        prime = self.field.p
         return v % prime if prime else v
 
     def get(self, J: Iterable[int]) -> Scalar:
-        J = as_index_set(J, ground=self.matrix.cols, size=self.width)
-        hit = self._cache.get(J)
-        if hit is not None:
-            return hit
-        cols = [j - 1 for j in J]
-        val = _scalar(self.matrix.field, self._int_minor(cols), prod([self._factors[j] for j in cols]))
-        self._cache[J] = val
-        return val
+        cols = [j - 1 for j in as_index_set(J, ground=self.cols, size=self.width)]
+        return _scalar(self.field, self._int_minor(cols), prod([self._factors[j] for j in cols]))
 
     def _int_vector(self) -> tuple[list[int], list[int] | None]:
         """All maximal minors as core ints, in lexicographic order of the
@@ -602,8 +615,8 @@ class MaximalMinors:
         its last column and divided by D (Sylvester), so every value is an
         exact int. A rank-deficient matrix has only zero minors.
         """
-        k, n = self.width, self.matrix.cols
-        prime = self.matrix.field.p
+        k, n = self.width, self.cols
+        prime = self.field.p
         scales = None if prime else _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
         a, pivots = self._echelon()
         if len(pivots) < k:

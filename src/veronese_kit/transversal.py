@@ -17,7 +17,7 @@ from math import ceil, comb, prod
 from typing import Callable, Iterable, Optional
 
 from .configurations import PointConfiguration, make_config
-from .errors import BudgetExceededError, ShapeError
+from .errors import BudgetExceededError, ShapeError, check_budget
 from .linalg import IndexSet, Matrix, as_index_set, rank
 
 #: Exhaustive minimum search is limited to this many candidate edges (2^14 masks).
@@ -132,11 +132,9 @@ def _stirling2(n: int, k: int) -> int:
 def _check_partition_work(n: int, k: int, edges_tested: int) -> None:
     """Refuse a search over the k-block partitions of [n] above the work budget."""
     count = _stirling2(n, k)
-    if count * edges_tested > PARTITION_WORK_BUDGET:
-        raise BudgetExceededError(
-            f"(n, k) = ({n}, {k}) has {count} partitions x {edges_tested} edges = "
-            f"{count * edges_tested} edge tests, over the budget of {PARTITION_WORK_BUDGET}"
-        )
+    work = count * edges_tested
+    what = f"(n, k) = ({n}, {k}) has {count} partitions x {edges_tested} edges = {work} edge tests"
+    check_budget(work, PARTITION_WORK_BUDGET, what)
 
 
 def _edge_mask(edge: IndexSet) -> int:

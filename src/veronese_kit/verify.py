@@ -39,7 +39,7 @@ from .configurations import (
 )
 from .fields import Field, QQ
 from .gale import affine_gale, double_gale_minor_check, duality_certificate, gale_of_config, standard_gale_pair
-from .linalg import MaximalMinors, Matrix, rank
+from .linalg import Matrix, rank
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def _random_hypergraph(n: int, k: int, rng) -> tv.Hypergraph:
 
 
 def _edge_minors_all_zero(H: tv.Hypergraph, p: PointConfiguration) -> bool:
-    mm = MaximalMinors(p.coords)
+    mm = p.coords.minors()
     return all(mm.get(e) == 0 for e in H.edges)
 
 
@@ -345,7 +345,7 @@ def check_transversality_agreement(seed: int) -> CheckResult:
                 sep = (
                     rank(w.coords) == k
                     and _edge_minors_all_zero(H, w)
-                    and MaximalMinors(w.coords).get(picked) != 0
+                    and w.coords.minors().get(picked) != 0
                 )
                 if k == 6:
                     q6 = make_config(FP, 2, 6, OFF_CONIC_SIX)

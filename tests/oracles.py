@@ -20,6 +20,9 @@ elimination; it is the reference for the one-elimination coloop test of
 `MaximalMinors.get`, one Bareiss determinant each, and compares field
 scalars; it is the reference for the echelon-form certificate of
 `gale.duality_certificate`, which compares ints by cross-multiplication.
+`MemoMinors` is `MaximalMinors` with a memo on `get`, for oracles that read
+the same bracket on many windows; the package's `get` keeps no memo, since
+none of its callers reads a minor twice.
 `transpose` is a test helper: the package itself never transposes a `Matrix`.
 `field_sub`, `field_div`, `matrix_is_zero` and `poly_is_zero` are test
 helpers too: the package computes none of them.
@@ -402,6 +405,21 @@ def edge_is_transversal_to(edge, part):
     return all(len(set(edge) & set(block)) == 1 for block in part.blocks)
 
 
+class MemoMinors(MaximalMinors):
+    """`MaximalMinors` whose `get` computes each minor once."""
+
+    def __init__(self, M):
+        super().__init__(M)
+        self._memo = {}
+
+    def get(self, J):
+        J = tuple(J)
+        value = self._memo.get(J)
+        if value is None:
+            value = self._memo[J] = super().get(J)
+        return value
+
+
 def wdn_scan_oracle(p, collect_values=False):
     """Brute-force higher membership: evaluate every pullback in (J, I) lex order.
 
@@ -417,7 +435,7 @@ def wdn_scan_oracle(p, collect_values=False):
     checked = 0
     if n >= d + 4:
         gens = psi_generators(d)
-        mm = MaximalMinors(p.coords)
+        mm = MemoMinors(p.coords)
         for J in combinations(range(1, n + 1), d + 4):
             for I, poly in gens:
                 val = eval_bracket_poly(relabel(poly, J, ground=n), mm)

@@ -35,6 +35,7 @@ from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import MaximalMinors, _scalar, int_rank, minor
 
 from oracles import (
+    MemoMinors,
     head_general_position_oracle,
     in_general_position,
     multidegree,
@@ -206,7 +207,7 @@ def test_eval_shape_errors():
 def test_pullback_commutes_with_subconfig():
     for field in (QQ, Field.prime(101), FP):
         p = sample_generic(field, 3, 9, seed=6)
-        mm = MaximalMinors(p.coords)
+        mm = MemoMinors(p.coords)
         for J in combinations(range(1, 10), 7):
             for _, poly in psi_generators(3):
                 pulled = eval_bracket_poly(relabel(poly, J, ground=9), mm)
@@ -383,7 +384,7 @@ def test_echelon_brackets_match_eval_bracket_poly():
             gens = psi_generators(d)
             for p in samples:
                 mm = MaximalMinors(p.coords)
-                ref = MaximalMinors(p.coords)
+                ref = MemoMinors(p.coords)
                 pivots = mm._echelon()[1] if mm.rank() > d else []
                 for F in combinations(range(n), d + 1):
                     value = _scalar(field, mm._echelon_minor(F), prod(mm._factors[c] for c in F))

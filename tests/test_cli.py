@@ -255,6 +255,25 @@ def test_gale_eliminates_each_side_once(monkeypatch, field):
     assert calls == [5, 7]
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:65521"])
+def test_eval_and_gale_make_no_reference_cycles(field):
+    # a matrix keeps its minors; minors that pointed back would make a cycle per matrix
+    ops = []
+    for family, d, n in (("rnc", 2, 8), ("generic", 2, 8), ("rnc", 4, 11), ("generic", 4, 11)):
+        doc = run(["sample", "--family", family, "--d", str(d), "--n", str(n), "--field", field, "--seed", "1"]).output
+        ops.append((["eval"], doc))
+    ops.append((["gale"], run(["sample", "--family", "rnc", "--d", "4", "--n", "11", "--field", field, "--seed", "2"]).output))
+    for args, doc in ops:
+        assert run(args, input=doc).exit_code == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(args, input=doc).exit_code == 0
+            assert gc.collect() == 0, args
+        finally:
+            gc.enable()
+
+
 def test_gale_over_budget_exits_3():
     # C(20, 10) = 184,756 minor pairs: counted before any certificate elimination
     res = run(["sample", "--family", "generic", "--d", "9", "--n", "20", "--seed", "1"])
@@ -267,6 +286,24 @@ def test_eval_rejects_malformed_json():
     code, doc = run_json(["eval"], input="{not json")
     assert code == 2 and doc["status"] == "PreconditionFailed"
     assert "malformed JSON" in doc["payload"]["error"]
+
+
+@pytest.mark.parametrize("entry", ["eval", "gale", "edges", "edges-file"])
+def test_deeply_nested_json_is_bad_input(tmp_path, entry):
+    # the decoder recurses once per level; too deep is malformed input, not a crash
+    deep = "[" * 100000
+    if entry == "edges":
+        res = invoke(["transversal", "--n", "5", "--k", "3", "--edges", deep])
+    elif entry == "edges-file":
+        path = tmp_path / "edges.json"
+        path.write_text(deep)
+        res = invoke(["transversal", "--n", "5", "--k", "3", "--edges", f"@{path}"])
+    else:
+        res = invoke([entry], input=deep)
+    assert res.exception is None and res.exit_code == 2
+    doc = json.loads(res.output)
+    assert doc["status"] == "PreconditionFailed"
+    assert doc["payload"]["error"] == "malformed JSON: nested too deeply to decode"
 
 
 def test_eval_rejects_documents_without_config():

@@ -148,16 +148,37 @@ def test_gale_of_config_requirements():
 
 
 def test_gale_of_config_eliminates_once(monkeypatch):
-    # the coloop test and the kernel basis read the same echelon form
+    # the coloop test, the kernel basis and the certificate's side of p all
+    # read the one echelon form of p's coordinates
     calls = []
     int_rref = linalg.int_rref
     monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(len(rows)) or int_rref(rows, p))
     for field in (QQ, FP):
-        p = sample_generic(field, 5, 12, seed=1)
+        sampled = sample_generic(field, 5, 12, seed=1)
+        # the sampler's own strong-nondegeneracy test eliminated its matrix: start afresh
+        p = make_config(field, sampled.d, sampled.n, sampled.points())
         calls.clear()
         q = gale_of_config(p)
         assert calls == [p.d + 1]
+        assert gale_of_config(p).coords == q.coords
+        assert calls == [p.d + 1]
+        assert duality_certificate(p.coords, q.coords).ok
+        assert calls == [p.d + 1, p.n - p.d - 1]
         assert q.coords == affine_gale(p.coords)
+
+
+def test_certificate_of_the_affine_gale_eliminates_a_once(monkeypatch):
+    calls = []
+    int_rref = linalg.int_rref
+    monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(len(rows)) or int_rref(rows, p))
+    for field in (QQ, FP):
+        rng = random.Random(11)
+        A = Matrix(field, [[field.random_scalar(rng, 9) for _ in range(9)] for _ in range(4)])
+        calls.clear()
+        B = affine_gale(A)
+        assert duality_certificate(A, B).ok
+        # A once, for its kernel and its minors; B once, for its minors
+        assert calls == [4, 5]
 
 
 def test_gale_of_curve_lands_on_conic_equations():

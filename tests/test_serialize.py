@@ -309,6 +309,19 @@ def test_eval_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
     assert reads == ["entries"]
 
 
+def test_gale_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
+    # the certificate checks A B^t = 0 on the int columns the decoder kept
+    built = []
+    getattr_ = Matrix.__getattr__
+    monkeypatch.setattr(Matrix, "__getattr__", lambda self, name: built.append(self.shape) or getattr_(self, name))
+    doc = config_to_json(sample_on_rnc(QQ, 5, 12, seed=3))
+    res = invoke(["gale"], input=json.dumps(doc))
+    assert res.exit_code == 0
+    certificate = json.loads(res.output)["payload"]["certificate"]
+    assert certificate["ok"] is True and certificate["checked"] == 924
+    assert built == []
+
+
 @pytest.mark.parametrize("field", [F101, FP], ids=str)
 def test_zero_column_after_reduction_is_rejected(field):
     res = invoke(["eval"], input=json.dumps(_doc(field, [field.p, 0, 2 * field.p])))
