@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
@@ -354,49 +355,59 @@ def _echelon_window_vanishes(
     Let S be the rows whose pivot lies in the window and F the other window
     columns. The other rows are zero on the window's pivots, so the window
     has rank |S| + rank T, T = a[rows not in S][F]. With t the echelon form
-    of T (last pivot D_T), T's free columns f_k are the coordinate points,
-    T's i-th pivot column c_i is (t[i][f_k])_k and the pivot column of a row r
-    in S is (a[r][f_k] D_T - sum_i a[r][c_i] t[i][f_k])_k, up to sign and 1/D.
-    If S holds every row, T is empty and F the three free columns. A conic
-    through the coordinate points has no square terms, so the test is whether
-    the (d+1) x 3 rows (xy, xz, yz) of the other points have rank <= 2: with
-    u the first nonzero row and v the first with u x v != 0, whether each
-    later row w has w . (u x v) = 0 (mod p over F_p).
+    of T (last pivot D_T), T's three free columns f_k are the coordinate
+    points, T's i-th pivot column c_i is (t[i][f_k])_k and the pivot column
+    of a row r in S is (a[r][f_k] D_T - sum_i a[r][c_i] t[i][f_k])_k, up to
+    sign and 1/D. If S holds every row, T is empty and F the three free
+    columns. A conic through the coordinate points has no square terms, so
+    the test is whether the (d+1) x 3 rows (xy, xz, yz) of the other points
+    have rank <= 2: with u the first nonzero row and v the first with
+    u x v != 0, whether each later row w has w . (u x v) = 0. Over F_p the
+    products, the cross product and the dot products are reduced mod p
+    before their zero tests.
     """
     S = [pivot_row[c] for c in window if pivot_row[c] >= 0]
-    F = [c for c in window if pivot_row[c] < 0]
-    points = [[a[r][c] for c in F] for r in S]
+    # F holds at least three columns, so F(row) is a tuple
+    F = itemgetter(*[c for c in window if pivot_row[c] < 0])
+    points = [F(a[r]) for r in S]
     if len(S) < len(a):
-        t, tp, _ = int_rref([[row[c] for c in F] for r, row in enumerate(a) if r not in S], p)
+        inside = set(S)
+        t, tp, _ = int_rref([F(row) for r, row in enumerate(a) if r not in inside], p)
         if len(tp) < len(t):
             return True
         D = t[-1][tp[-1]]
-        free = [f for f in range(len(F)) if f not in tp]
-        lead = [[row[f] for f in free] for row in t]
+        f0, f1, f2 = [f for f in range(len(t[0])) if f not in tp]
+        l0, l1, l2 = lead = [[row[f] for row in t] for f in (f0, f1, f2)]
         points = [
-            [x[f] * D - sum(x[c] * l[k] for c, l in zip(tp, lead)) for k, f in enumerate(free)]
-            for x in points
-        ] + lead
-    nonzero = (lambda x: x % p != 0) if p else bool
-    rows = iter([(x * y, x * z, y * z) for x, y, z in points])
-    for u in rows:
-        if any(map(nonzero, u)):
+            (x[f0] * D - sum(map(mul, xs, l0)), x[f1] * D - sum(map(mul, xs, l1)), x[f2] * D - sum(map(mul, xs, l2)))
+            for x, xs in zip(points, [list(map(x.__getitem__, tp)) for x in points])
+        ] + list(zip(*lead))
+    if p:
+        rows = iter([(x * y % p, x * z % p, y * z % p) for x, y, z in points])
+    else:
+        rows = iter([(x * y, x * z, y * z) for x, y, z in points])
+    for u0, u1, u2 in rows:
+        if u0 or u1 or u2:
             break
     else:
         return True
-    for w in rows:
-        uv = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
-        if any(map(nonzero, uv)):
-            return not any(nonzero(x * uv[0] + y * uv[1] + z * uv[2]) for x, y, z in rows)
+    for w0, w1, w2 in rows:
+        c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+        if p:
+            c0, c1, c2 = c0 % p, c1 % p, c2 % p
+        if c0 or c1 or c2:
+            dots = [x * c0 + y * c1 + z * c2 for x, y, z in rows]
+            return not any(map(p.__rmod__, dots) if p else dots)
     return True
 
 
 #: `eval` at d >= 3 falls back to the full window scan only when the head
 #: windows vanish but points 1..d+3 are not in general position; a fallback
 #: with more than this many windows left exits 3 before it starts. The
-#: largest admitted scans of chain samples take 0.8 s at (3, 17), 0.9 s at
-#: (5, 16), 1.9 s at (6, 17) and 3.0 s at (8, 18) over Q, in-process on a
-#: 2-core host.
+#: largest admitted scans of seed-1 chain samples (degrees (2, 1), (3, 2),
+#: (3, 3), (4, 4)) take 0.5 s at (3, 17), 0.6 s at (5, 16), 1.2 s at (6, 17)
+#: and 2.4 s at (8, 18) over Q, in-process on a 2-core host with Python
+#: 3.11; the split (5, 3) at (8, 18) takes 3.6 s.
 WINDOW_SCAN_BUDGET = 20_000
 
 

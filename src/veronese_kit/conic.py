@@ -4,46 +4,65 @@ Six points of P^2 lie on a conic exactly when the 6 x 6 determinant of their
 quadratic monomial lifts vanishes. For n > 6 points, pulling the determinant
 back along every six-point subset cuts out the closure of the configurations
 on conics (including every degenerate conic).
+
+Every reader here (`phi_det`, `w2n_membership`, `v2n_subset_membership`)
+takes its minors from the one 6 x n lift of `lift_matrix`, whose entries are
+products of the points' core int coordinates, each computed once. The
+membership reports read the lift's int columns, so over F_p and for a
+decoded integer document they build no `Fraction` row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, repeat
 from math import comb
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
 from .errors import ShapeError, check_budget
-from .fields import Field, Scalar
+from .fields import Scalar
 from .linalg import IndexSet, Matrix, as_index_set, det
 
 #: phi_det == BRACKET_TO_DET_SIGN * (the displayed bracket polynomial).
 #: The classical display |123||145||246||356| - |124||135||236||456| carries
 #: the opposite overall sign from the determinant of the monomial matrix in
-#: the row order fixed by `veronese_lift`; both cut out the same hypersurface.
+#: the row order fixed by `lift_matrix`; both cut out the same hypersurface.
 BRACKET_TO_DET_SIGN = -1
 
 #: `w2n_membership` scans at most this many six-point subsets;
-#: C(21, 6) = 54,264 is the largest admitted scan, about 0.3 s.
+#: C(21, 6) = 54,264 is the largest admitted scan, about 0.4 s over Q and
+#: 0.2 s over F_65521 in-process on a 2-core host with Python 3.11.
 SUBSET_SCAN_BUDGET = 60_000
 
 
-def veronese_lift(field: Field, point: Iterable) -> tuple[Scalar, ...]:
-    """Quadratic monomials (z0^2, z1^2, z2^2, z0 z1, z0 z2, z1 z2) of a P^2 point."""
-    z = [field.normalize(x) for x in point]
-    if len(z) != 3:
-        raise ShapeError(f"expected 3 coordinates, got {len(z)}")
-    m = field.mul
-    return (m(z[0], z[0]), m(z[1], z[1]), m(z[2], z[2]), m(z[0], z[1]), m(z[0], z[2]), m(z[1], z[2]))
-
-
 def lift_matrix(p: PointConfiguration) -> Matrix:
-    """6 x n matrix whose columns are the quadratic lifts of the points."""
+    """6 x n matrix whose columns are the quadratic lifts of the points:
+    rows (x^2, y^2, z^2, xy, xz, yz) for the point rows (x, y, z).
+
+    The monomials are products of the core int columns of the coordinates
+    (`Matrix._int_columns`), one C-level pass per monomial row, reduced mod p
+    over F_p. Columns of clearing factor 1 (every column over F_p and of an
+    integer Q document) are the lift as it is, kept as int columns
+    (`Matrix._from_int_columns`). A Q column cleared by a factor m lifts to
+    its products divided by m^2, so then the lift is built from those
+    fractions.
+    """
     if p.d != 2:
         raise ShapeError(f"lift is defined for plane configurations, got d={p.d}")
-    return Matrix.from_columns(p.field, [veronese_lift(p.field, c) for c in p.points()])
+    cols, factors = p.coords._int_columns()
+    x, y, z = zip(*cols)
+    rows = [map(mul, u, v) for u, v in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))]
+    prime = p.field.p
+    if prime:
+        rows = [map(prime.__rmod__, r) for r in rows]
+    lifts = zip(*rows)
+    if max(factors) == 1:
+        return Matrix._from_int_columns(p.field, lifts)
+    return Matrix.from_columns(p.field, [list(map(Fraction, c, repeat(m * m))) for c, m in zip(lifts, factors)])
 
 
 def phi_det(p: PointConfiguration) -> Scalar:
@@ -103,9 +122,10 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
 
     With fewer than six points there is nothing to check and the report is
     trivially all-vanishing. Every subset's value is a 6 x 6 minor of the
-    lift matrix, so all of them vanish exactly when its rank is at most 5:
-    then the report follows from that one rank, unless the values are asked
-    for. Otherwise every value is read from the same echelon form
+    lift (`lift_matrix`, products of the core int coordinates), so all of
+    them vanish exactly when its rank is at most 5: then the report follows
+    from that one rank, unless the values are asked for. Otherwise every
+    value is read from the same echelon form of the lift's int columns
     (`MaximalMinors.vector`), whose column sets run in the lex order of the
     subsets. A scan of more than SUBSET_SCAN_BUDGET subsets raises
     BudgetExceededError before its first minor.

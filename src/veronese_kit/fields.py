@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import FieldMismatchError
@@ -48,9 +49,11 @@ def _fraction_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
+@lru_cache(maxsize=256)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for p < 3,215,031,751, the least
-    strong pseudoprime to all of `_MR_BASES`."""
+    strong pseudoprime to all of `_MR_BASES`. Memoized: every F_p document
+    decoded builds its `Field.prime(p)` afresh, mostly for the same few p."""
     if p < 2:
         return False
     for q in _MR_BASES:

@@ -23,6 +23,9 @@ scalars; it is the reference for the echelon-form certificate of
 `MemoMinors` is `MaximalMinors` with a memo on `get`, for oracles that read
 the same bracket on many windows; the package's `get` keeps no memo, since
 none of its callers reads a minor twice.
+`veronese_lift` lifts one point through `Field.normalize` and `Field.mul`;
+it is the reference for `conic.lift_matrix`, which multiplies the core int
+coordinates of all points a monomial row at a time.
 `transpose` is a test helper: the package itself never transposes a `Matrix`.
 `field_sub`, `field_div`, `matrix_is_zero` and `poly_is_zero` are test
 helpers too: the package computes none of them.
@@ -61,6 +64,15 @@ from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDefi
 from veronese_kit.fields import Field, require_same_field
 from veronese_kit.gale import GaleDualityCertificate
 from veronese_kit.linalg import Matrix, MaximalMinors, _clear, as_index_set, int_rref, rank
+
+
+def veronese_lift(field, point):
+    """Quadratic monomials (z0^2, z1^2, z2^2, z0 z1, z0 z2, z1 z2) of a P^2 point."""
+    z = [field.normalize(x) for x in point]
+    if len(z) != 3:
+        raise ShapeError(f"expected 3 coordinates, got {len(z)}")
+    m = field.mul
+    return (m(z[0], z[0]), m(z[1], z[1]), m(z[2], z[2]), m(z[0], z[1]), m(z[0], z[2]), m(z[1], z[2]))
 
 
 def transpose(M):

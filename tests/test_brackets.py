@@ -325,11 +325,13 @@ def test_echelon_window_test_matches_the_window_oracle():
     # every window of curve, chain, generic and height-2 random samples; a
     # chain with d+4 points on its first component, which spans less than
     # P^d, has rank-deficient windows. Over F_7 there are too few parameters
-    # for the curve and the crowded chain.
+    # for the curve and the crowded chain. At n >= d + 7 a window can hold
+    # at most one pivot column, which leaves d rows in T.
     seen = set()
+    t_sizes = set()
     for field in (QQ, Field.prime(7), Field.prime(101), FP):
         prime = field.p
-        for d, n in ((3, 8), (3, 9), (4, 10), (5, 11)):
+        for d, n in ((3, 8), (3, 9), (4, 10), (5, 11), (3, 11)):
             degrees = CHAIN_DEGREES[d]
             samples = [
                 sample_quasi_veronese_chain(field, d, n, degrees, seed=d, height=9)[1],
@@ -355,7 +357,9 @@ def test_echelon_window_test_matches_the_window_oracle():
                         seen.add("rank-deficient T")
                     if set(pivots) <= set(J):
                         seen.add("empty T")
+                    t_sizes.add(len(set(pivots) - set(J)))
     assert seen == {True, False, "rank-deficient T", "empty T"}
+    assert {0, 1, 2} <= t_sizes and max(t_sizes) >= 3
 
 
 def test_echelon_brackets_match_eval_bracket_poly():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,11 +10,11 @@ from veronese_kit.conic import (
     phi_bracket,
     phi_det,
     v2n_subset_membership,
-    veronese_lift,
     w2n_membership,
 )
 from veronese_kit.configurations import (
     make_config,
+    random_config,
     sample_degenerate,
     sample_generic,
     sample_nodal_conic,
@@ -22,9 +23,10 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import minor
+from veronese_kit.linalg import Matrix, minor
+from veronese_kit.serialize import config_from_json, config_to_json
 
-from oracles import cofactor_det, sign_cloud, subconfig
+from oracles import cofactor_det, sign_cloud, subconfig, veronese_lift
 
 FP = Field.prime()
 
@@ -83,6 +85,57 @@ def test_lift_matrix_minor_is_pullback():
     assert lifted.shape == (6, 8)
     for I in ((1, 2, 3, 4, 5, 6), (2, 3, 4, 6, 7, 8)):
         assert minor(lifted, range(1, 7), I) == phi_det(subconfig(p, I))
+
+
+def _lift_inputs(field, seed):
+    """Plane configurations of every family, each as sampled and as decoded
+    from its document; over Q also with fraction coordinates."""
+    rng = random.Random(seed)
+    for n in (4, 6, 7) if field.p == 7 else (4, 6, 9, 12):
+        for family, p in (
+            ("rnc", sample_on_rnc(field, 2, n, seed=seed, height=9)),
+            ("nodal", sample_nodal_conic(field, n, seed=seed, height=9)),
+            ("generic", sample_generic(field, 2, n, seed=seed, height=9)),
+            ("random_config", random_config(field, 2, n, rng, height=9)),
+        ):
+            yield family, p
+            doc = config_to_json(p)
+            yield family + " decoded", config_from_json(doc)
+            if field.p is None:
+                # the same points, each column scaled by 1/(j+2) in its document
+                cols = [[str(Fraction(x) / (j + 2)) for x in c] for j, c in enumerate(doc["columns"])]
+                yield family + " fractions", config_from_json({**doc, "columns": cols})
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
+def test_lift_matrix_matches_the_pointwise_lift(field):
+    seen = set()
+    for seed in range(3):
+        for family, p in _lift_inputs(field, seed):
+            lifted = lift_matrix(p)
+            oracle = Matrix.from_columns(field, [veronese_lift(field, c) for c in p.points()])
+            assert lifted.entries == oracle.entries, (family, p.n, seed)
+            rep = w2n_membership(p, collect_values=True)
+            if p.n < 6:
+                assert rep.checked == 0 and rep.values == {}
+                continue
+            values = oracle.minors().vector()
+            assert lifted.minors().vector() == values, (family, p.n, seed)
+            subsets = list(combinations(range(1, p.n + 1), 6))
+            assert list(rep.values.items()) == list(zip(subsets, values)), (family, p.n, seed)
+            assert rep.nonvanishing == tuple(I for I, v in zip(subsets, values) if v != 0)
+            seen.add((family.split()[0], rep.all_vanish))
+    assert {("rnc", True), ("nodal", True), ("generic", False), ("random_config", False)} <= seen
+
+
+def test_lift_matrix_of_a_fraction_document():
+    # (6/4, -5/7, 1) lifts to (9/4, 25/49, 1, -15/14, 3/2, -5/7)
+    doc = {"field": "Q", "d": 2, "n": 6, "columns": [["6/4", "-5/7", "1"]] + [list(map(str, c)) for c in OFF_CONIC[1:]]}
+    p = config_from_json(doc)
+    F = Fraction
+    assert lift_matrix(p).columns()[0] == (F(9, 4), F(25, 49), 1, F(-15, 14), F(3, 2), F(-5, 7))
+    oracle = Matrix.from_columns(QQ, [veronese_lift(QQ, c) for c in p.points()])
+    assert phi_det(p) == cofactor_det(oracle.entries) != 0
 
 
 def test_w2n_on_nodal_conic_vanishes():

@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cli_runner import invoke
 
-from veronese_kit.configurations import make_config, sample_degenerate, sample_generic, sample_on_rnc
+from veronese_kit.configurations import (
+    make_config,
+    sample_degenerate,
+    sample_generic,
+    sample_nodal_conic,
+    sample_on_rnc,
+)
 from veronese_kit.fields import _MAX_PRIME, Field, QQ, _is_prime
 from veronese_kit.linalg import Matrix, _clear
 from veronese_kit.serialize import (
@@ -52,6 +58,27 @@ def test_is_prime_matches_a_sieve():
     # the least strong pseudoprime to 2, 3, 5, 7 is beyond every admitted prime
     assert _MAX_PRIME < 3_215_031_751
     assert _is_prime(_MAX_PRIME) and Field.prime(_MAX_PRIME).p == _MAX_PRIME
+
+
+def test_field_prime_memoizes_its_primality_test():
+    Field.prime(65521)
+    before = _is_prime.cache_info()
+    assert Field.prime(65521) == FP
+    after = _is_prime.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    # the memo keeps every refusal and its text, on the first call and the next
+    above = 2_147_483_659  # the least prime above _MAX_PRIME
+    assert above > _MAX_PRIME and _is_prime.__wrapped__(above)
+    for p, text in (
+        (1, f"prime must be an odd prime <= {_MAX_PRIME}, got 1"),
+        (9, "9 is not prime"),
+        (65520, "65520 is not prime"),
+        (above, f"prime must be an odd prime <= {_MAX_PRIME}, got {above}"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError) as e:
+                Field.prime(p)
+            assert str(e.value) == text
 
 
 def test_parse_field_spec():
@@ -302,9 +329,23 @@ def test_eval_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
         payload = json.loads(res.output)["payload"]
         assert payload["report"]["classification"] == classification
         assert payload["config"] == doc
+    # d = 2: the lift is built from the decoded int columns
+    for p, checked in ((sample_on_rnc(QQ, 2, 10, seed=1), 210), (sample_nodal_conic(QQ, 12, seed=2), 924)):
+        res = invoke(["eval"], input=json.dumps(config_to_json(p)))
+        assert res.exit_code == 0
+        report = json.loads(res.output)["payload"]["report"]
+        assert report["all_vanish"] is True and report["checked"] == checked
+    # a generic plane sample has lift rank 6, so its nonvanishing list and
+    # its values are read from `vector()`
+    doc = json.dumps(config_to_json(sample_generic(QQ, 2, 8, seed=4)))
+    report = json.loads(invoke(["eval"], input=doc).output)["payload"]["report"]
+    values = json.loads(invoke(["eval", "--values"], input=doc).output)["payload"]["report"]["values"]
+    assert len(values) == report["checked"] == 28 and report["all_vanish"] is False
+    assert report["nonvanishing"] == [list(map(int, I.split(","))) for I, v in values.items() if v != "0"] != []
     assert reads == []
     # the rows are there on demand, as Fractions
-    coords = config_from_json(doc).coords
+    p = sample_degenerate(QQ, 4, 9, seed=3)
+    coords = config_from_json(config_to_json(p)).coords
     assert coords == p.coords and type(coords.entries[0][0]) is Fraction
     assert reads == ["entries"]
 
