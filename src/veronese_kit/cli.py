@@ -195,14 +195,7 @@ def _higher_report_json(field, r: HigherEquationReport) -> dict:
 
 
 def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
-    """Emit the membership equation generators for (P^d)^n in lex order.
-
-    Rendered one window J at a time: every pattern's line is compiled once
-    into one block template (`bracket_template` with `slots`) whose fields
-    are J's labels, J's own label and each bracket the block uses more than
-    once, so a window costs one join per such bracket and one format. A
-    bracket used once keeps a field per label, which costs less than a join.
-    """
+    """Emit the membership equation generators for (P^d)^n in lex order."""
     if d < 2:
         raise ValueError(f"generators are defined for d >= 2, got d={d}")
     if d == 2 and n < 6:
@@ -216,6 +209,11 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
         size, patterns = 6, [(None, phi_as_bracket_poly())]
     else:
         size, patterns = d + 4, psi_generators(d)
+    # Rendered one window J at a time: every pattern's line is compiled once
+    # into one block template (`bracket_template` with `slots`) whose fields
+    # are J's labels, J's own label and each bracket the block uses more than
+    # once, so a window costs one join per such bracket and one format. A
+    # bracket used once keeps a field per label, which costs less than a join.
     uses = Counter(F for _, P in patterns for _, fs in P.terms for F in fs)
     shared = [F for F in uses if uses[F] > 1]
     slots = {F: k for k, F in enumerate(shared, start=size + 1)}

@@ -7,37 +7,22 @@ minors of A and B agree up to one global scalar and a per-set sign:
     m_I(A) = (-1)^(S_I + n - d - 1) * lambda * m_{I^c}(B)
 
 with lambda independent of I, and lambda = 1 for the standard pair
-A = [I | A'], B = [A'^t | -I]. `duality_certificate` determines lambda
-empirically and then checks the identity for every I, so it certifies any
-representative, not just a normalized one. It reads both sides' minors as
-core ints (`MaximalMinors._int_vector`) from each matrix's one echelon form
-(`Matrix.minors()`), which `gale_of_config` also reads, and compares them by
-cross-multiplication over Q and mod p over F_p, so no field scalar is built
-per I.
+A = [I | A'], B = [A'^t | -I]. `duality_certificate` refuses every input
+that is not a Gale pair and reads lambda from one complementary pair; its
+docstring proves that every other pair then holds, so it certifies any
+representative, not just a normalized one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
-from math import comb
-from operator import xor
+from math import comb, prod
 
 from .configurations import PointConfiguration, strong_nondegeneracy_witness
-from .errors import (
-    DegenerateInputError,
-    NotAGalePairError,
-    RankDeficiencyError,
-    ShapeError,
-    check_budget,
-)
+from .errors import DegenerateInputError, NotAGalePairError, RankDeficiencyError, ShapeError
 from .fields import Scalar, require_same_field
-from .linalg import IndexSet, Matrix, _lex_subset_folds, _orthogonal, kernel_basis, rref
-
-#: `duality_certificate` pairs at most this many complementary minors
-#: (C(n, d+1)); larger pairings exit 3 before any elimination.
-DUALITY_PAIR_BUDGET = 100_000
+from .linalg import Matrix, _orthogonal, _scalar, complement, kernel_basis, rref, s_index
 
 
 def affine_gale(A: Matrix) -> Matrix:
@@ -84,10 +69,13 @@ def standard_gale_pair(A: Matrix) -> tuple[Matrix, Matrix]:
 
 @dataclass(frozen=True)
 class GaleDualityCertificate:
-    """Exhaustive check of the complementary-minor identity for a pair (A, B).
+    """The complementary-minor identity of a Gale pair (A, B), certified for
+    all `checked` = C(n, height_a) index sets.
 
-    `lambda_` is the global scalar fixed by the first nonvanishing minor of
-    A; `failures` lists every I whose identity check failed (empty iff `ok`).
+    `lambda_` is the global scalar, fixed by the lex-first I with a nonzero
+    A-minor. `duality_certificate` issues a certificate only for a Gale pair,
+    and on a Gale pair every complementary pair holds (the proof is in its
+    docstring), so `ok` is always true.
     """
 
     n: int
@@ -95,24 +83,35 @@ class GaleDualityCertificate:
     height_b: int
     lambda_: Scalar
     checked: int
-    failures: tuple[IndexSet, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return True
 
 
 def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
-    """Verify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
+    """Certify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
 
-    Each side's minors come from its matrix's one echelon form
-    (`Matrix.minors()`, not redone for a side already eliminated) as core
-    ints (`MaximalMinors._int_vector`), which also gives its rank. lambda is
-    fixed once, from the first I with a nonzero A-minor; every I is then
-    checked by `_off_line` on ints, and lambda is the one field scalar built.
-    A B^t = 0 is checked on both sides' `MaximalMinors._int_rows`, mod p.
-    Pairings of more than `DUALITY_PAIR_BUDGET` index sets raise
-    BudgetExceededError before any elimination.
+    Raises NotAGalePairError unless A B^t = 0, checked on both sides'
+    `MaximalMinors._int_rows`, mod p over F_p, and RankDeficiencyError
+    unless both matrices have full row rank. lambda is then read from one
+    pair: P, the pivot columns of A's cached echelon form (`Matrix.minors()`,
+    not redone when A is already eliminated), is the lex-first I with
+    m_I(A) != 0, the elimination gives det(A_P), and m_{P^c}(B) is one
+    determinant. B is never eliminated.
+
+    Every other pair holds by Jacobi's complementary-minor theorem, over any
+    field. Proof: A B^t = 0 and rank A + rank B = n make the rows of B a basis
+    of the annihilator of the rows of A. Complete A to an invertible n x n
+    matrix N; the last n - k columns of N^-1 (k = height_A), transposed, are
+    another such basis B0, so B = G B0 with G invertible. Jacobi's theorem
+    gives det N^-1[I^c, K^c] = (-1)^(sum I^c + sum K^c) det N[K, I] / det N
+    with K = (1..k), that is m_{I^c}(B0) = +-(-1)^(S_I) m_I(A) / det N with
+    one sign for all I, and m_{I^c}(B) = det G m_{I^c}(B0). So m_I(A) and
+    (-1)^(S_I + height_B) m_{I^c}(B) are proportional by one nonzero scalar,
+    and m_P(A) != 0 forces m_{P^c}(B) != 0. Given A B^t = 0 and rank A = k,
+    B thus has full row rank exactly when m_{P^c}(B) != 0. `checked` counts
+    the C(n, k) pairs this certifies.
     """
     require_same_field(A.field, B.field, "Gale pair")
     n = A.cols
@@ -121,34 +120,23 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     if A.rows + B.rows != n:
         raise ShapeError(f"heights {A.rows} + {B.rows} must sum to {n}")
     k = A.rows
-    count = comb(n, k)
-    check_budget(count, DUALITY_PAIR_BUDGET, f"the certificate of a {k} x {n} matrix pairs {count} minors")
+    f = A.field
     # scaling a matrix by a nonzero constant keeps A B^t = 0 or not
-    p = A.field.p
     ma, mb = A.minors(), B.minors()
-    if not _orthogonal(ma._int_rows(), mb._int_rows(), p):
+    if not _orthogonal(ma._int_rows(), mb._int_rows(), f.p):
         raise NotAGalePairError("A B^t != 0")
-    if ma.rank() < A.rows or mb.rank() < B.rows:
+    pivots = ma._echelon()[1]
+    if len(pivots) < k:
         raise RankDeficiencyError("both matrices must have full row rank")
-
-    va = ma._int_vector()
-    # the complements of lex-ordered k-sets run in reverse lex order
-    ys, sy = mb._int_vector()
-    vb = (ys[::-1], sy[::-1] if sy else None)
-    # the parity of the sign exponent S_I + height_B, S_I = sum(I) - k(k+1)/2:
-    # that of height_B - k(k+1)/2, flipped by each odd label in I
-    odd = _lex_subset_folds(n, k, (B.rows - k * (k + 1) // 2) % 2, xor, lambda j, t: (j + 1) % 2)
-    first = next(i for i, x in enumerate(va[0]) if x)  # full row rank has one
-    if vb[0][first]:
-        lam = _ratio(va, vb, first, p)
-        if odd[first]:
-            lam = A.field.neg(lam)
-        bad = _off_line(va, vb, lam, p, odd)
-    else:
-        # genuine Gale pairs cannot do this; flag everything
-        lam, bad = A.field.zero, range(count)
-    subsets = list(combinations(range(1, n + 1), k)) if bad else []
-    return GaleDualityCertificate(n, k, B.rows, lam, count, tuple(subsets[i] for i in bad))
+    P = tuple(c + 1 for c in pivots)
+    b = mb.get(complement(P, n))
+    if b == 0:
+        raise RankDeficiencyError("both matrices must have full row rank")
+    # det(A_P) of the cleared columns, over the product of their clearing factors
+    lam = f.mul(_scalar(f, ma._det, prod(ma._factors[c] for c in pivots)), f.inv(b))
+    if (s_index(P) + B.rows) % 2:
+        lam = f.neg(lam)
+    return GaleDualityCertificate(n, k, B.rows, lam, comb(n, k))
 
 
 def _ratio(v, w, i: int, p: int | None) -> Scalar:
@@ -160,23 +148,19 @@ def _ratio(v, w, i: int, p: int | None) -> Scalar:
     return Fraction(x[i] * sy[i], sx[i] * y[i])
 
 
-def _off_line(v, w, lam: Scalar, p: int | None, flips) -> list[int]:
-    """The positions i at which v_i != (-1)^flips[i] lam w_i, for two
+def _off_line(v, w, lam: Scalar, p: int | None) -> list[int]:
+    """The positions i at which v_i != lam w_i, for two
     `MaximalMinors._int_vector` results v and w of equal length.
 
     Over Q the minors are x_i / s_x and y_i / s_y, and lam = num / den, so the
-    test is the cross-multiplied x_i s_y den == +-num y_i s_x, on ints. Over
-    F_p it is x_i == +-lam y_i mod p.
+    test is the cross-multiplied x_i s_y den == num y_i s_x, on ints. Over
+    F_p it is x_i == lam y_i mod p.
     """
     (x, sx), (y, sy) = v, w
     if p:
-        signed = (lam, -lam)
-        return [i for i, (a, b, e) in enumerate(zip(x, y, flips)) if a != signed[e] * b % p]
+        return [i for i, (a, b) in enumerate(zip(x, y)) if a != lam * b % p]
     num, den = lam.numerator, lam.denominator
-    signed = (num, -num)
-    return [
-        i for i, (a, s, b, t, e) in enumerate(zip(x, sx, y, sy, flips)) if a * t * den != signed[e] * b * s
-    ]
+    return [i for i, (a, s, b, t) in enumerate(zip(x, sx, y, sy)) if a * t * den != num * b * s]
 
 
 def gale_of_config(p: PointConfiguration) -> PointConfiguration:
@@ -215,4 +199,4 @@ def _proportional(v, w, p: int | None) -> bool:
         return True
     if not x[pivot] or not y[pivot]:
         return False
-    return not _off_line(v, w, _ratio(v, w, pivot, p), p, repeat(0))
+    return not _off_line(v, w, _ratio(v, w, pivot, p), p)

@@ -507,9 +507,10 @@ class MaximalMinors:
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """`int_rref` of the rows of `int_columns`, computed once: (rows,
-        0-based pivots); its det(A_P) is kept for `_pivot_scale`. Scaling a
-        column by a nonzero constant changes no rank and no pivot, so they
-        are those of the matrix."""
+        0-based pivots); its det(A_P) is kept as `_det`, for `_pivot_scale`
+        and `gale.duality_certificate`. Scaling a column by a nonzero
+        constant changes no rank and no pivot, so they are those of the
+        matrix."""
         if self._rref is None:
             a, pivots, self._det = int_rref(list(zip(*self.int_columns)), self.field.p)
             self._rref = a, pivots

@@ -18,8 +18,9 @@ elimination; it is the reference for the one-elimination coloop test of
 `configurations.strong_nondegeneracy_witness`.
 `pairwise_duality_certificate` reads every minor pair through
 `MaximalMinors.get`, one Bareiss determinant each, and compares field
-scalars; it is the reference for the echelon-form certificate of
-`gale.duality_certificate`, which compares ints by cross-multiplication.
+scalars; it is the reference for `gale.duality_certificate`, which reads
+lambda from one pair and certifies the rest by the theorem its docstring
+proves.
 `MemoMinors` is `MaximalMinors` with a memo on `get`, for oracles that read
 the same bracket on many windows; the package's `get` keeps no memo, since
 none of its callers reads a minor twice.
@@ -43,6 +44,7 @@ block, then the certified rank of the Schur complement).
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -62,7 +64,6 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import Field, require_same_field
-from veronese_kit.gale import GaleDualityCertificate
 from veronese_kit.linalg import Matrix, MaximalMinors, _clear, as_index_set, int_rref, rank
 
 
@@ -516,6 +517,19 @@ def window_vanishes_oracle(rows, p):
     return len(int_rref(products, p)[1]) <= 2
 
 
+@dataclass(frozen=True)
+class PairwiseCertificate:
+    """What `pairwise_duality_certificate` found: the fields of
+    `gale.GaleDualityCertificate` and every I whose identity check failed."""
+
+    n: int
+    height_a: int
+    height_b: int
+    lambda_: object
+    checked: int
+    failures: tuple
+
+
 def pairwise_duality_certificate(A, B):
     """The complementary-minor certificate, one minor pair at a time.
 
@@ -549,7 +563,7 @@ def pairwise_duality_certificate(A, B):
         if va != 0:
             vb = mb.get(Ic)
             if vb == 0:
-                return GaleDualityCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
+                return PairwiseCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
             lam = field_div(f, va, f.mul(sign, vb))
             break
     assert lam is not None
@@ -557,7 +571,7 @@ def pairwise_duality_certificate(A, B):
     failures = tuple(
         I for I, Ic, sign in pairs if ma.get(I) != f.mul(sign, f.mul(lam, mb.get(Ic)))
     )
-    return GaleDualityCertificate(n, k, B.rows, lam, len(subsets), failures)
+    return PairwiseCertificate(n, k, B.rows, lam, len(subsets), failures)
 
 
 def sign_cloud(field, d, n, seed):

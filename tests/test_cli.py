@@ -242,8 +242,9 @@ def test_gale_chain_to_conic_equations():
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:65521"])
-def test_gale_eliminates_each_side_once(monkeypatch, field):
-    # the transform and the certificate share the input's one echelon form
+def test_gale_eliminates_its_input_once(monkeypatch, field):
+    # the transform and the certificate share the input's one echelon form,
+    # and the certificate reads one minor of the transform without eliminating it
     import veronese_kit.linalg as linalg
 
     res = run(["sample", "--family", "rnc", "--d", "4", "--n", "12", "--field", field, "--seed", "2"])
@@ -252,7 +253,7 @@ def test_gale_eliminates_each_side_once(monkeypatch, field):
     monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(len(rows)) or int_rref(rows, p))
     code, doc = run_json(["gale"], input=res.output)
     assert code == 0 and doc["payload"]["certificate"]["ok"] is True
-    assert calls == [5, 7]
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:65521"])
@@ -274,12 +275,12 @@ def test_eval_and_gale_make_no_reference_cycles(field):
             gc.enable()
 
 
-def test_gale_over_budget_exits_3():
-    # C(20, 10) = 184,756 minor pairs: counted before any certificate elimination
+def test_gale_certifies_every_pair_of_a_large_shape():
+    # C(20, 10) = 184,756 complementary minor pairs, certified from one of them
     res = run(["sample", "--family", "generic", "--d", "9", "--n", "20", "--seed", "1"])
     code, doc = run_json(["gale"], input=res.output)
-    assert code == 3 and doc["status"] == "BudgetExceeded"
-    assert "184756 minors, over the budget of 100000" in doc["payload"]["error"]
+    assert code == 0 and doc["payload"]["certificate"]["ok"] is True
+    assert doc["payload"]["certificate"]["checked"] == 184756
 
 
 def test_eval_rejects_malformed_json():
@@ -542,6 +543,13 @@ def test_internal_errors_are_not_bad_input(monkeypatch):
 def test_usage_errors_exit_2(args):
     res = invoke(args)
     assert res.exit_code == 2 and res.output == ""
+
+
+def test_help_lists_each_command_by_its_summary():
+    res = invoke(["--help"])
+    assert res.exit_code == 0 and "eqs        Emit the membership equation generators" in res.output
+    # a command's implementation notes stay in its code
+    assert "bracket_template" not in res.output
 
 
 def test_an_unknown_option_is_reported_under_its_subcommand(capsys):

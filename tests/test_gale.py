@@ -2,17 +2,24 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 
-from veronese_kit.configurations import make_config, sample_generic, sample_on_rnc
+from veronese_kit.configurations import (
+    make_config,
+    random_invertible,
+    sample_generic,
+    sample_nodal_conic,
+    sample_on_rnc,
+    sample_quasi_veronese_chain,
+)
 from veronese_kit.errors import (
-    BudgetExceededError,
     DegenerateInputError,
     NotAGalePairError,
     RankDeficiencyError,
     ShapeError,
+    VeroneseKitError,
 )
 from veronese_kit.fields import Field, QQ
 from veronese_kit.gale import (
@@ -22,9 +29,8 @@ from veronese_kit.gale import (
     gale_of_config,
     standard_gale_pair,
 )
-import veronese_kit.gale as gale
 import veronese_kit.linalg as linalg
-from veronese_kit.linalg import Matrix, rank
+from veronese_kit.linalg import Matrix, det, kernel_basis, rank, rref
 
 import oracles
 from oracles import field_div, matrix_is_zero, pairwise_duality_certificate, transpose
@@ -148,8 +154,8 @@ def test_gale_of_config_requirements():
 
 
 def test_gale_of_config_eliminates_once(monkeypatch):
-    # the coloop test, the kernel basis and the certificate's side of p all
-    # read the one echelon form of p's coordinates
+    # the coloop test, the kernel basis and the certificate all read the one
+    # echelon form of p's coordinates; the certificate never eliminates q's
     calls = []
     int_rref = linalg.int_rref
     monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(len(rows)) or int_rref(rows, p))
@@ -163,7 +169,7 @@ def test_gale_of_config_eliminates_once(monkeypatch):
         assert gale_of_config(p).coords == q.coords
         assert calls == [p.d + 1]
         assert duality_certificate(p.coords, q.coords).ok
-        assert calls == [p.d + 1, p.n - p.d - 1]
+        assert calls == [p.d + 1]
         assert q.coords == affine_gale(p.coords)
 
 
@@ -177,8 +183,8 @@ def test_certificate_of_the_affine_gale_eliminates_a_once(monkeypatch):
         calls.clear()
         B = affine_gale(A)
         assert duality_certificate(A, B).ok
-        # A once, for its kernel and its minors; B once, for its minors
-        assert calls == [4, 5]
+        # A once, for its kernel and its pivot columns; B never
+        assert calls == [4]
 
 
 def test_gale_of_curve_lands_on_conic_equations():
@@ -220,68 +226,109 @@ def _scale_columns(M, factors, op):
 
 def _same_certificate(A, B):
     got, want = duality_certificate(A, B), pairwise_duality_certificate(A, B)
-    assert (got.lambda_, got.checked, got.failures) == (want.lambda_, want.checked, want.failures)
+    assert got.ok and want.failures == ()
+    assert (got.lambda_, got.checked) == (want.lambda_, want.checked)
     assert (got.n, got.height_a, got.height_b) == (want.n, want.height_a, want.height_b)
     assert type(got.lambda_) is type(A.field.zero)
     return got
 
 
+CHAIN_DEGREES = {3: (2, 1), 4: (2, 2), 5: (3, 2)}
+
+
+def _cert_inputs(field, rng):
+    """Full-rank coordinate matrices: curve and generic samples, {-1, 0, 1}
+    clouds (whose lex-first basis is often not the leading columns), chains
+    and nodal conics."""
+    for d, n in _cert_shapes(field, ((1, 4), (2, 6), (3, 7), (3, 9), (4, 8), (2, 9))):
+        for sampler in (sample_on_rnc, sample_generic):
+            yield sampler(field, d, n, seed=rng.randrange(1000), height=9).coords
+        for _ in range(3):
+            A = oracles.sign_cloud(field, d, n, rng.randrange(1000)).coords
+            if rank(A) == d + 1:
+                yield A
+    for d, n in _cert_shapes(field, ((3, 7), (4, 9), (5, 10))):
+        yield sample_quasi_veronese_chain(field, d, n, CHAIN_DEGREES[d], seed=rng.randrange(1000), height=9)[1].coords
+    for n in (6, 7, 9) if field.p != 7 else (6, 7):
+        yield sample_nodal_conic(field, n, seed=rng.randrange(1000), height=9).coords
+
+
 @pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
 def test_certificate_matches_pairwise_oracle(field):
     rng = random.Random(29)
-    for d, n in _cert_shapes(field, ((1, 4), (2, 6), (3, 7), (3, 9), (4, 8), (2, 9))):
-        for sampler in (sample_on_rnc, sample_generic):
-            p = sampler(field, d, n, seed=rng.randrange(1000), height=9)
-            A = p.coords
-            B = affine_gale(A)
-            lam = _same_certificate(A, B).lambda_
-            if rank(A.select_columns(range(1, d + 2))) == d + 1:
-                a_std, b_std = standard_gale_pair(A)
-                assert _same_certificate(a_std, b_std).lambda_ == field.one
-            c = field.random_nonzero(rng, 9)
-            scaled = Matrix(field, [[field.mul(c, x) for x in B.entries[0]]] + list(B.entries[1:]))
-            assert _same_certificate(A, scaled).ok
-            # every row of B scaled: lambda is divided by the product of the factors
-            factors = [_factor(field, rng) for _ in range(B.rows)]
-            scaled = Matrix(field, [[field.mul(c, x) for x in row] for c, row in zip(factors, B.entries)])
-            cert = _same_certificate(A, scaled)
-            assert cert.ok
-            assert field.mul(cert.lambda_, prod(factors)) == lam
-            # column j of A times c_j and of B divided by c_j: A D (B D^-1)^t = A B^t,
-            # and lambda is multiplied by the product of the c_j
-            factors = [_factor(field, rng) for _ in range(n)]
-            cert = _same_certificate(_scale_columns(A, factors, field.mul), _scale_columns(B, factors, lambda x, c: field_div(field, x, c)))
-            assert cert.ok
-            assert cert.lambda_ == field.mul(lam, prod(factors))
+    shifted = 0
+    for A in _cert_inputs(field, rng):
+        k, n = A.shape
+        shifted += rref(A)[1] != tuple(range(k))
+        B = affine_gale(A)
+        lam = _same_certificate(A, B).lambda_
+        if rank(A.select_columns(range(1, k + 1))) == k:
+            a_std, b_std = standard_gale_pair(A)
+            assert _same_certificate(a_std, b_std).lambda_ == field.one
+        c = field.random_nonzero(rng, 9)
+        scaled = Matrix(field, [[field.mul(c, x) for x in B.entries[0]]] + list(B.entries[1:]))
+        assert _same_certificate(A, scaled).ok
+        # every row of B scaled: lambda is divided by the product of the factors
+        factors = [_factor(field, rng) for _ in range(B.rows)]
+        scaled = Matrix(field, [[field.mul(c, x) for x in row] for c, row in zip(factors, B.entries)])
+        cert = _same_certificate(A, scaled)
+        assert field.mul(cert.lambda_, prod(factors)) == lam
+        # B replaced by G B, G invertible: lambda is divided by det G
+        G = random_invertible(field, B.rows, rng, 9)
+        cert = _same_certificate(A, G.matmul(B))
+        assert field.mul(cert.lambda_, det(G)) == lam
+        # column j of A times c_j and of B divided by c_j: A D (B D^-1)^t = A B^t,
+        # and lambda is multiplied by the product of the c_j
+        factors = [_factor(field, rng) for _ in range(n)]
+        cert = _same_certificate(_scale_columns(A, factors, field.mul), _scale_columns(B, factors, lambda x, c: field_div(field, x, c)))
+        assert cert.lambda_ == field.mul(lam, prod(factors))
+    assert shifted
+
+
+def _same_refusal(A, B):
+    with pytest.raises(VeroneseKitError) as got:
+        duality_certificate(A, B)
+    with pytest.raises(VeroneseKitError) as want:
+        pairwise_duality_certificate(A, B)
+    assert type(got.value) is type(want.value)
+    return type(got.value)
 
 
 @pytest.mark.parametrize("field", CERT_FIELDS, ids=str)
-def test_certificate_failures_match_pairwise_oracle(field, monkeypatch):
-    # every full-rank pair with A B^t = 0 is a Gale pair and certifies, so the
-    # failure paths are reached only with the A B^t checks (the certificate's
-    # on cleared rows, the oracle's on the product matrix) switched off
-    monkeypatch.setattr(gale, "_orthogonal", lambda *args: True)
-    monkeypatch.setattr(oracles, "matrix_is_zero", lambda M: True)
+def test_certificate_refuses_what_the_pairwise_oracle_refuses(field):
     rng = random.Random(31)
-    for d, n in _cert_shapes(field, ((2, 6), (3, 8))):
+    for d, n in _cert_shapes(field, ((2, 6), (3, 7), (3, 8), (4, 9))):
         A = sample_generic(field, d, n, seed=rng.randrange(1000), height=9).coords
         B = affine_gale(A)
-        for j, c in ((0, 3), (n - 1, 5), (n - 1, 0)):
-            # column j of B scaled by c: lambda is fixed on I = (1..d+1), so the
-            # sets on the other side of j fail; c = 0 zeroes that first B-minor
-            # when j lies in its complement, and every set is flagged
-            cols = [[field.mul(c, x) if i == j else x for i, x in enumerate(row)] for row in B.entries]
-            bad = Matrix(field, cols)
-            cert = _same_certificate(A, bad)
-            assert cert.failures
-            if c == 0:
-                assert cert.lambda_ == field.zero and len(cert.failures) == cert.checked
-        # both sides column-scaled by factors that do not cancel: over Q, both
-        # sides' clearing scales and lambda's denominator are not all 1
-        one = [_factor(field, rng) for _ in range(n)]
-        other = [_factor(field, rng) for _ in range(n)]
-        cert = _same_certificate(_scale_columns(A, one, field.mul), _scale_columns(B, other, field.mul))
-        assert cert.failures
+        rows = [list(r) for r in B.entries]
+        # a rank-deficient B with A B^t = 0: a row replaced by a combination of the others
+        c = field.random_nonzero(rng, 9)
+        short = Matrix(field, rows[:-1] + [[field.mul(c, x) for x in rows[0]]])
+        assert matrix_is_zero(A.matmul(transpose(short)))
+        assert _same_refusal(A, short) is RankDeficiencyError
+        # A B^t != 0: one entry of B moved
+        j = rng.randrange(n)
+        moved = Matrix(field, [[field.add(x, field.one) if i == j else x for i, x in enumerate(rows[0])]] + rows[1:])
+        assert _same_refusal(A, moved) is NotAGalePairError
+        # a rank-deficient A with A B^t = 0: d independent rows, one combination of
+        # them, and n - d - 1 vectors of their kernel
+        A0 = sample_generic(field, d - 1, n, seed=rng.randrange(1000), height=9).coords
+        top = [list(r) for r in A0.entries]
+        combo = [field.add(x, field.mul(c, y)) for x, y in zip(top[0], top[-1])]
+        flat = Matrix(field, top + [combo])
+        B0 = Matrix(field, kernel_basis(A0).entries[: n - d - 1])
+        assert matrix_is_zero(flat.matmul(transpose(B0)))
+        assert _same_refusal(flat, B0) is RankDeficiencyError
+        # both at once: A B^t != 0 is reported first
+        assert _same_refusal(flat, moved) is NotAGalePairError
+    # {-1, 0, 1} clouds that do not span, with n - k vectors of their kernel
+    for seed in range(40):
+        A = oracles.sign_cloud(field, 3, 6, seed).coords
+        r = rank(A)
+        if r < A.rows:
+            basis = rref(A)[0].entries[:r]
+            kernel = kernel_basis(Matrix(field, basis)).entries[: A.cols - A.rows]
+            assert _same_refusal(A, Matrix(field, kernel)) is RankDeficiencyError
 
 
 def test_standard_pair_names_lex_first_basis():
@@ -306,15 +353,10 @@ def test_standard_pair_names_lex_first_basis():
                     standard_gale_pair(A)
 
 
-def test_certificate_over_budget_raises_before_elimination(monkeypatch):
-    from veronese_kit import gale
-
-    monkeypatch.setattr(gale, "DUALITY_PAIR_BUDGET", 9)
-    A = Matrix(QQ, [[1, 0, 2, 7, 1], [0, 1, 3, 1, 4]])
-    B = affine_gale(A)
+@pytest.mark.parametrize("field", [QQ, Field.prime(65521)], ids=str)
+def test_certificate_answers_for_thirty_million_pairs(field):
+    # C(30, 10) = 30,045,015 complementary pairs, certified from one of them
+    p = sample_on_rnc(field, 9, 30, seed=1)
+    cert = duality_certificate(p.coords, gale_of_config(p).coords)
+    assert cert.ok and cert.checked == comb(30, 10)
     assert duality_certificate(Matrix(QQ, [[1, 0, 2], [0, 1, 3]]), Matrix(QQ, [[2, 3, -1]])).checked == 3
-    with pytest.raises(BudgetExceededError, match="10 minors, over the budget of 9"):
-        duality_certificate(A, B)
-    # the count comes first: not even the A B^t check runs
-    with pytest.raises(BudgetExceededError):
-        duality_certificate(A, Matrix(QQ, [[1] * 5] * 3))
