@@ -17,13 +17,9 @@ from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, DegenerateInputError, ShapeError
+from .errors import RETRY_BUDGET, BudgetExceededError, DegenerateInputError, ShapeError
 from .fields import Field, Scalar, require_same_field
 from .linalg import Matrix, certified_rank, rank
-
-#: Resample budget for rejection loops (invertible draws, chart retries, spans).
-RETRY_BUDGET = 32
-
 
 class PointConfiguration:
     """n points of P^d as the columns of a (d+1) x n coordinate matrix."""
@@ -137,12 +133,16 @@ def random_invertible(field: Field, size: int, rng, height: int = 100) -> Matrix
 
 
 def random_config(field: Field, d: int, n: int, rng, height: int = 100) -> PointConfiguration:
-    """n random points of P^d; a column that comes out all zero is drawn again."""
+    """n random points of P^d; a column that comes out all zero is drawn
+    again, at most RETRY_BUDGET times (height 0 over Q draws only zeros)."""
     cols = []
     for _ in range(n):
-        col = [field.random_scalar(rng, height) for _ in range(d + 1)]
-        while all(x == 0 for x in col):
+        for _ in range(RETRY_BUDGET):
             col = [field.random_scalar(rng, height) for _ in range(d + 1)]
+            if any(col):
+                break
+        else:
+            raise BudgetExceededError(f"no nonzero point in {RETRY_BUDGET} draws at height {height}")
         cols.append(col)
     return make_config(field, d, n, cols)
 

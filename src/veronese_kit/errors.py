@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget of its rejection loops."""
+
+#: Resample budget for rejection loops (invertible draws, chart retries, spans,
+#: nonzero draws).
+RETRY_BUDGET = 32
 
 
 class VeroneseKitError(Exception):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import FieldMismatchError
+from .errors import RETRY_BUDGET, BudgetExceededError, FieldMismatchError
 
 Scalar = Union[Fraction, int]
 
@@ -178,10 +178,13 @@ class Field:
         return rng.randrange(self.p)
 
     def random_nonzero(self, rng, height: int = 100) -> Scalar:
-        while True:
+        """A nonzero `random_scalar`, drawn at most RETRY_BUDGET times
+        (height 0 over Q draws only zeros)."""
+        for _ in range(RETRY_BUDGET):
             x = self.random_scalar(rng, height)
             if x != 0:
                 return x
+        raise BudgetExceededError(f"no nonzero scalar in {RETRY_BUDGET} draws at height {height}")
 
     def scalar_to_json(self, x: Scalar):
         """Q scalars as fraction strings ("3", "-5/7"); F_p scalars as ints."""

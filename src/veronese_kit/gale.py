@@ -16,7 +16,6 @@ representative, not just a normalized one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, prod
 
 from .configurations import PointConfiguration, strong_nondegeneracy_witness
@@ -139,30 +138,6 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     return GaleDualityCertificate(n, k, B.rows, lam, comb(n, k))
 
 
-def _ratio(v, w, i: int, p: int | None) -> Scalar:
-    """The field scalar v_i / w_i of two `MaximalMinors._int_vector` results
-    v and w, w_i nonzero: a `Fraction` over Q (p None), a residue mod p."""
-    (x, sx), (y, sy) = v, w
-    if p:
-        return x[i] * pow(y[i], -1, p) % p
-    return Fraction(x[i] * sy[i], sx[i] * y[i])
-
-
-def _off_line(v, w, lam: Scalar, p: int | None) -> list[int]:
-    """The positions i at which v_i != lam w_i, for two
-    `MaximalMinors._int_vector` results v and w of equal length.
-
-    Over Q the minors are x_i / s_x and y_i / s_y, and lam = num / den, so the
-    test is the cross-multiplied x_i s_y den == num y_i s_x, on ints. Over
-    F_p it is x_i == lam y_i mod p.
-    """
-    (x, sx), (y, sy) = v, w
-    if p:
-        return [i for i, (a, b) in enumerate(zip(x, y)) if a != lam * b % p]
-    num, den = lam.numerator, lam.denominator
-    return [i for i, (a, s, b, t) in enumerate(zip(x, sx, y, sy)) if a * t * den != num * b * s]
-
-
 def gale_of_config(p: PointConfiguration) -> PointConfiguration:
     """The Gale transform as a configuration of n points in P^(n-d-2).
 
@@ -183,20 +158,14 @@ def gale_of_config(p: PointConfiguration) -> PointConfiguration:
 
 
 def double_gale_minor_check(p: PointConfiguration) -> bool:
-    """Maximal minors of Gale(Gale(p)) are proportional to those of p."""
-    q = gale_of_config(gale_of_config(p))
-    return _proportional(p.coords.minors()._int_vector(), q.coords.minors()._int_vector(), p.field.p)
-
-
-def _proportional(v, w, p: int | None) -> bool:
-    """Whether the minors of two `MaximalMinors._int_vector` results are
-    proportional: both zero, or v = c w for one nonzero c."""
-    x, y = v[0], w[0]
-    if len(x) != len(y):
+    """Maximal minors of Gale(Gale(p)) are proportional to those of p: equal
+    up to one nonzero scalar, read at the first nonzero minor of p (p has
+    full rank, or `gale_of_config` refuses it)."""
+    f = p.field
+    v = p.coords.minors().vector()
+    w = gale_of_config(gale_of_config(p)).coords.minors().vector()
+    i = next(i for i, x in enumerate(v) if x)
+    if not w[i]:
         return False
-    pivot = next((i for i, (a, b) in enumerate(zip(x, y)) if a or b), None)
-    if pivot is None:
-        return True
-    if not x[pivot] or not y[pivot]:
-        return False
-    return not _off_line(v, w, _ratio(v, w, pivot, p), p)
+    c = f.mul(v[i], f.inv(w[i]))
+    return all(x == f.mul(c, y) for x, y in zip(v, w))

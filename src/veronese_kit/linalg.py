@@ -11,11 +11,10 @@ reader of its minors, echelon form or kernel asks the matrix for it, so a
 matrix is eliminated at most once. `MaximalMinors.get` reads one maximal
 minor as one determinant; `MaximalMinors._echelon_minor` reads one from the
 cached echelon form by a small determinant of its rows, and
-`MaximalMinors._int_vector` all of them, as core ints with their clearing
-scales; `MaximalMinors.vector` maps those back to field scalars. Both scale
-by the pivot determinant the elimination gave, so no determinant is taken
-twice. `MaximalMinors._kernel` reads the reduced-echelon kernel basis
-(`kernel_basis`) from the same echelon form.
+`MaximalMinors.vector`, the one all-minors reader, reads all of them from
+it as field scalars. Both scale by the pivot determinant the elimination
+gave, so no determinant is taken twice. `MaximalMinors._kernel` reads the
+reduced-echelon kernel basis (`kernel_basis`) from the same echelon form.
 
 The integer view is decided in one place. `_clear(xs, p)` turns a row or
 column of scalars into core ints and a clearing factor m, keyed on the
@@ -25,13 +24,14 @@ read in one C-level pass, when m = 1), over F_p the
 residues in [0, p) as they are, with m = 1 and no work. `Field.p` is the
 core's modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
 turns a core int back into a field scalar, `_scalars` a column of them of
-factor 1. `det`, `rank` and `rref` clear rows; `MaximalMinors` clears
-columns. `Matrix(...)` normalizes its entries; `Matrix._trusted` takes
-entries that are canonical already (copies, `rref` results) as they are;
-`Matrix._from_int_columns` takes columns that are core ints of factor 1
-already (decoded documents) and keeps them, so `MaximalMinors` and the
-zero-point test read them with no `_clear`, and the `entries` rows over Q
-are built only on first read.
+factor 1. `det`, `rank` and `MaximalMinors` read the cleared columns
+(`Matrix._int_columns`); only `rref` clears rows. `Matrix(...)` normalizes
+its entries; `Matrix._trusted` takes entries that are canonical already
+(copies, `rref` results) as they are; `Matrix._from_int_columns` takes
+columns that are core ints of factor 1 already (decoded documents, plane
+lifts) and keeps them, so `det`, `rank`, `MaximalMinors` and the zero-point
+test read them with no `_clear`, and the `entries` rows over Q are built
+only on first read.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -300,11 +300,12 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
 
 
 def det(M: Matrix) -> Scalar:
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix: that of its transpose, the int
+    columns (`Matrix._int_columns`) taken as rows, over their clearing factors."""
     if M.rows != M.cols:
         raise ShapeError(f"determinant of non-square {M.shape}")
-    rows, scales = zip(*map(_clear, M.entries, repeat(M.field.p)))
-    return _scalar(M.field, _bareiss_det_int(rows), prod(scales))
+    cols, factors = M._int_columns()
+    return _scalar(M.field, _bareiss_det_int(cols), prod(factors))
 
 
 def minor(M: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Scalar:
@@ -422,9 +423,10 @@ def int_rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
 
 
 def rank(M: Matrix) -> int:
-    """Rank of M over its field, by `int_rank` on the cleared rows."""
-    # scaling rows by nonzero constants keeps the rank
-    return int_rank([_clear(row, M.field.p)[0] for row in M.entries], M.field.p)
+    """Rank of M over its field, by `int_rank` on its int columns
+    (`Matrix._int_columns`) taken as rows: scaling columns by nonzero
+    constants and transposing both keep the rank."""
+    return int_rank(M._int_columns()[0], M.field.p)
 
 
 def _orthogonal(rows: Iterable[Sequence[int]], others: Sequence[Sequence[int]], p: int | None) -> bool:
@@ -489,10 +491,9 @@ class MaximalMinors:
     `_factors` their clearing factors (1 over F_p and for int columns). `get`
     computes one minor per call by `_bareiss_det_int` on the int columns and
     divides their factors back out, so values match `minor` exactly.
-    `_int_vector` reads every minor from one cached echelon form instead, as
-    ints with the products of their factors, and `_echelon_minor` one int
-    minor from it, both through `_pivot_scale`; `vector` is `_int_vector` as
-    field scalars.
+    `vector` reads every minor from one cached echelon form instead, as
+    field scalars, and `_echelon_minor` one int minor from it, both through
+    `_pivot_scale`.
     """
 
     def __init__(self, M: Matrix):
@@ -550,10 +551,6 @@ class MaximalMinors:
         L, cols = lcm(*self._factors), self.int_columns
         return list(zip(*(cols if L == 1 else [[x * (L // m) for x in c] for c, m in zip(cols, self._factors)])))
 
-    def _int_minor(self, cols: Sequence[int]) -> int:
-        """Unreduced Bareiss determinant of the int columns `cols` (0-based)."""
-        return _bareiss_det_int(list(zip(*[self.int_columns[j] for j in cols])))
-
     def _pivot_scale(self) -> int:
         """det(A_P) / D: A_P the int columns at the pivots P of the full-rank
         `_echelon` form, D its last pivot. `int_rref` gave det(A_P) with the
@@ -569,8 +566,9 @@ class MaximalMinors:
         read from `_echelon` by the formula of `vector`: (-1)^e det(A_P)
         minor_{R,C}(a) / D^|C|, with the one small determinant minor_{R,C}
         of the echelon rows a (C the columns of `cols` off the pivots, R the
-        rows whose pivot is not in `cols`). Equals `_int_minor(cols)` over Q
-        and is reduced mod p over F_p; 0 when the matrix is rank-deficient."""
+        rows whose pivot is not in `cols`). Equals the determinant of those
+        int columns over Q and is reduced mod p over F_p; 0 when the matrix
+        is rank-deficient."""
         a, pivots = self._echelon()
         if len(pivots) < self.width:
             return 0
@@ -593,16 +591,13 @@ class MaximalMinors:
 
     def get(self, J: Iterable[int]) -> Scalar:
         cols = [j - 1 for j in as_index_set(J, ground=self.cols, size=self.width)]
-        return _scalar(self.field, self._int_minor(cols), prod([self._factors[j] for j in cols]))
+        # the determinant of the transpose: the selected int columns as rows
+        v = _bareiss_det_int([self.int_columns[j] for j in cols])
+        return _scalar(self.field, v, prod([self._factors[j] for j in cols]))
 
-    def _int_vector(self) -> tuple[list[int], list[int] | None]:
-        """All maximal minors as core ints, in lexicographic order of the
-        column sets: (values, scales).
-
-        Over Q, values[i] is the maximal minor of the cleared `int_columns`
-        and scales[i] the product of their clearing factors, so the minor of
-        the matrix is values[i] / scales[i]. Over F_p values are the minors'
-        residues and scales is None.
+    def vector(self) -> tuple[Scalar, ...]:
+        """All maximal minors as field scalars, in lexicographic order of the
+        column sets. They equal `get` at every column set.
 
         The values come from one echelon form. In the pivot columns P the
         echelon rows are D times the identity (D the last pivot, D = 1 over
@@ -613,15 +608,17 @@ class MaximalMinors:
 
         where e sums, over the pivots u in J, the position of u in J and the
         row of u. The minors of N are built size by size, each expanded along
-        its last column and divided by D (Sylvester), so every value is an
-        exact int. A rank-deficient matrix has only zero minors.
+        its last column and divided by D (Sylvester), so every m_J is an
+        exact int minor of the cleared `int_columns`: over Q the minor of the
+        matrix is that int over the product of the columns' clearing
+        factors, over F_p its residue. A rank-deficient matrix has only zero
+        minors.
         """
         k, n = self.width, self.cols
         prime = self.field.p
-        scales = None if prime else _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
         a, pivots = self._echelon()
         if len(pivots) < k:
-            return [0] * comb(n, k), scales
+            return (self.field.zero,) * comb(n, k)
         D = a[k - 1][pivots[-1]]
         free = [c for c in range(n) if c not in pivots]
         # a column's bits in the key rows_mask | cols_mask << k of `minors`
@@ -659,15 +656,9 @@ class MaximalMinors:
         )
         values = [minors[x] * g if x < odd else minors[x ^ odd] * -g for x in keys]
         if prime:
-            return [v % prime for v in values], None
-        return values, scales
-
-    def vector(self) -> tuple[Scalar, ...]:
-        """All maximal minors as field scalars, in lexicographic order of the
-        column sets: `_int_vector` mapped back, values[i] / scales[i] over Q
-        and the residues over F_p. They equal `get` at every column set."""
-        values, scales = self._int_vector()
-        return tuple(values) if scales is None else tuple(map(Fraction, values, scales))
+            return tuple(v % prime for v in values)
+        scales = _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
+        return tuple(map(Fraction, values, scales))
 
 
 def _lex_subset_folds(n: int, k: int, start: int, op, weight) -> list[int]:

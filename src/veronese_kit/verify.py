@@ -37,6 +37,7 @@ from .configurations import (
     sample_on_rnc,
     sample_quasi_veronese_chain,
 )
+from .errors import RankDeficiencyError
 from .fields import Field, QQ
 from .gale import affine_gale, double_gale_minor_check, duality_certificate, gale_of_config, standard_gale_pair
 from .linalg import Matrix, rank
@@ -154,7 +155,7 @@ def check_minor_duality(seed: int) -> CheckResult:
                 certified += 1
             try:
                 a_std, b_std = standard_gale_pair(A)
-            except Exception:
+            except RankDeficiencyError:  # dependent leading columns: no standard pair
                 continue
             if duality_certificate(a_std, b_std).lambda_ == field.one:
                 lambda_ones += 1

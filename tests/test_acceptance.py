@@ -39,3 +39,13 @@ def test_dimension_tabulation_value_at_4_8():
     from veronese_kit.configurations import dimension_estimate
 
     assert dimension_estimate(4, 8, seed=SEED) == 24
+
+
+def test_minor_duality_check_lets_internal_errors_through(monkeypatch):
+    # only a refused standard pair is skipped; any other error is a bug and propagates
+    def broken(A):
+        raise ZeroDivisionError("internal bug")
+
+    monkeypatch.setattr(verify, "standard_gale_pair", broken)
+    with pytest.raises(ZeroDivisionError, match="internal bug"):
+        verify.check_minor_duality(SEED)

@@ -339,6 +339,23 @@ def test_more_distinct_parameters_than_values_is_a_shape_error():
     assert code == 0 and len(doc["payload"]["config"]["columns"]) == 7
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "generic", "--d", "2", "--n", "6"],
+        ["--family", "chain", "--d", "3", "--n", "8", "--degrees", "2,1"],
+    ],
+    ids=["generic", "chain"],
+)
+def test_sample_at_height_zero_over_q_exits_3(args):
+    # height 0 draws only the scalar 0: the redraw loops give up after their budget
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-m", "veronese_kit.cli", "sample", *args, "--field", "Q", "--height", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3 and json.loads(proc.stdout)["status"] == "BudgetExceeded"
+
+
 def test_eval_echoes_q_coordinates_in_canonical_form():
     doc = {"field": "Q", "d": 3, "n": 1, "columns": [[" 3", "+4", "1_0", "6/4"]]}
     code, out = run_json(["eval"], input=json.dumps(doc))

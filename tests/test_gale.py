@@ -29,6 +29,7 @@ from veronese_kit.gale import (
     gale_of_config,
     standard_gale_pair,
 )
+import veronese_kit.gale as gale
 import veronese_kit.linalg as linalg
 from veronese_kit.linalg import Matrix, det, kernel_basis, rank, rref
 
@@ -203,6 +204,27 @@ def test_double_gale_is_minor_proportional():
         for d, n, seed in ((2, 6, 3), (3, 7, 4), (2, 7, 5)):
             p = sample_generic(field, d, n, seed=seed, height=9)
             assert double_gale_minor_check(p)
+
+
+@pytest.mark.parametrize("field", [QQ, FP, Field.prime(101)], ids=str)
+def test_double_gale_check_fails_when_one_column_is_scaled(monkeypatch, field):
+    # scaling one column of Gale(Gale(p)) scales only the minors through it
+    transform = gale.gale_of_config
+    calls = []
+
+    def scale_the_second(q):
+        g = transform(q)
+        calls.append(g)
+        if len(calls) % 2:
+            return g
+        cols = g.points()
+        cols[0] = [field.mul(field.normalize(2), x) for x in cols[0]]
+        return make_config(field, g.d, g.n, cols)
+
+    samples = [sample_generic(field, d, n, seed=seed, height=9) for d, n, seed in ((2, 6, 3), (3, 7, 4), (2, 7, 5))]
+    assert all(map(double_gale_minor_check, samples))
+    monkeypatch.setattr(gale, "gale_of_config", scale_the_second)
+    assert not any(map(double_gale_minor_check, samples))
 
 
 CERT_FIELDS = (QQ, Field.prime(7), Field.prime(101), Field.prime(65521))

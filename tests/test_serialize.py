@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cli_runner import invoke
 
+from veronese_kit.conic import phi_det
 from veronese_kit.configurations import (
+    is_degenerate,
     make_config,
     sample_degenerate,
     sample_generic,
@@ -18,7 +20,7 @@ from veronese_kit.configurations import (
     sample_on_rnc,
 )
 from veronese_kit.fields import _MAX_PRIME, Field, QQ, _is_prime
-from veronese_kit.linalg import Matrix, _clear
+from veronese_kit.linalg import Matrix, _clear, det, rank
 from veronese_kit.serialize import (
     config_from_json,
     config_to_json,
@@ -360,6 +362,24 @@ def test_gale_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
     assert res.exit_code == 0
     certificate = json.loads(res.output)["payload"]["certificate"]
     assert certificate["ok"] is True and certificate["checked"] == 924
+    assert built == []
+
+
+def test_det_and_rank_on_integer_q_coordinates_build_no_fraction_rows(monkeypatch):
+    # det, rank, phi_det and is_degenerate read the int columns the decoder kept
+    generic = sample_generic(QQ, 3, 8, seed=1)
+    square = make_config(QQ, 3, 4, generic.points()[:4])
+    on_conic, off_conic = sample_on_rnc(QQ, 2, 6, seed=1), sample_generic(QQ, 2, 6, seed=4)
+    samples = [generic, sample_degenerate(QQ, 4, 9, seed=3), square, on_conic, off_conic]
+    decoded = [config_from_json(config_to_json(p)) for p in samples]
+    want_det, want_phi = det(square.coords), phi_det(off_conic)
+    built = []
+    getattr_ = Matrix.__getattr__
+    monkeypatch.setattr(Matrix, "__getattr__", lambda self, name: built.append(self.shape) or getattr_(self, name))
+    ranks = [(rank(q.coords), is_degenerate(q)) for q in decoded]
+    assert ranks == [(4, False), (4, True), (4, False), (3, False), (3, False)]
+    assert det(decoded[2].coords) == want_det != 0
+    assert phi_det(decoded[3]) == 0 != phi_det(decoded[4]) == want_phi
     assert built == []
 
 
