@@ -8,7 +8,7 @@ arithmetic.
 """
 
 from .fields import DEFAULT_PRIME, Field, QQ
-from .linalg import IndexSet, Matrix, MaximalMinors, det, kernel_basis, minor, rank, s_index
+from .linalg import IndexSet, Matrix, det, kernel_basis, minor, rank, s_index
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -16,7 +16,6 @@ __all__ = [
     "QQ",
     "IndexSet",
     "Matrix",
-    "MaximalMinors",
     "det",
     "kernel_basis",
     "minor",

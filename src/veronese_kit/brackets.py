@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .configurations import PointConfiguration
 from .errors import ShapeError, check_budget
 from .fields import Scalar
-from .linalg import IndexSet, MaximalMinors, Matrix, _scalar, as_index_set, complement, int_rref, s_index
+from .linalg import IndexSet, Matrix, _scalar, as_index_set, complement, int_rref, s_index
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
@@ -187,7 +187,7 @@ def psi_generators(d: int) -> tuple[tuple[IndexSet, BracketPolynomial], ...]:
 
 def eval_bracket_poly(
     P: BracketPolynomial,
-    source: Union[PointConfiguration, Matrix, MaximalMinors],
+    source: Union[PointConfiguration, Matrix],
     J: Optional[Iterable[int]] = None,
 ) -> Scalar:
     """Evaluate with brackets as maximal minors of the source's coordinate matrix.
@@ -195,26 +195,21 @@ def eval_bracket_poly(
     With a window J (strictly increasing, P.ground indices) bracket index i
     reads column J[i-1]: the value is that of P pulled back along J.
     """
-    if isinstance(source, MaximalMinors):
-        mm = source
-    elif isinstance(source, PointConfiguration):
-        mm = source.coords.minors()
-    else:
-        mm = source.minors()
-    if mm.width != P.width:
-        raise ShapeError(f"bracket width {P.width} != matrix height {mm.width}")
+    M = source.coords if isinstance(source, PointConfiguration) else source
+    if M.rows != P.width:
+        raise ShapeError(f"bracket width {P.width} != matrix height {M.rows}")
     if J is not None:
-        J = as_index_set(J, ground=mm.cols, size=P.ground)
-    elif mm.cols < P.ground:
-        raise ShapeError(f"ground set [{P.ground}] exceeds {mm.cols} columns")
-    f = mm.field
+        J = as_index_set(J, ground=M.cols, size=P.ground)
+    elif M.cols < P.ground:
+        raise ShapeError(f"ground set [{P.ground}] exceeds {M.cols} columns")
+    f = M.field
     total = f.zero
     for coef, factors in P.terms:
         term = f.normalize(coef)
         for F in factors:
             if term == 0:
                 break
-            term = f.mul(term, mm.get(F if J is None else [J[i - 1] for i in F]))
+            term = f.mul(term, M.maximal_minor(F if J is None else [J[i - 1] for i in F]))
         total = f.add(total, term)
     return total
 
@@ -233,29 +228,30 @@ def _degrees(P: BracketPolynomial) -> tuple[int, ...]:
 
 
 def _eval_on_echelon(
-    P: BracketPolynomial, mm: MaximalMinors, window: Sequence[int], minors: dict[IndexSet, int]
+    P: BracketPolynomial, M: Matrix, window: Sequence[int], minors: dict[IndexSet, int]
 ) -> Scalar:
-    """`eval_bracket_poly(P, mm, J)` for the 0-based window J - 1, on core ints.
+    """`eval_bracket_poly(P, M, J)` for the 0-based window J - 1, on core ints.
 
-    Each bracket F is `mm._echelon_minor` of the window columns it names,
+    Each bracket F is `M._echelon_minor` of the window columns it names,
     kept in `minors` (keyed by F, so one dict serves one window). The sum of
     coef * prod m_F is mapped back once by `_scalar`: over Q every term
     carries the clearing factor of each window column to the power of that
     column's degree in P (`_degrees`), so the sum is divided by that product.
     """
     total = 0
+    echelon_minor = M._echelon_minor
     for coef, factors in P.terms:
         term = coef
         for F in factors:
             m = minors.get(F)
             if m is None:
-                m = minors[F] = mm._echelon_minor([window[i - 1] for i in F])
+                m = minors[F] = echelon_minor([window[i - 1] for i in F])
             term *= m
             if not term:
                 break
         total += term
-    scale = prod([mm._factors[c] ** e for c, e in zip(window, _degrees(P))])
-    return _scalar(mm.field, total, scale)
+    scale = prod([M._factors[c] ** e for c, e in zip(window, _degrees(P))])
+    return _scalar(M.field, total, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,7 @@ def _echelon_window_vanishes(
     """True when every generator vanishes on the 0-based column set `window`.
 
     `a` is the reduced echelon form of the whole coordinate matrix
-    (`MaximalMinors._echelon()`: pivot entries D over Q, 1 over F_p; p is None
+    (`Matrix._echelon()`: pivot entries D over Q, 1 over F_p; p is None
     over Q) and `pivot_row[c]` the row of pivot column c, -1 for a free column.
     If the window has rank < d+1 every width-(d+1) bracket is 0. Otherwise let
     B (3 x (d+4)) be a basis of the window's right kernel, a Gale transform of
@@ -411,7 +407,7 @@ def _echelon_window_vanishes(
 WINDOW_SCAN_BUDGET = 20_000
 
 
-def _head_points_in_general_position(mm: MaximalMinors, prime: Optional[int]) -> bool:
+def _head_points_in_general_position(M: Matrix, prime: Optional[int]) -> bool:
     """True when points 1..d+3 are in general position: every d+1 of them
     are independent.
 
@@ -448,8 +444,8 @@ def _head_points_in_general_position(mm: MaximalMinors, prime: Optional[int]) ->
     So every point lies on C, repeats included, and the configuration is in
     the closure of the configurations on C, where every generator vanishes.
     """
-    a, pivots = mm._echelon()
-    k = mm.width
+    a, pivots = M._echelon()
+    k = M.rows
     if pivots != list(range(k)):
         return False
     nonzero = (lambda x: x % prime != 0) if prime else bool
@@ -483,13 +479,12 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         raise ShapeError(f"use the conic module for d = {d}")
     witness = None
     checked = 0
-    # n <= d points cannot span P^d, and MaximalMinors refuses their tall matrix
-    mm = p.coords.minors() if n > d else None
-    degenerate = mm is None or mm.rank() < d + 1
+    # n <= d points cannot span P^d: the rank of their tall matrix is below d + 1
+    degenerate = p.coords.echelon_rank() < d + 1
     if n >= d + 4:
         gens = psi_generators(d)
         prime = p.field.p
-        a, pivots = mm._echelon()
+        a, pivots = p.coords._echelon()
         pivot_row = [pivots.index(c) if c in pivots else -1 for c in range(n)]
         windows = comb(n, d + 4)
         # points that do not span leave every window rank-deficient, so
@@ -497,14 +492,14 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         for j, J0 in enumerate(() if degenerate else combinations(range(n), d + 4)):
             if _echelon_window_vanishes(a, pivot_row, J0, prime):
                 if j == n - d - 4:
-                    if _head_points_in_general_position(mm, prime):
+                    if _head_points_in_general_position(p.coords, prime):
                         break
                     rest = windows - j - 1
                     check_budget(rest, WINDOW_SCAN_BUDGET, f"(d, n) = ({d}, {n}) leaves {rest} windows to scan")
                 continue
             minors: dict[IndexSet, int] = {}
             for i, (I, poly) in enumerate(gens):
-                val = _eval_on_echelon(poly, mm, J0, minors)
+                val = _eval_on_echelon(poly, p.coords, J0, minors)
                 if val != 0:
                     witness = (I, tuple(i + 1 for i in J0), val)
                     checked = j * len(gens) + i + 1

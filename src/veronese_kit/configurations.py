@@ -17,9 +17,9 @@ from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import RETRY_BUDGET, BudgetExceededError, DegenerateInputError, ShapeError
+from .errors import RETRY_BUDGET, BudgetExceededError, DegenerateInputError, ShapeError, check_budget
 from .fields import Field, Scalar, require_same_field
-from .linalg import Matrix, certified_rank, rank
+from .linalg import Matrix, certified_rank, det, rank
 
 class PointConfiguration:
     """n points of P^d as the columns of a (d+1) x n coordinate matrix."""
@@ -32,7 +32,7 @@ class PointConfiguration:
         if coords.shape != (d + 1, n):
             raise ShapeError(f"coords must be {(d + 1, n)}, got {coords.shape}")
         require_same_field(field, coords.field, "configuration coordinates")
-        for j, col in enumerate(coords._raw_columns(), start=1):
+        for j, col in enumerate(coords.int_columns, start=1):
             if not any(col):
                 raise DegenerateInputError(f"point {j} has all-zero coordinates")
         object.__setattr__(self, "field", field)
@@ -78,14 +78,14 @@ def strong_nondegeneracy_witness(p: PointConfiguration) -> Optional[int]:
     """1-based index i such that dropping point i kills the span, or None.
 
     Such a point is a coloop. In the reduced echelon form of the coordinates
-    (`Matrix.minors()`, shared with every other reader of it) its column is
+    (`Matrix._echelon`, shared with every other reader of it) its column is
     a pivot whose row is zero in every non-pivot column; the smallest one is
     returned.
     """
     if p.n < p.d + 2:
         # dropping any point leaves too few to span
         return 1 if p.n >= 1 else None
-    rows, pivots = p.coords.minors()._echelon()
+    rows, pivots = p.coords._echelon()
     if len(pivots) < p.d + 1:
         return 1
     free = [c for c in range(p.n) if c not in pivots]
@@ -123,8 +123,6 @@ def random_matrix(field: Field, rows: int, cols: int, rng, height: int = 100) ->
 
 
 def random_invertible(field: Field, size: int, rng, height: int = 100) -> Matrix:
-    from .linalg import det  # local import keeps module load cheap
-
     for _ in range(RETRY_BUDGET):
         m = random_matrix(field, size, size, rng, height)
         if det(m) != 0:
@@ -233,6 +231,7 @@ def sample_nodal_conic(
     """n points of P^2 on a union of two distinct lines (a degenerate conic).
 
     `split` fixes how many points land on each line; default is balanced.
+    A zero point is drawn again, at most RETRY_BUDGET times.
     """
     if rng is None:
         rng = random.Random(seed)
@@ -245,7 +244,7 @@ def sample_nodal_conic(
     cols = []
     for count, direction in zip(split, (u1, u2)):
         for _ in range(count):
-            while True:
+            for _ in range(RETRY_BUDGET):
                 a = field.random_scalar(rng, height)
                 b = field.random_scalar(rng, height)
                 col = [
@@ -253,8 +252,10 @@ def sample_nodal_conic(
                     for x, y in zip(node, direction)
                 ]
                 if any(x != 0 for x in col):
-                    cols.append(col)
                     break
+            else:
+                raise BudgetExceededError(f"no nonzero point on a line in {RETRY_BUDGET} draws at height {height}")
+            cols.append(col)
     return make_config(field, 2, n, cols)
 
 
@@ -497,6 +498,14 @@ def _gl2_kernel(d: int, g_vals: Sequence, t_vals: Sequence) -> list[list]:
     ]
 
 
+#: `dimension_estimate` refuses, before it draws, a shape whose work
+#: d (n-d-1) (n+d+1) (n+d-3) (the rows, columns and rank bound of S) is above
+#: this. The largest admitted shapes take 0.09 s at (2, 91) and 0.39 s at
+#: (71, 73) over F_65521; over Q the band entries grow with d, and they take
+#: 0.11 s and 7.8 s ((20, 40): 0.55 s). In-process, 2-core host, Python 3.11.
+DIM_WORK_BUDGET = 1_500_000
+
+
 def dimension_estimate(
     d: int,
     n: int,
@@ -544,10 +553,13 @@ def dimension_estimate(
     `certified_rank` reads rank S from a modular rank capped by them,
     eliminating over Q only when the two miss. A draw that puts a point
     outside the affine chart (leading coordinate zero) is redrawn with fresh
-    randomness, up to a budget.
+    randomness, up to a budget. A shape of more than DIM_WORK_BUDGET work
+    raises BudgetExceededError before anything is drawn.
     """
     if d < 1 or n < 1:
         raise ShapeError(f"need d >= 1 and n >= 1, got ({d}, {n})")
+    work = d * (n - d - 1) * (n + d + 1) * (n + d - 3)
+    check_budget(work, DIM_WORK_BUDGET, f"(d, n) = ({d}, {n}) has {work} units of elimination work")
     if field is None:
         field = Field.prime()
     rng = random.Random(seed)

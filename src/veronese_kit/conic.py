@@ -7,16 +7,15 @@ on conics (including every degenerate conic).
 
 Every reader here (`phi_det`, `w2n_membership`, `v2n_subset_membership`)
 takes its minors from the one 6 x n lift of `lift_matrix`, whose entries are
-products of the points' core int coordinates, each computed once. The
-membership reports read the lift's int columns, so over F_p and for a
-decoded integer document they build no `Fraction` row.
+products of the points' core int coordinates, each computed once, kept
+with their clearing factors. The membership reports read the lift's int
+columns, so they build no `Fraction` row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -44,25 +43,20 @@ def lift_matrix(p: PointConfiguration) -> Matrix:
     rows (x^2, y^2, z^2, xy, xz, yz) for the point rows (x, y, z).
 
     The monomials are products of the core int columns of the coordinates
-    (`Matrix._int_columns`), one C-level pass per monomial row, reduced mod p
-    over F_p. Columns of clearing factor 1 (every column over F_p and of an
-    integer Q document) are the lift as it is, kept as int columns
+    (`Matrix.int_columns`), one C-level pass per monomial row, reduced mod p
+    over F_p, and the lift keeps them as its int columns
     (`Matrix._from_int_columns`). A Q column cleared by a factor m lifts to
-    its products divided by m^2, so then the lift is built from those
-    fractions.
+    its products divided by m^2, so its clearing factor is m^2; over F_p and
+    for an integer Q document every factor is 1.
     """
     if p.d != 2:
         raise ShapeError(f"lift is defined for plane configurations, got d={p.d}")
-    cols, factors = p.coords._int_columns()
-    x, y, z = zip(*cols)
+    x, y, z = zip(*p.coords.int_columns)
     rows = [map(mul, u, v) for u, v in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))]
     prime = p.field.p
     if prime:
         rows = [map(prime.__rmod__, r) for r in rows]
-    lifts = zip(*rows)
-    if max(factors) == 1:
-        return Matrix._from_int_columns(p.field, lifts)
-    return Matrix.from_columns(p.field, [list(map(Fraction, c, repeat(m * m))) for c, m in zip(lifts, factors)])
+    return Matrix._from_int_columns(p.field, zip(*rows), [m * m for m in p.coords._factors])
 
 
 def phi_det(p: PointConfiguration) -> Scalar:
@@ -126,7 +120,7 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     them vanish exactly when its rank is at most 5: then the report follows
     from that one rank, unless the values are asked for. Otherwise every
     value is read from the same echelon form of the lift's int columns
-    (`MaximalMinors.vector`), whose column sets run in the lex order of the
+    (`Matrix.maximal_minors`), whose column sets run in the lex order of the
     subsets. A scan of more than SUBSET_SCAN_BUDGET subsets raises
     BudgetExceededError before its first minor.
     """
@@ -134,11 +128,11 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     count = comb(p.n, 6)
     if not count:
         return _report(p, [], [], collect_values)
-    lifted = lift_matrix(p).minors()
-    if not collect_values and lifted.rank() <= 5:
+    lifted = lift_matrix(p)
+    if not collect_values and lifted.echelon_rank() <= 5:
         return ConicEquationReport(n=p.n, checked=count, all_vanish=True, nonvanishing=(), values=None)
     check_budget(count, SUBSET_SCAN_BUDGET, f"n = {p.n} has {count} six-point subsets to scan")
-    return _report(p, list(combinations(range(1, p.n + 1), 6)), lifted.vector(), collect_values)
+    return _report(p, list(combinations(range(1, p.n + 1), 6)), lifted.maximal_minors(), collect_values)
 
 
 def v2n_subset_membership(
@@ -147,6 +141,5 @@ def v2n_subset_membership(
     """Evaluate the conic condition only on the given six-point subsets."""
     sets = [as_index_set(I, ground=p.n, size=6) for I in subsets]
     _check_plane(p)
-    # fewer than six points admit no subset, and their lift is not wide
-    lifted = lift_matrix(p).minors() if sets else None
-    return _report(p, sets, [lifted.get(I) for I in sets], collect_values)
+    lifted = lift_matrix(p)
+    return _report(p, sets, [lifted.maximal_minor(I) for I in sets], collect_values)

@@ -92,10 +92,10 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     """Certify m_I(A) = (-1)^(S_I + height_B) lambda m_{I^c}(B) for every I.
 
     Raises NotAGalePairError unless A B^t = 0, checked on both sides'
-    `MaximalMinors._int_rows`, mod p over F_p, and RankDeficiencyError
-    unless both matrices have full row rank. lambda is then read from one
-    pair: P, the pivot columns of A's cached echelon form (`Matrix.minors()`,
-    not redone when A is already eliminated), is the lex-first I with
+    `Matrix._int_rows`, mod p over F_p, and RankDeficiencyError unless
+    both matrices have full row rank. lambda is then read from one pair: P,
+    the pivot columns of A's cached echelon form (`Matrix._echelon`, not
+    redone when A is already eliminated), is the lex-first I with
     m_I(A) != 0, the elimination gives det(A_P), and m_{P^c}(B) is one
     determinant. B is never eliminated.
 
@@ -121,18 +121,17 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     k = A.rows
     f = A.field
     # scaling a matrix by a nonzero constant keeps A B^t = 0 or not
-    ma, mb = A.minors(), B.minors()
-    if not _orthogonal(ma._int_rows(), mb._int_rows(), f.p):
+    if not _orthogonal(A._int_rows(), B._int_rows(), f.p):
         raise NotAGalePairError("A B^t != 0")
-    pivots = ma._echelon()[1]
+    pivots = A._echelon()[1]
     if len(pivots) < k:
         raise RankDeficiencyError("both matrices must have full row rank")
     P = tuple(c + 1 for c in pivots)
-    b = mb.get(complement(P, n))
+    b = B.maximal_minor(complement(P, n))
     if b == 0:
         raise RankDeficiencyError("both matrices must have full row rank")
     # det(A_P) of the cleared columns, over the product of their clearing factors
-    lam = f.mul(_scalar(f, ma._det, prod(ma._factors[c] for c in pivots)), f.inv(b))
+    lam = f.mul(_scalar(f, A._det, prod(A._factors[c] for c in pivots)), f.inv(b))
     if (s_index(P) + B.rows) % 2:
         lam = f.neg(lam)
     return GaleDualityCertificate(n, k, B.rows, lam, comb(n, k))
@@ -144,7 +143,7 @@ def gale_of_config(p: PointConfiguration) -> PointConfiguration:
     Defined when n >= d + 3 and the input is strongly nondegenerate (any n-1
     points span); that is exactly what keeps every transform column nonzero.
     The coloop test and the kernel basis read the one echelon form of p's
-    coordinates (`Matrix.minors()`), which a certificate of the pair reads
+    coordinates (`Matrix._echelon`), which a certificate of the pair reads
     again without eliminating.
     """
     if p.n < p.d + 3:
@@ -162,8 +161,8 @@ def double_gale_minor_check(p: PointConfiguration) -> bool:
     up to one nonzero scalar, read at the first nonzero minor of p (p has
     full rank, or `gale_of_config` refuses it)."""
     f = p.field
-    v = p.coords.minors().vector()
-    w = gale_of_config(gale_of_config(p)).coords.minors().vector()
+    v = p.coords.maximal_minors()
+    w = gale_of_config(gale_of_config(p)).coords.maximal_minors()
     i = next(i for i, x in enumerate(v) if x)
     if not w[i]:
         return False

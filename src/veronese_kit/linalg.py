@@ -6,32 +6,31 @@ forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
 Gauss-Jordan (`int_rref`) for echelon forms, which also gives the
 determinant of the pivot columns. `certified_rank` reads the rank of int
 rows over Q from a modular rank when known kernel vectors cap it.
-Each wide matrix owns one `MaximalMinors` (`Matrix.minors()`), and every
-reader of its minors, echelon form or kernel asks the matrix for it, so a
-matrix is eliminated at most once. `MaximalMinors.get` reads one maximal
-minor as one determinant; `MaximalMinors._echelon_minor` reads one from the
-cached echelon form by a small determinant of its rows, and
-`MaximalMinors.vector`, the one all-minors reader, reads all of them from
-it as field scalars. Both scale by the pivot determinant the elimination
-gave, so no determinant is taken twice. `MaximalMinors._kernel` reads the
-reduced-echelon kernel basis (`kernel_basis`) from the same echelon form.
 
-The integer view is decided in one place. `_clear(xs, p)` turns a row or
-column of scalars into core ints and a clearing factor m, keyed on the
-field's modulus p = `Field.p` that every caller holds: over Q (p None) the
-`Fraction` entries times the lcm m of their denominators (their numerators,
-read in one C-level pass, when m = 1), over F_p the
-residues in [0, p) as they are, with m = 1 and no work. `Field.p` is the
-core's modulus: None over Q, p over F_p, where the core reduces mod p. `_scalar`
-turns a core int back into a field scalar, `_scalars` a column of them of
-factor 1. `det`, `rank` and `MaximalMinors` read the cleared columns
-(`Matrix._int_columns`); only `rref` clears rows. `Matrix(...)` normalizes
-its entries; `Matrix._trusted` takes entries that are canonical already
-(copies, `rref` results) as they are; `Matrix._from_int_columns` takes
-columns that are core ints of factor 1 already (decoded documents, plane
-lifts) and keeps them, so `det`, `rank`, `MaximalMinors` and the zero-point
-test read them with no `_clear`, and the `entries` rows over Q are built
-only on first read.
+A `Matrix` holds its integer view as data: `int_columns`, its columns as
+core ints, and `_factors`, their clearing factors, both set at
+construction. `_clear(xs, p)` turns a row or column of scalars into core
+ints and a clearing factor m, keyed on the field's modulus p = `Field.p`
+that every caller holds: over Q (p None) the `Fraction` entries times the
+lcm m of their denominators (their numerators, read in one C-level pass,
+when m = 1), over F_p the residues in [0, p) as they are, with m = 1 and no
+work. `_scalar` turns a core int back into a field scalar. `Matrix(...)`
+normalizes its entries and clears its columns; `Matrix._trusted` takes
+entries that are canonical already (copies, `rref` results) as they are;
+`Matrix._from_int_columns` takes columns that are core ints already, with
+their clearing factors (decoded documents, plane lifts), and builds the
+`entries` rows only on first read. `det`, `rank`, the minors and the
+zero-point test read the int columns; only `rref` clears rows.
+
+Each matrix is eliminated at most once: `Matrix._echelon` keeps the
+`int_rref` form of its int columns, and every reader of its minors, rank or
+kernel reads that form. `Matrix.maximal_minor` reads one maximal minor as
+one determinant; `Matrix._echelon_minor` reads one from the echelon form by
+a small determinant of its rows, and `Matrix.maximal_minors`, the one
+all-minors reader, reads all of them from it as field scalars. Both scale
+by the pivot determinant the elimination gave, so no determinant is taken
+twice. `kernel_basis` reads the reduced-echelon kernel basis from the same
+form.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -87,14 +86,19 @@ def s_index(I: Iterable[int]) -> int:
 
 
 class Matrix:
-    """Immutable dense matrix over a `Field`.
+    """Immutable dense matrix over a `Field`, with its integer view and its
+    one elimination.
 
-    Entries are stored as a tuple of row tuples of normalized scalars. A
-    matrix built by `_from_int_columns` keeps its columns as core ints in
-    `_ints` instead, and builds the `entries` rows from them on first read.
+    `entries` holds the rows as tuples of normalized scalars. `int_columns`
+    holds the columns as core ints and `_factors` their clearing factors
+    (`_clear`): column j is int_columns[j] / _factors[j], and every factor
+    is 1 over F_p. A matrix built by `_from_int_columns` starts from those
+    and builds `entries` on first read. `_echelon` eliminates the int
+    columns once; the maximal minors m_J (J a 1-based column set of size =
+    the row count), the echelon rank and `kernel_basis` read that form.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_ints", "_minors")
+    __slots__ = ("field", "rows", "cols", "entries", "int_columns", "_factors", "_rref", "_det")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
@@ -105,21 +109,28 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
+        self._init(field, *zip(*map(_clear, zip(*rows), repeat(field.p))))
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_minors", None)
+
+    def _init(self, field: Field, columns: Sequence[Sequence[int]], factors: Sequence[int]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", len(columns[0]))
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "int_columns", columns)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     def __getattr__(self, name):
-        # reached only for an unset slot: `entries` of a matrix of `_ints`
+        # reached only for an unset slot: `entries` of a matrix built from int columns
         if name != "entries":
             raise AttributeError(name)
-        rows = tuple(_scalars(self.field, row) for row in zip(*self._ints))
+        cols = self.int_columns
+        if self.field.p is None:
+            cols = [map(Fraction, c) if m == 1 else map(Fraction, c, repeat(m)) for c, m in zip(cols, self._factors)]
+        rows = tuple(zip(*cols))
         object.__setattr__(self, "entries", rows)
         return rows
 
@@ -134,17 +145,17 @@ class Matrix:
         return m
 
     @classmethod
-    def _from_int_columns(cls, field: Field, columns: Iterable[Sequence[int]]) -> "Matrix":
-        """The matrix with these columns of core ints of clearing factor 1
-        (`_clear`: integers over Q, residues in [0, p) over F_p), kept as
-        `_ints`; the shape is checked as `from_columns` checks it."""
-        cols = _check_columns(columns)
+    def _from_int_columns(
+        cls, field: Field, columns: Iterable[Sequence[int]], factors: Sequence[int] | None = None
+    ) -> "Matrix":
+        """The matrix whose column j is columns[j] / factors[j], for columns
+        of core ints (integers over Q, residues in [0, p) over F_p) and
+        positive clearing factors (all 1 when None, and always over F_p),
+        kept as `int_columns` and `_factors`; the shape is checked as
+        `from_columns` checks it."""
+        cols = tuple(_check_columns(columns))
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(cols[0]))
-        object.__setattr__(m, "cols", len(cols))
-        object.__setattr__(m, "_ints", tuple(cols))
-        object.__setattr__(m, "_minors", None)
+        m._init(field, cols, (1,) * len(cols) if factors is None else tuple(factors))
         return m
 
     @classmethod
@@ -173,25 +184,10 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def _raw_columns(self) -> Iterable[Sequence]:
-        """The columns as stored: `_ints` for a matrix built from them, else
-        tuples of `entries`. A column of ints is zero, and renders by `str`
-        and `int`, exactly as its column of entries does."""
-        return self._ints if self._ints is not None else zip(*self.entries)
-
-    def _int_columns(self) -> tuple[Sequence[Sequence[int]], Sequence[int]]:
-        """The columns as core ints and their clearing factors (`_clear`);
-        `_ints` and factors 1 for a matrix built from them."""
-        if self._ints is not None:
-            return self._ints, (1,) * self.cols
-        return tuple(zip(*map(_clear, zip(*self.entries), repeat(self.field.p))))
-
-    def minors(self) -> "MaximalMinors":
-        """The `MaximalMinors` of this wide matrix, built on first use and
-        kept: the matrix is immutable, so every reader of its minors,
-        echelon form or kernel shares one elimination."""
-        if self._minors is None:
-            object.__setattr__(self, "_minors", MaximalMinors(self))
-        return self._minors
+        """The columns `config_to_json` renders: `int_columns` when every
+        clearing factor is 1, since an int renders by `str` and `int`
+        exactly as its scalar does, else the columns of `entries`."""
+        return self.int_columns if max(self._factors) == 1 else zip(*self.entries)
 
     def __eq__(self, other):
         return (
@@ -224,6 +220,144 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         ot = list(zip(*other.entries))
         return Matrix(self.field, [[sum(map(mul, row, col)) for col in ot] for row in self.entries])
+
+    # -- the one elimination and the maximal minors -------------------------------
+
+    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+        """`int_rref` of the rows of `int_columns`, computed once: (rows,
+        0-based pivots); its det(A_P) is kept as `_det`, for `_pivot_scale`
+        and `gale.duality_certificate`. Scaling a column by a nonzero
+        constant changes no rank and no pivot, so they are those of the
+        matrix."""
+        rref = self._rref
+        if rref is None:
+            a, pivots, d = int_rref(list(zip(*self.int_columns)), self.field.p)
+            rref = a, pivots
+            object.__setattr__(self, "_rref", rref)
+            object.__setattr__(self, "_det", d)
+        return rref
+
+    def echelon_rank(self) -> int:
+        """Rank of the matrix, from the cached `_echelon` form."""
+        return len(self._echelon()[1])
+
+    def _int_rows(self) -> list[tuple[int, ...]]:
+        """The rows as core ints, all scaled by the lcm L of the clearing
+        factors: when L = 1 (always over F_p) the rows of `int_columns`."""
+        L, cols = lcm(*self._factors), self.int_columns
+        return list(zip(*(cols if L == 1 else [[x * (L // m) for x in c] for c, m in zip(cols, self._factors)])))
+
+    def _pivot_scale(self) -> int:
+        """det(A_P) / D: A_P the int columns at the pivots P of the full-rank
+        `_echelon` form, D its last pivot. `int_rref` gave det(A_P) with the
+        form, so no determinant is taken here: over Q det(A_P) = +-D and this
+        is the sign of the elimination's row swaps; over F_p, where D = 1, it
+        is det(A_P) mod p. Every minor read from the echelon form is this
+        times a minor of the echelon rows."""
+        a, pivots = self._echelon()
+        return self._det if self.field.p else self._det // a[-1][pivots[-1]]
+
+    def _echelon_minor(self, cols: Sequence[int]) -> int:
+        """The maximal minor of the int columns `cols` (0-based, increasing),
+        read from `_echelon` by the formula of `maximal_minors`: (-1)^e
+        det(A_P) minor_{R,C}(a) / D^|C|, with the one small determinant
+        minor_{R,C} of the echelon rows a (C the columns of `cols` off the
+        pivots, R the rows whose pivot is not in `cols`). Equals the
+        determinant of those int columns over Q and is reduced mod p over
+        F_p; 0 when the matrix is rank-deficient."""
+        a, pivots = self._echelon()
+        if len(pivots) < self.rows:
+            return 0
+        rows = list(range(self.rows))
+        free = []
+        e = 0
+        for t, c in enumerate(cols):
+            if c in pivots:
+                r = pivots.index(c)
+                rows.remove(r)
+                e += t + r
+            else:
+                free.append(c)
+        D = a[-1][pivots[-1]]
+        # a minor of size s of the echelon rows is divisible by D^(s-1) (Sylvester)
+        v = _bareiss_det_int([[a[r][c] for c in free] for r in rows]) // D ** (len(free) - 1) if free else D
+        v *= -self._pivot_scale() if e % 2 else self._pivot_scale()
+        prime = self.field.p
+        return v % prime if prime else v
+
+    def maximal_minor(self, J: Iterable[int]) -> Scalar:
+        """The maximal minor m_J as one determinant: Bareiss on the int
+        columns of J, over the product of their clearing factors, so it
+        equals `minor` exactly."""
+        cols = [j - 1 for j in as_index_set(J, ground=self.cols, size=self.rows)]
+        # the determinant of the transpose: the selected int columns as rows
+        v = _bareiss_det_int([self.int_columns[j] for j in cols])
+        return _scalar(self.field, v, prod([self._factors[j] for j in cols]))
+
+    def maximal_minors(self) -> tuple[Scalar, ...]:
+        """All maximal minors as field scalars, in lexicographic order of the
+        column sets. They equal `maximal_minor` at every column set.
+
+        The values come from the one echelon form. In the pivot columns P the
+        echelon rows are D times the identity (D the last pivot, D = 1 over
+        F_p); call their free-column block N. For a column set J, let
+        C = J minus P and let R hold the rows whose pivot is not in J. Then
+
+            m_J = (-1)^e det(A_P) minor_{R,C}(N) / D^|C|,
+
+        where e sums, over the pivots u in J, the position of u in J and the
+        row of u. The minors of N are built size by size, each expanded along
+        its last column and divided by D (Sylvester), so every m_J is an
+        exact int minor of the cleared `int_columns`: over Q the minor of the
+        matrix is that int over the product of the columns' clearing
+        factors, over F_p its residue. A rank-deficient matrix has only zero
+        minors.
+        """
+        k, n = self.rows, self.cols
+        prime = self.field.p
+        a, pivots = self._echelon()
+        if len(pivots) < k:
+            return (self.field.zero,) * comb(n, k)
+        D = a[k - 1][pivots[-1]]
+        free = [c for c in range(n) if c not in pivots]
+        # a column's bits in the key rows_mask | cols_mask << k of `minors`
+        pivot_row = [-1] * n
+        key_bit = [0] * n
+        for r, c in enumerate(pivots):
+            pivot_row[c] = r
+            key_bit[c] = 1 << r
+        for i, c in enumerate(free):
+            key_bit[c] = 1 << (k + i)
+        # minors[key] = minor_{R,C}(N) / D^(|C|-1); the empty minor is D
+        minors = {0: D}
+        for s in range(1, min(k, len(free)) + 1):
+            row_sets = [(R, sum(1 << r for r in R)) for R in combinations(range(k), s)]
+            for C in combinations(range(len(free)), s):
+                col = [a[r][free[C[-1]]] for r in range(k)]
+                cbits = sum(1 << (k + c) for c in C)
+                rest = cbits ^ (1 << (k + C[-1]))
+                for R, rbits in row_sets:
+                    total = 0
+                    neg = s % 2 == 0  # cofactor sign (-1)^(i + s - 1) at i = 0
+                    for r in R:
+                        x = col[r]
+                        if x:
+                            v = x * minors[rest | rbits ^ (1 << r)]
+                            total += -v if neg else v
+                        neg = not neg
+                    minors[cbits | rbits] = total % prime if prime else total // D
+        g = self._pivot_scale()
+        # the key of each J, with bit n set when e is odd
+        odd = 1 << n
+        keys = _lex_subset_folds(
+            n, k, (1 << k) - 1, xor,
+            lambda j, t: key_bit[j] | (odd if pivot_row[j] >= 0 and (t + pivot_row[j]) % 2 else 0),
+        )
+        values = [minors[x] * g if x < odd else minors[x ^ odd] * -g for x in keys]
+        if prime:
+            return tuple(v % prime for v in values)
+        scales = _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
+        return tuple(map(Fraction, values, scales))
 
 
 def _check_columns(columns: Iterable[Sequence]) -> list[tuple]:
@@ -262,12 +396,6 @@ def _scalar(field: Field, v: int, scale: int) -> Scalar:
     return Fraction(v, scale) if field.p is None else v % field.p
 
 
-def _scalars(field: Field, xs: Iterable[int]) -> tuple[Scalar, ...]:
-    """The field scalars of core ints xs of clearing factor 1, in one pass:
-    `_scalar(field, x, 1)` of each, for residues already reduced over F_p."""
-    return tuple(map(Fraction, xs)) if field.p is None else tuple(xs)
-
-
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
@@ -300,12 +428,11 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
 
 
 def det(M: Matrix) -> Scalar:
-    """Exact determinant of a square matrix: that of its transpose, the int
-    columns (`Matrix._int_columns`) taken as rows, over their clearing factors."""
+    """Exact determinant of a square matrix: that of its transpose, the
+    `int_columns` taken as rows, over their clearing factors."""
     if M.rows != M.cols:
         raise ShapeError(f"determinant of non-square {M.shape}")
-    cols, factors = M._int_columns()
-    return _scalar(M.field, _bareiss_det_int(cols), prod(factors))
+    return _scalar(M.field, _bareiss_det_int(M.int_columns), prod(M._factors))
 
 
 def minor(M: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Scalar:
@@ -423,10 +550,10 @@ def int_rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
 
 
 def rank(M: Matrix) -> int:
-    """Rank of M over its field, by `int_rank` on its int columns
-    (`Matrix._int_columns`) taken as rows: scaling columns by nonzero
-    constants and transposing both keep the rank."""
-    return int_rank(M._int_columns()[0], M.field.p)
+    """Rank of M over its field, by `int_rank` on its `int_columns` taken
+    as rows: scaling columns by nonzero constants and transposing both keep
+    the rank."""
+    return int_rank(M.int_columns, M.field.p)
 
 
 def _orthogonal(rows: Iterable[Sequence[int]], others: Sequence[Sequence[int]], p: int | None) -> bool:
@@ -469,196 +596,30 @@ def kernel_basis(M: Matrix) -> Matrix:
     column, with an identity block in the free columns. For M = [I | A] the
     result is [-A^t | I]. Raises RankDeficiencyError if rows are dependent,
     ShapeError if a >= b.
+
+    The basis is read from the matrix's cached `_echelon` form: the vector
+    of free column f is 1 at f and -R[i][f] at the i-th pivot c_i, R the
+    reduced echelon form. The echelon rows a are those of the columns scaled
+    by their clearing factors m, so over Q R[i][f] = a[i][f] m_{c_i} / (m_f D),
+    D the last pivot; over F_p R = a.
     """
     if M.rows >= M.cols:
         raise ShapeError(f"kernel_basis expects a wide matrix, got {M.shape}")
-    return M.minors()._kernel()
-
-
-# ---------------------------------------------------------------------------
-# cached maximal minors
-# ---------------------------------------------------------------------------
-
-
-class MaximalMinors:
-    """The maximal minors m_J of a wide matrix, read through `Matrix.minors()`.
-
-    J ranges over 1-based column sets of size = the row count. `field` and
-    `cols` are the matrix's; the matrix itself is not kept, so it and its
-    minors make no reference cycle. `int_columns` holds the columns as core
-    ints (`Matrix._int_columns`: denominator-cleared over Q, the residues
-    over F_p; a matrix built from int columns gives them as they are),
-    `_factors` their clearing factors (1 over F_p and for int columns). `get`
-    computes one minor per call by `_bareiss_det_int` on the int columns and
-    divides their factors back out, so values match `minor` exactly.
-    `vector` reads every minor from one cached echelon form instead, as
-    field scalars, and `_echelon_minor` one int minor from it, both through
-    `_pivot_scale`.
-    """
-
-    def __init__(self, M: Matrix):
-        if M.rows > M.cols:
-            raise ShapeError(f"expected a wide matrix, got {M.shape}")
-        self.field = M.field
-        self.cols = M.cols
-        self.width = M.rows
-        self._rref: tuple[list[list[int]], list[int]] | None = None
-        self._det = 0
-        self.int_columns, self._factors = M._int_columns()
-
-    def _echelon(self) -> tuple[list[list[int]], list[int]]:
-        """`int_rref` of the rows of `int_columns`, computed once: (rows,
-        0-based pivots); its det(A_P) is kept as `_det`, for `_pivot_scale`
-        and `gale.duality_certificate`. Scaling a column by a nonzero
-        constant changes no rank and no pivot, so they are those of the
-        matrix."""
-        if self._rref is None:
-            a, pivots, self._det = int_rref(list(zip(*self.int_columns)), self.field.p)
-            self._rref = a, pivots
-        return self._rref
-
-    def rank(self) -> int:
-        """Rank of the matrix, from the cached `_echelon` form."""
-        return len(self._echelon()[1])
-
-    def _kernel(self) -> Matrix:
-        """`kernel_basis` of the matrix, read from the cached `_echelon` form.
-
-        The basis vector of free column f is 1 at f and -R[i][f] at the i-th
-        pivot c_i, R the reduced echelon form. The echelon rows a are those
-        of the columns scaled by their clearing factors m, so over Q
-        R[i][f] = a[i][f] m_{c_i} / (m_f D), D the last pivot; over F_p R = a.
-        """
-        a, pivots = self._echelon()
-        if len(pivots) < self.width:
-            raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {self.width} rows")
-        f, n, m = self.field, self.cols, self._factors
-        D = a[-1][pivots[-1]]
-        basis = []
-        for fc in range(n):
-            if fc in pivots:
-                continue
-            v = [f.zero] * n
-            v[fc] = f.one
-            for row, c in zip(a, pivots):
-                v[c] = -row[fc] % f.p if f.p else Fraction(-row[fc] * m[c], m[fc] * D)
-            basis.append(v)
-        return Matrix._trusted(f, basis)
-
-    def _int_rows(self) -> list[tuple[int, ...]]:
-        """The rows as core ints, all scaled by the lcm L of the clearing
-        factors: L = 1 over F_p and for int columns, which are the rows."""
-        L, cols = lcm(*self._factors), self.int_columns
-        return list(zip(*(cols if L == 1 else [[x * (L // m) for x in c] for c, m in zip(cols, self._factors)])))
-
-    def _pivot_scale(self) -> int:
-        """det(A_P) / D: A_P the int columns at the pivots P of the full-rank
-        `_echelon` form, D its last pivot. `int_rref` gave det(A_P) with the
-        form, so no determinant is taken here: over Q det(A_P) = +-D and this
-        is the sign of the elimination's row swaps; over F_p, where D = 1, it
-        is det(A_P) mod p. Every minor read from the echelon form is this
-        times a minor of the echelon rows."""
-        a, pivots = self._echelon()
-        return self._det if self.field.p else self._det // a[-1][pivots[-1]]
-
-    def _echelon_minor(self, cols: Sequence[int]) -> int:
-        """The maximal minor of the int columns `cols` (0-based, increasing),
-        read from `_echelon` by the formula of `vector`: (-1)^e det(A_P)
-        minor_{R,C}(a) / D^|C|, with the one small determinant minor_{R,C}
-        of the echelon rows a (C the columns of `cols` off the pivots, R the
-        rows whose pivot is not in `cols`). Equals the determinant of those
-        int columns over Q and is reduced mod p over F_p; 0 when the matrix
-        is rank-deficient."""
-        a, pivots = self._echelon()
-        if len(pivots) < self.width:
-            return 0
-        rows = list(range(self.width))
-        free = []
-        e = 0
-        for t, c in enumerate(cols):
-            if c in pivots:
-                r = pivots.index(c)
-                rows.remove(r)
-                e += t + r
-            else:
-                free.append(c)
-        D = a[-1][pivots[-1]]
-        # a minor of size s of the echelon rows is divisible by D^(s-1) (Sylvester)
-        v = _bareiss_det_int([[a[r][c] for c in free] for r in rows]) // D ** (len(free) - 1) if free else D
-        v *= -self._pivot_scale() if e % 2 else self._pivot_scale()
-        prime = self.field.p
-        return v % prime if prime else v
-
-    def get(self, J: Iterable[int]) -> Scalar:
-        cols = [j - 1 for j in as_index_set(J, ground=self.cols, size=self.width)]
-        # the determinant of the transpose: the selected int columns as rows
-        v = _bareiss_det_int([self.int_columns[j] for j in cols])
-        return _scalar(self.field, v, prod([self._factors[j] for j in cols]))
-
-    def vector(self) -> tuple[Scalar, ...]:
-        """All maximal minors as field scalars, in lexicographic order of the
-        column sets. They equal `get` at every column set.
-
-        The values come from one echelon form. In the pivot columns P the
-        echelon rows are D times the identity (D the last pivot, D = 1 over
-        F_p); call their free-column block N. For a column set J, let
-        C = J minus P and let R hold the rows whose pivot is not in J. Then
-
-            m_J = (-1)^e det(A_P) minor_{R,C}(N) / D^|C|,
-
-        where e sums, over the pivots u in J, the position of u in J and the
-        row of u. The minors of N are built size by size, each expanded along
-        its last column and divided by D (Sylvester), so every m_J is an
-        exact int minor of the cleared `int_columns`: over Q the minor of the
-        matrix is that int over the product of the columns' clearing
-        factors, over F_p its residue. A rank-deficient matrix has only zero
-        minors.
-        """
-        k, n = self.width, self.cols
-        prime = self.field.p
-        a, pivots = self._echelon()
-        if len(pivots) < k:
-            return (self.field.zero,) * comb(n, k)
-        D = a[k - 1][pivots[-1]]
-        free = [c for c in range(n) if c not in pivots]
-        # a column's bits in the key rows_mask | cols_mask << k of `minors`
-        pivot_row = [-1] * n
-        key_bit = [0] * n
-        for r, c in enumerate(pivots):
-            pivot_row[c] = r
-            key_bit[c] = 1 << r
-        for i, c in enumerate(free):
-            key_bit[c] = 1 << (k + i)
-        # minors[key] = minor_{R,C}(N) / D^(|C|-1); the empty minor is D
-        minors = {0: D}
-        for s in range(1, min(k, len(free)) + 1):
-            row_sets = [(R, sum(1 << r for r in R)) for R in combinations(range(k), s)]
-            for C in combinations(range(len(free)), s):
-                col = [a[r][free[C[-1]]] for r in range(k)]
-                cbits = sum(1 << (k + c) for c in C)
-                rest = cbits ^ (1 << (k + C[-1]))
-                for R, rbits in row_sets:
-                    total = 0
-                    neg = s % 2 == 0  # cofactor sign (-1)^(i + s - 1) at i = 0
-                    for r in R:
-                        x = col[r]
-                        if x:
-                            v = x * minors[rest | rbits ^ (1 << r)]
-                            total += -v if neg else v
-                        neg = not neg
-                    minors[cbits | rbits] = total % prime if prime else total // D
-        g = self._pivot_scale()
-        # the key of each J, with bit n set when e is odd
-        odd = 1 << n
-        keys = _lex_subset_folds(
-            n, k, (1 << k) - 1, xor,
-            lambda j, t: key_bit[j] | (odd if pivot_row[j] >= 0 and (t + pivot_row[j]) % 2 else 0),
-        )
-        values = [minors[x] * g if x < odd else minors[x ^ odd] * -g for x in keys]
-        if prime:
-            return tuple(v % prime for v in values)
-        scales = _lex_subset_folds(n, k, 1, mul, lambda j, t: self._factors[j])
-        return tuple(map(Fraction, values, scales))
+    a, pivots = M._echelon()
+    if len(pivots) < M.rows:
+        raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {M.rows} rows")
+    f, n, m = M.field, M.cols, M._factors
+    D = a[-1][pivots[-1]]
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [f.zero] * n
+        v[fc] = f.one
+        for row, c in zip(a, pivots):
+            v[c] = -row[fc] % f.p if f.p else Fraction(-row[fc] * m[c], m[fc] * D)
+        basis.append(v)
+    return Matrix._trusted(f, basis)
 
 
 def _lex_subset_folds(n: int, k: int, start: int, op, weight) -> list[int]:

@@ -17,7 +17,8 @@ rule of acceptance and of error text, so both paths give the same scalars
 and the same errors. When every column is of the common kind the coordinate
 matrix keeps those int columns (`Matrix._from_int_columns`): the minors
 start from them, and the `Fraction` entries over Q are built only if read.
-`config_to_json` writes each column as stored (`Matrix._raw_columns`) by
+`config_to_json` writes the int columns when every clearing factor is 1,
+and the columns of `entries` otherwise (`Matrix._raw_columns`), by
 `Field.scalars_to_json`.
 
 `envelope_text` renders a CLI envelope as `json.dumps(doc, sort_keys=True,

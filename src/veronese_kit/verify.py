@@ -31,16 +31,17 @@ from .configurations import (
     make_config,
     random_config,
     random_invertible,
+    random_matrix,
     sample_degenerate,
     sample_generic,
     sample_nodal_conic,
     sample_on_rnc,
     sample_quasi_veronese_chain,
 )
-from .errors import RankDeficiencyError
+from .errors import RETRY_BUDGET, BudgetExceededError, RankDeficiencyError
 from .fields import Field, QQ
 from .gale import affine_gale, double_gale_minor_check, duality_certificate, gale_of_config, standard_gale_pair
-from .linalg import Matrix, rank
+from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -143,13 +144,12 @@ def check_minor_duality(seed: int) -> CheckResult:
             field = QQ if i % 2 == 0 else FP
             rng = random.Random(seed * 2111 + d * 97 + n * 13 + i)
             total += 1
-            while True:
-                A = Matrix(
-                    field,
-                    [[field.random_scalar(rng, 30) for _ in range(n)] for _ in range(d + 1)],
-                )
+            for _ in range(RETRY_BUDGET):
+                A = random_matrix(field, d + 1, n, rng, 30)
                 if rank(A) == d + 1:
                     break
+            else:
+                raise BudgetExceededError(f"no full-rank {d + 1}x{n} draw in {RETRY_BUDGET} tries")
             cert = duality_certificate(A, affine_gale(A))
             if cert.ok and cert.checked == comb(n, d + 1):
                 certified += 1
@@ -306,8 +306,7 @@ def _random_hypergraph(n: int, k: int, rng) -> tv.Hypergraph:
 
 
 def _edge_minors_all_zero(H: tv.Hypergraph, p: PointConfiguration) -> bool:
-    mm = p.coords.minors()
-    return all(mm.get(e) == 0 for e in H.edges)
+    return all(p.coords.maximal_minor(e) == 0 for e in H.edges)
 
 
 def check_transversality_agreement(seed: int) -> CheckResult:
@@ -346,7 +345,7 @@ def check_transversality_agreement(seed: int) -> CheckResult:
                 sep = (
                     rank(w.coords) == k
                     and _edge_minors_all_zero(H, w)
-                    and w.coords.minors().get(picked) != 0
+                    and w.coords.maximal_minor(picked) != 0
                 )
                 if k == 6:
                     q6 = make_config(FP, 2, 6, OFF_CONIC_SIX)

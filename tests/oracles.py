@@ -17,19 +17,21 @@ every pullback along a window.
 elimination; it is the reference for the one-elimination coloop test of
 `configurations.strong_nondegeneracy_witness`.
 `pairwise_duality_certificate` reads every minor pair through
-`MaximalMinors.get`, one Bareiss determinant each, and compares field
+`Matrix.maximal_minor`, one Bareiss determinant each, and compares field
 scalars; it is the reference for `gale.duality_certificate`, which reads
 lambda from one pair and certifies the rest by the theorem its docstring
 proves.
-`MemoMinors` is `MaximalMinors` with a memo on `get`, for oracles that read
-the same bracket on many windows; the package's `get` keeps no memo, since
-none of its callers reads a minor twice.
+`MemoMinors` stands in for a `Matrix` in `eval_bracket_poly` with a memo on
+`maximal_minor`, for oracles that read the same bracket on many windows; the
+package's `maximal_minor` keeps no memo, since none of its callers reads a
+minor twice.
 `veronese_lift` lifts one point through `Field.normalize` and `Field.mul`;
 it is the reference for `conic.lift_matrix`, which multiplies the core int
 coordinates of all points a monomial row at a time.
 `transpose` is a test helper: the package itself never transposes a `Matrix`.
 `field_sub`, `field_div`, `matrix_is_zero` and `poly_is_zero` are test
-helpers too: the package computes none of them.
+helpers too: the package computes none of them. So is `ZeroAfterRng`, a
+stub rng that drives a rejection loop to its budget.
 `set_partitions` yields restricted growth strings one label at a time, and
 `partition_edge_masks_oracle` tests every edge against every string; they are
 the reference for the minima search of `transversal.failing_partition` and
@@ -64,7 +66,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import Field, require_same_field
-from veronese_kit.linalg import Matrix, MaximalMinors, _clear, as_index_set, int_rref, rank
+from veronese_kit.linalg import Matrix, _clear, as_index_set, int_rref, rank
 
 
 def veronese_lift(field, point):
@@ -418,18 +420,19 @@ def edge_is_transversal_to(edge, part):
     return all(len(set(edge) & set(block)) == 1 for block in part.blocks)
 
 
-class MemoMinors(MaximalMinors):
-    """`MaximalMinors` whose `get` computes each minor once."""
+class MemoMinors:
+    """The matrix M, as `eval_bracket_poly` reads it, with a
+    `maximal_minor` that computes each minor once."""
 
     def __init__(self, M):
-        super().__init__(M)
+        self.matrix, self.field, self.rows, self.cols = M, M.field, M.rows, M.cols
         self._memo = {}
 
-    def get(self, J):
+    def maximal_minor(self, J):
         J = tuple(J)
         value = self._memo.get(J)
         if value is None:
-            value = self._memo[J] = super().get(J)
+            value = self._memo[J] = self.matrix.maximal_minor(J)
         return value
 
 
@@ -549,7 +552,6 @@ def pairwise_duality_certificate(A, B):
 
     f = A.field
     k = A.rows
-    ma, mb = MaximalMinors(A), MaximalMinors(B)
     subsets = list(combinations(range(1, n + 1), k))
     shift = B.rows - k * (k + 1) // 2
     signs = (f.one, f.neg(f.one))
@@ -559,9 +561,9 @@ def pairwise_duality_certificate(A, B):
     ]
     lam = None
     for I, Ic, sign in pairs:
-        va = ma.get(I)
+        va = A.maximal_minor(I)
         if va != 0:
-            vb = mb.get(Ic)
+            vb = B.maximal_minor(Ic)
             if vb == 0:
                 return PairwiseCertificate(n, k, B.rows, f.zero, len(subsets), tuple(subsets))
             lam = field_div(f, va, f.mul(sign, vb))
@@ -569,7 +571,7 @@ def pairwise_duality_certificate(A, B):
     assert lam is not None
 
     failures = tuple(
-        I for I, Ic, sign in pairs if ma.get(I) != f.mul(sign, f.mul(lam, mb.get(Ic)))
+        I for I, Ic, sign in pairs if A.maximal_minor(I) != f.mul(sign, f.mul(lam, B.maximal_minor(Ic)))
     )
     return PairwiseCertificate(n, k, B.rows, lam, len(subsets), failures)
 
@@ -587,3 +589,22 @@ def sign_cloud(field, d, n, seed):
         if any(col):
             cols.append(col)
     return make_config(field, d, n, cols)
+
+
+class ZeroAfterRng:
+    """An rng whose first `real` draws are those of random.Random(seed) and
+    whose later draws are all 0, the scalar 0 over Q and over F_p
+    (`Field.random_scalar`); `calls` counts its draws."""
+
+    def __init__(self, seed, real=0):
+        self._rng, self._real, self.calls = random.Random(seed), real, 0
+
+    def _draw(self, name, args):
+        self.calls += 1
+        return getattr(self._rng, name)(*args) if self.calls <= self._real else 0
+
+    def randint(self, *args):
+        return self._draw("randint", args)
+
+    def randrange(self, *args):
+        return self._draw("randrange", args)

@@ -6,9 +6,14 @@ guarantee (exact arithmetic throughout; no tolerances anywhere). Run with
 the same checks back `veronese-kit verify`.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from veronese_kit import verify
+from veronese_kit.errors import RETRY_BUDGET, BudgetExceededError
+
+from oracles import ZeroAfterRng
 
 ALL_CHECKS = [check for suite in ("conic", "gale", "higher", "transversal", "dimension") for check in verify.SUITES[suite]]
 
@@ -39,6 +44,20 @@ def test_dimension_tabulation_value_at_4_8():
     from veronese_kit.configurations import dimension_estimate
 
     assert dimension_estimate(4, 8, seed=SEED) == 24
+
+
+def test_minor_duality_redraw_is_bounded(monkeypatch):
+    # every draw is 0, so no (d+1) x n draw has full rank; the first pair is (2, 6)
+    rngs = []
+
+    def zero_rng(seed):
+        rngs.append(ZeroAfterRng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=zero_rng))
+    with pytest.raises(BudgetExceededError, match=f"no full-rank 3x6 draw in {RETRY_BUDGET} tries"):
+        verify.check_minor_duality(SEED)
+    assert [rng.calls for rng in rngs] == [RETRY_BUDGET * 3 * 6]
 
 
 def test_minor_duality_check_lets_internal_errors_through(monkeypatch):

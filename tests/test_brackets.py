@@ -32,7 +32,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import MaximalMinors, _scalar, int_rank, minor
+from veronese_kit.linalg import Matrix, _scalar, int_rank, minor
 
 from oracles import (
     MemoMinors,
@@ -315,7 +315,7 @@ def test_head_general_position_matches_rank_oracle(field):
                 for i, j in ((0, d + 1), (d + 1, d + 2), (d + 1, n - 1), (0, n - 1))
             ]
             for p in samples:
-                fast = brackets._head_points_in_general_position(MaximalMinors(p.coords), prime)
+                fast = brackets._head_points_in_general_position(p.coords, prime)
                 assert fast == head_general_position_oracle(p), (d, n, seed)
                 seen.add(fast)
     assert seen == {True, False}
@@ -343,7 +343,7 @@ def test_echelon_window_test_matches_the_window_oracle():
                 counts = (d + 4, n - d - 4)
                 samples.append(sample_quasi_veronese_chain(field, d, n, degrees, seed=d, counts=counts)[1])
             for p in samples:
-                mm = MaximalMinors(p.coords)
+                mm = p.coords
                 a, pivots = mm._echelon()
                 if len(pivots) <= d:
                     continue  # wdn_membership tests no window of a degenerate sample
@@ -363,7 +363,7 @@ def test_echelon_window_test_matches_the_window_oracle():
 
 
 def test_echelon_brackets_match_eval_bracket_poly():
-    # every maximal minor through `_echelon_minor` against `MaximalMinors.get`,
+    # every maximal minor through `_echelon_minor` against `Matrix.maximal_minor`,
     # and every generator on every window through `_eval_on_echelon` against
     # `eval_bracket_poly`, on curve, chain, generic, degenerate and height-2
     # random samples; over F_7 there are too few parameters for the curve.
@@ -387,12 +387,12 @@ def test_echelon_brackets_match_eval_bracket_poly():
                 samples.append(make_config(field, d, n, [[x / (j + 2) for x in c] for j, c in enumerate(cols)]))
             gens = psi_generators(d)
             for p in samples:
-                mm = MaximalMinors(p.coords)
+                mm = p.coords
                 ref = MemoMinors(p.coords)
-                pivots = mm._echelon()[1] if mm.rank() > d else []
+                pivots = mm._echelon()[1] if mm.echelon_rank() > d else []
                 for F in combinations(range(n), d + 1):
                     value = _scalar(field, mm._echelon_minor(F), prod(mm._factors[c] for c in F))
-                    assert value == ref.get([c + 1 for c in F]), (field, d, n, F)
+                    assert value == ref.maximal_minor([c + 1 for c in F]), (field, d, n, F)
                     C = set(F) - set(pivots)
                     sizes.add(len(C) if pivots else "rank-deficient")
                     if pivots and len(C) == d + 1:
@@ -508,7 +508,7 @@ def test_head_points_decide_adversarial_configurations(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=str)
 def test_too_few_points_to_span_are_in_y(field):
-    # n <= d points give a tall coordinate matrix, which MaximalMinors refuses
+    # n <= d points give a tall coordinate matrix, of rank at most n < d + 1
     for d in (3, 5):
         for n in range(1, d + 1):
             rep = wdn_membership(random_config(field, d, n, random.Random(n)))
@@ -573,8 +573,8 @@ def test_wdn_skips_generators_on_vanishing_windows(monkeypatch):
     calls = []
     monkeypatch.setattr(brackets, "_eval_on_echelon", lambda *a, **k: calls.append("eval"))
     monkeypatch.setattr(brackets, "eval_bracket_poly", lambda *a, **k: calls.append("eval"))
-    monkeypatch.setattr(MaximalMinors, "_echelon_minor", lambda self, cols: calls.append(("minor", cols)))
-    monkeypatch.setattr(MaximalMinors, "get", lambda self, J: calls.append(("get", J)))
+    monkeypatch.setattr(Matrix, "_echelon_minor", lambda self, cols: calls.append(("minor", cols)))
+    monkeypatch.setattr(Matrix, "maximal_minor", lambda self, J: calls.append(("get", J)))
     for field in (QQ, FP):
         rep = wdn_membership(sample_on_rnc(field, 4, 10, seed=2))
         assert rep.all_vanish and rep.checked == comb(10, 8) * comb(8, 6)

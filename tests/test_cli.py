@@ -21,7 +21,7 @@ from veronese_kit.brackets import (
     psi_generators,
 )
 from veronese_kit.cli import SCHEMA, main
-from veronese_kit.linalg import MaximalMinors
+from veronese_kit.linalg import Matrix
 
 from cli_runner import invoke
 from oracles import relabel
@@ -215,8 +215,8 @@ def test_eval_conic_subset_scan_over_budget_exits_3(monkeypatch):
     # C(30, 6) = 593,775 six-point subsets: a generic sample's lift has rank 6,
     # so only a scan could decide it; a curve sample is one lift rank
     scans = []
-    vector = MaximalMinors.vector
-    monkeypatch.setattr(MaximalMinors, "vector", lambda self: scans.append(1) or vector(self))
+    vector = Matrix.maximal_minors
+    monkeypatch.setattr(Matrix, "maximal_minors", lambda self: scans.append(1) or vector(self))
     res = run(["sample", "--family", "generic", "--d", "2", "--n", "30", "--seed", "1"])
     code, doc = run_json(["eval"], input=res.output)
     assert code == 3 and doc["status"] == "BudgetExceeded"
@@ -354,6 +354,18 @@ def test_sample_at_height_zero_over_q_exits_3(args):
     cmd = [sys.executable, "-m", "veronese_kit.cli", "sample", *args, "--field", "Q", "--height", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 3 and json.loads(proc.stdout)["status"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp"])
+def test_dim_over_its_work_budget_exits_3(field):
+    # S would hold 9,992 x 5,003 entries; the budget refuses the shape before any draw
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-m", "veronese_kit.cli", "dim", "--d", "2", "--n", "5000", "--field", field]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "BudgetExceeded" and "over the budget of 1500000" in doc["payload"]["error"]
 
 
 def test_eval_echoes_q_coordinates_in_canonical_form():

@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 
 from veronese_kit.configurations import (
+    DIM_WORK_BUDGET,
+    RETRY_BUDGET,
     dimension_estimate,
     is_degenerate,
     is_strongly_nondegenerate,
@@ -18,11 +20,11 @@ from veronese_kit.configurations import (
     sample_quasi_veronese_chain,
     strong_nondegeneracy_witness,
 )
-from veronese_kit.errors import DegenerateInputError, ShapeError
+from veronese_kit.errors import BudgetExceededError, DegenerateInputError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import Matrix, rank
 
-from oracles import sign_cloud, strong_nondegeneracy_oracle, subconfig
+from oracles import ZeroAfterRng, sign_cloud, strong_nondegeneracy_oracle, subconfig
 
 FP = Field.prime()
 
@@ -233,3 +235,28 @@ def test_dimension_estimate_small_cases():
     assert dimension_estimate(1, 5, seed=0, field=QQ, height=7) == 5
     assert dimension_estimate(1, 5, seed=0) == 5
     assert dimension_estimate(2, 6, seed=1) == 11
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=str)
+def test_nodal_conic_point_redraw_is_bounded(field):
+    # the nine draws of the frame are real; every later (a, b) is (0, 0), a zero point
+    rng = ZeroAfterRng(5, real=9)
+    with pytest.raises(BudgetExceededError, match=f"no nonzero point on a line in {RETRY_BUDGET} draws"):
+        sample_nodal_conic(field, 7, rng=rng)
+    assert rng.calls == 9 + 2 * RETRY_BUDGET
+
+
+def test_dimension_estimate_refuses_over_budget_before_drawing(monkeypatch):
+    # CI's shapes, the benchmark's `dim` shapes and those of verify check 10 answer
+    shapes = [(20, 40), (8, 18), (2, 8), (3, 10), (4, 10), (5, 12), (3, 8)]
+    shapes += [(2, 6), (2, 7), (3, 7), (4, 8), (2, 91)]
+    for d, n in shapes:
+        assert dimension_estimate(d, n, seed=1) == d * d + 2 * d + n - 3, (d, n)
+    draws = []
+    monkeypatch.setattr(Field, "random_scalar", lambda self, rng, height=100: draws.append(1))
+    # (2, 91) has 1,488,960 units of work, (2, 92) 1,538,810
+    for d, n in ((2, 92), (72, 74), (2, 5000), (8, 65521)):
+        for field in (QQ, FP):
+            with pytest.raises(BudgetExceededError, match=f"over the budget of {DIM_WORK_BUDGET}"):
+                dimension_estimate(d, n, seed=1, field=field)
+    assert draws == []

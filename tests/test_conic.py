@@ -119,8 +119,8 @@ def test_lift_matrix_matches_the_pointwise_lift(field):
             if p.n < 6:
                 assert rep.checked == 0 and rep.values == {}
                 continue
-            values = oracle.minors().vector()
-            assert lifted.minors().vector() == values, (family, p.n, seed)
+            values = oracle.maximal_minors()
+            assert lifted.maximal_minors() == values, (family, p.n, seed)
             subsets = list(combinations(range(1, p.n + 1), 6))
             assert list(rep.values.items()) == list(zip(subsets, values)), (family, p.n, seed)
             assert rep.nonvanishing == tuple(I for I, v in zip(subsets, values) if v != 0)
@@ -218,3 +218,28 @@ def test_phi_rejects_wrong_shape():
     q = sample_on_rnc(QQ, 2, 7, seed=0)
     with pytest.raises(ShapeError):
         phi_det(q)
+
+
+def test_fraction_coordinate_lift_keeps_int_columns():
+    # columns with denominators: the lift is int products over the squared
+    # clearing factors m^2, and its Fraction rows are built only when read
+    doc = {"field": "Q", "d": 2, "n": 7, "columns": [["1", "0", "0"], ["0", "0", "1"], ["1", "1", "1"],
+           ["1", "-1", "1"], ["1", "1/2", "1/4"], ["1", "-5/7", "25/49"], ["6/4", "9/4", "1"]]}
+    p = config_from_json(doc)
+    m = p.coords._factors
+    assert m == (1, 1, 1, 1, 4, 49, 4)
+    lifted = lift_matrix(p)
+    assert lifted._factors == tuple(x * x for x in m)
+    oracle = Matrix.from_columns(QQ, [veronese_lift(QQ, c) for c in p.points()])
+    # the same ints and factors as clearing the lift's Fraction columns
+    assert list(map(tuple, lifted.int_columns)) == list(map(tuple, oracle.int_columns))
+    assert lifted._factors == oracle._factors
+    assert lifted.maximal_minors() == oracle.maximal_minors()
+    rows = Matrix.__dict__["entries"]
+    with pytest.raises(AttributeError):
+        rows.__get__(lifted, Matrix)  # the slot is still unset
+    assert lifted.entries == oracle.entries
+    assert rows.__get__(lifted, Matrix) is lifted.entries
+    rep = w2n_membership(p, collect_values=True)
+    assert list(rep.values.values()) == list(oracle.maximal_minors())
+    assert rep.nonvanishing == tuple(I for I in combinations(range(1, 8), 6) if 7 in I)

@@ -11,7 +11,7 @@ import pytest
 
 import veronese_kit.linalg as linalg
 from veronese_kit.fields import QQ, Field
-from veronese_kit.linalg import Matrix, MaximalMinors, _bareiss_det_int, det, int_rank, int_rref, rank, rref
+from veronese_kit.linalg import Matrix, _bareiss_det_int, det, int_rank, int_rref, rank, rref
 from oracles import leibniz_det, naive_fraction_rank
 
 P = 65521
@@ -43,10 +43,9 @@ def test_batch_det_matches_scalar_det():
     rng = random.Random(7)
     for _ in range(5):
         M = fp_matrix(random_mat(rng, 4, 7))
-        mm = MaximalMinors(M)
         windows = list(combinations(range(1, 8), 4))
-        assert len(mm.vector()) == len(windows)
-        for J, val in zip(windows, mm.vector()):
+        assert len(M.maximal_minors()) == len(windows)
+        for J, val in zip(windows, M.maximal_minors()):
             assert val == det(M.select_columns(J))
 
 
@@ -169,7 +168,7 @@ def test_pivot_scale_reads_the_elimination(monkeypatch, field):
     for _ in range(200):
         k = rng.randint(1, 5)
         m = _swap_heavy(rng, k, k + rng.randint(0, 4), 10**6)
-        mm = MaximalMinors(Matrix(field, m))
+        mm = Matrix(field, m)
         a, pivots = mm._echelon()
         if len(pivots) < k:
             continue

@@ -12,7 +12,6 @@ from veronese_kit.errors import IndexSetError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import Field, QQ
 from veronese_kit.linalg import (
     Matrix,
-    MaximalMinors,
     _clear,
     as_index_set,
     complement,
@@ -187,8 +186,8 @@ def test_rank_matches_oracle_both_fields():
         scaled = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(ints)]
         assert rank(Matrix(QQ, scaled)) == expected
         if rows <= cols:
-            assert MaximalMinors(Matrix(QQ, scaled)).rank() == expected
-            assert MaximalMinors(Matrix(FP, ints)).rank() == expected
+            assert Matrix(QQ, scaled).echelon_rank() == expected
+            assert Matrix(FP, ints).echelon_rank() == expected
     for p in PRIMES:
         F = Field.prime(p)
         for _ in range(40):
@@ -205,7 +204,7 @@ def test_rank_matches_oracle_both_fields():
 def test_input_not_mutated(field):
     rows = [[3, 1], [4, 1]]
     m = Matrix(field, rows)
-    det(m), rref(m), rank(m), MaximalMinors(m).vector()
+    det(m), rref(m), rank(m), m.maximal_minors()
     assert m == Matrix(field, rows)
     int_rref(rows, field.p)
     assert rows == [[3, 1], [4, 1]]
@@ -330,36 +329,33 @@ def test_maximal_minors_match_minor():
     rng = random.Random(12)
     for field in (QQ, FP):
         m = rand_matrix(field, rng, 3, 6, 9)
-        mm = MaximalMinors(m)
-        assert mm.get((1, 4, 6)) == minor(m, (1, 2, 3), (1, 4, 6))
-        assert mm.get((2, 3, 5)) == minor(m, (1, 2, 3), (2, 3, 5))
-    # single F_p minors, read from fresh caches and in shuffled order from one
-    # cache, match the Leibniz oracle and vector(); residues near p included
+        assert m.maximal_minor((1, 4, 6)) == minor(m, (1, 2, 3), (1, 4, 6))
+        assert m.maximal_minor((2, 3, 5)) == minor(m, (1, 2, 3), (2, 3, 5))
+    # single F_p minors, read from fresh matrices and in shuffled order from one
+    # matrix, match the Leibniz oracle and maximal_minors(); residues near p included
     subsets = list(combinations(range(1, 9), 4))
     for p in PRIMES:
         m = Matrix(Field.prime(p), [[p - rng.randint(1, 50) for _ in range(8)] for _ in range(4)])
         expected = [leibniz_det([[row[j - 1] for j in J] for row in m.entries]) % p for J in subsets]
-        assert [MaximalMinors(m).get(J) for J in subsets] == expected
-        mm = MaximalMinors(m)
+        assert [Matrix(m.field, m.entries).maximal_minor(J) for J in subsets] == expected
         order = rng.sample(range(len(subsets)), len(subsets))
-        assert all(mm.get(subsets[t]) == expected[t] for t in order)
-        assert mm.vector() == tuple(expected)
+        assert all(m.maximal_minor(subsets[t]) == expected[t] for t in order)
+        assert m.maximal_minors() == tuple(expected)
 
 
 def test_maximal_minors_vector_cross_field():
     # integer matrix: Q minors reduced mod p equal the F_p minors
     rng = random.Random(13)
     ints = [[rng.randint(-20, 20) for _ in range(7)] for _ in range(3)]
-    vq = MaximalMinors(Matrix(QQ, ints)).vector()
-    vp = MaximalMinors(Matrix(FP, ints)).vector()
+    vq = Matrix(QQ, ints).maximal_minors()
+    vp = Matrix(FP, ints).maximal_minors()
     assert [int(x) % FP.p for x in vq] == list(vp)
 
 
 def test_maximal_minors_q_with_denominators():
     m = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3), 1, 2], [0, Fraction(2, 5), 1, 1]])
-    mm = MaximalMinors(m)
     for J in ((1, 2), (1, 3), (2, 4), (3, 4)):
-        assert mm.get(J) == minor(m, (1, 2), J)
+        assert m.maximal_minor(J) == minor(m, (1, 2), J)
 
 
 def _clear_by_formula(xs):
@@ -440,12 +436,11 @@ def test_vector_matches_get_and_leibniz(field):
         for J in subsets:
             v = leibniz_det([[row[j - 1] for j in J] for row in M.entries])
             expected.append(field.normalize(v))
-        mm = MaximalMinors(M)
-        assert mm.vector() == tuple(expected), name
-        # `Fraction`s over Q, residues in [0, p) over F_p, as `get` gives them
-        assert all(type(v) is type(field.zero) for v in mm.vector()), name
-        assert [MaximalMinors(M).get(J) for J in subsets] == expected, name
-        assert mm.rank() == rank(M), name
+        assert M.maximal_minors() == tuple(expected), name
+        # `Fraction`s over Q, residues in [0, p) over F_p, as `maximal_minor` gives them
+        assert all(type(v) is type(field.zero) for v in M.maximal_minors()), name
+        assert [Matrix(field, entries).maximal_minor(J) for J in subsets] == expected, name
+        assert M.echelon_rank() == rank(M), name
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
@@ -458,17 +453,19 @@ def test_vector_matches_get_on_sampled_configurations(field):
             p = sampler(field, d, n, seed=d + n, height=9)
             M = p.coords
             subsets = combinations(range(1, n + 1), d + 1)
-            assert MaximalMinors(M).vector() == tuple(MaximalMinors(M).get(J) for J in subsets)
+            assert M.maximal_minors() == tuple(M.maximal_minor(J) for J in subsets)
 
 
 
 # -- matrices kept as int columns -----------------------------------------------
 
 
-@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
-def test_int_column_matrix_matches_the_normalized_one(field):
-    # integers of up to 10^6 over Q, residues over F_p; zero columns and zero rows included
-    rng = random.Random(79 + (field.p or 0))
+def _int_column_cases(field, rng):
+    """(int columns, clearing factors) pairs: integers of up to 10^6 over Q,
+    residues over F_p, zero columns and zero rows included, all of factor 1;
+    over Q also the same shapes over prime factors above 1 (1 for a zero
+    column), each column holding an entry the factor does not divide, so
+    `_clear` of its fractions gives them back."""
     for k, n in ((1, 1), (1, 4), (2, 5), (3, 7), (4, 8), (4, 4), (3, 6)):
         entry = (lambda: rng.randint(-(10**6), 10**6)) if field.p is None else (lambda: rng.randrange(field.p))
         cols = [[entry() for _ in range(k)] for _ in range(n)]
@@ -477,21 +474,37 @@ def test_int_column_matrix_matches_the_normalized_one(field):
         if k > 2:
             for col in cols:
                 col[-1] = 0
-        old = Matrix.from_columns(field, cols)
-        new = Matrix._from_int_columns(field, cols)
+        yield cols, (1,) * n
+        if field.p is None:
+            factors = tuple(rng.choice((2, 3, 5, 7, 11)) if any(c) else 1 for c in cols)
+            for c, m in zip(cols, factors):
+                if not any(x % m for x in c):
+                    c[0] += 1
+            yield cols, factors
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_int_column_matrix_matches_the_normalized_one(field):
+    rng = random.Random(79 + (field.p or 0))
+    seen = set()
+    for cols, factors in _int_column_cases(field, rng):
+        k, n = len(cols[0]), len(cols)
+        old = Matrix.from_columns(field, [[field.normalize(Fraction(x, m)) for x in c] for c, m in zip(cols, factors)])
+        new = Matrix._from_int_columns(field, cols, factors)
         assert new.shape == old.shape
         # the minors first: they read the int columns, not the entries
-        mm_new, mm_old = MaximalMinors(new), MaximalMinors(old)
-        assert list(map(tuple, mm_new.int_columns)) == list(map(tuple, mm_old.int_columns))
-        assert tuple(mm_new._factors) == tuple(mm_old._factors) == (1,) * n
-        assert mm_new.vector() == mm_old.vector()
+        assert list(map(tuple, new.int_columns)) == list(map(tuple, old.int_columns))
+        assert tuple(new._factors) == tuple(old._factors) == factors
+        assert new.maximal_minors() == old.maximal_minors()
         for J in combinations(range(1, n + 1), k):
-            got, want = mm_new.get(J), mm_old.get(J)
+            got, want = new.maximal_minor(J), old.maximal_minor(J)
             assert got == want and type(got) is type(want)
         assert [[(type(x), x) for x in row] for row in new.entries] == [
             [(type(x), x) for x in row] for row in old.entries
         ]
         assert new == old and hash(new) == hash(old)
+        seen.add(max(factors) > 1)
+    assert seen == ({False, True} if field.p is None else {False})
 
 
 def test_int_column_matrix_checks_its_shape():
