@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, prod
-from operator import itemgetter, mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
 from .errors import ShapeError, check_budget
 from .fields import Scalar
-from .linalg import IndexSet, Matrix, _scalar, as_index_set, complement, int_rref, s_index
+from .linalg import IndexSet, Matrix, _scalar, as_index_set, complement, s_index
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
@@ -332,52 +332,17 @@ def _in_v_annotation(d: int, n: int, degenerate: bool, all_vanish: bool) -> tupl
     )
 
 
-def _echelon_window_vanishes(
-    a: Sequence[Sequence[int]], pivot_row: Sequence[int], window: Sequence[int], p: Optional[int]
-) -> bool:
-    """True when every generator vanishes on the 0-based column set `window`.
+def _on_one_conic(points: Iterable[tuple[int, int, int]], p: Optional[int]) -> bool:
+    """True when one conic passes through the coordinate points e_0, e_1,
+    e_2 of P^2 and `points` (core ints, reduced mod p over F_p or not).
 
-    `a` is the reduced echelon form of the whole coordinate matrix
-    (`Matrix._echelon()`: pivot entries D over Q, 1 over F_p; p is None
-    over Q) and `pivot_row[c]` the row of pivot column c, -1 for a free column.
-    If the window has rank < d+1 every width-(d+1) bracket is 0. Otherwise let
-    B (3 x (d+4)) be a basis of the window's right kernel, a Gale transform of
-    the window: by the sign law each generator equals +-lambda^4 times the
-    conic polynomial on B restricted to its pattern, and that is -det of the
-    6 x 6 minor of the quadratic lifts of B's columns. So all generators
-    vanish exactly when one conic passes through the d+4 Gale points, for any
-    kernel basis and any scaling of the points.
-
-    Let S be the rows whose pivot lies in the window and F the other window
-    columns. The other rows are zero on the window's pivots, so the window
-    has rank |S| + rank T, T = a[rows not in S][F]. With t the echelon form
-    of T (last pivot D_T), T's three free columns f_k are the coordinate
-    points, T's i-th pivot column c_i is (t[i][f_k])_k and the pivot column
-    of a row r in S is (a[r][f_k] D_T - sum_i a[r][c_i] t[i][f_k])_k, up to
-    sign and 1/D. If S holds every row, T is empty and F the three free
-    columns. A conic through the coordinate points has no square terms, so
-    the test is whether the (d+1) x 3 rows (xy, xz, yz) of the other points
-    have rank <= 2: with u the first nonzero row and v the first with
-    u x v != 0, whether each later row w has w . (u x v) = 0. Over F_p the
-    products, the cross product and the dot products are reduced mod p
-    before their zero tests.
+    A conic through the coordinate points has no square terms, so the test
+    is whether the rows (xy, xz, yz) of `points` have rank <= 2: with u the
+    first nonzero row and v the first with u x v != 0, whether each later
+    row w has w . (u x v) = 0. Over F_p the products, the cross product and
+    the dot products are reduced mod p before their zero tests. Scaling a
+    point scales its row, so the answer ignores point scalings.
     """
-    S = [pivot_row[c] for c in window if pivot_row[c] >= 0]
-    # F holds at least three columns, so F(row) is a tuple
-    F = itemgetter(*[c for c in window if pivot_row[c] < 0])
-    points = [F(a[r]) for r in S]
-    if len(S) < len(a):
-        inside = set(S)
-        t, tp, _ = int_rref([F(row) for r, row in enumerate(a) if r not in inside], p)
-        if len(tp) < len(t):
-            return True
-        D = t[-1][tp[-1]]
-        f0, f1, f2 = [f for f in range(len(t[0])) if f not in tp]
-        l0, l1, l2 = lead = [[row[f] for row in t] for f in (f0, f1, f2)]
-        points = [
-            (x[f0] * D - sum(map(mul, xs, l0)), x[f1] * D - sum(map(mul, xs, l1)), x[f2] * D - sum(map(mul, xs, l2)))
-            for x, xs in zip(points, [list(map(x.__getitem__, tp)) for x in points])
-        ] + list(zip(*lead))
     if p:
         rows = iter([(x * y % p, x * z % p, y * z % p) for x, y, z in points])
     else:
@@ -397,13 +362,130 @@ def _echelon_window_vanishes(
     return True
 
 
+def _window_flags(
+    rows: Sequence[Sequence[int]],
+    basis: tuple[int, ...],
+    free: tuple[int, ...],
+    D: int,
+    lo: int,
+    left: int,
+    n: int,
+    p: Optional[int],
+) -> Iterator[bool]:
+    """One flag per window, in lex order: True when every generator vanishes
+    on it. A window is d + 4 of the n columns; `left` more columns, all at
+    or past `lo`, are still to be left out.
+
+    The walk starts from `Matrix._echelon()` of the whole coordinate matrix
+    A (full rank k = d + 1): `rows` the echelon rows, `basis` its pivots
+    (basis[r] the pivot of row r), `free` the other columns in increasing
+    order, D the last pivot (1 over F_p), lo = 0 and left = n - d - 4.
+    Throughout, `rows` span the row space of A restricted to the *active*
+    columns `basis` + `free`, row r is 0 on every basis column but
+    basis[r], and `free` stays increasing.
+
+    Why the window is decided from these rows: if the window has rank < k
+    every width-k bracket is 0. Otherwise its Gale transform is the kernel
+    of its rows: by the sign law each generator equals +-lambda^4 times the
+    conic polynomial on the Gale points restricted to its pattern, and that
+    is -det of the 6 x 6 minor of their quadratic lifts. So all generators
+    vanish exactly when one conic passes through the d + 4 Gale points, for
+    any kernel basis and any scaling of the points. With three free
+    columns, the kernel vector of free column f is 1 at f, 0 at the other
+    free columns and -x_f / x_b at the basis column b of each row x, so the
+    Gale points of the free columns are the coordinate points and that of
+    row x's basis column is (x_f0, x_f1, x_f2) up to scaling: the window
+    vanishes when `_on_one_conic` holds for the rows read at the three free
+    columns.
+
+    Each node of the walk leaves out one column m, for m from n - left down
+    to lo:
+    - a free column drops out of `free`; the rows stay as they are. When
+      every column from n - left on is free, the first window below the
+      node leaves them all out, which keeps the first three of `free`;
+    - a basis column of row g is exchanged for the first free column c with
+      g_c != 0: every other row x becomes (x g_c - x_c g) / D over Q and
+      x g_c - x_c g mod p over F_p (a row with x_c = 0 stays as it is over
+      F_p, which only scales rows), g becomes the row of c, and g_c the new
+      D. At the last column to leave out, only the three free columns of
+      each row are formed, and not divided by D, which scales every point.
+    - if g is 0 on every free column, the restricted rows have rank < k, so
+      every window below the node is rank-deficient and vanishes.
+
+    Order: the windows are the complements of the left-out sets M, and
+    complements reverse the lex order of sets of one size. For sets J != J'
+    let i be the least element in just one of them: J comes first exactly
+    when i lies in J, that is when i lies in the complement of J' and not
+    in that of J. The walk lists M in reverse lex order, since the sets M
+    whose least element is m all come before those whose least element is
+    below m, and within them the rest of M follows by the same rule. So
+    the flags come in the lex order of the windows.
+
+    Exactness over Q: the echelon rows are D A_B^-1 A (A_B the basis
+    columns of A in row order) with D = +-det A_B, so by Cramer's rule the
+    entry of row r at column f is +-det A_B with column basis[r] replaced by
+    column f: a maximal minor of the int columns. The exchange turns
+    D A_B^-1 A into g_c A_B'^-1 A, B' = B with m replaced by c, and
+    g_c = +-det A_B', so its entries are again maximal minors, and every
+    division by D is exact: x_f g_c - x_c g_f = D [S c f] for the row x of
+    basis column b, S = B minus b and m, is the three-term Grassmann-Pluecker
+    relation among brackets [.] of maximal minors.
+    """
+    if not left:
+        yield _on_one_conic(map(itemgetter(*free), rows), p)
+        return
+    top = n - left
+    if max(basis) < top:
+        # columns top.. are all free: the first window below leaves them all
+        # out at once and keeps the first three free columns
+        yield _on_one_conic(map(itemgetter(*free[:3]), rows), p)
+        top -= 1
+    for m in range(top, lo - 1, -1):
+        if m in free:
+            i = free.index(m)
+            kept = free[:i] + free[i + 1 :]
+            if left > 1:
+                yield from _window_flags(rows, basis, kept, D, m + 1, left - 1, n, p)
+            else:
+                yield _on_one_conic(map(itemgetter(*kept), rows), p)
+            continue
+        r = basis.index(m)
+        g = rows[r]
+        for c in free:
+            if g[c]:
+                break
+        else:
+            yield from repeat(True, comb(n - m - 1, left - 1))
+            continue
+        i = free.index(c)
+        kept = free[:i] + free[i + 1 :]
+        if left == 1:
+            get = itemgetter(c, *kept)
+            gc, g0, g1, g2 = get(g)
+            points = [(x0 * gc - xc * g0, x1 * gc - xc * g1, x2 * gc - xc * g2) for xc, x0, x1, x2 in map(get, rows)]
+            points[r] = g0, g1, g2  # the step would make row g's own point 0
+            yield _on_one_conic(points, p)
+            continue
+        gc = g[c]
+        new = []
+        for x in rows:
+            xc = x[c]
+            if x is g or p and not xc:
+                new.append(x)
+            elif p:
+                new.append([(v * gc - xc * w) % p for v, w in zip(x, g)])
+            else:
+                new.append([(v * gc - xc * w) // D for v, w in zip(x, g)])
+        yield from _window_flags(new, basis[:r] + (c,) + basis[r + 1 :], kept, gc, m + 1, left - 1, n, p)
+
+
 #: `eval` at d >= 3 falls back to the full window scan only when the head
 #: windows vanish but points 1..d+3 are not in general position; a fallback
 #: with more than this many windows left exits 3 before it starts. The
 #: largest admitted scans of seed-1 chain samples (degrees (2, 1), (3, 2),
-#: (3, 3), (4, 4)) take 0.5 s at (3, 17), 0.6 s at (5, 16), 1.2 s at (6, 17)
-#: and 2.4 s at (8, 18) over Q, in-process on a 2-core host with Python
-#: 3.11; the split (5, 3) at (8, 18) takes 3.6 s.
+#: (3, 3), (4, 4)) take 0.13 s at (3, 17), 0.12 s at (5, 16), 0.4 s at
+#: (6, 17) and 0.46 s at (8, 18) over Q, in-process on a 2-core host with
+#: Python 3.11; the split (5, 3) at (8, 18) takes 0.41 s.
 WINDOW_SCAN_BUDGET = 20_000
 
 
@@ -421,7 +503,7 @@ def _head_points_in_general_position(M: Matrix, prime: Optional[int]) -> bool:
     Then, when every head window W = {1..d+3, q} vanishes, each point q lies
     on the one rational normal curve C through points 1..d+3 (Castelnuovo),
     so every window vanishes. Work over the algebraic closure. W vanishes when
-    its d+4 Gale points lie on one conic (`_echelon_window_vanishes`), and a
+    its d+4 Gale points lie on one conic (`_window_flags`), and a
     set T of Gale points is independent exactly when W minus T spans P^d.
     - W minus one or two points still holds d+1 of the points 1..d+3, so it
       spans: no Gale point is 0 and no two are parallel.
@@ -461,11 +543,12 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     Pullbacks are ordered lexicographically by (J, I) — J the point subset of
     size d + 4, I the six-element pattern — and the first nonzero value
     becomes the witness; `checked` counts the pullbacks up to and including
-    it. Each window J is decided from the cached echelon form of the whole
-    matrix (`_echelon_window_vanishes`): one small elimination of the rows
-    whose pivots lie outside J, or none, and a cross-product test of the
-    conic through J's Gale points. Generators are evaluated only on the
-    first window that fails it.
+    it. The windows J are decided in lex order by one walk over the points
+    left out of them (`_window_flags`), which starts from the cached echelon
+    form of the whole matrix and leaves out one point per node: a drop or
+    one basis exchange, shared by every window below the node, and at each
+    leaf a cross-product test of the conic through J's Gale points.
+    Generators are evaluated only on the first window that fails it.
 
     The first n - d - 3 windows are the head windows {1..d+3, q}. When they
     all vanish and points 1..d+3 are in general position, every point lies
@@ -484,13 +567,16 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
     if n >= d + 4:
         gens = psi_generators(d)
         prime = p.field.p
-        a, pivots = p.coords._echelon()
-        pivot_row = [pivots.index(c) if c in pivots else -1 for c in range(n)]
         windows = comb(n, d + 4)
         # points that do not span leave every window rank-deficient, so
         # every pullback vanishes and no window needs a test
-        for j, J0 in enumerate(() if degenerate else combinations(range(n), d + 4)):
-            if _echelon_window_vanishes(a, pivot_row, J0, prime):
+        flags = ()
+        if not degenerate:
+            a, pivots = p.coords._echelon()
+            free = tuple(c for c in range(n) if c not in pivots)
+            flags = _window_flags(a, tuple(pivots), free, a[-1][pivots[-1]], 0, n - d - 4, n, prime)
+        for j, (J0, vanishes) in enumerate(zip(combinations(range(n), d + 4), flags)):
+            if vanishes:
                 if j == n - d - 4:
                     if _head_points_in_general_position(p.coords, prime):
                         break

@@ -57,10 +57,10 @@ def standard_gale_pair(A: Matrix) -> tuple[Matrix, Matrix]:
         )
     # with pivots 1..k the reduced echelon form is [I | A'] = A_lead^-1 A
     f = A.field
-    tail = a_std.select_columns(range(k + 1, n + 1))  # the A' block
+    tail = a_std.select_columns(range(k + 1, n + 1)).entries  # the A' block
     rows = []
     for j in range(n - k):
-        row = [tail.entries[i][j] for i in range(k)]
+        row = [tail[i][j] for i in range(k)]
         row += [f.neg(f.one) if c == j else f.zero for c in range(n - k)]
         rows.append(row)
     return a_std, Matrix(f, rows)

@@ -98,7 +98,7 @@ class Matrix:
     the row count), the echelon rank and `kernel_basis` read that form.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "int_columns", "_factors", "_rref", "_det")
+    __slots__ = ("field", "rows", "cols", "_entries", "int_columns", "_factors", "_rref", "_det")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
@@ -109,13 +109,15 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
-        self._init(field, *zip(*map(_clear, zip(*rows), repeat(field.p))))
-        object.__setattr__(self, "entries", rows)
+        self._init(field, *zip(*map(_clear, zip(*rows), repeat(field.p))), rows)
 
-    def _init(self, field: Field, columns: Sequence[Sequence[int]], factors: Sequence[int]) -> None:
+    def _init(
+        self, field: Field, columns: Sequence[Sequence[int]], factors: Sequence[int], rows: tuple | None = None
+    ) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(columns[0]))
         object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "_entries", rows)
         object.__setattr__(self, "int_columns", columns)
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_rref", None)
@@ -123,15 +125,21 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: `entries` of a matrix built from int columns
-        if name != "entries":
-            raise AttributeError(name)
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The rows as tuples of normalized scalars; built by `_build_entries`
+        on first read when the matrix was built from int columns."""
+        rows = self._entries
+        return self._build_entries() if rows is None else rows
+
+    def _build_entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The rows of the int columns over their clearing factors, kept as
+        `_entries`: `Fraction`s over Q, the residues over F_p."""
         cols = self.int_columns
         if self.field.p is None:
             cols = [map(Fraction, c) if m == 1 else map(Fraction, c, repeat(m)) for c, m in zip(cols, self._factors)]
         rows = tuple(zip(*cols))
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_entries", rows)
         return rows
 
     # -- constructors --------------------------------------------------------
@@ -162,20 +170,11 @@ class Matrix:
     def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "Matrix":
         return cls(field, list(zip(*_check_columns(columns))))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
     # -- access ---------------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        """0-based element access."""
-        return self.entries[i][j]
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.entries)
@@ -209,7 +208,8 @@ class Matrix:
         """Select rows and columns by 1-based index sets."""
         ri = as_index_set(row_set, ground=self.rows)
         ci = as_index_set(col_set, ground=self.cols)
-        return Matrix._trusted(self.field, [[self.entries[i - 1][j - 1] for j in ci] for i in ri])
+        rows = self.entries
+        return Matrix._trusted(self.field, [[rows[i - 1][j - 1] for j in ci] for i in ri])
 
     def select_columns(self, col_set: Iterable[int]) -> "Matrix":
         return self.submatrix(range(1, self.rows + 1), col_set)

@@ -10,7 +10,9 @@ reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
 `head_general_position_oracle` ranks every (d+1)-subset of points 1..d+3;
 it is the reference for the echelon-form test of `wdn_membership`'s early exit.
 `window_vanishes_oracle` eliminates each window's own coordinate block twice;
-it is the reference for the per-window test on the cached echelon form.
+it is the reference for the window flags of the walk `brackets._window_flags`.
+`count_walk_windows` is a test helper that counts the flags `wdn_membership`
+reads from that walk.
 `subconfig` restricts a configuration to a point subset, the reference for
 every pullback along a window.
 `strong_nondegeneracy_oracle` drops each point in turn and re-runs the rank
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import veronese_kit.brackets as brackets
 from veronese_kit.brackets import (
     BracketPolynomial,
     HigherEquationReport,
@@ -589,6 +592,22 @@ def sign_cloud(field, d, n, seed):
         if any(col):
             cols.append(col)
     return make_config(field, d, n, cols)
+
+
+def count_walk_windows(monkeypatch):
+    """A list that gets one item per window flag `wdn_membership` reads from
+    the walk `brackets._window_flags`. The walk calls itself once per inner
+    node, and every flag passes through its root call, the one with lo = 0,
+    so only that call's flags are counted."""
+    calls = []
+    walk = brackets._window_flags
+
+    def spy(*args):
+        flags = walk(*args)
+        return flags if args[4] else (calls.append(1) or flag for flag in flags)
+
+    monkeypatch.setattr(brackets, "_window_flags", spy)
+    return calls
 
 
 class ZeroAfterRng:

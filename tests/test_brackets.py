@@ -32,10 +32,11 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import Matrix, _scalar, int_rank, minor
+from veronese_kit.linalg import Matrix, _scalar, minor
 
 from oracles import (
     MemoMinors,
+    count_walk_windows,
     head_general_position_oracle,
     in_general_position,
     multidegree,
@@ -289,6 +290,32 @@ def test_wdn_witness_past_first_window(field):
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
+def test_wdn_witness_past_the_head_windows_of_a_chain(field):
+    # points 1..d+3 on the first component of a chain, which spans less
+    # than P^d, leave every head window rank-deficient or with a coloop, so
+    # each vanishes; one later point moved off the chain puts the witness
+    # past the head windows. F_7 has too few parameters for d + 3 = 8.
+    shapes = ((3, 9), (3, 10), (4, 10)) if field.p == 7 else ((3, 9), (3, 10), (4, 10), (5, 11))
+    separated = 0
+    for d, n in shapes:
+        head = list(combinations(range(1, n + 1), d + 4))[: n - d - 3]
+        for seed in range(3):
+            counts = (d + 3, n - d - 3)
+            chain = sample_quasi_veronese_chain(field, d, n, CHAIN_DEGREES[d], seed=seed, height=9, counts=counts)[1]
+            cols = chain.points()
+            rng = random.Random(seed)
+            q = d + 3 + seed % (n - d - 3)
+            cols[q] = [field.random_nonzero(rng, 9) for _ in range(d + 1)]
+            p = make_config(field, d, n, cols)
+            rep = wdn_membership(p)
+            assert rep == wdn_scan_oracle(p), (d, n, seed)
+            if rep.witness is not None:
+                assert q + 1 in rep.witness[1] and rep.witness[1] not in head, (d, n, seed)
+                separated += 1
+    assert separated >= 2 * len(shapes)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7), Field.prime(101), FP], ids=str)
 def test_wdn_matches_brute_scan(field):
     # F_7 has too few parameters for more than 7 curve points
     shapes = ((3, 7),) if field.p == 7 else ((3, 7), (3, 8), (3, 9), (4, 8), (4, 9), (4, 10), (5, 9), (5, 10))
@@ -321,45 +348,81 @@ def test_head_general_position_matches_rank_oracle(field):
     assert seen == {True, False}
 
 
+def _walk_flags(p):
+    """The window flags of `brackets._window_flags` on p, from the root call
+    `wdn_membership` makes."""
+    a, pivots = p.coords._echelon()
+    free = tuple(c for c in range(p.n) if c not in pivots)
+    return list(brackets._window_flags(a, tuple(pivots), free, a[-1][pivots[-1]], 0, p.n - p.d - 4, p.n, p.field.p))
+
+
+def _walk_node_kinds(p):
+    """The kinds of the nodes the walk of `_window_flags` visits on p, from a
+    model of its basis alone: the echelon pivots, and at a node that leaves
+    out a basis column m, the first active free column c (in increasing
+    order) whose exchange for m keeps a nonzero maximal minor, else a zero
+    row that skips the windows below."""
+    M, d, n = p.coords, p.d, p.n
+    kinds = set()
+
+    def is_basis(B):
+        return M.maximal_minor([c + 1 for c in sorted(B)]) != 0
+
+    def visit(basis, active, lo, left):
+        for m in range(n - left, lo - 1, -1):
+            level = "leaf" if left == 1 else "inner"
+            rest = [c for c in active if c != m]
+            if m not in basis:
+                kinds.add(f"{level} drop")
+                new = basis
+            else:
+                new = next((basis - {m} | {c} for c in active if c not in basis and is_basis(basis - {m} | {c})), None)
+                if new is None:
+                    kinds.add(f"{level} zero row")
+                    continue
+                kinds.add(f"{level} exchange")
+            if left > 1:
+                visit(new, rest, m + 1, left - 1)
+
+    if n == d + 4:
+        kinds.add("nothing left out")
+    else:
+        visit(frozenset(M._echelon()[1]), list(range(n)), 0, n - d - 4)
+    return kinds
+
+
 def test_echelon_window_test_matches_the_window_oracle():
-    # every window of curve, chain, generic and height-2 random samples; a
-    # chain with d+4 points on its first component, which spans less than
-    # P^d, has rank-deficient windows. Over F_7 there are too few parameters
-    # for the curve and the crowded chain. At n >= d + 7 a window can hold
-    # at most one pivot column, which leaves d rows in T.
+    # every window of curve, chain, generic and height-1/2 random samples,
+    # in lex order; a chain with d+4 points on its first component, which
+    # spans less than P^d, has rank-deficient windows, and at n = d + 4 the
+    # walk leaves nothing out. Over F_7 there are too few parameters for the
+    # curve and the crowded chain.
     seen = set()
-    t_sizes = set()
     for field in (QQ, Field.prime(7), Field.prime(101), FP):
         prime = field.p
-        for d, n in ((3, 8), (3, 9), (4, 10), (5, 11), (3, 11)):
+        for d, n in ((3, 7), (4, 8), (3, 8), (3, 9), (4, 10), (5, 11), (3, 11)):
             degrees = CHAIN_DEGREES[d]
             samples = [
                 sample_quasi_veronese_chain(field, d, n, degrees, seed=d, height=9)[1],
                 sample_generic(field, d, n, seed=d, height=3),
             ]
-            samples += [random_config(field, d, n, random.Random(seed), height=2) for seed in range(3)]
+            samples += [random_config(field, d, n, random.Random(seed), height=1 + seed % 2) for seed in range(3)]
             if prime is None or prime > n:
                 samples.append(sample_on_rnc(field, d, n, seed=d, height=9))
                 counts = (d + 4, n - d - 4)
                 samples.append(sample_quasi_veronese_chain(field, d, n, degrees, seed=d, counts=counts)[1])
             for p in samples:
-                mm = p.coords
-                a, pivots = mm._echelon()
-                if len(pivots) <= d:
+                if p.coords.echelon_rank() <= d:
                     continue  # wdn_membership tests no window of a degenerate sample
-                pivot_row = [pivots.index(c) if c in pivots else -1 for c in range(n)]
-                for J in combinations(range(n), d + 4):
-                    rows = list(zip(*(mm.int_columns[j] for j in J)))
-                    vanishes = brackets._echelon_window_vanishes(a, pivot_row, J, prime)
+                flags = _walk_flags(p)
+                windows = list(combinations(range(n), d + 4))
+                assert len(flags) == len(windows), (field, d, n)
+                for J, vanishes in zip(windows, flags):
+                    rows = list(zip(*(p.coords.int_columns[j] for j in J)))
                     assert vanishes == window_vanishes_oracle(rows, prime), (field, d, n, J)
                     seen.add(vanishes)
-                    if int_rank(rows, prime) <= d:
-                        seen.add("rank-deficient T")
-                    if set(pivots) <= set(J):
-                        seen.add("empty T")
-                    t_sizes.add(len(set(pivots) - set(J)))
-    assert seen == {True, False, "rank-deficient T", "empty T"}
-    assert {0, 1, 2} <= t_sizes and max(t_sizes) >= 3
+                seen |= _walk_node_kinds(p)
+    assert {True, False, "nothing left out", "leaf drop", "leaf exchange", "inner exchange", "inner zero row"} <= seen
 
 
 def test_echelon_brackets_match_eval_bracket_poly():
@@ -427,11 +490,7 @@ def test_head_windows_that_vanish_out_of_general_position_fall_back(field):
 
 
 def test_curve_is_decided_from_the_head_windows(monkeypatch):
-    calls = []
-    window_vanishes = brackets._echelon_window_vanishes
-    monkeypatch.setattr(
-        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
-    )
+    calls = count_walk_windows(monkeypatch)
     for field in (QQ, FP):
         for d, n in ((3, 14), (5, 14), (3, 40)):
             calls.clear()
@@ -485,11 +544,7 @@ def test_head_points_decide_adversarial_configurations(monkeypatch):
     # random head, against the full scan. Each field must show an all-vanish
     # case decided from the head windows although some head window is not
     # in general position.
-    calls = []
-    window_vanishes = brackets._echelon_window_vanishes
-    monkeypatch.setattr(
-        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
-    )
+    calls = count_walk_windows(monkeypatch)
     rng = random.Random(0)
     for field in (Field.prime(5), Field.prime(7), Field.prime(11), Field.prime(13), Field.prime(101), QQ):
         early = 0

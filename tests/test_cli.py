@@ -24,7 +24,7 @@ from veronese_kit.cli import SCHEMA, main
 from veronese_kit.linalg import Matrix
 
 from cli_runner import invoke
-from oracles import relabel
+from oracles import count_walk_windows, relabel
 
 
 def run(args, input=None):
@@ -181,11 +181,7 @@ def test_eval_large_curve_is_decided_from_the_head_windows():
 def test_eval_curve_with_a_repeated_point_is_decided_from_the_head_windows(monkeypatch):
     # point 30 is a copy of point 1, so the head window {1..6, 30} is not in
     # general position; points 1..6 are, so the 24 head windows decide
-    calls = []
-    window_vanishes = brackets._echelon_window_vanishes
-    monkeypatch.setattr(
-        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
-    )
+    calls = count_walk_windows(monkeypatch)
     doc = json.loads(run(["sample", "--family", "rnc", "--d", "3", "--n", "30", "--seed", "1", "--field", "Q"]).output)
     columns = doc["payload"]["config"]["columns"]
     columns[29] = columns[0]
@@ -199,11 +195,7 @@ def test_eval_curve_with_a_repeated_point_is_decided_from_the_head_windows(monke
 def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
     # a chain is not in general position; its head windows vanish and
     # C(30, 7) - 24 windows would be left, so no window past the head is tested
-    calls = []
-    window_vanishes = brackets._echelon_window_vanishes
-    monkeypatch.setattr(
-        brackets, "_echelon_window_vanishes", lambda *args: calls.append(1) or window_vanishes(*args)
-    )
+    calls = count_walk_windows(monkeypatch)
     res = run(["sample", "--family", "chain", "--d", "3", "--n", "30", "--degrees", "2,1", "--seed", "1"])
     code, doc = run_json(["eval"], input=res.output)
     assert code == 3 and doc["status"] == "BudgetExceeded"

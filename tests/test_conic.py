@@ -235,11 +235,9 @@ def test_fraction_coordinate_lift_keeps_int_columns():
     assert list(map(tuple, lifted.int_columns)) == list(map(tuple, oracle.int_columns))
     assert lifted._factors == oracle._factors
     assert lifted.maximal_minors() == oracle.maximal_minors()
-    rows = Matrix.__dict__["entries"]
-    with pytest.raises(AttributeError):
-        rows.__get__(lifted, Matrix)  # the slot is still unset
+    assert lifted._entries is None  # the rows are not built yet
     assert lifted.entries == oracle.entries
-    assert rows.__get__(lifted, Matrix) is lifted.entries
+    assert lifted._entries is lifted.entries
     rep = w2n_membership(p, collect_values=True)
     assert list(rep.values.values()) == list(oracle.maximal_minors())
     assert rep.nonvanishing == tuple(I for I in combinations(range(1, 8), 6) if 7 in I)

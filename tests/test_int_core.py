@@ -76,8 +76,8 @@ def test_rref_structure():
         assert rk == len(piv)
         assert sorted(piv) == list(piv)
         for i, c in enumerate(piv):
-            assert R.entry(i, c) == 1
-            assert all(R.entry(k, c) == 0 for k in range(R.rows) if k != i)
+            assert R.entries[i][c] == 1
+            assert all(R.entries[k][c] == 0 for k in range(R.rows) if k != i)
         assert all(x == 0 for row in R.entries[rk:] for x in row)
 
 

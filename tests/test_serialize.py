@@ -314,10 +314,10 @@ def test_column_pass_takes_only_its_two_kinds():
 
 
 def test_eval_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
-    # every `entries` read of a matrix kept as int columns passes the spy
+    # every `entries` read of a matrix kept as int columns builds its rows through the spy
     reads = []
-    getattr_ = Matrix.__getattr__
-    monkeypatch.setattr(Matrix, "__getattr__", lambda self, name: reads.append(name) or getattr_(self, name))
+    build = Matrix._build_entries
+    monkeypatch.setattr(Matrix, "_build_entries", lambda self: reads.append("entries") or build(self))
     samples = [
         (sample_generic(QQ, 3, 8, seed=1), "NotInW"),
         (sample_generic(QQ, 5, 12, seed=1), "NotInW"),
@@ -355,8 +355,8 @@ def test_eval_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
 def test_gale_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
     # the certificate checks A B^t = 0 on the int columns the decoder kept
     built = []
-    getattr_ = Matrix.__getattr__
-    monkeypatch.setattr(Matrix, "__getattr__", lambda self, name: built.append(self.shape) or getattr_(self, name))
+    build = Matrix._build_entries
+    monkeypatch.setattr(Matrix, "_build_entries", lambda self: built.append(self.shape) or build(self))
     doc = config_to_json(sample_on_rnc(QQ, 5, 12, seed=3))
     res = invoke(["gale"], input=json.dumps(doc))
     assert res.exit_code == 0
@@ -374,8 +374,8 @@ def test_det_and_rank_on_integer_q_coordinates_build_no_fraction_rows(monkeypatc
     decoded = [config_from_json(config_to_json(p)) for p in samples]
     want_det, want_phi = det(square.coords), phi_det(off_conic)
     built = []
-    getattr_ = Matrix.__getattr__
-    monkeypatch.setattr(Matrix, "__getattr__", lambda self, name: built.append(self.shape) or getattr_(self, name))
+    build = Matrix._build_entries
+    monkeypatch.setattr(Matrix, "_build_entries", lambda self: built.append(self.shape) or build(self))
     ranks = [(rank(q.coords), is_degenerate(q)) for q in decoded]
     assert ranks == [(4, False), (4, True), (4, False), (3, False), (3, False)]
     assert det(decoded[2].coords) == want_det != 0
