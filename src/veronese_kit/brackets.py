@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -362,27 +362,24 @@ def _on_one_conic(points: Iterable[tuple[int, int, int]], p: Optional[int]) -> b
     return True
 
 
-def _window_flags(
-    rows: Sequence[Sequence[int]],
-    basis: tuple[int, ...],
-    free: tuple[int, ...],
-    D: int,
-    lo: int,
-    left: int,
-    n: int,
-    p: Optional[int],
-) -> Iterator[bool]:
-    """One flag per window, in lex order: True when every generator vanishes
-    on it. A window is d + 4 of the n columns; `left` more columns, all at
-    or past `lo`, are still to be left out.
+def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
+    """One flag per window of M's columns, in lex order: True when every
+    generator vanishes on it. M is the (d + 1) x n coordinate matrix, of
+    full rank k = d + 1, a window is d + 4 of its n columns, and `left` =
+    n - d - 4 columns are left out of each.
 
-    The walk starts from `Matrix._echelon()` of the whole coordinate matrix
-    A (full rank k = d + 1): `rows` the echelon rows, `basis` its pivots
-    (basis[r] the pivot of row r), `free` the other columns in increasing
-    order, D the last pivot (1 over F_p), lo = 0 and left = n - d - 4.
-    Throughout, `rows` span the row space of A restricted to the *active*
-    columns `basis` + `free`, row r is 0 on every basis column but
-    basis[r], and `free` stays increasing.
+    The walk is a depth-first search over the left-out sets, kept on an
+    explicit stack, so its depth costs no recursion. A node's frame holds
+    `rows`, `basis` (basis[r] the pivot of row r), `free`, D, the number
+    `left` of columns still to leave out and an iterator over the next
+    column m to leave out, from top = n - left down to the column after the
+    one its parent left out. `free` holds the free columns up to top, in
+    increasing order, so at most d + 5 of them however large n is; every
+    column above top is still active, and free unless it is in `basis`. The
+    root is `Matrix._echelon()` of M: its rows, its pivots, D the last pivot
+    (1 over F_p) and every column active. Throughout, `rows` span the row
+    space of M restricted to the active columns, and row r is 0 on every
+    basis column but basis[r].
 
     Why the window is decided from these rows: if the window has rank < k
     every width-k bracket is 0. Otherwise its Gale transform is the kernel
@@ -398,94 +395,100 @@ def _window_flags(
     vanishes when `_on_one_conic` holds for the rows read at the three free
     columns.
 
-    Each node of the walk leaves out one column m, for m from n - left down
-    to lo:
-    - a free column drops out of `free`; the rows stay as they are. When
-      every column from n - left on is free, the first window below the
-      node leaves them all out, which keeps the first three of `free`;
+    Leaving out column m at a node:
+    - a free column drops out of `free`; the rows stay as they are. When m
+      is top, the one window below leaves out every column from m on; if
+      they are all free, its free columns are the first three of `free`;
     - a basis column of row g is exchanged for the first free column c with
       g_c != 0: every other row x becomes (x g_c - x_c g) / D over Q and
       x g_c - x_c g mod p over F_p (a row with x_c = 0 stays as it is over
       F_p, which only scales rows), g becomes the row of c, and g_c the new
-      D. At the last column to leave out, only the three free columns of
-      each row are formed, and not divided by D, which scales every point.
+      D. A leaf forms only its three free columns of each row;
     - if g is 0 on every free column, the restricted rows have rank < k, so
       every window below the node is rank-deficient and vanishes.
 
-    Order: the windows are the complements of the left-out sets M, and
+    Order: the windows are the complements of the left-out sets, and
     complements reverse the lex order of sets of one size. For sets J != J'
     let i be the least element in just one of them: J comes first exactly
     when i lies in J, that is when i lies in the complement of J' and not
-    in that of J. The walk lists M in reverse lex order, since the sets M
-    whose least element is m all come before those whose least element is
-    below m, and within them the rest of M follows by the same rule. So
-    the flags come in the lex order of the windows.
+    in that of J. The walk lists the left-out sets in reverse lex order,
+    since the sets whose least element is m all come before those whose
+    least element is below m, and within them the rest of the set follows
+    by the same rule. So the flags come in the lex order of the windows.
 
-    Exactness over Q: the echelon rows are D A_B^-1 A (A_B the basis
-    columns of A in row order) with D = +-det A_B, so by Cramer's rule the
-    entry of row r at column f is +-det A_B with column basis[r] replaced by
-    column f: a maximal minor of the int columns. The exchange turns
-    D A_B^-1 A into g_c A_B'^-1 A, B' = B with m replaced by c, and
-    g_c = +-det A_B', so its entries are again maximal minors, and every
-    division by D is exact: x_f g_c - x_c g_f = D [S c f] for the row x of
-    basis column b, S = B minus b and m, is the three-term Grassmann-Pluecker
-    relation among brackets [.] of maximal minors.
+    Exactness over Q: the echelon rows are D A_B^-1 A (A the int columns of
+    M, A_B its basis columns in row order) with D = +-det A_B, so by
+    Cramer's rule the entry of row r at column f is +-det A_B with column
+    basis[r] replaced by column f: a maximal minor of the int columns. The
+    exchange turns D A_B^-1 A into g_c A_B'^-1 A, B' = B with m replaced by
+    c, and g_c = +-det A_B', so its entries are again maximal minors, and
+    every division by D is exact: x_f g_c - x_c g_f = D [S c f] for the row
+    x of basis column b, S = B minus b and m, is the three-term
+    Grassmann-Pluecker relation among brackets [.] of maximal minors.
     """
+    rows, pivots = M._echelon()
+    n = M.cols
+    basis = tuple(pivots)
+    free = tuple(c for c in range(min(n - left + 1, n)) if c not in basis)
     if not left:
         yield _on_one_conic(map(itemgetter(*free), rows), p)
         return
-    top = n - left
-    if max(basis) < top:
-        # columns top.. are all free: the first window below leaves them all
-        # out at once and keeps the first three free columns
-        yield _on_one_conic(map(itemgetter(*free[:3]), rows), p)
-        top -= 1
-    for m in range(top, lo - 1, -1):
-        if m in free:
-            i = free.index(m)
-            kept = free[:i] + free[i + 1 :]
-            if left > 1:
-                yield from _window_flags(rows, basis, kept, D, m + 1, left - 1, n, p)
+    whole = itemgetter(*range(n))
+    stack = [(rows, basis, free, rows[-1][basis[-1]], left, iter(range(n - left, -1, -1)))]
+    while stack:
+        rows, basis, free, D, left, ms = stack[-1]
+        top = n - left
+        for m in ms:
+            if m in free:
+                if m == top and max(basis) < m:
+                    yield _on_one_conic(map(itemgetter(*free[:3]), rows), p)
+                    continue
+                i = free.index(m)
+                kept = free[:i] + free[i + 1 :]
+                new = map(itemgetter(*kept), rows) if left == 1 else rows
+                new_basis, gc = basis, D
             else:
-                yield _on_one_conic(map(itemgetter(*kept), rows), p)
-            continue
-        r = basis.index(m)
-        g = rows[r]
-        for c in free:
-            if g[c]:
-                break
+                r = basis.index(m)
+                g = rows[r]
+                for c in chain(free, range(top + 1, n)):
+                    if g[c]:
+                        break
+                else:
+                    yield from repeat(True, comb(n - m - 1, left - 1))
+                    continue
+                i = free.index(c) if c <= top else len(free)
+                kept = free[:i] + free[i + 1 :]
+                new_basis = basis[:r] + (c,) + basis[r + 1 :]
+                # a leaf reads each row only at its three free columns
+                get = itemgetter(*kept) if left == 1 else whole
+                gc, gs = g[c], get(g)
+                new = []
+                for x in rows:
+                    xc = x[c]
+                    if x is g or p and not xc:
+                        new.append(get(x))
+                    elif p:
+                        new.append([(v * gc - xc * w) % p for v, w in zip(get(x), gs)])
+                    else:
+                        new.append([(v * gc - xc * w) // D for v, w in zip(get(x), gs)])
+            if left == 1:
+                yield _on_one_conic(new, p)
+                continue
+            if top + 1 not in new_basis:
+                kept += (top + 1,)  # the child's top
+            stack.append((new, new_basis, kept, gc, left - 1, iter(range(top + 1, m, -1))))
+            break
         else:
-            yield from repeat(True, comb(n - m - 1, left - 1))
-            continue
-        i = free.index(c)
-        kept = free[:i] + free[i + 1 :]
-        if left == 1:
-            get = itemgetter(c, *kept)
-            gc, g0, g1, g2 = get(g)
-            points = [(x0 * gc - xc * g0, x1 * gc - xc * g1, x2 * gc - xc * g2) for xc, x0, x1, x2 in map(get, rows)]
-            points[r] = g0, g1, g2  # the step would make row g's own point 0
-            yield _on_one_conic(points, p)
-            continue
-        gc = g[c]
-        new = []
-        for x in rows:
-            xc = x[c]
-            if x is g or p and not xc:
-                new.append(x)
-            elif p:
-                new.append([(v * gc - xc * w) % p for v, w in zip(x, g)])
-            else:
-                new.append([(v * gc - xc * w) // D for v, w in zip(x, g)])
-        yield from _window_flags(new, basis[:r] + (c,) + basis[r + 1 :], kept, gc, m + 1, left - 1, n, p)
+            stack.pop()
 
 
 #: `eval` at d >= 3 falls back to the full window scan only when the head
 #: windows vanish but points 1..d+3 are not in general position; a fallback
 #: with more than this many windows left exits 3 before it starts. The
 #: largest admitted scans of seed-1 chain samples (degrees (2, 1), (3, 2),
-#: (3, 3), (4, 4)) take 0.13 s at (3, 17), 0.12 s at (5, 16), 0.4 s at
-#: (6, 17) and 0.46 s at (8, 18) over Q, in-process on a 2-core host with
-#: Python 3.11; the split (5, 3) at (8, 18) takes 0.41 s.
+#: (3, 3), (4, 4)) take 0.11 s at (3, 17), 0.14 s at (5, 16), 0.35 s at
+#: (6, 17) and 0.5 s at (8, 18) over Q, in-process on a 2-core host with
+#: Python 3.11; the split (5, 3) at (8, 18) takes 0.38 s.
 WINDOW_SCAN_BUDGET = 20_000
 
 
@@ -570,11 +573,7 @@ def wdn_membership(p: PointConfiguration) -> HigherEquationReport:
         windows = comb(n, d + 4)
         # points that do not span leave every window rank-deficient, so
         # every pullback vanishes and no window needs a test
-        flags = ()
-        if not degenerate:
-            a, pivots = p.coords._echelon()
-            free = tuple(c for c in range(n) if c not in pivots)
-            flags = _window_flags(a, tuple(pivots), free, a[-1][pivots[-1]], 0, n - d - 4, n, prime)
+        flags = () if degenerate else _window_flags(p.coords, n - d - 4, prime)
         for j, (J0, vanishes) in enumerate(zip(combinations(range(n), d + 4), flags)):
             if vanishes:
                 if j == n - d - 4:

@@ -596,15 +596,12 @@ def sign_cloud(field, d, n, seed):
 
 def count_walk_windows(monkeypatch):
     """A list that gets one item per window flag `wdn_membership` reads from
-    the walk `brackets._window_flags`. The walk calls itself once per inner
-    node, and every flag passes through its root call, the one with lo = 0,
-    so only that call's flags are counted."""
+    the walk `brackets._window_flags`."""
     calls = []
     walk = brackets._window_flags
 
     def spy(*args):
-        flags = walk(*args)
-        return flags if args[4] else (calls.append(1) or flag for flag in flags)
+        return (calls.append(1) or flag for flag in walk(*args))
 
     monkeypatch.setattr(brackets, "_window_flags", spy)
     return calls

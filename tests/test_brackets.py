@@ -348,47 +348,31 @@ def test_head_general_position_matches_rank_oracle(field):
     assert seen == {True, False}
 
 
-def _walk_flags(p):
-    """The window flags of `brackets._window_flags` on p, from the root call
-    `wdn_membership` makes."""
-    a, pivots = p.coords._echelon()
-    free = tuple(c for c in range(p.n) if c not in pivots)
-    return list(brackets._window_flags(a, tuple(pivots), free, a[-1][pivots[-1]], 0, p.n - p.d - 4, p.n, p.field.p))
-
-
-def _walk_node_kinds(p):
-    """The kinds of the nodes the walk of `_window_flags` visits on p, from a
-    model of its basis alone: the echelon pivots, and at a node that leaves
-    out a basis column m, the first active free column c (in increasing
-    order) whose exchange for m keeps a nonzero maximal minor, else a zero
-    row that skips the windows below."""
-    M, d, n = p.coords, p.d, p.n
-    kinds = set()
-
-    def is_basis(B):
-        return M.maximal_minor([c + 1 for c in sorted(B)]) != 0
-
-    def visit(basis, active, lo, left):
-        for m in range(n - left, lo - 1, -1):
-            level = "leaf" if left == 1 else "inner"
-            rest = [c for c in active if c != m]
-            if m not in basis:
-                kinds.add(f"{level} drop")
-                new = basis
-            else:
-                new = next((basis - {m} | {c} for c in active if c not in basis and is_basis(basis - {m} | {c})), None)
-                if new is None:
-                    kinds.add(f"{level} zero row")
-                    continue
-                kinds.add(f"{level} exchange")
-            if left > 1:
-                visit(new, rest, m + 1, left - 1)
-
-    if n == d + 4:
-        kinds.add("nothing left out")
-    else:
-        visit(frozenset(M._echelon()[1]), list(range(n)), 0, n - d - 4)
-    return kinds
+def _walk_flags_and_kinds(p):
+    """The window flags of `brackets._window_flags` on p, as `wdn_membership`
+    reads them, and the kinds of the nodes the walk passes through. The
+    kinds are read from the walk's suspended frame at each flag: its `stack`
+    of node frames (rows, basis, free, D, left, columns to leave out), the
+    current node's `basis` and `left`, the column `m` it leaves out, and
+    whether it is yielding the flags of a skipped subtree."""
+    walk = brackets._window_flags(p.coords, p.n - p.d - 4, p.field.p)
+    flags, kinds = [], set()
+    for flag in walk:
+        flags.append(flag)
+        state = walk.gi_frame.f_locals
+        if "stack" not in state:
+            kinds.add("nothing left out")
+            continue
+        stack = state["stack"]
+        if any(a[1] != b[1] for a, b in zip(stack, stack[1:])):
+            kinds.add("inner exchange")
+        if walk.gi_yieldfrom is not None:
+            kinds.add("zero row over a subtree" if state["left"] > 1 else "zero row at a leaf")
+        elif state["left"] > 1:
+            kinds.add("all-free tail")
+        else:
+            kinds.add("leaf exchange" if state["m"] in state["basis"] else "leaf drop")
+    return flags, kinds
 
 
 def test_echelon_window_test_matches_the_window_oracle():
@@ -414,15 +398,25 @@ def test_echelon_window_test_matches_the_window_oracle():
             for p in samples:
                 if p.coords.echelon_rank() <= d:
                     continue  # wdn_membership tests no window of a degenerate sample
-                flags = _walk_flags(p)
+                flags, kinds = _walk_flags_and_kinds(p)
                 windows = list(combinations(range(n), d + 4))
                 assert len(flags) == len(windows), (field, d, n)
                 for J, vanishes in zip(windows, flags):
                     rows = list(zip(*(p.coords.int_columns[j] for j in J)))
                     assert vanishes == window_vanishes_oracle(rows, prime), (field, d, n, J)
                     seen.add(vanishes)
-                seen |= _walk_node_kinds(p)
-    assert {True, False, "nothing left out", "leaf drop", "leaf exchange", "inner exchange", "inner zero row"} <= seen
+                seen |= kinds
+    assert seen == {
+        True,
+        False,
+        "nothing left out",
+        "leaf drop",
+        "leaf exchange",
+        "inner exchange",
+        "all-free tail",
+        "zero row over a subtree",
+        "zero row at a leaf",
+    }
 
 
 def test_echelon_brackets_match_eval_bracket_poly():

@@ -192,6 +192,21 @@ def test_eval_curve_with_a_repeated_point_is_decided_from_the_head_windows(monke
     assert len(calls) == 24
 
 
+def test_eval_decides_a_curve_of_1200_points_from_its_head_windows():
+    # the last head window {1..6, 1200} leaves out points 7..1199: a walk that
+    # nested one call per left-out point would pass the recursion limit
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cli = [sys.executable, "-m", "veronese_kit.cli"]
+    args = ["sample", "--family", "rnc", "--d", "3", "--n", "1200", "--field", "Fp:65521", "--seed", "1"]
+    sample = subprocess.run(cli + args, capture_output=True, text=True, env=env, timeout=20, check=True)
+    proc = subprocess.run(cli + ["eval"], input=sample.stdout, capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)["payload"]["report"]
+    assert rep["all_vanish"] is True and rep["classification"] == "InW"
+    assert rep["checked"] == comb(1200, 7) * comb(7, 6)
+
+
 def test_eval_fallback_scan_over_budget_exits_3(monkeypatch):
     # a chain is not in general position; its head windows vanish and
     # C(30, 7) - 24 windows would be left, so no window past the head is tested
