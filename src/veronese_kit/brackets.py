@@ -19,18 +19,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, prod
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
-from .errors import ShapeError, check_budget
+from .errors import IndexSetError, ShapeError, check_budget
 from .fields import Scalar
-from .linalg import IndexSet, Matrix, _scalar, as_index_set, complement, s_index
+from .linalg import IndexSet, Matrix, _scalar, as_index_set
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
-    """Sort bracket indices, tracking the permutation sign; 0 on repeats."""
-    idx = [int(i) for i in factor]
+    """Sort bracket indices, tracking the permutation sign; 0 on repeats.
+    An index that is not an int (a bool, a float) is an IndexSetError."""
+    t = tuple(factor)
+    for i in t:
+        if type(i) is not int:
+            raise IndexSetError(f"bracket index {i!r} in {t!r} is not an int")
+    if all(map(lt, t, t[1:])):
+        return 1, t
+    idx = list(t)
     sign = 1
     # insertion sort; brackets have at most ~8 entries
     for i in range(1, len(idx)):
@@ -52,7 +59,9 @@ class BracketPolynomial:
     Construction normalizes every term: factor indices sorted (brackets are
     alternating, so sorting multiplies by the permutation sign and a repeated
     index kills the factor), factors sorted within a term, like terms merged,
-    zero terms dropped, terms in lexicographic factor order.
+    zero terms dropped, terms in lexicographic factor order. Coefficients
+    and indices must be ints (not bools): anything else is refused, never
+    truncated.
     """
 
     ground: int
@@ -64,7 +73,8 @@ class BracketPolynomial:
             raise ShapeError(f"bad bracket shape: ground={ground}, width={width}")
         merged: dict[tuple[IndexSet, ...], int] = {}
         for coef, factors in terms:
-            coef = int(coef)
+            if type(coef) is not int:
+                raise TypeError(f"bracket coefficient {coef!r} is not an int")
             fs = []
             for factor in factors:
                 sign, f = _sort_with_sign(factor)
@@ -152,16 +162,14 @@ def dualize(P: BracketPolynomial) -> BracketPolynomial:
     sign (-1)^(k (w (m-w) + m)) for k-factor terms.
     """
     m, w = P.ground, P.width
-    fixed = m - w
+    # P's factors are canonical, so S_J = sum(J) - w (w+1) / 2 and J^c are
+    # read off directly, with no validation
+    shift = m - w - w * (w + 1) // 2
+    ground = range(1, m + 1)
     out = []
     for coef, factors in P.terms:
-        sign = 1
-        new_factors = []
-        for f in factors:
-            if (s_index(f) + fixed) % 2:
-                sign = -sign
-            new_factors.append(complement(f, m))
-        out.append((coef * sign, new_factors))
+        odd = sum(sum(f) + shift for f in factors) % 2
+        out.append((-coef if odd else coef, [tuple(i for i in ground if i not in f) for f in factors]))
     return BracketPolynomial(m, m - w, out)
 
 

@@ -283,6 +283,8 @@ def cmd_gale(input: str) -> CommandResult:
 
 def cmd_sample(family, d, n, seed, field_spec, height, degrees, counts, split) -> CommandResult:
     """Produce a seeded configuration from one of the sample families."""
+    if height < 0:
+        raise ValueError(f"--height must be >= 0, got {height}")
     field = parse_field_spec(field_spec)
     payload: dict = {"family": family, "seed": seed, "field": field_to_json(field)}
     if family == "rnc":

@@ -443,13 +443,17 @@ def _left_kernel_band(d: int, t: Sequence[int], y0: Sequence[int], p: int | None
 
 def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None) -> Optional[list[list[int]]]:
     """The d (n-d-1) rows of S in `dimension_estimate`, over the columns
-    g_0.0..g_0.d, t_1..t_n: U X_r for r = 1..d, U from `_left_kernel_band`.
+    t_1..t_n, g_0.0..g_0.d: U X_r for r = 1..d, U from `_left_kernel_band`.
+    Row j of each block is zero at the t columns outside t_{j+1}..t_{j+d+2},
+    so with these banded columns first, a forward elimination step rewrites
+    only the rows whose band holds its pivot column.
 
     g holds the (d+1) x (d+1) matrix row-major and t the n distinct
-    parameters, as ints (reduced mod p when p is given). S holds ints, over
-    F_p congruent to S mod p and left unreduced: its rank reduces them on
-    entry. S is empty when n <= d + 1. Returns None when some y_0 is 0
-    (mod p), i.e. a point lies off the affine chart.
+    parameters, as ints (reduced mod p when p is given). Over F_p S is
+    reduced mod p once, when it is complete, so the kernel check and the
+    ranks of `certified_rank` read residues. S is empty when n <= d + 1.
+    Returns None when some y_0 is 0 (mod p), i.e. a point lies off the
+    affine chart.
     """
     w = d + 1
     rows_g = [g[r * w : (r + 1) * w] for r in range(w)]
@@ -472,10 +476,9 @@ def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None)
     for r in range(1, w):
         for j, (band, cols) in enumerate(zip(bands, windows)):
             uy = [u * y[r] for u, y in zip(band, ys[j:])]
-            row = [-sum(map(mul, uy, col)) for col in cols] + [0] * j
-            row += [u * c[r] for u, c in zip(band, cs[j:])] + [0] * (n - j - w - 1)
-            S.append(row)
-    return S
+            row = [0] * j + [u * c[r] for u, c in zip(band, cs[j:])] + [0] * (n - j - w - 1)
+            S.append(row + [-sum(map(mul, uy, col)) for col in cols])
+    return [[x % p for x in row] for row in S] if p else S
 
 
 def _gl2_kernel(d: int, g_vals: Sequence, t_vals: Sequence) -> list[list]:
@@ -500,9 +503,10 @@ def _gl2_kernel(d: int, g_vals: Sequence, t_vals: Sequence) -> list[list]:
 
 #: `dimension_estimate` refuses, before it draws, a shape whose work
 #: d (n-d-1) (n+d+1) (n+d-3) (the rows, columns and rank bound of S) is above
-#: this. The largest admitted shapes take 0.09 s at (2, 91) and 0.39 s at
+#: this. The largest admitted shapes take 0.01 s at (2, 91) and 0.29 s at
 #: (71, 73) over F_65521; over Q the band entries grow with d, and they take
-#: 0.11 s and 7.8 s ((20, 40): 0.55 s). In-process, 2-core host, Python 3.11.
+#: 0.01 s and 7.3 s ((20, 40): 0.17 s). In-process, best of 7 (of 2 at
+#: (71, 73) over Q), 2-core host, Python 3.11.
 DIM_WORK_BUDGET = 1_500_000
 
 
@@ -548,10 +552,12 @@ def dimension_estimate(
       rest of their rows, so rank J = d (d+1) + rank S, S the stack of the
       U X_r (`_schur_complement`).
     No entry needs an inverse: g and t are integer draws over Q and residues
-    over F_p. The restricted gl_2 vectors (their g_0. and t entries)
-    annihilate S, because they annihilate J and U D_0 V = 0; over Q
-    `certified_rank` reads rank S from a modular rank capped by them,
-    eliminating over Q only when the two miss. A draw that puts a point
+    over F_p. The restricted gl_2 vectors (their t and g_0. entries)
+    annihilate S, because they annihilate J and U D_0 V = 0, so rank S is at
+    most (n + d + 1) - 4 = n + d - 3 of its d (n-d-1) rows. Over both fields
+    `certified_rank` checks that bound and reads rank S from the modular rank
+    of the first n + d - 3 rows when they reach it; the rest of S is
+    eliminated only when the two miss. A draw that puts a point
     outside the affine chart (leading coordinate zero) is redrawn with fresh
     randomness, up to a budget. A shape of more than DIM_WORK_BUDGET work
     raises BudgetExceededError before anything is drawn.
@@ -575,6 +581,6 @@ def dimension_estimate(
             continue
         if not S:
             return d * n
-        kernel = [v[:w] + v[w * w :] for v in _gl2_kernel(d, g, t)]
+        kernel = [v[w * w :] + v[:w] for v in _gl2_kernel(d, g, t)]
         return d * w + certified_rank(S, kernel, field.p)
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")

@@ -5,7 +5,8 @@ plain Python ints: Bareiss elimination (`_bareiss_det_int`) for determinants,
 forward-only Bareiss echelon (`int_rank`) for ranks and fraction-free
 Gauss-Jordan (`int_rref`) for echelon forms, which also gives the
 determinant of the pivot columns. `certified_rank` reads the rank of int
-rows over Q from a modular rank when known kernel vectors cap it.
+rows, over Q or mod p, from the modular rank of their first rows when
+verified kernel vectors cap it there.
 
 A `Matrix` holds its integer view as data: `int_columns`, its columns as
 core ints, and `_factors`, their clearing factors, both set at
@@ -563,29 +564,39 @@ def _orthogonal(rows: Iterable[Sequence[int]], others: Sequence[Sequence[int]], 
     return not any(x % p for x in dots) if p else not any(dots)
 
 
-#: The prime 2^31 - 1, modulus of the lower bound in `certified_rank`.
-CERT_PRIME = (1 << 31) - 1
+#: The prime 2^30 - 35, modulus of the bounds in `certified_rank` over Q. Its
+#: residues fit one 30-bit CPython int digit, so their products take the
+#: single-digit multiply, about twice as fast as products of 31-bit residues.
+CERT_PRIME = (1 << 30) - 35
 
 
 def certified_rank(rows: list[list[int]], kernel: list[list[int]], p: int | None) -> int:
-    """Rank of nonempty int rows over Q (p None) or mod p, read over Q from
-    two bounds that meet when the int rows `kernel` span their right kernel.
+    """Rank of nonempty int rows over Q (p None) or mod p, read from two
+    bounds that meet when the int rows `kernel` span their right kernel and
+    the first rows reach the rank.
 
-    Mod p this is `int_rank(rows, p)`. Over Q:
-    - the rank mod `CERT_PRIME` is a lower bound, since a minor that is
-      nonzero mod a prime is nonzero over Z;
-    - once every row annihilates every row of `kernel` exactly, the rank is
-      at most min(rows, cols - rank K), and rank K is at least its rank mod
-      `CERT_PRIME`, which gives the upper bound.
-    When the bounds meet they are the rank; otherwise the rank comes from
-    exact elimination. A wrong `kernel` costs that fallback, never a wrong
-    rank, and no elimination here runs over Q unless the bounds miss.
+    Let q be p, or `CERT_PRIME` over Q, and K the matrix of `kernel`:
+    - upper bound: once every row annihilates every row of K (exactly over
+      Q, mod p over F_p), the rank is at most cap = min(rows, cols - rank K).
+      Over F_p that is rank-nullity mod p. Over Q it uses rank_Q K, and
+      rank_Q K >= rank_q K, since a minor that is nonzero mod q is nonzero
+      over Z, so cols - rank_q K bounds the rank too;
+    - lower bound: the rank mod q of any subset of the rows is at most the
+      rank of all of them (over Q, by the same minor argument).
+    So when the first cap rows have rank cap mod q, the rank is cap, and no
+    other row is eliminated. Otherwise the rank comes from the full stack:
+    mod p its rank; over Q its rank mod q when that meets cap, else exact
+    elimination. A wrong `kernel` or a short prefix costs that fallback,
+    never a wrong rank.
     """
+    q = p or CERT_PRIME
+    cap = min(len(rows), len(rows[0]) - int_rank(kernel, q)) if _orthogonal(rows, kernel, p) else None
+    if cap is not None and int_rank(rows[:cap], q) == cap:
+        return cap
     if p is not None:
         return int_rank(rows, p)
-    low = int_rank(rows, CERT_PRIME)
-    if _orthogonal(rows, kernel, None) and low == min(len(rows), len(rows[0]) - int_rank(kernel, CERT_PRIME)):
-        return low
+    if cap is not None and int_rank(rows, q) == cap:
+        return cap
     return int_rank(rows)
 
 

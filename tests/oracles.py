@@ -58,6 +58,7 @@ from veronese_kit.brackets import (
     HigherEquationReport,
     _in_v_annotation,
     eval_bracket_poly,
+    phi_as_bracket_poly,
     psi_generators,
 )
 from veronese_kit.configurations import (
@@ -69,7 +70,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, NotAGalePairError, RankDeficiencyError, ShapeError
 from veronese_kit.fields import Field, require_same_field
-from veronese_kit.linalg import Matrix, _clear, as_index_set, int_rref, rank
+from veronese_kit.linalg import Matrix, _clear, as_index_set, complement, int_rref, rank, s_index
 
 
 def veronese_lift(field, point):
@@ -381,6 +382,25 @@ def relabel(P, I, ground=None):
     if I[-1] > m:
         raise ShapeError(f"target ground [{m}] does not contain {I}")
     return BracketPolynomial(m, P.width, [(c, [tuple(I[i - 1] for i in f) for f in fs]) for c, fs in P.terms])
+
+
+def dualize_oracle(P):
+    """`brackets.dualize` by the general construction: each factor's sign
+    (-1)^(S_J + m - w) from `s_index` and its complement from `complement`,
+    both of which validate the factor."""
+    m, w = P.ground, P.width
+    out = []
+    for coef, factors in P.terms:
+        sign = (-1) ** sum(s_index(f) + m - w for f in factors)
+        out.append((coef * sign, [complement(f, m) for f in factors]))
+    return BracketPolynomial(m, m - w, out)
+
+
+def psi_generators_oracle(d):
+    """`brackets.psi_generators(d)` built from the conic equation by `relabel`
+    and `dualize_oracle`."""
+    phi = phi_as_bracket_poly()
+    return tuple((I, dualize_oracle(relabel(phi, I, ground=d + 4))) for I in combinations(range(1, d + 5), 6))
 
 
 def multidegree(P):

@@ -37,10 +37,12 @@ from veronese_kit.linalg import Matrix, _scalar, minor
 from oracles import (
     MemoMinors,
     count_walk_windows,
+    dualize_oracle,
     head_general_position_oracle,
     in_general_position,
     multidegree,
     poly_is_zero,
+    psi_generators_oracle,
     relabel,
     sign_cloud,
     subconfig,
@@ -85,6 +87,19 @@ def test_shape_validation():
         BracketPolynomial(6, 3, [(1, [(1, 2)])])
     with pytest.raises(ShapeError):
         BracketPolynomial(6, 3, [(1, [(5, 6, 7)])])
+
+
+def test_non_int_coefficients_and_indices_are_refused():
+    # each would be truncated by int(): 1.7 to 1, (1.5, 2, 3) to (1, 2, 3), True to 1
+    ok = [(1, 2, 3), (4, 5, 6)]
+    with pytest.raises(TypeError, match="1.7"):
+        BracketPolynomial(6, 3, [(1.7, [(1.5, 2, 3), (4, 5, 6.9)])])
+    with pytest.raises(TypeError, match="True"):
+        BracketPolynomial(6, 3, [(True, ok)])
+    for bad, shown in (((1.5, 2, 3), "1.5"), ((4, 5, 6.9), "6.9"), ((3, 2.0, 1), "2.0"), ((True, 2, 3), "True")):
+        with pytest.raises(IndexSetError, match=shown):
+            BracketPolynomial(6, 3, [(1, [ok[0], bad])])
+    assert BracketPolynomial(6, 3, [(2, [(3, 2, 1), (4, 5, 6)])]).terms == ((-2, ((1, 2, 3), (4, 5, 6))),)
 
 
 # --- text form ------------------------------------------------------------------
@@ -146,6 +161,18 @@ def test_dualize_involution_signs():
     assert dualize(phi) == _negated(phi)
     single = BracketPolynomial(4, 1, [(1, [(2,)])])
     assert dualize(dualize(single)) == _negated(single)
+
+
+def test_psi_tables_match_general_construction():
+    # dualize reads the signs and complements of canonical factors directly
+    for d in range(2, 8):
+        assert psi_generators(d) == psi_generators_oracle(d)
+    rng = random.Random(5)
+    for m, w in ((4, 1), (5, 2), (7, 3), (8, 5)):
+        for _ in range(20):
+            terms = [(rng.randint(-3, 3), [rng.sample(range(1, m + 1), w) for _ in range(rng.randint(1, 3))]) for _ in range(3)]
+            P = BracketPolynomial(m, w, terms)
+            assert dualize(P) == dualize_oracle(P)
 
 
 def test_psi_pattern_full_window_d3():

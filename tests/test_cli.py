@@ -364,6 +364,23 @@ def test_sample_at_height_zero_over_q_exits_3(args):
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "generic", "--d", "3", "--n", "8"],
+        ["--family", "chain", "--d", "3", "--n", "8", "--degrees", "2,1"],
+        ["--family", "rnc", "--d", "3", "--n", "8"],
+    ],
+    ids=["generic", "chain", "rnc"],
+)
+def test_sample_at_negative_height_exits_2(args, field):
+    # over Q randrange refused it with its own text, and over F_p it went unnoticed
+    code, doc = run_json(["sample", *args, "--field", field, "--height", "-1"])
+    assert code == 2 and doc["status"] == "PreconditionFailed"
+    assert doc["payload"]["error"] == "--height must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp"])
 def test_dim_over_its_work_budget_exits_3(field):
     # S would hold 9,992 x 5,003 entries; the budget refuses the shape before any draw
     src = os.path.dirname(os.path.dirname(veronese_kit.__file__))

@@ -9,7 +9,8 @@ never builds the whole Jacobian: it ranks the Schur complement S of the
 shared Vandermonde block (`_schur_complement`), whose banded left kernel
 (`_left_kernel_band`) and restricted gl_2 kernel vectors are checked here.
 Its rank is checked against `jacobian_rank_oracle`, the full Gauss-Jordan
-elimination of the Jacobian.
+elimination of the Jacobian, and `certified_rank`, which ranks only the first
+n + d - 3 rows of S, against the forward rank of all of S.
 """
 
 import random
@@ -28,7 +29,7 @@ from veronese_kit.configurations import (
     dimension_estimate,
 )
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import Matrix, _clear, int_rref
+from veronese_kit.linalg import Matrix, _clear, certified_rank, int_rank, int_rref
 
 FIELDS = (QQ, Field.prime(101), Field.prime(65521))
 BLOCK_FIELDS = (QQ, Field.prime(7), Field.prime(101), Field.prime(65521))
@@ -175,13 +176,13 @@ def test_fp_lane_matches_q_lane():
 
 
 def record_eliminations(monkeypatch):
-    """Patch linalg's eliminations to log each call: the modulus of every
-    `int_rank` (None over Q) and "rref" for every `int_rref`."""
+    """Patch linalg's eliminations to log each call: (modulus, row count) for
+    every `int_rank` (modulus None over Q) and "rref" for every `int_rref`."""
     calls = []
     int_rank, int_rref = linalg.int_rank, linalg.int_rref
 
     def rank_spy(rows, p=None):
-        calls.append(p)
+        calls.append((p, len(rows)))
         return int_rank(rows, p)
 
     def rref_spy(rows, p=None):
@@ -242,7 +243,7 @@ def test_restricted_gl2_vectors_annihilate_the_schur_complement():
                 assert len(S) == d * (n - d - 1) and len(S[0]) == n + d + 1
                 w = d + 1
                 for v in _gl2_kernel(d, g, t):
-                    kv = v[:w] + v[w * w :]
+                    kv = v[w * w :] + v[:w]
                     for row in S:
                         dot = sum(a * b for a, b in zip(row, kv))
                         assert (dot % p if p else dot) == 0
@@ -264,58 +265,113 @@ def test_block_rank_matches_full_jacobian(field):
             assert full == d * min(n, d + 1) + (len(int_rref(S, p)[1]) if S else 0), (d, n)
 
 
+def schur_and_kernel(field, d, n, rng):
+    """S and its restricted gl_2 kernel rows at one draw, as `dimension_estimate`
+    builds them, or None off the chart."""
+    g, t = draw(field, d, n, rng)
+    g, t = core_ints(field, g), core_ints(field, t)
+    S = _schur_complement(d, g, t, field.p)
+    if S is None:
+        return None
+    w = d + 1
+    return S, [v[w * w :] + v[:w] for v in _gl2_kernel(d, g, t)]
+
+
+def full_stack_rank(S, p):
+    """The oracle: forward elimination of every row of S, mod p or exactly over Q."""
+    return int_rank(S, p) if p else int_rank(S)
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_certified_rank_matches_full_stack_rank(field):
+    rng = random.Random(10)
+    for d in range(1, 6):
+        for n in range(d + 2, min(d + 6, field.p or d + 6) + 1):
+            for _ in range(3):
+                drawn = schur_and_kernel(field, d, n, rng)
+                if drawn is not None:
+                    S, K = drawn
+                    assert certified_rank(S, K, field.p) == full_stack_rank(S, field.p), (d, n)
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_short_prefix_falls_back_to_full_stack_rank(field, monkeypatch):
+    # a copy of row 1 moved into the prefix keeps the rank of S but not of its
+    # first rows; a stack of two alternating rows has rank at most 2 < cap
+    rng = random.Random(11)
+    calls = record_eliminations(monkeypatch)
+    p, q = field.p, field.p or linalg.CERT_PRIME
+    for d, n in ((2, 6), (3, 8), (4, 10), (5, 11)):
+        if p and n > p:
+            continue
+        drawn = None
+        while drawn is None:
+            drawn = schur_and_kernel(field, d, n, rng)
+        S, K = drawn
+        cap = n + d - 3
+        two = [S[i % 2] for i in range(len(S))]
+        assert full_stack_rank(two, p) < cap
+        for rows in (S[:1] + S, two):
+            calls.clear()
+            assert certified_rank(rows, K, p) == full_stack_rank(rows, p)
+            # the prefix missed the cap, so the whole stack was ranked mod q
+            assert calls[:3] == [(q, 4), (q, cap), (q, len(rows))]
+
+
 def test_q_draw_does_no_exact_elimination(monkeypatch):
     calls = record_eliminations(monkeypatch)
     for seed in range(3):
         calls.clear()
         assert dimension_estimate(4, 10, seed=seed, field=QQ) == 4 * 4 + 2 * 4 + 10 - 3
-        assert calls == [linalg.CERT_PRIME, linalg.CERT_PRIME]
+        # the 4 kernel rows, then the first n + d - 3 = 11 of the 20 rows of S
+        assert calls == [(linalg.CERT_PRIME, 4), (linalg.CERT_PRIME, 11)]
 
 
 def test_fp_draw_runs_one_forward_rank(monkeypatch):
+    # one forward rank on S, of its first n + d - 3 rows, after the kernel's
     calls = record_eliminations(monkeypatch)
     for p in (101, 65521):
         for d, n in ((2, 6), (4, 10), (3, 2)):
             calls.clear()
             assert dimension_estimate(d, n, seed=1, field=Field.prime(p)) == jacobian_rank_oracle(d, n, 1, Field.prime(p))
             # n <= d + 1 needs no elimination
-            assert calls == ([p] if n > d + 1 else [])
+            assert calls == ([(p, 4), (p, n + d - 3)] if n > d + 1 else [])
 
 
 SHAPES = ((1, 1), (2, 2), (2, 6), (3, 4), (3, 8), (4, 10))
 
 
-def test_corrupt_kernel_vector_falls_back_to_exact_rank(monkeypatch):
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_corrupt_kernel_vector_falls_back_to_exact_rank(field, monkeypatch):
+    # one entry off and a fifth vector: unchecked, the cap would be one short
     def corrupt(d, g_vals, t_vals):
         K = _gl2_kernel(d, g_vals, t_vals)
         K[1][0] += 1
-        return K
+        return K + [[1] + [0] * (len(K[0]) - 1)]
 
     monkeypatch.setattr(configurations, "_gl2_kernel", corrupt)
     calls = record_eliminations(monkeypatch)
     for d, n in SHAPES:
         calls.clear()
-        assert dimension_estimate(d, n, seed=2, field=QQ) == jacobian_rank_oracle(d, n, 2, QQ)
-        if n > d + 1:
-            assert calls[-1] is None
-        else:
-            assert calls == []
+        assert dimension_estimate(d, n, seed=2, field=field) == jacobian_rank_oracle(d, n, 2, field)
+        # no kernel or prefix rank: straight to the full stack, exactly over Q
+        assert calls == ([(field.p, d * (n - d - 1))] if n > d + 1 else [])
 
 
 def test_short_modular_rank_falls_back_to_exact_rank(monkeypatch):
     int_rank = linalg.int_rank
     for d, n in SHAPES:
-        # one rank short mod P on the d (n - d - 1) rows of S, not on the 4 kernel rows
-        def short(rows, p=None, schur_rows=d * (n - d - 1)):
-            return int_rank(rows, p) - (p == linalg.CERT_PRIME and len(rows) == schur_rows)
+        cap, schur_rows = n + d - 3, d * (n - d - 1)
+
+        # one rank short mod P on the prefix and on the whole of S, not on the 4 kernel rows
+        def short(rows, p=None, short_rows=(cap, schur_rows)):
+            return int_rank(rows, p) - (p == linalg.CERT_PRIME and len(rows) in short_rows)
 
         monkeypatch.setattr(linalg, "int_rank", short)
         calls = record_eliminations(monkeypatch)
         assert dimension_estimate(d, n, seed=2, field=QQ) == jacobian_rank_oracle(d, n, 2, QQ)
-        if n > d + 1:
-            assert calls[-1] is None
-        else:
-            assert calls == []
+        P = linalg.CERT_PRIME
+        assert calls == ([(P, 4), (P, cap), (P, schur_rows), (None, schur_rows)] if n > d + 1 else [])
         monkeypatch.undo()
 
 
