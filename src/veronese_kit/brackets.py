@@ -240,11 +240,13 @@ def _eval_on_echelon(
 ) -> Scalar:
     """`eval_bracket_poly(P, M, J)` for the 0-based window J - 1, on core ints.
 
-    Each bracket F is `M._echelon_minor` of the window columns it names,
-    kept in `minors` (keyed by F, so one dict serves one window). The sum of
-    coef * prod m_F is mapped back once by `_scalar`: over Q every term
-    carries the clearing factor of each window column to the power of that
-    column's degree in P (`_degrees`), so the sum is divided by that product.
+    Each bracket F is `M._echelon_minor` of the window columns it names, a
+    closed-form minor of the echelon rows when the window holds every pivot
+    of M, kept in `minors` (keyed by F, so one dict serves one window). The
+    sum of coef * prod m_F is mapped back once by `_scalar`: over Q every
+    term carries the clearing factor of each window column to the power of
+    that column's degree in P (`_degrees`), so the sum is divided by that
+    product.
     """
     total = 0
     echelon_minor = M._echelon_minor

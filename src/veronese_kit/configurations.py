@@ -425,17 +425,33 @@ def _left_kernel_band(d: int, t: Sequence[int], y0: Sequence[int], p: int | None
     u_i y0(i) t_i^k summed over W is prod_W y0 times the expansion of a
     determinant whose first column repeats column k of the Vandermonde
     matrix of t_W, so it is 0. The last entry of band j is nonzero for
-    distinct t and nonzero y0, so the rows are independent. Entries are
-    reduced mod p when p is given.
+    distinct t and nonzero y0, so the rows are independent.
+
+    The pairs of W that hold i contribute t_i - t_l (l < i) and t_l - t_i
+    (l > i) to vdm(t_W), and (-1)^(number of l > i) (-1)^pos(i) =
+    (-1)^(d+1), so each entry is the band's one product
+    (-1)^(d+1) vdm(t_W) prod_W y0 divided by y0(i) prod_{l != i} (t_i - t_l):
+    an exact integer division over Q, a product with the inverse mod p over
+    F_p, where the entries are residues. Only a repeated t or a zero y0 at
+    i, outside the shapes `dimension_estimate` draws, leaves nothing to
+    divide by; that entry is its product over W - i.
     """
+    sign = 1 if d % 2 else -1  # (-1)^(d+1)
     bands = []
     for j in range(len(t) - d - 1):
-        W = range(j, j + d + 2)
+        W, ys = t[j : j + d + 2], y0[j : j + d + 2]
+        whole = sign * prod([tb - ta for ta, tb in combinations(W, 2)]) * prod(ys)
+        whole = whole % p if p else whole
         band = []
-        for i in W:
-            rest = [l for l in W if l != i]
-            u = prod([t[b] - t[a] for a, b in combinations(rest, 2)]) * prod([y0[l] for l in rest])
-            u = -u if (i - j) % 2 else u
+        for i, ti in enumerate(W):
+            den = ys[i] * prod([ti - tl for l, tl in enumerate(W) if l != i])
+            if den % p if p else den:
+                u = whole * pow(den, -1, p) if p else whole // den
+            else:
+                # a repeated t or a zero y0 at i: (-1)^pos(i) times the product over W - i
+                rest = W[:i] + W[i + 1 :]
+                u = prod([tb - ta for ta, tb in combinations(rest, 2)]) * prod(ys[:i] + ys[i + 1 :])
+                u = -u if i % 2 else u
             band.append(u % p if p else u)
         bands.append(band)
     return bands
@@ -449,9 +465,10 @@ def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None)
     only the rows whose band holds its pivot column.
 
     g holds the (d+1) x (d+1) matrix row-major and t the n distinct
-    parameters, as ints (reduced mod p when p is given). Over F_p S is
-    reduced mod p once, when it is complete, so the kernel check and the
-    ranks of `certified_rank` read residues. S is empty when n <= d + 1.
+    parameters, as ints (reduced mod p when p is given). Over F_p the
+    moments, y, y' and c_r are reduced mod p as they are formed, and S once
+    more when it is complete, so the kernel check and the ranks of
+    `certified_rank` read residues. S is empty when n <= d + 1.
     Returns None when some y_0 is 0 (mod p), i.e. a point lies off the
     affine chart.
     """
@@ -461,13 +478,14 @@ def _schur_complement(d: int, g: Sequence[int], t: Sequence[int], p: int | None)
     for x in t:
         mom = [x**k % p if p else x**k for k in range(w)]
         dmom = [0] + [k * mom[k - 1] for k in range(1, w)]
-        y = [sum(map(mul, gr, mom)) for gr in rows_g]
-        if (y[0] % p if p else y[0]) == 0:
+        y = [sum(map(mul, gr, mom)) % p if p else sum(map(mul, gr, mom)) for gr in rows_g]
+        if y[0] == 0:
             return None
-        dy = [sum(map(mul, gr, dmom)) for gr in rows_g]
+        dy = [sum(map(mul, gr, dmom)) % p if p else sum(map(mul, gr, dmom)) for gr in rows_g]
+        c = [dy[r] * y[0] - y[r] * dy[0] for r in range(w)]
         moms.append(mom)
         ys.append(y)
-        cs.append([dy[r] * y[0] - y[r] * dy[0] for r in range(w)])
+        cs.append([v % p for v in c] if p else c)
     n = len(t)
     bands = _left_kernel_band(d, t, [y[0] for y in ys], p)
     # the columns of V on the window of each band
@@ -503,10 +521,10 @@ def _gl2_kernel(d: int, g_vals: Sequence, t_vals: Sequence) -> list[list]:
 
 #: `dimension_estimate` refuses, before it draws, a shape whose work
 #: d (n-d-1) (n+d+1) (n+d-3) (the rows, columns and rank bound of S) is above
-#: this. The largest admitted shapes take 0.01 s at (2, 91) and 0.29 s at
-#: (71, 73) over F_65521; over Q the band entries grow with d, and they take
-#: 0.01 s and 7.3 s ((20, 40): 0.17 s). In-process, best of 7 (of 2 at
-#: (71, 73) over Q), 2-core host, Python 3.11.
+#: this. The largest admitted shapes take 0.013 s at (2, 91) and 0.13 s at
+#: (71, 73) over F_65521; over Q the entries of S grow with d, and they take
+#: 0.013 s and 6.8 s ((20, 40): 0.26 s). In-process, best of 7 (of 2 at
+#: (71, 73) over Q, of 3 at (20, 40) over Q), 2-core host, Python 3.11.
 DIM_WORK_BUDGET = 1_500_000
 
 

@@ -24,10 +24,11 @@ their clearing factors (decoded documents, plane lifts), and builds the
 zero-point test read the int columns; only `rref` clears rows.
 
 Each matrix is eliminated at most once: `Matrix._echelon` keeps the
-`int_rref` form of its int columns, and every reader of its minors, rank or
-kernel reads that form. `Matrix.maximal_minor` reads one maximal minor as
-one determinant; `Matrix._echelon_minor` reads one from the echelon form by
-a small determinant of its rows, and `Matrix.maximal_minors`, the one
+`int_rref` form of its int columns, with the pivot map and pivot scale its
+minors need, and every reader of its minors, rank or kernel reads that
+form. `Matrix.maximal_minor` reads one maximal minor as one determinant;
+`Matrix._echelon_minor` reads one from the echelon form by a small minor of
+its rows, in closed form up to 3 x 3, and `Matrix.maximal_minors`, the one
 all-minors reader, reads all of them from it as field scalars. Both scale
 by the pivot determinant the elimination gave, so no determinant is taken
 twice. `kernel_basis` reads the reduced-echelon kernel basis from the same
@@ -99,7 +100,7 @@ class Matrix:
     the row count), the echelon rank and `kernel_basis` read that form.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "int_columns", "_factors", "_rref", "_det")
+    __slots__ = ("field", "rows", "cols", "_entries", "int_columns", "_factors", "_rref", "_det", "_pivot_map")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
@@ -226,16 +227,29 @@ class Matrix:
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """`int_rref` of the rows of `int_columns`, computed once: (rows,
-        0-based pivots); its det(A_P) is kept as `_det`, for `_pivot_scale`
-        and `gale.duality_certificate`. Scaling a column by a nonzero
-        constant changes no rank and no pivot, so they are those of the
-        matrix."""
+        0-based pivots). Its det(A_P), A_P the int columns at the pivots, is
+        kept as `_det`, for `gale.duality_certificate`, and what every minor
+        read from the form needs is kept as `_pivot_map` = (pivot_row, D, g):
+        pivot_row[c] the row whose pivot is column c (-1 off the pivots), D
+        the last pivot (1 over F_p) and the pivot scale g = det(A_P) / D.
+        `int_rref` gave det(A_P), so no determinant is taken: over Q
+        det(A_P) = +-D and g is the sign of the elimination's row swaps; over
+        F_p g is det(A_P) mod p. Every minor read from the form is g times a
+        minor of the echelon rows. A rank-deficient form, whose minors are
+        all 0, keeps g = 0. Scaling a column by a nonzero constant changes no
+        rank and no pivot, so they are those of the matrix."""
         rref = self._rref
         if rref is None:
-            a, pivots, d = int_rref(list(zip(*self.int_columns)), self.field.p)
+            a, pivots, det_p = int_rref(list(zip(*self.int_columns)), self.field.p)
             rref = a, pivots
+            pivot_row = [-1] * self.cols
+            for r, c in enumerate(pivots):
+                pivot_row[c] = r
+            D = a[-1][pivots[-1]] if det_p else 0
+            g = det_p // D if det_p and not self.field.p else det_p
             object.__setattr__(self, "_rref", rref)
-            object.__setattr__(self, "_det", d)
+            object.__setattr__(self, "_det", det_p)
+            object.__setattr__(self, "_pivot_map", (pivot_row, D, g))
         return rref
 
     def echelon_rank(self) -> int:
@@ -248,41 +262,54 @@ class Matrix:
         L, cols = lcm(*self._factors), self.int_columns
         return list(zip(*(cols if L == 1 else [[x * (L // m) for x in c] for c, m in zip(cols, self._factors)])))
 
-    def _pivot_scale(self) -> int:
-        """det(A_P) / D: A_P the int columns at the pivots P of the full-rank
-        `_echelon` form, D its last pivot. `int_rref` gave det(A_P) with the
-        form, so no determinant is taken here: over Q det(A_P) = +-D and this
-        is the sign of the elimination's row swaps; over F_p, where D = 1, it
-        is det(A_P) mod p. Every minor read from the echelon form is this
-        times a minor of the echelon rows."""
-        a, pivots = self._echelon()
-        return self._det if self.field.p else self._det // a[-1][pivots[-1]]
-
     def _echelon_minor(self, cols: Sequence[int]) -> int:
         """The maximal minor of the int columns `cols` (0-based, increasing),
-        read from `_echelon` by the formula of `maximal_minors`: (-1)^e
-        det(A_P) minor_{R,C}(a) / D^|C|, with the one small determinant
-        minor_{R,C} of the echelon rows a (C the columns of `cols` off the
-        pivots, R the rows whose pivot is not in `cols`). Equals the
+        read from `_echelon` by the formula of `maximal_minors`: (-1)^e g
+        minor_{R,C}(a) / D^(|C|-1), g and D from `_pivot_map`, with the one
+        small minor of the echelon rows a on C, the columns of `cols` off the
+        pivots, and R, the rows whose pivot is not in `cols`. Equals the
         determinant of those int columns over Q and is reduced mod p over
-        F_p; 0 when the matrix is rank-deficient."""
-        a, pivots = self._echelon()
-        if len(pivots) < self.rows:
+        F_p; 0 when the matrix is rank-deficient.
+
+        e sums, over the pivots u in `cols`, the position of u in `cols` and
+        the row of u. Positions and rows each run over 0..k-1 in all, so e
+        has the parity of the positions of C plus the rows R.
+
+        Up to |C| = 3 the minor is its cofactor expansion, divided by D once
+        at |C| = 2 and by D^2 at |C| = 3; beyond, Bareiss on the block, over
+        D^(|C|-1). Every division is exact: an s x s minor of the echelon
+        rows is divisible by D^(s-1) (Sylvester).
+        """
+        a, pivots = self._rref or self._echelon()
+        pivot_row, D, g = self._pivot_map
+        if not g:
             return 0
-        rows = list(range(self.rows))
-        free = []
         e = 0
+        free = []
         for t, c in enumerate(cols):
-            if c in pivots:
-                r = pivots.index(c)
-                rows.remove(r)
-                e += t + r
-            else:
+            if pivot_row[c] < 0:
                 free.append(c)
-        D = a[-1][pivots[-1]]
-        # a minor of size s of the echelon rows is divisible by D^(s-1) (Sylvester)
-        v = _bareiss_det_int([[a[r][c] for c in free] for r in rows]) // D ** (len(free) - 1) if free else D
-        v *= -self._pivot_scale() if e % 2 else self._pivot_scale()
+                e += t
+        s = len(free)
+        if not s:
+            v = D
+        else:
+            R = [r for r, c in enumerate(pivots) if c not in cols]
+            e += sum(R)
+            if s == 1:
+                v = a[R[0]][free[0]]
+            elif s == 2:
+                x, y = a[R[0]], a[R[1]]
+                c0, c1 = free
+                v = (x[c0] * y[c1] - x[c1] * y[c0]) // D
+            elif s == 3:
+                x, y, z = a[R[0]], a[R[1]], a[R[2]]
+                c0, c1, c2 = free
+                y0, y1, y2, z0, z1, z2 = y[c0], y[c1], y[c2], z[c0], z[c1], z[c2]
+                v = (x[c0] * (y1 * z2 - y2 * z1) - x[c1] * (y0 * z2 - y2 * z0) + x[c2] * (y0 * z1 - y1 * z0)) // (D * D)
+            else:
+                v = _bareiss_det_int([[a[r][c] for c in free] for r in R]) // D ** (s - 1)
+        v *= -g if e & 1 else g
         prime = self.field.p
         return v % prime if prime else v
 
@@ -317,15 +344,13 @@ class Matrix:
         k, n = self.rows, self.cols
         prime = self.field.p
         a, pivots = self._echelon()
-        if len(pivots) < k:
+        pivot_row, D, g = self._pivot_map
+        if not g:
             return (self.field.zero,) * comb(n, k)
-        D = a[k - 1][pivots[-1]]
-        free = [c for c in range(n) if c not in pivots]
+        free = [c for c in range(n) if pivot_row[c] < 0]
         # a column's bits in the key rows_mask | cols_mask << k of `minors`
-        pivot_row = [-1] * n
         key_bit = [0] * n
         for r, c in enumerate(pivots):
-            pivot_row[c] = r
             key_bit[c] = 1 << r
         for i, c in enumerate(free):
             key_bit[c] = 1 << (k + i)
@@ -347,7 +372,6 @@ class Matrix:
                             total += -v if neg else v
                         neg = not neg
                     minors[cbits | rbits] = total % prime if prime else total // D
-        g = self._pivot_scale()
         # the key of each J, with bit n set when e is odd
         odd = 1 << n
         keys = _lex_subset_folds(
@@ -586,13 +610,19 @@ def certified_rank(rows: list[list[int]], kernel: list[list[int]], p: int | None
     So when the first cap rows have rank cap mod q, the rank is cap, and no
     other row is eliminated. Otherwise the rank comes from the full stack:
     mod p its rank; over Q its rank mod q when that meets cap, else exact
-    elimination. A wrong `kernel` or a short prefix costs that fallback,
-    never a wrong rank.
+    elimination. When cap is the row count the prefix is the full stack, so
+    its rank mod q is that of the full stack and is not taken again. A wrong
+    `kernel` or a short prefix costs that fallback, never a wrong rank.
     """
     q = p or CERT_PRIME
     cap = min(len(rows), len(rows[0]) - int_rank(kernel, q)) if _orthogonal(rows, kernel, p) else None
-    if cap is not None and int_rank(rows[:cap], q) == cap:
-        return cap
+    if cap is not None:
+        r = int_rank(rows[:cap], q)
+        if r == cap:
+            return cap
+        if cap == len(rows):
+            # r is the full stack's rank mod q, and it is below cap
+            return r if p is not None else int_rank(rows)
     if p is not None:
         return int_rank(rows, p)
     if cap is not None and int_rank(rows, q) == cap:

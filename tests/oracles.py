@@ -45,12 +45,16 @@ and `jacobian_rank_oracle` draws it as `dimension_estimate` does and takes
 its rank by full Gauss-Jordan (`int_rref`); they are the reference for the
 block rank of `dimension_estimate` (a banded left kernel of the Vandermonde
 block, then the certified rank of the Schur complement).
+`left_kernel_band_oracle` takes each band entry's Vandermonde product over
+its own pairs; it is the reference for `_left_kernel_band`, which divides one
+product per band.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import prod
 
 import veronese_kit.brackets as brackets
 from veronese_kit.brackets import (
@@ -369,6 +373,24 @@ def jacobian_rank_oracle(d, n, seed=None, field=None, height=100):
         if rows is not None:
             return len(int_rref([_clear(row, field.p)[0] for row in rows], field.p)[1])
     raise BudgetExceededError("all chart retries hit a zero leading coordinate")
+
+
+def left_kernel_band_oracle(d, t, y0, p):
+    """`configurations._left_kernel_band` entry by entry: band j's entry at
+    i in W = (j, ..., j + d + 1) is (-1)^(i - j) vdm(t_{W-i}) prod_{l in W-i}
+    y0(l), each Vandermonde product taken over its own pairs, reduced mod p
+    once at the end when p is given."""
+    bands = []
+    for j in range(len(t) - d - 1):
+        W = range(j, j + d + 2)
+        band = []
+        for i in W:
+            rest = [l for l in W if l != i]
+            u = prod([t[b] - t[a] for a, b in combinations(rest, 2)]) * prod([y0[l] for l in rest])
+            u = -u if (i - j) % 2 else u
+            band.append(u % p if p else u)
+        bands.append(band)
+    return bands
 
 
 def relabel(P, I, ground=None):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import veronese_kit.brackets as brackets
+import veronese_kit.linalg as linalg
 from veronese_kit.brackets import (
     BracketPolynomial,
     HigherEquationReport,
@@ -488,6 +489,58 @@ def test_echelon_brackets_match_eval_bracket_poly():
                         value = brackets._eval_on_echelon(poly, mm, J, minors)
                         assert value == eval_bracket_poly(poly, ref, J1), (field, d, n, J, I)
     assert sizes == set(range(6)) | {"rank-deficient"} and no_pivot == {3, 4}
+
+
+def _pivot_off_witness_config(field, d):
+    """d + 5 points whose first separating window leaves out a pivot.
+
+    Points 1..d+2 lie on the moment curve C of the hyperplane H: x_d = 0;
+    point d+3 is A = e_d, off H, and points d+4 and d+5 are A + m1 and
+    A + m2, m1 and m2 two more points of C. A window of the d + 2 points of
+    H and two points a, b off it vanishes exactly when the line ab meets H
+    on C: up to one double Gale point for a and b, its Gale points are those
+    of the d + 2 points and that meeting point, d + 3 points of H, which lie
+    on a conic when the meeting point lies on C, the one rational normal
+    curve of H through the d + 2. So the windows that leave out point d+5
+    or d+4 vanish, while the one that leaves out point d+3 separates.
+    The pivots are points 1..d and d+3, so the witness window holds d
+    pivots and four free points, and brackets on all four occur.
+    """
+    def on_c(t):
+        return [t**i for i in range(d)] + [0]
+
+    A = [0] * d + [1]
+    cols = [on_c(t) for t in range(1, d + 3)] + [A]
+    cols += [[x + y for x, y in zip(A, on_c(t))] for t in (d + 3, d + 4)]
+    return make_config(field, d, d + 5, cols)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)
+def test_wdn_witness_matches_the_memo_minor_scan(field, monkeypatch):
+    # generic samples, whose witness is the first pullback, and a head of
+    # points in a hyperplane, whose witness window leaves out a pivot: the
+    # minors `_echelon_minor` reads in closed form up to |C| = 3 and by
+    # Bareiss beyond, against `eval_bracket_poly` on memoized determinants
+    bareiss = linalg._bareiss_det_int
+    blocks = []
+    monkeypatch.setattr(linalg, "_bareiss_det_int", lambda rows: blocks.append(len(rows)) or bareiss(rows))
+    for d in (3, 4, 5, 6):
+        for n in (d + 4, d + 5):
+            for seed in range(2):
+                p = sample_generic(field, d, n, seed=seed, height=9)
+                rep = wdn_membership(p)
+                assert rep == wdn_scan_oracle(p), (d, n, seed)
+                assert rep.checked == 1
+        blocks.clear()
+        p = _pivot_off_witness_config(field, d)
+        rep = wdn_membership(p)
+        # the only determinants taken are of the blocks on all four free points
+        assert set(blocks) == {4}, d
+        assert rep == wdn_scan_oracle(p), d
+        pivots = [c + 1 for c in p.coords._echelon()[1]]
+        assert pivots == list(range(1, d + 1)) + [d + 3]
+        assert rep.witness[1] == tuple(range(1, d + 3)) + (d + 4, d + 5)
+        assert rep.checked == 2 * comb(d + 4, 6) + 1
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(101), FP], ids=str)

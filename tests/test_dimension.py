@@ -18,7 +18,15 @@ from fractions import Fraction
 
 import pytest
 from cli_runner import invoke
-from oracles import chart_jacobian, jacobian_rank_oracle, matrix_is_zero, poly_eval, poly_partial, transpose
+from oracles import (
+    chart_jacobian,
+    jacobian_rank_oracle,
+    left_kernel_band_oracle,
+    matrix_is_zero,
+    poly_eval,
+    poly_partial,
+    transpose,
+)
 
 from veronese_kit import cli, configurations, linalg
 from veronese_kit.configurations import (
@@ -229,6 +237,35 @@ def test_banded_left_kernel_annihilates_the_vandermonde_block():
                 assert len(U) == len(int_rref(U, p)[1]) == n - d - 1
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_band_and_schur_complement_match_the_pairwise_band(field, monkeypatch):
+    # each band divided from one product per band is the entry-by-entry
+    # Vandermonde product, and so S is the same, with y and c_r reduced as
+    # they are formed over F_p
+    rng = random.Random(5)
+    p = field.p
+    checked = 0
+    for d in range(1, 6):
+        for n in range(d + 2, d + 8):
+            g, t = draw(field, d, n, rng)
+            g, t = core_ints(field, g), core_ints(field, t)
+            y0 = [sum(g[k] * x**k for k in range(d + 1)) for x in t]
+            if any((v % p if p else v) == 0 for v in y0):
+                continue
+            assert _left_kernel_band(d, t, y0, p) == left_kernel_band_oracle(d, t, y0, p), (d, n)
+            S = _schur_complement(d, g, t, p)
+            with monkeypatch.context() as m:
+                m.setattr(configurations, "_left_kernel_band", left_kernel_band_oracle)
+                assert S == _schur_complement(d, g, t, p), (d, n)
+            checked += 1
+    assert checked > 20
+    # a repeated t and a zero y0, which `dimension_estimate` never passes,
+    # leave some entries nothing to divide by
+    t, y0 = [3, 5, 3, 8, 11, 2, 8], [1, 4, 2, 0, 4, 9, 6]
+    for d in (1, 2, 3):
+        assert _left_kernel_band(d, t, y0, p) == left_kernel_band_oracle(d, t, y0, p), d
+
+
 def test_restricted_gl2_vectors_annihilate_the_schur_complement():
     rng = random.Random(6)
     for field in BLOCK_FIELDS:
@@ -316,6 +353,28 @@ def test_short_prefix_falls_back_to_full_stack_rank(field, monkeypatch):
             assert certified_rank(rows, K, p) == full_stack_rank(rows, p)
             # the prefix missed the cap, so the whole stack was ranked mod q
             assert calls[:3] == [(q, 4), (q, cap), (q, len(rows))]
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101)], ids=str)
+def test_whole_stack_prefix_is_ranked_once(field, monkeypatch):
+    # at d = 1 the cap n + d - 3 is the row count n - 2 of S, so the prefix is
+    # the whole stack; a copy of row 1 in place of the last keeps S in the
+    # kernel but drops its rank below the cap
+    rng = random.Random(12)
+    calls = record_eliminations(monkeypatch)
+    p, q = field.p, field.p or linalg.CERT_PRIME
+    for n in (4, 6, 9):
+        drawn = None
+        while drawn is None:
+            drawn = schur_and_kernel(field, 1, n, rng)
+        S, K = drawn
+        rows = S[:-1] + S[:1]
+        assert len(rows) == n - 2 and full_stack_rank(rows, p) < n - 2
+        calls.clear()
+        assert certified_rank(rows, K, p) == full_stack_rank(rows, p)
+        # the miss on the prefix is the rank mod q of the whole stack: mod p it
+        # is the answer, over Q only the exact rank follows
+        assert calls == [(q, 4), (q, n - 2)] + ([] if p else [(None, n - 2)])
 
 
 def test_q_draw_does_no_exact_elimination(monkeypatch):
