@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, prod
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
 from .errors import IndexSetError, ShapeError, check_budget
@@ -99,7 +99,7 @@ class BracketPolynomial:
         return f"BracketPolynomial(ground={self.ground}, width={self.width}, {format_bracket_poly(self)!r})"
 
 
-def bracket_template(P: BracketPolynomial, slots: Optional[Mapping[IndexSet, int]] = None) -> str:
+def bracket_template(P: BracketPolynomial, slot: Optional[Callable[[IndexSet], Optional[str]]] = None) -> str:
     """The text form of P as a `str.format` template; the one renderer of its
     signs, coefficients and bars.
 
@@ -107,14 +107,14 @@ def bracket_template(P: BracketPolynomial, slots: Optional[Mapping[IndexSet, int
     text of P pulled back along a strictly increasing window J (index i reads
     J[i-1]). Such a map keeps every bracket sorted and the order of factors
     and terms, so P's canonical form maps to the canonical form of the
-    pullback. A bracket F in `slots` is instead the one field {slots[F]},
-    filled with the space-joined labels of F's pullback: templates that share
-    `slots` then share the text of each such bracket, built once per window.
+    pullback. A bracket F for which `slot(F)` is a string is that string
+    instead: one field {k} that templates share, filled with the
+    space-joined labels of F's pullback, so that its text is built once per
+    window; or, for the one window J = (1, ..., ground), those labels.
     """
     if not P.terms:
         return "0"
-    slots = slots or {}
-    inner = lambda f: f"{{{slots[f]}}}" if f in slots else " ".join(f"{{{i - 1}}}" for i in f)
+    inner = lambda f: (slot and slot(f)) or " ".join(f"{{{i - 1}}}" for i in f)
     parts = []
     for coef, factors in P.terms:
         sign = "+" if coef > 0 else "-"

@@ -20,7 +20,8 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
 
@@ -58,8 +59,8 @@ _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
 
 #: `eqs` emits at most this many generators; larger requests exit 3 before
 #: any generator is built. In-process on a 2-core host, the largest admitted
-#: shapes take 0.03-0.1 s as text ((5, 12), (2, 18)), 0.45 s at (14, 18),
-#: where compiling its 18,564 patterns dominates, and 1-2 s as JSON.
+#: shapes take 0.03-0.1 s as text ((5, 12), (2, 18)), 0.13 s at (14, 18)
+#: once its 18,564 patterns are built (1-2 s on first use), and 1-2 s as JSON.
 EQS_GENERATOR_BUDGET = 20_000
 
 
@@ -140,6 +141,9 @@ def _edges_from_json(doc) -> list[list[int]]:
     """A JSON list of edges, each a list of integers."""
     if not isinstance(doc, list):
         raise ValueError(f"edges must be a JSON list of edges, got {doc!r}")
+    # one type pass over every entry; a list it refuses goes edge by edge for the error
+    if set(map(type, doc)) <= {list} and set(map(type, chain.from_iterable(doc))) <= {int}:
+        return doc
     for e in doc:
         if not isinstance(e, list) or any(isinstance(i, bool) or not isinstance(i, int) for i in e):
             raise ValueError(f"edge {e!r} must be a list of integers")
@@ -210,15 +214,20 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
     else:
         size, patterns = d + 4, psi_generators(d)
     # Rendered one window J at a time: every pattern's line is compiled once
-    # into one block template (`bracket_template` with `slots`) whose fields
+    # into one block template (`bracket_template` with `slot`) whose fields
     # are J's labels, J's own label and each bracket the block uses more than
     # once, so a window costs one join per such bracket and one format. A
     # bracket used once keeps a field per label, which costs less than a join.
-    uses = Counter(F for _, P in patterns for _, fs in P.terms for F in fs)
-    shared = [F for F in uses if uses[F] > 1]
-    slots = {F: k for k, F in enumerate(shared, start=size + 1)}
+    # At n = size the one window is J = (1, ..., n): each bracket's text is its
+    # own labels, joined once, and the block's only field is J's label.
+    if n > size:
+        uses = Counter(F for _, P in patterns for _, fs in P.terms for F in fs)
+        shared = [F for F in uses if uses[F] > 1]
+        slot = {F: "{%d}" % k for k, F in enumerate(shared, start=size + 1)}.get
+    else:
+        shared, slot = [], cache(lambda F: " ".join(map(str, F)))
     getters = [itemgetter(*[i - 1 for i in F]) for F in shared]
-    templates = [bracket_template(P, slots) for _, P in patterns]
+    templates = [bracket_template(P, slot) for _, P in patterns]
     window = "{%d}" % size  # the field of J's label
     block = "\n".join(
         f"({window}) {t}" if I is None else f"({','.join(map(str, I))}; {window}) {t}"
@@ -401,17 +410,19 @@ class _CommandParser(argparse.ArgumentParser):
         return opts, extra
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="veronese-kit",
         description="Exact equations, Gale transforms and transversality for point configurations.",
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True, parser_class=_CommandParser)
+    by_name = {}
 
     def command(cmd) -> argparse.ArgumentParser:
         name = cmd.__name__.removeprefix("cmd_")
-        sub = commands.add_parser(name, help=cmd.__doc__, description=cmd.__doc__, allow_abbrev=False)
+        sub = by_name[name] = commands.add_parser(name, help=cmd.__doc__, description=cmd.__doc__, allow_abbrev=False)
         sub.set_defaults(cmd=cmd)
         return sub
 
@@ -452,15 +463,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(cmd_verify)
     p.add_argument("--suite", choices=sorted(verify_mod.SUITES) + ["all"], default="all")
     p.add_argument("--seed", type=int, default=0)
-    return parser
+    return parser, by_name
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(args: list[str] | None = None) -> None:
-    """The `veronese-kit` console script: run the subcommand `args` names (default: sys.argv[1:])."""
-    opts = vars(_PARSER.parse_args(args))
+    """The `veronese-kit` console script: run the subcommand `args` names (default: sys.argv[1:]).
+
+    A first word that names a command is parsed by that command's parser
+    alone, as the top parser would hand it the rest; the top parser runs
+    only for anything else (no arguments, -h, an unknown word, an option),
+    and reports it under its own usage line."""
+    args = sys.argv[1:] if args is None else args
+    sub = _COMMANDS.get(args[0]) if args else None
+    opts = vars(_PARSER.parse_args(args) if sub is None else sub.parse_args(args[1:]))
     _run(opts.pop("cmd"), opts)
 
 

@@ -25,6 +25,9 @@ _MAX_PRIME = (1 << 31) - 1
 #: A plain ASCII integer string, the form Q coordinates are usually written in.
 _PLAIN_INT = re.compile(r"-?[0-9]+")
 
+#: A list of plain ASCII integer strings, joined by commas.
+_PLAIN_INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
 #: The largest decimal exponent a Q string may carry: the default digit limit
 #: `int` puts on integer strings, so a scalar can be no longer written with an
 #: exponent than written out. `Fraction("1e9999999999")` would build
@@ -207,10 +210,11 @@ class Field:
         kinds = set(map(type, vs))
         if self.p is not None:
             return list(map(self.p.__rmod__, vs)) if kinds == {int} else None
-        if kinds == {str} and all(map(_PLAIN_INT.fullmatch, vs)):
+        # one match over the joined strings: a string that holds a comma passes it, and `int` refuses that string
+        if kinds == {str} and _PLAIN_INTS.fullmatch(",".join(vs)):
             try:
                 return list(map(int, vs))
-            except ValueError:  # longer than int's digit limit
+            except ValueError:  # a comma, or longer than int's digit limit
                 return None
         return None
 

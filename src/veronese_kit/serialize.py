@@ -8,27 +8,31 @@ with rational scalars as fraction strings ("3", "-5/7") and prime-field
 scalars as plain ints. Round-tripping preserves configurations up to nothing
 at all — coordinates are written verbatim.
 
-Both directions work a column at a time, and `Field` decides the form of
-each scalar. `config_from_json` reads a column of the common kind (exact
-ints over F_p, plain ASCII integer strings over Q) in one pass by
-`Field.ints_from_json`, as core ints; every other column, and one that
-`int` refuses, goes entry by entry through `Field.scalar_from_json`, the one
-rule of acceptance and of error text, so both paths give the same scalars
-and the same errors. When every column is of the common kind the coordinate
-matrix keeps those int columns (`Matrix._from_int_columns`): the minors
-start from them, and the `Fraction` entries over Q are built only if read.
-`config_to_json` writes the int columns when every clearing factor is 1,
+`Field` decides the form of each scalar. `config_from_json` checks the
+shape of each column, then reads the whole document in one pass by
+`Field.ints_from_json` when every coordinate is of the common kind (exact
+ints over F_p, plain ASCII integer strings over Q), as core ints, and keeps
+them as the int columns of the coordinate matrix
+(`Matrix._from_int_columns`): the minors start from them, and the
+`Fraction` entries over Q are built only if read. Any other document, and
+one with a string `int` refuses, goes entry by entry through
+`Field.scalar_from_json`, the one rule of acceptance and of error text, so
+both paths give the same scalars and the same errors. `config_to_json`
+writes a column at a time: the int columns when every clearing factor is 1,
 and the columns of `entries` otherwise (`Matrix._raw_columns`), by
 `Field.scalars_to_json`.
 
 `envelope_text` renders a CLI envelope as `json.dumps(doc, sort_keys=True,
 indent=2)` does, byte for byte, without the stdlib's pure-Python `indent`
-encoder.
+encoder. A list whose items are all ints or all strings, and a list of
+nonempty lists whose items all are (configuration columns, hypergraph
+edges, `nonvanishing`), is rendered in one join.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
 
@@ -90,19 +94,17 @@ def config_from_json(doc: dict) -> PointConfiguration:
     cols = doc["columns"]
     if not isinstance(cols, list) or len(cols) != n:
         raise ValueError(f"expected {n} columns")
-    parsed = []
-    common = True
+    h = d + 1
     for j, col in enumerate(cols, start=1):
-        if not isinstance(col, list) or len(col) != d + 1:
-            raise ValueError(f"column {j} must be a list of {d + 1} coordinates, got {col!r}")
-        column = f.ints_from_json(col)
-        if column is None:
-            common = False
-            column = [_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)]
-        parsed.append(column)
-    if common:
-        return PointConfiguration(f, d, n, Matrix._from_int_columns(f, parsed))
-    # a mix of int columns and scalar columns: normalizing makes each int its scalar
+        if not isinstance(col, list) or len(col) != h:
+            raise ValueError(f"column {j} must be a list of {h} coordinates, got {col!r}")
+    flat = f.ints_from_json(list(chain.from_iterable(cols)))
+    if flat is not None:
+        columns = [flat[i : i + h] for i in range(0, len(flat), h)]
+        return PointConfiguration(f, d, n, Matrix._from_int_columns(f, columns))
+    parsed = [
+        [_scalar_from_json(f, x, j, i) for i, x in enumerate(col, start=1)] for j, col in enumerate(cols, start=1)
+    ]
     return PointConfiguration(f, d, n, Matrix.from_columns(f, parsed))
 
 
@@ -151,10 +153,19 @@ def _render(o: Any, parts: list[str], nl: str) -> None:
             return
         inner = nl + "  "
         sep = "," + inner
-        leaf = _LEAF_ITEMS.get(tuple(set(map(type, o))))
+        types = set(map(type, o))
+        leaf = _LEAF_ITEMS.get(tuple(types))
         if leaf is not None:
             parts.append(f"[{inner}{sep.join(map(leaf, o))}{nl}]")
             return
+        if types <= {list, tuple} and all(o):
+            # a list of nonempty lists whose items are all of one leaf type
+            leaf = _LEAF_ITEMS.get(tuple(set(map(type, chain.from_iterable(o)))))
+            if leaf is not None:
+                row = inner + "  "
+                text = f"{inner}],{inner}[{row}".join(map(("," + row).join, map(map, repeat(leaf), o)))
+                parts.append(f"[{inner}[{row}{text}{inner}]{nl}]")
+                return
         head = "[" + inner
         for x in o:
             parts.append(head)

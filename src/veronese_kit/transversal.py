@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import ceil, comb, prod
+from operator import lt
 from typing import Callable, Iterable, Optional
 
 from .configurations import PointConfiguration, make_config
@@ -41,7 +42,17 @@ class Hypergraph:
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         if not 1 <= k <= n:
             raise ShapeError(f"need 1 <= k <= n, got k={k}, n={n}")
-        canon = sorted({as_index_set(e, ground=n, size=k) for e in edges})
+        edges = list(edges)
+        # one type pass over every entry, then one size, order and bounds check per edge;
+        # input either refuses goes through `as_index_set`, edge by edge, for the error
+        if (
+            set(map(type, edges)) <= {tuple, list}
+            and set(map(type, chain.from_iterable(edges))) <= {int}
+            and all(len(e) == k and 0 < e[0] and e[-1] <= n and all(map(lt, e, e[1:])) for e in edges)
+        ):
+            canon = sorted(set(map(tuple, edges)))
+        else:
+            canon = sorted({as_index_set(e, ground=n, size=k) for e in edges})
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", tuple(canon))

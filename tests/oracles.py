@@ -48,6 +48,12 @@ block, then the certified rank of the Schur complement).
 `left_kernel_band_oracle` takes each band entry's Vandermonde product over
 its own pairs; it is the reference for `_left_kernel_band`, which divides one
 product per band.
+`columns_entry_by_entry` reads every coordinate of a configuration
+document through `Field.scalar_from_json`; it is the reference for the
+one-pass decode of `serialize.config_from_json`. `edges_edge_by_edge`
+checks every edge on its own, by type and then by `as_index_set`; it is the
+reference for the one-pass checks of `cli._edges_from_json` and
+`transversal.Hypergraph`.
 """
 
 import random
@@ -391,6 +397,39 @@ def left_kernel_band_oracle(d, t, y0, p):
             band.append(u % p if p else u)
         bands.append(band)
     return bands
+
+
+def columns_entry_by_entry(field, d, columns):
+    """The coordinate matrix of a document's columns, every coordinate read by
+    `Field.scalar_from_json` and the matrix built by `Matrix.from_columns`;
+    a bad column or coordinate raises the ValueError `config_from_json`
+    words for it."""
+    for j, col in enumerate(columns, start=1):
+        if not isinstance(col, list) or len(col) != d + 1:
+            raise ValueError(f"column {j} must be a list of {d + 1} coordinates, got {col!r}")
+    parsed = []
+    for j, col in enumerate(columns, start=1):
+        parsed.append([])
+        for i, x in enumerate(col, start=1):
+            try:
+                parsed[-1].append(field.scalar_from_json(x))
+            except ZeroDivisionError:
+                raise ValueError(f"column {j}, coordinate {i}: {x!r} has a zero denominator") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"column {j}, coordinate {i}: {e}") from None
+    return Matrix.from_columns(field, parsed)
+
+
+def edges_edge_by_edge(n, k, doc):
+    """The sorted distinct edges of a JSON edge list on [n], each checked on
+    its own: a list of exact ints (the ValueError of `cli._edges_from_json`
+    otherwise), then a k-subset of [n] by `as_index_set`."""
+    if not isinstance(doc, list):
+        raise ValueError(f"edges must be a JSON list of edges, got {doc!r}")
+    for e in doc:
+        if not isinstance(e, list) or not all(type(i) is int for i in e):
+            raise ValueError(f"edge {e!r} must be a list of integers")
+    return sorted({as_index_set(e, ground=n, size=k) for e in doc})
 
 
 def relabel(P, I, ground=None):

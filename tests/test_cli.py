@@ -20,6 +20,7 @@ from veronese_kit.brackets import (
     phi_as_bracket_poly,
     psi_generators,
 )
+from veronese_kit import cli
 from veronese_kit.cli import SCHEMA, main
 from veronese_kit.linalg import Matrix
 
@@ -614,6 +615,56 @@ def test_an_unknown_option_is_reported_under_its_subcommand(capsys):
     assert "veronese-kit eqs: error: unrecognized arguments: --form json" in err
 
 
+#: Per subcommand: (valid arguments, an option with a bad value); each
+#: command's parser also sees them with a required option left out, an
+#: unknown option, -h, "--" and a repeated option.
+_DISPATCH_ARGS = {
+    "eqs": (["--d", "3", "--n", "7", "--format", "json"], ["--d", "x", "--n", "7"]),
+    "eval": (["in.json", "--values"], ["--values=yes"]),
+    "gale": (["in.json"], ["a.json", "b.json"]),
+    "sample": (
+        ["--family", "rnc", "--d", "2", "--n", "6", "--field", "Q"],
+        ["--family", "curve", "--d", "2", "--n", "6"],
+    ),
+    "transversal": (["--n", "5", "--k", "2", "--min", "greedy"], ["--n", "5", "--k", "2.5"]),
+    "dim": (["--d", "3", "--n", "8", "--seed", "4"], ["--d", "x", "--n", "3"]),
+    "verify": (["--suite", "gale", "--seed", "1"], ["--suite", "nope"]),
+}
+
+
+def _dispatch_cases():
+    for name, (valid, bad) in _DISPATCH_ARGS.items():
+        yield [name, *valid]
+        yield [name, *valid[2:]]  # the first option left out: required for most commands
+        yield [name, *bad]
+        yield [name, *valid, "--bogus"]
+        yield [name, "-h"]
+        yield [name, "--", *valid]
+        yield [name, *valid, "--"]
+        yield [name, *valid, *valid[:2]]
+    yield from ([], ["-h"], ["--help"], ["bogus"], ["bogus", "--d", "2"], ["--d", "2", "eqs"], ["--", "eqs"])
+
+
+@pytest.mark.parametrize("args", list(_dispatch_cases()), ids=" ".join)
+def test_dispatch_matches_the_top_parser(monkeypatch, capsys, args):
+    # main parses with the first word's own parser; the top parser must read every case alike
+    calls = []
+    monkeypatch.setattr(cli, "_run", lambda cmd, opts: calls.append({"cmd": cmd, **opts}))
+    outcomes = []
+    for parse in (cli.main, lambda a: calls.append(vars(cli._PARSER.parse_args(a)))):
+        calls.clear()
+        try:
+            parse(list(args))
+            code = None
+        except SystemExit as e:
+            code = e.code
+        outcomes.append((*capsys.readouterr(), code, calls[:]))
+    assert outcomes[0] == outcomes[1]
+    # a case either runs one command or exits: 0 after help, 2 on a usage error
+    code, ran = outcomes[0][2:]
+    assert (code, len(ran)) in {(None, 1), (0, 0), (2, 0)}
+
+
 @pytest.mark.parametrize("unbuffered, code", [("", 1), ("1", 1)])
 def test_a_reader_closing_the_pipe_early_gets_a_quiet_exit(unbuffered, code):
     # 713,713 bytes of generators, far more than a pipe holds, so the write is cut short.
@@ -673,6 +724,27 @@ def test_eqs_outputs_match_the_recorded_digests():
         assert hashlib.sha256(res.output.encode()).hexdigest() == digest, name
         if fmt == "json":
             assert res.output == _stdlib_rendering(res.output), name
+
+
+#: sha256 of the `eval --values` map of a seed-1 generic (2, 9) sample, printed by
+#: `json.dumps(values, sort_keys=True)`, per file name (eval-values-d2-n9-<field>.json),
+#: as CI checks them with `sha256sum -c`.
+EVAL_VALUES_DIGESTS = os.path.join(os.path.dirname(__file__), "eval_values_digests.sha256")
+
+
+def test_conic_values_match_the_recorded_digests():
+    # each value is one 6 x 6 minor of the lift: a sign or scale slip in a minor changes its digest
+    with open(EVAL_VALUES_DIGESTS, encoding="ascii") as f:
+        recorded = dict(reversed(line.split()) for line in f)
+    assert len(recorded) == 2
+    for name, digest in recorded.items():
+        field = {"Q": "Q", "Fp101": "Fp:101"}[name.removeprefix("eval-values-d2-n9-").removesuffix(".json")]
+        sample = run(["sample", "--family", "generic", "--d", "2", "--n", "9", "--field", field, "--seed", "1"]).output
+        code, out = run_json(["eval", "--values"], input=sample)
+        values = out["payload"]["report"]["values"]
+        assert code == 0 and len(values) == comb(9, 6)
+        text = json.dumps(values, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_cli_import_loads_no_numpy_or_numba():

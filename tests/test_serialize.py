@@ -1,6 +1,7 @@
 import enum
 import gc
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cli_runner import invoke
+from oracles import columns_entry_by_entry
 
 from veronese_kit.conic import phi_det
 from veronese_kit.configurations import (
@@ -292,6 +294,57 @@ def test_column_pass_decodes_as_each_entry_would(monkeypatch, field, column):
     assert with_pass[1].exit_code in (0, 2)
 
 
+#: Coordinates put into random documents: each is off the common kind of one
+#: field or both (so its document goes entry by entry), or on it.
+_STRAYS = ["1,2", "\uff11", "+4", " 3", "007", "-0", "1_0", "6/4", "1" * 4301, "1/0", "", "-", True, False, 1.0, 2.5,
+           None, 7, -3, 10**30, "12", [1]]
+
+
+def _random_document(rng, field):
+    """A configuration document of random shape over field: mostly of the common kind (ints over F_p, plain
+    integer strings over Q), sometimes with a stray coordinate, a ragged column or a column that is no list."""
+    d, n = rng.randint(1, 4), rng.randint(1, 5)
+    # nonzero over Q, so that no point is all zero
+    common = (lambda: str(rng.randint(1, 99) * rng.choice([-1, 1]))) if field.p is None else (
+        lambda: rng.randint(-2 * field.p, 2 * field.p)
+    )
+    cols = [[common() for _ in range(d + 1)] for _ in range(n)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        j = rng.randrange(n)
+        if not isinstance(cols[j], list) or not cols[j]:
+            continue
+        what = rng.random()
+        if what < 0.8:
+            cols[j][rng.randrange(len(cols[j]))] = rng.choice(_STRAYS)
+        elif what < 0.9:
+            cols[j] = cols[j][: rng.randrange(d + 1)] if rng.random() < 0.5 else cols[j] + [common()]
+        else:
+            cols[j] = rng.choice([None, 5, "1,2,3", {"1": 1}])
+    return {"field": field_to_json(field), "d": d, "n": n, "columns": cols}
+
+
+def _matrix_or_error(decode, *args):
+    """The int columns, clearing factors and typed entries a decode gives, or its error."""
+    try:
+        M = decode(*args)
+    except ValueError as e:
+        return "error", str(e)
+    return [list(c) for c in M.int_columns], list(M._factors), [[(type(x), x) for x in r] for r in M.entries]
+
+
+@pytest.mark.parametrize("field", [QQ, F101, FP], ids=str)
+def test_one_pass_decode_matches_entry_by_entry(field):
+    rng = random.Random(f"decode:{field}")
+    errors = 0
+    for _ in range(400):
+        doc = _random_document(rng, field)
+        ours = _matrix_or_error(lambda: config_from_json(doc).coords)
+        assert ours == _matrix_or_error(columns_entry_by_entry, field, doc["d"], doc["columns"]), doc
+        errors += ours[0] == "error"
+    # both decoded documents and refused ones are reached
+    assert 0 < errors < 400
+
+
 def test_column_pass_takes_only_its_two_kinds():
     assert F101.ints_from_json([101, -1, 7]) == [0, 100, 7]
     assert FP.ints_from_json([3 * 65521 + 4, -65522, 0]) == [4, 65520, 0]
@@ -453,7 +506,15 @@ _JSON_VALUES = st.recursive(
     | st.floats()
     | st.text()
     | st.lists(st.integers(), max_size=6)
-    | st.lists(st.text(), max_size=6),
+    | st.lists(st.text(), max_size=6)
+    # lists of leaf lists, ragged and with empty rows: rows of ints, of strings, of bools, of ints and strings
+    | st.lists(st.lists(st.integers(), max_size=4), max_size=4)
+    | st.lists(st.lists(st.text(), max_size=4), max_size=4)
+    | st.lists(st.lists(st.booleans(), min_size=1, max_size=4), max_size=4)
+    | st.lists(st.lists(st.integers() | st.text(), min_size=1, max_size=4), max_size=4)
+    # and of tuples, in a list or a tuple
+    | st.lists(st.lists(st.integers(), min_size=1, max_size=4).map(tuple), max_size=4)
+    | st.lists(st.lists(st.text(), min_size=1, max_size=4), min_size=1, max_size=4).map(tuple),
     lambda kids: st.lists(kids, max_size=5)
     | st.lists(kids, max_size=5).map(tuple)
     | st.dictionaries(st.text(), kids, max_size=5),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     edge_is_transversal_to,
+    edges_edge_by_edge,
     greedy_cover_oracle,
     ordered_partition_oracle,
     partition_edge_masks_oracle,
@@ -20,7 +21,8 @@ from oracles import (
 from veronese_kit.configurations import make_config
 from veronese_kit.errors import BudgetExceededError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import Matrix, minor
+from veronese_kit import cli
+from veronese_kit.linalg import Matrix, as_index_set, minor
 import veronese_kit.transversal as tv
 from veronese_kit.transversal import (
     BlockPartition,
@@ -49,6 +51,60 @@ def test_hypergraph_canonicalization():
         Hypergraph(5, 3, [(1, 2)])
     with pytest.raises(ShapeError):
         Hypergraph(5, 6, [])
+
+
+def _random_edges(rng, n, k):
+    """A JSON-like edge list on [n]: k-subsets, sometimes with a bool, 0 or n + 1 in an edge, an edge
+    unsorted, with a repeated index or of the wrong size, or an edge that is no list of ints."""
+    edges = [sorted(rng.sample(range(1, n + 1), k)) for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.choice([0, 0, 1, 2]) if edges else 0):
+        j = rng.randrange(len(edges))
+        e = edges[j]
+        if not isinstance(e, list) or len(e) != k:
+            continue
+        what = rng.randrange(8)
+        if what == 0:
+            e[rng.randrange(k)] = rng.choice([True, False])
+        elif what == 1:
+            e[0] = 0
+        elif what == 2:
+            e[-1] = n + 1
+        elif what == 3:
+            rng.shuffle(e)
+        elif what == 4:
+            e[-1] = e[0]
+        elif what == 5:
+            edges[j] = e[:-1] if rng.random() < 0.5 else e + [rng.randint(1, n)]
+        elif what == 6:
+            e[rng.randrange(k)] = rng.choice([1.0, "1", None, -1])
+        else:
+            edges[j] = rng.choice([5, "123", {"1": 1}, None])
+    return edges
+
+
+def _edges_or_error(make, *args):
+    try:
+        return list(make(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_one_pass_edge_checks_match_edge_by_edge():
+    rng = random.Random("edges")
+    errors = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        doc = _random_edges(rng, n, k)
+        oracle = _edges_or_error(edges_edge_by_edge, n, k, doc)
+        assert _edges_or_error(lambda: Hypergraph(n, k, cli._edges_from_json(doc)).edges) == oracle, (n, k, doc)
+        # the constructor alone, on lists and on tuples, against `as_index_set` per edge
+        for edges in (doc, [tuple(e) if isinstance(e, list) else e for e in doc]):
+            each = _edges_or_error(lambda: sorted({as_index_set(e, ground=n, size=k) for e in edges}))
+            assert _edges_or_error(lambda: Hypergraph(n, k, edges).edges) == each, (n, k, edges)
+        errors += isinstance(oracle, tuple)
+    # both accepted and refused edge lists are reached
+    assert 0 < errors < 600
 
 
 def test_block_partition_canonicalization():
