@@ -347,16 +347,21 @@ def _on_one_conic(points: Iterable[tuple[int, int, int]], p: Optional[int]) -> b
     e_2 of P^2 and `points` (core ints, reduced mod p over F_p or not).
 
     A conic through the coordinate points has no square terms, so the test
-    is whether the rows (xy, xz, yz) of `points` have rank <= 2: with u the
-    first nonzero row and v the first with u x v != 0, whether each later
-    row w has w . (u x v) = 0. Over F_p the products, the cross product and
-    the dot products are reduced mod p before their zero tests. Scaling a
-    point scales its row, so the answer ignores point scalings.
+    is whether the rows (xy, xz, yz) of `points` have rank <= 2
+    (`_rank_at_most_two`). Scaling a point scales its row, so the answer
+    ignores point scalings.
     """
     if p:
-        rows = iter([(x * y % p, x * z % p, y * z % p) for x, y, z in points])
-    else:
-        rows = iter([(x * y, x * z, y * z) for x, y, z in points])
+        return _rank_at_most_two([(x * y % p, x * z % p, y * z % p) for x, y, z in points], p)
+    return _rank_at_most_two([(x * y, x * z, y * z) for x, y, z in points], p)
+
+
+def _rank_at_most_two(rows: Iterable[tuple[int, int, int]], p: Optional[int]) -> bool:
+    """True when the 3-entry `rows` (reduced mod p over F_p) have rank <= 2:
+    with u the first nonzero row and v the first with u x v != 0, whether
+    each later row w has w . (u x v) = 0. Over F_p the cross product and the
+    dot products are reduced mod p before their zero tests."""
+    rows = iter(rows)
     for u0, u1, u2 in rows:
         if u0 or u1 or u2:
             break
@@ -370,6 +375,14 @@ def _on_one_conic(points: Iterable[tuple[int, int, int]], p: Optional[int]) -> b
             dots = [x * c0 + y * c1 + z * c2 for x, y, z in rows]
             return not any(map(p.__rmod__, dots) if p else dots)
     return True
+
+
+#: For the four free columns of a last-level node: the products (xy, xz,
+#: yz) of the three kept when column i is dropped, read from the row's six
+#: pairwise products (x0x1, x0x2, x0x3, x1x2, x1x3, x2x3); and the three
+#: entries off column i.
+_DROP_PRODUCTS = (itemgetter(3, 4, 5), itemgetter(1, 2, 5), itemgetter(0, 2, 4), itemgetter(0, 1, 3))
+_OFF = (itemgetter(1, 2, 3), itemgetter(0, 2, 3), itemgetter(0, 1, 3), itemgetter(0, 1, 2))
 
 
 def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
@@ -389,7 +402,9 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
     root is `Matrix._echelon()` of M: its rows, its pivots, D the last pivot
     (1 over F_p) and every column active. Throughout, `rows` span the row
     space of M restricted to the active columns, and row r is 0 on every
-    basis column but basis[r].
+    basis column but basis[r]. A last-level node, with one column left to
+    leave out, has d + 5 active columns, so exactly four free ones: it keeps
+    each row only at those four, as a 4-tuple in the order of `free`.
 
     Why the window is decided from these rows: if the window has rank < k
     every width-k bracket is 0. Otherwise its Gale transform is the kernel
@@ -405,7 +420,7 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
     vanishes when `_on_one_conic` holds for the rows read at the three free
     columns.
 
-    Leaving out column m at a node:
+    Leaving out column m at a node with two or more columns left:
     - a free column drops out of `free`; the rows stay as they are. When m
       is top, the one window below leaves out every column from m on; if
       they are all free, its free columns are the first three of `free`;
@@ -413,9 +428,28 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
       g_c != 0: every other row x becomes (x g_c - x_c g) / D over Q and
       x g_c - x_c g mod p over F_p (a row with x_c = 0 stays as it is over
       F_p, which only scales rows), g becomes the row of c, and g_c the new
-      D. A leaf forms only its three free columns of each row;
+      D. A last-level child gets only its four free columns of each row,
+      by the same step;
     - if g is 0 on every free column, the restricted rows have rank < k, so
       every window below the node is rank-deficient and vanishes.
+
+    One loop decides the leaves below a last-level node, the root at
+    n = d + 5 included. Leaving out column m there:
+    - a free column leaves the other three free: the products (xy, xz, yz)
+      of each row at them are three of its six pairwise products, from one
+      table per node, and the window vanishes when they have rank <= 2
+      (`_rank_at_most_two`);
+    - a basis column of row g, with g 0 on all four free columns, leaves
+      rank < k: the window vanishes, whatever a conic test on the rows
+      would say, so this is asked first;
+    - otherwise g is exchanged for the first free column c with g_c != 0:
+      each other row x with x_c != 0 becomes x g_c - x_c g at the three free
+      columns off c, and g's three entries off c are the row of c. The
+      exact rows are these divided by D, but scaling a row scales its Gale
+      point, which moves no conic test, and a leaf has no children to
+      reuse them: so there is no division by D, nor a reduction mod p
+      before `_on_one_conic` reduces the products. Likewise a row with
+      x_c = 0 stays as it is in both fields.
 
     Order: the windows are the complements of the left-out sets, and
     complements reverse the lex order of sets of one size. For sets J != J'
@@ -443,19 +477,54 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
     if not left:
         yield _on_one_conic(map(itemgetter(*free), rows), p)
         return
+    D = rows[-1][basis[-1]]
+    if left == 1:
+        rows = list(map(itemgetter(*free), rows))
     whole = itemgetter(*range(n))
-    stack = [(rows, basis, free, rows[-1][basis[-1]], left, iter(range(n - left, -1, -1)))]
+    stack = [(rows, basis, free, D, left, iter(range(n - left, -1, -1)))]
     while stack:
         rows, basis, free, D, left, ms = stack[-1]
+        if left == 1:
+            # the last level: rows are 4-tuples at the four free columns
+            stack.pop()
+            table = None
+            for m in ms:
+                if m in free:
+                    if table is None:
+                        if p:
+                            table = [
+                                (a * b % p, a * c % p, a * e % p, b * c % p, b * e % p, c * e % p) for a, b, c, e in rows
+                            ]
+                        else:
+                            table = [(a * b, a * c, a * e, b * c, b * e, c * e) for a, b, c, e in rows]
+                    yield _rank_at_most_two(map(_DROP_PRODUCTS[free.index(m)], table), p)
+                    continue
+                g = rows[basis.index(m)]
+                for j, gj in enumerate(g):
+                    if gj:
+                        break
+                else:
+                    yield True
+                    continue
+                off = _OFF[j]
+                g0, g1, g2 = off(g)
+                points = []
+                for x in rows:
+                    xj = x[j]
+                    if x is g or not xj:
+                        points.append(off(x))
+                    else:
+                        a, b, e = off(x)
+                        points.append((a * gj - xj * g0, b * gj - xj * g1, e * gj - xj * g2))
+                yield _on_one_conic(points, p)
+            continue
         top = n - left
         for m in ms:
             if m in free:
                 if m == top and max(basis) < m:
                     yield _on_one_conic(map(itemgetter(*free[:3]), rows), p)
                     continue
-                i = free.index(m)
-                kept = free[:i] + free[i + 1 :]
-                new = map(itemgetter(*kept), rows) if left == 1 else rows
+                i, g = free.index(m), None
                 new_basis, gc = basis, D
             else:
                 r = basis.index(m)
@@ -467,11 +536,17 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
                     yield from repeat(True, comb(n - m - 1, left - 1))
                     continue
                 i = free.index(c) if c <= top else len(free)
-                kept = free[:i] + free[i + 1 :]
                 new_basis = basis[:r] + (c,) + basis[r + 1 :]
-                # a leaf reads each row only at its three free columns
-                get = itemgetter(*kept) if left == 1 else whole
-                gc, gs = g[c], get(g)
+                gc = g[c]
+            kept = free[:i] + free[i + 1 :]
+            if top + 1 not in new_basis:
+                kept += (top + 1,)  # the child's top
+            # a last-level child keeps each row only at its four free columns
+            get = itemgetter(*kept) if left == 2 else whole
+            if g is None:
+                new = list(map(get, rows)) if left == 2 else rows
+            else:
+                gs = get(g)
                 new = []
                 for x in rows:
                     xc = x[c]
@@ -481,11 +556,6 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
                         new.append([(v * gc - xc * w) % p for v, w in zip(get(x), gs)])
                     else:
                         new.append([(v * gc - xc * w) // D for v, w in zip(get(x), gs)])
-            if left == 1:
-                yield _on_one_conic(new, p)
-                continue
-            if top + 1 not in new_basis:
-                kept += (top + 1,)  # the child's top
             stack.append((new, new_basis, kept, gc, left - 1, iter(range(top + 1, m, -1))))
             break
         else:
@@ -496,9 +566,10 @@ def _window_flags(M: Matrix, left: int, p: Optional[int]) -> Iterator[bool]:
 #: windows vanish but points 1..d+3 are not in general position; a fallback
 #: with more than this many windows left exits 3 before it starts. The
 #: largest admitted scans of seed-1 chain samples (degrees (2, 1), (3, 2),
-#: (3, 3), (4, 4)) take 0.11 s at (3, 17), 0.14 s at (5, 16), 0.35 s at
-#: (6, 17) and 0.5 s at (8, 18) over Q, in-process on a 2-core host with
-#: Python 3.11; the split (5, 3) at (8, 18) takes 0.38 s.
+#: (3, 3), (4, 4)) take 0.10 s at (3, 17), 0.09 s at (5, 16), 0.26 s at
+#: (6, 17) and 0.34 s at (8, 18) over Q, and 0.10, 0.08, 0.19 and 0.20 s
+#: over F_65521, in-process on a 2-core host with Python 3.11; the split
+#: (5, 3) at (8, 18) takes 0.30 s over Q and 0.16 s over F_65521.
 WINDOW_SCAN_BUDGET = 20_000
 
 

@@ -380,9 +380,12 @@ def _walk_flags_and_kinds(p):
     """The window flags of `brackets._window_flags` on p, as `wdn_membership`
     reads them, and the kinds of the nodes the walk passes through. The
     kinds are read from the walk's suspended frame at each flag: its `stack`
-    of node frames (rows, basis, free, D, left, columns to leave out), the
-    current node's `basis` and `left`, the column `m` it leaves out, and
-    whether it is yielding the flags of a skipped subtree."""
+    of node frames (rows, basis, free, D, left, columns to leave out) with
+    two or more columns left, the current node's `basis`, `free` and
+    `left`, the column `m` it leaves out, the row `g` of a left-out basis
+    column, and whether it is yielding the flags of a skipped subtree. A
+    last-level node (left == 1) is off the stack while it decides its
+    leaves, so the top of the stack is its parent."""
     walk = brackets._window_flags(p.coords, p.n - p.d - 4, p.field.p)
     flags, kinds = [], set()
     for flag in walk:
@@ -394,12 +397,29 @@ def _walk_flags_and_kinds(p):
         stack = state["stack"]
         if any(a[1] != b[1] for a, b in zip(stack, stack[1:])):
             kinds.add("inner exchange")
-        if walk.gi_yieldfrom is not None:
-            kinds.add("zero row over a subtree" if state["left"] > 1 else "zero row at a leaf")
-        elif state["left"] > 1:
-            kinds.add("all-free tail")
+        if state["left"] > 1:
+            kinds.add("zero row over a subtree" if walk.gi_yieldfrom is not None else "all-free tail")
+            continue
+        if not stack:
+            kinds.add("last level at the root")
         else:
-            kinds.add("leaf exchange" if state["m"] in state["basis"] else "leaf drop")
+            kinds.add("last level by an exchange" if stack[-1][1] != state["basis"] else "last level by a drop")
+        if state["m"] in state["free"]:
+            kinds.add("leaf drop")
+        else:
+            kinds.add("leaf exchange" if any(state["g"]) else "zero row at a leaf")
+    return flags, kinds
+
+
+def _assert_flags_match_the_window_oracle(p):
+    """Every window flag of p against `window_vanishes_oracle`; returns the
+    flags and node kinds of `_walk_flags_and_kinds`."""
+    flags, kinds = _walk_flags_and_kinds(p)
+    windows = list(combinations(range(p.n), p.d + 4))
+    assert len(flags) == len(windows), (p.field, p.d, p.n)
+    for J, vanishes in zip(windows, flags):
+        rows = list(zip(*(p.coords.int_columns[j] for j in J)))
+        assert vanishes == window_vanishes_oracle(rows, p.field.p), (p.field, p.d, p.n, J)
     return flags, kinds
 
 
@@ -407,18 +427,18 @@ def test_echelon_window_test_matches_the_window_oracle():
     # every window of curve, chain, generic and height-1/2 random samples,
     # in lex order; a chain with d+4 points on its first component, which
     # spans less than P^d, has rank-deficient windows, and at n = d + 4 the
-    # walk leaves nothing out. Over F_7 there are too few parameters for the
-    # curve and the crowded chain.
+    # walk leaves nothing out. Over F_3, F_5 and F_7 there are too few
+    # parameters for the curve and the crowded chain, and over F_3 for any
+    # chain.
     seen = set()
-    for field in (QQ, Field.prime(7), Field.prime(101), FP):
+    for field in (QQ, Field.prime(3), Field.prime(5), Field.prime(7), Field.prime(101), FP):
         prime = field.p
         for d, n in ((3, 7), (4, 8), (3, 8), (3, 9), (4, 10), (5, 11), (3, 11)):
             degrees = CHAIN_DEGREES[d]
-            samples = [
-                sample_quasi_veronese_chain(field, d, n, degrees, seed=d, height=9)[1],
-                sample_generic(field, d, n, seed=d, height=3),
-            ]
+            samples = [sample_generic(field, d, n, seed=d, height=3)]
             samples += [random_config(field, d, n, random.Random(seed), height=1 + seed % 2) for seed in range(3)]
+            if _chain_fits(field, n):
+                samples.append(sample_quasi_veronese_chain(field, d, n, degrees, seed=d, height=9)[1])
             if prime is None or prime > n:
                 samples.append(sample_on_rnc(field, d, n, seed=d, height=9))
                 counts = (d + 4, n - d - 4)
@@ -426,14 +446,8 @@ def test_echelon_window_test_matches_the_window_oracle():
             for p in samples:
                 if p.coords.echelon_rank() <= d:
                     continue  # wdn_membership tests no window of a degenerate sample
-                flags, kinds = _walk_flags_and_kinds(p)
-                windows = list(combinations(range(n), d + 4))
-                assert len(flags) == len(windows), (field, d, n)
-                for J, vanishes in zip(windows, flags):
-                    rows = list(zip(*(p.coords.int_columns[j] for j in J)))
-                    assert vanishes == window_vanishes_oracle(rows, prime), (field, d, n, J)
-                    seen.add(vanishes)
-                seen |= kinds
+                flags, kinds = _assert_flags_match_the_window_oracle(p)
+                seen |= set(flags) | kinds
     assert seen == {
         True,
         False,
@@ -444,7 +458,68 @@ def test_echelon_window_test_matches_the_window_oracle():
         "all-free tail",
         "zero row over a subtree",
         "zero row at a leaf",
+        "last level at the root",
+        "last level by a drop",
+        "last level by an exchange",
     }
+
+
+def _chain_fits(field, n):
+    """A default two-component chain of n points draws (n + 1) // 2 distinct
+    parameters on its first component, at most p of them over F_p."""
+    return field.p is None or (n + 1) // 2 <= field.p
+
+
+def _zero_row_config(field, d, n, seed, q):
+    """n random points (0, 1, x_2, ..., x_d) of height 2, but point q
+    (0-based) is e_0: the echelon row of q's pivot is 0 on every other
+    column, so a window that leaves out q has rank < d + 1, whichever
+    columns are free."""
+    rng = random.Random(seed)
+    cols = [[field.zero, field.one] + [field.random_scalar(rng, 2) for _ in range(d - 1)] for _ in range(n)]
+    cols[q] = [field.one] + [field.zero] * d
+    return make_config(field, d, n, cols)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, Field.prime(3), Field.prime(5), Field.prime(7), Field.prime(101), FP], ids=str
+)
+def test_last_level_decision_matches_the_window_oracle(field):
+    # every window of chain, curve, generic and height-1/2 random samples at
+    # n = d + 5, d + 6 and d + 7, where every leaf is decided on the four
+    # free columns of a last-level node: at the root (n = d + 5), or below
+    # one or two drops or exchanges. Each field must show every leaf kind,
+    # and a basis row that is 0 on all four free columns: its window is
+    # rank-deficient, so it vanishes before any product test is asked. The
+    # curve and chains need enough parameters (`_chain_fits`).
+    seen = set()
+    for d in (3, 4, 5, 6):
+        degrees = {**CHAIN_DEGREES, 6: (3, 3)}[d]
+        for n in (d + 5, d + 6, d + 7):
+            samples = [sample_generic(field, d, n, seed=n, height=3)]
+            samples += [random_config(field, d, n, random.Random(seed), height=1 + seed % 2) for seed in range(2)]
+            if _chain_fits(field, n):
+                samples.append(sample_quasi_veronese_chain(field, d, n, degrees, seed=n, height=9)[1])
+            if field.p is None or field.p > n:
+                samples.append(sample_on_rnc(field, d, n, seed=n, height=9))
+            # e_0 as the root's first pivot, or as a later pivot, which a
+            # last-level node below the root's exchange leaves out
+            samples += [_zero_row_config(field, d, n, seed, q) for seed, q in ((d, 0), (n, 1))]
+            for p in samples:
+                if p.coords.echelon_rank() <= d:
+                    continue
+                flags, kinds = _assert_flags_match_the_window_oracle(p)
+                seen |= set(flags) | kinds
+    assert {
+        True,
+        False,
+        "leaf drop",
+        "leaf exchange",
+        "zero row at a leaf",
+        "last level at the root",
+        "last level by a drop",
+        "last level by an exchange",
+    } <= seen
 
 
 def test_echelon_brackets_match_eval_bracket_poly():
@@ -572,6 +647,27 @@ def test_curve_is_decided_from_the_head_windows(monkeypatch):
             assert rep.all_vanish and rep.classification == "InW"
             assert rep.checked == comb(n, d + 4) * comb(d + 4, 6)
             assert 0 < len(calls) <= n - d - 3
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=str)
+def test_the_walk_computes_only_the_flags_it_is_asked_for(monkeypatch, field):
+    # the walk is a lazy generator: a curve sample is decided from its
+    # n - d - 3 head windows, and not one flag past them is computed, and a
+    # generic sample at n = d + 5 from its first window, the first of the
+    # root's n leaves. Every flag here costs one rank test, so a walk that
+    # decided more windows than it is asked for runs more of them.
+    calls = count_walk_windows(monkeypatch)
+    tests = []
+    rank_test = brackets._rank_at_most_two
+    monkeypatch.setattr(brackets, "_rank_at_most_two", lambda rows, p: tests.append(1) or rank_test(rows, p))
+    for d in (3, 5):
+        curve, generic = sample_on_rnc(field, d, 200, seed=1), sample_generic(field, d, d + 5, seed=1)
+        for p, pulled in ((curve, 200 - d - 3), (generic, 1)):
+            calls.clear()
+            tests.clear()
+            rep = wdn_membership(p)
+            assert rep.classification == ("InW" if pulled > 1 else "NotInW"), (d, p.n)
+            assert len(calls) == len(tests) == pulled, (d, p.n)
 
 
 def _adversarial_config(field, d, n, rng, height=3):
