@@ -432,9 +432,9 @@ def _left_kernel_band(d: int, t: Sequence[int], y0: Sequence[int], p: int | None
     (-1)^(d+1), so each entry is the band's one product
     (-1)^(d+1) vdm(t_W) prod_W y0 divided by y0(i) prod_{l != i} (t_i - t_l):
     an exact integer division over Q, a product with the inverse mod p over
-    F_p, where the entries are residues. Only a repeated t or a zero y0 at
-    i, outside the shapes `dimension_estimate` draws, leaves nothing to
-    divide by; that entry is its product over W - i.
+    F_p, where the entries are residues. The divisor is nonzero (mod p) by
+    the precondition that `dimension_estimate` meets: the t are distinct
+    and every y0 is nonzero (mod p).
     """
     sign = 1 if d % 2 else -1  # (-1)^(d+1)
     bands = []
@@ -445,14 +445,7 @@ def _left_kernel_band(d: int, t: Sequence[int], y0: Sequence[int], p: int | None
         band = []
         for i, ti in enumerate(W):
             den = ys[i] * prod([ti - tl for l, tl in enumerate(W) if l != i])
-            if den % p if p else den:
-                u = whole * pow(den, -1, p) if p else whole // den
-            else:
-                # a repeated t or a zero y0 at i: (-1)^pos(i) times the product over W - i
-                rest = W[:i] + W[i + 1 :]
-                u = prod([tb - ta for ta, tb in combinations(rest, 2)]) * prod(ys[:i] + ys[i + 1 :])
-                u = -u if i % 2 else u
-            band.append(u % p if p else u)
+            band.append(whole * pow(den, -1, p) % p if p else whole // den)
         bands.append(band)
     return bands
 

