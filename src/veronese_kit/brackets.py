@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, prod
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .configurations import PointConfiguration
 from .errors import IndexSetError, ShapeError, check_budget
@@ -99,34 +99,32 @@ class BracketPolynomial:
         return f"BracketPolynomial(ground={self.ground}, width={self.width}, {format_bracket_poly(self)!r})"
 
 
-def bracket_template(P: BracketPolynomial, slot: Optional[Callable[[IndexSet], Optional[str]]] = None) -> str:
-    """The text form of P as a `str.format` template; the one renderer of its
-    signs, coefficients and bars.
+def bracket_template(P: BracketPolynomial) -> list[Union[str, IndexSet]]:
+    """The text form of P as pieces; the one renderer of its signs,
+    coefficients and bars.
 
-    Each index i is the field {i-1}: `bracket_template(P).format(*J)` is the
-    text of P pulled back along a strictly increasing window J (index i reads
-    J[i-1]). Such a map keeps every bracket sorted and the order of factors
-    and terms, so P's canonical form maps to the canonical form of the
-    pullback. A bracket F for which `slot(F)` is a string is that string
-    instead: one field {k} that templates share, filled with the
-    space-joined labels of F's pullback, so that its text is built once per
-    window; or, for the one window J = (1, ..., ground), those labels.
+    The pieces alternate between literal text and P's brackets, starting and
+    ending with text: a bracket F stands for its labels joined by spaces.
+    Writing F's indices gives P's text; writing the labels J[i-1] of a
+    strictly increasing window J gives the text of P pulled back along J.
+    Such a map keeps every bracket sorted and the order of factors and
+    terms, so P's canonical form maps to the canonical form of the pullback.
     """
     if not P.terms:
-        return "0"
-    inner = lambda f: (slot and slot(f)) or " ".join(f"{{{i - 1}}}" for i in f)
-    parts = []
-    for coef, factors in P.terms:
-        sign = "+" if coef > 0 else "-"
+        return ["0"]
+    pieces: list[Union[str, IndexSet]] = [""]
+    for k, (coef, factors) in enumerate(P.terms):
         mag = abs(coef)
-        body = "".join("|" + inner(f) + "|" for f in factors)
-        parts.append(f"{sign} {mag} {body}" if mag != 1 else f"{sign} {body}")
-    return " ".join(parts)
+        pieces[-1] += (" " if k else "") + ("+ " if coef > 0 else "- ") + (f"{mag} " if mag != 1 else "")
+        for F in factors:
+            pieces[-1] += "|"
+            pieces += [F, "|"]
+    return pieces
 
 
 def format_bracket_poly(P: BracketPolynomial) -> str:
     """Render in the sign/coefficient/bracket text form, e.g. "+ |1 2 3||4 5 6| - ..."."""
-    return bracket_template(P).format(*range(1, P.ground + 1))
+    return "".join(p if type(p) is str else " ".join(map(str, p)) for p in bracket_template(P))
 
 
 # ---------------------------------------------------------------------------

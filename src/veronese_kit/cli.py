@@ -59,8 +59,10 @@ _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
 
 #: `eqs` emits at most this many generators; larger requests exit 3 before
 #: any generator is built. In-process on a 2-core host, the largest admitted
-#: shapes take 0.03-0.1 s as text ((5, 12), (2, 18)), 0.13 s at (14, 18)
-#: once its 18,564 patterns are built (1-2 s on first use), and 1-2 s as JSON.
+#: shapes take 12-35 ms as text ((5, 12), (2, 18)) and 60-80 ms as JSON, and
+#: (14, 18) 0.13 s as text and 0.66 s as JSON once its 18,564 patterns are
+#: built; a fresh process builds them first (about 1.2 s), so
+#: `eqs --d 14 --n 18` takes 1.4-2.0 s as text and 2.2-2.4 s as JSON.
 EQS_GENERATOR_BUDGET = 20_000
 
 
@@ -213,41 +215,87 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
         size, patterns = 6, [(None, phi_as_bracket_poly())]
     else:
         size, patterns = d + 4, psi_generators(d)
-    # Rendered one window J at a time: every pattern's line is compiled once
-    # into one block template (`bracket_template` with `slot`) whose fields
-    # are J's labels, J's own label and each bracket the block uses more than
-    # once, so a window costs one join per such bracket and one format. A
-    # bracket used once keeps a field per label, which costs less than a join.
-    # At n = size the one window is J = (1, ..., n): each bracket's text is its
-    # own labels, joined once, and the block's only field is J's label.
-    if n > size:
-        uses = Counter(F for _, P in patterns for _, fs in P.terms for F in fs)
-        shared = [F for F in uses if uses[F] > 1]
-        slot = {F: "{%d}" % k for k, F in enumerate(shared, start=size + 1)}.get
-    else:
-        shared, slot = [], cache(lambda F: " ".join(map(str, F)))
-    getters = [itemgetter(*[i - 1 for i in F]) for F in shared]
-    templates = [bracket_template(P, slot) for _, P in patterns]
-    window = "{%d}" % size  # the field of J's label
-    block = "\n".join(
-        f"({window}) {t}" if I is None else f"({','.join(map(str, I))}; {window}) {t}"
-        for (I, _), t in zip(patterns, templates)
-    )
-    lines, gens = [], []
-    for J in combinations([str(j) for j in range(1, n + 1)], size):
-        fields = (*J, ",".join(J), *[" ".join(g(J)) for g in getters])
-        if fmt == "text":
-            lines.append(block.format(*fields))
-            continue
-        J = [int(j) for j in J]
-        for (I, P), template in zip(patterns, templates):
-            terms = [{"coef": c, "factors": [[J[i - 1] for i in f] for f in fs]} for c, fs in P.terms]
-            labels = {"I": J} if I is None else {"I": list(I), "J": J}
-            gens.append(labels | {"ground": n, "width": P.width, "terms": terms, "text": template.format(*fields)})
+    # At n = size the one window is J = (1, ..., n) and it is the output:
+    # each bracket's text is its own labels, joined once.
+    if n == size and fmt == "text":
+        text = cache(lambda F: " ".join(map(str, F)))
+        window = ",".join(map(str, range(1, n + 1)))
+        return CommandResult("Ok", {}, text="\n".join(
+            ("(" if I is None else f"({','.join(map(str, I))}; ") + window + ") "
+            + "".join([p if type(p) is str else text(p) for p in bracket_template(P)])
+            for I, P in patterns
+        ))
+    # Otherwise every window is written by one program, compiled once per
+    # call. The program alternates literal text with indices into the
+    # window's values: J's labels (0 .. size - 1), J's own label (size), then
+    # the text of each bracket that several generators use, once per
+    # spelling (labels joined by spaces; in JSON also as a list). A bracket
+    # used once is spelled label by label, which costs less than a join.
+    # With the literals placed after the values, a window is one C-level
+    # gather and one join. The JSON program wraps the same pieces in the
+    # scaffolding `envelope_text` writes (`json.dumps(..., indent=2)`, a
+    # generator at depth 3); a text holds only digits, spaces and "|(),;+-",
+    # none of which JSON escapes.
+    uses = Counter(chain.from_iterable(fs for _, P in patterns for _, fs in P.terms))
+    shared = [F for F in uses if uses[F] > 1]
+    seps = [" "] if fmt == "text" else [" ", ",\n                "]
+
+    def spelled(F, sep: str) -> list:
+        return [*chain.from_iterable((sep, i - 1) for i in F)][1:]
+
+    def spelling(k: int) -> dict:
+        """Each bracket's pieces with separator seps[k]: its value if shared, else its labels."""
+        values = {F: [v] for v, F in enumerate(shared, start=size + 1 + k * len(shared))}
+        return values | {F: spelled(F, seps[k]) for F in uses if uses[F] == 1}
+
+    text = spelling(0)
+    program = [""]
+
+    def write(P) -> None:
+        pieces = bracket_template(P)
+        program[-1] += pieces[0]
+        for F, literal in zip(pieces[1::2], pieces[2::2]):
+            program.extend(text[F])
+            program.append(literal)
+
     if fmt == "text":
-        return CommandResult("Ok", {}, text="\n".join(lines))
-    payload = {"d": d, "n": n, "count": len(gens), "generators": gens}
-    return CommandResult("Ok", payload)
+        for I, P in patterns:
+            program[-1] += ("\n(" if len(program) > 1 else "(") + ("" if I is None else f"{','.join(map(str, I))}; ")
+            program += [size, ") "]
+            write(P)
+    else:
+        listed, window = spelling(1), spelled(range(1, size + 1), ",\n          ")
+        for I, P in patterns:
+            program[-1] += '\n      {\n        "I": [\n          '
+            if I is not None:
+                program[-1] += ",\n          ".join(map(str, I)) + '\n        ],\n        "J": [\n          '
+            program += window
+            program.append(f'\n        ],\n        "ground": {n},\n        "terms": [')
+            for t, (coef, factors) in enumerate(P.terms):
+                program[-1] += f'{"," if t else ""}\n          {{\n            "coef": {coef},\n            "factors": ['
+                for f, F in enumerate(factors):
+                    program[-1] += ("," if f else "") + "\n              [\n                "
+                    program.extend(listed[F])
+                    program.append("\n              ]")
+                program[-1] += "\n            ]\n          }"
+            program[-1] += '\n        ],\n        "text": "'
+            write(P)
+            program[-1] += f'",\n        "width": {P.width}\n      }},'
+        program[-1] = program[-1][:-1]  # the window's last generator takes no comma
+    literals, indices = program[::2], program[1::2]
+    base = size + 1 + len(seps) * len(shared)
+    gather = itemgetter(*chain.from_iterable(zip(range(base, base + len(indices)), indices)), base + len(indices))
+    getters = [itemgetter(*[i - 1 for i in F]) for F in shared]
+    windows = [
+        "".join(gather((*J, ",".join(J), *[sep.join(g(J)) for sep in seps for g in getters], *literals)))
+        for J in combinations([str(j) for j in range(1, n + 1)], size)
+    ]
+    if fmt == "text":
+        return CommandResult("Ok", {}, text="\n".join(windows))
+    # the generators are spliced into the envelope of an empty list, as one join
+    payload = {"d": d, "n": n, "count": count, "generators": []}
+    head, tail = envelope_text(CommandResult("Ok", payload).to_document()).split('"generators": []')
+    return CommandResult("Ok", {}, text="".join([head, '"generators": [', ",".join(windows), "\n    ]", tail]))
 
 
 # -- eval ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .brackets import eval_bracket_poly, phi_as_bracket_poly
 from .configurations import PointConfiguration
 from .errors import ShapeError, check_budget
 from .fields import Scalar
-from .linalg import IndexSet, Matrix, as_index_set, det
+from .linalg import IndexSet, Matrix, as_index_set, det, int_rank
 
 #: phi_det == BRACKET_TO_DET_SIGN * (the displayed bracket polynomial).
 #: The classical display |123||145||246||356| - |124||135||236||456| carries
@@ -118,18 +118,20 @@ def w2n_membership(p: PointConfiguration, collect_values: bool = False) -> Conic
     trivially all-vanishing. Every subset's value is a 6 x 6 minor of the
     lift (`lift_matrix`, products of the core int coordinates), so all of
     them vanish exactly when its rank is at most 5: then the report follows
-    from that one rank, unless the values are asked for. Otherwise every
-    value is read from the same echelon form of the lift's int columns
-    (`Matrix.maximal_minors`), whose column sets run in the lex order of the
-    subsets. A scan of more than SUBSET_SCAN_BUDGET subsets raises
-    BudgetExceededError before its first minor.
+    from that one rank, by forward elimination only (`int_rank`), unless the
+    values are asked for. Otherwise every value is read from the echelon
+    form of the lift's int columns (`Matrix.maximal_minors`), whose column
+    sets run in the lex order of the subsets. A scan of more than
+    SUBSET_SCAN_BUDGET subsets raises BudgetExceededError before its first
+    minor.
     """
     _check_plane(p)
     count = comb(p.n, 6)
     if not count:
         return _report(p, [], [], collect_values)
     lifted = lift_matrix(p)
-    if not collect_values and lifted.echelon_rank() <= 5:
+    # its int columns are its columns times nonzero factors, of the same rank
+    if not collect_values and int_rank(list(zip(*lifted.int_columns)), p.field.p) <= 5:
         return ConicEquationReport(n=p.n, checked=count, all_vanish=True, nonvanishing=(), values=None)
     check_budget(count, SUBSET_SCAN_BUDGET, f"n = {p.n} has {count} six-point subsets to scan")
     return _report(p, list(combinations(range(1, p.n + 1), 6)), lifted.maximal_minors(), collect_values)

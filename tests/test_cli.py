@@ -109,6 +109,18 @@ def test_eqs_matches_relabel_oracle(d, n):
     doc = {"schema": SCHEMA, "status": "Ok", "payload": payload, "log": []}
     res = run(["eqs", "--d", str(d), "--n", str(n), "--format", "json"])
     assert res.exit_code == 0 and json.loads(res.output) == doc
+    # byte for byte the stdlib's rendering: a whitespace slip would still parse equal
+    assert _first_difference(res.output, json.dumps(doc, sort_keys=True, indent=2) + "\n") is None
+
+
+def _first_difference(out, expected):
+    """None when the texts are equal, else the first offset where they differ
+    and the text around it in each. pytest's own report of unequal strings
+    diffs them line by line, which takes minutes at these sizes."""
+    if out == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b), min(len(out), len(expected)))
+    return at, out[max(at - 40, 0) : at + 40], expected[max(at - 40, 0) : at + 40]
 
 
 def test_eqs_builds_no_polynomial_per_generator(monkeypatch):
@@ -464,9 +476,24 @@ def test_transversal_exact_minimum_at_the_budget(n, k, size):
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
-def test_transversal_minimum_is_refused_before_the_partition_walk(mode):
-    # exact: C(11, 6) = 462 candidate edges; greedy: S(14, 7) * C(14, 7) edge tests
-    n, k = (11, 6) if mode == "exact" else (14, 7)
+def test_transversal_minimum_is_refused_before_the_partition_walk(mode, monkeypatch):
+    walk, walked = transversal._walk_partitions, []
+
+    def spy(*args):
+        walked.append(args[:2])
+        return walk(*args)
+
+    def refuse(*args):
+        raise AssertionError(f"the partition walk ran for {args[:2]} before the refusal")
+
+    # an admitted shape walks its partitions through the spy
+    monkeypatch.setattr(transversal, "_walk_partitions", spy)
+    code, _ = run_json(["transversal", "--n", "5", "--k", "3", "--min", mode])
+    assert code == 0 and walked == [(5, 3)]
+    # exact: C(7, 3) = 35 candidate edges, over the search budget although the
+    # work budget admits the walk; greedy: S(14, 7) * C(14, 7) edge tests
+    monkeypatch.setattr(transversal, "_walk_partitions", refuse)
+    n, k = (7, 3) if mode == "exact" else (14, 7)
     code, doc = run_json(["transversal", "--n", str(n), "--k", str(k), "--min", mode])
     assert code == 3 and doc["status"] == "BudgetExceeded"
 
@@ -728,7 +755,7 @@ EQS_DIGESTS = os.path.join(os.path.dirname(__file__), "eqs_digests.sha256")
 def test_eqs_outputs_match_the_recorded_digests():
     with open(EQS_DIGESTS, encoding="ascii") as f:
         recorded = dict(reversed(line.split()) for line in f)
-    assert len(recorded) == 3
+    assert len(recorded) == 6
     for name, digest in recorded.items():
         shape, fmt = name.split(".")
         d, n = (part[1:] for part in shape.split("-")[1:])

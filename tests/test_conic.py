@@ -181,6 +181,43 @@ def test_w2n_matches_subset_scan(field):
     assert seen == {True, False}
 
 
+def _conic_points(field, n, seed):
+    """n points of x z = y^2, repeats allowed: the rnc sampler needs n distinct
+    parameters, which F_3 does not have."""
+    rng = random.Random(seed)
+    ts = [rng.randrange(field.p) for _ in range(n - 1)]
+    return make_config(field, 2, n, [(1, t, t * t % field.p) for t in ts] + [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), Field.prime(3)], ids=str)
+def test_w2n_all_vanish_rank_matches_the_echelon_rank(field, monkeypatch):
+    # the all-vanish test reads only the lift's rank, by forward elimination;
+    # it must agree with the rank of the cached Gauss-Jordan form
+    families = [("nodal", lambda n, s: sample_nodal_conic(field, n, seed=s, height=9))]
+    families.append(("generic", lambda n, s: sample_generic(field, 2, n, seed=s, height=5)))
+    families.append(("degenerate", lambda n, s: sample_degenerate(field, 2, n, seed=s, height=5)))
+    if field is QQ or field.p > 3:
+        families.append(("rnc", lambda n, s: sample_on_rnc(field, 2, n, seed=s, height=9)))
+    else:
+        families.append(("rnc", lambda n, s: _conic_points(field, n, s)))
+    seen = set()
+    for n in (6, 7, 9, 12):
+        for seed in range(3):
+            for family, draw in families:
+                p = draw(n, seed)
+                rank = lift_matrix(p).echelon_rank()
+                with monkeypatch.context() as m:
+                    m.setattr(Matrix, "_echelon", lambda self: pytest.fail("Gauss-Jordan run for a rank"))
+                    if rank <= 5:
+                        assert w2n_membership(p).all_vanish, (family, n, seed)
+                if rank > 5:
+                    rep = w2n_membership(p)
+                    assert not rep.all_vanish and rep == v2n_subset_membership(p, combinations(range(1, n + 1), 6))
+                seen.add((family, rank <= 5))
+    assert {f for f, _ in seen} == {"nodal", "generic", "degenerate", "rnc"}
+    assert {v for _, v in seen} == {True, False}
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=str)
 def test_w2n_first_subset_on_conic_other_off(field):
     # the first six points lie on a conic, so the first minor is 0 while the
