@@ -214,7 +214,7 @@ def sample_degenerate(
             continue
         coeffs = random_matrix(field, d, n, rng, height)
         cols = frame.matmul(coeffs)
-        if not all(map(any, zip(*cols.entries))):
+        if not all(map(any, cols.int_columns)):
             continue
         return PointConfiguration(field, d, n, cols)
     raise BudgetExceededError("no hyperplane sample within budget")
@@ -329,9 +329,9 @@ def quasi_veronese_descriptor(
     point is nonzero and lies on earlier axes, so it is independent of
     those unit vectors. Between them the frames hold all d+1 unit vectors.
     """
-    degrees = tuple(int(x) for x in degrees)
-    if not degrees or any(x < 1 for x in degrees):
-        raise ShapeError(f"component degrees must be positive, got {degrees}")
+    degrees = tuple(degrees)
+    if not degrees or any(type(x) is not int or x < 1 for x in degrees):
+        raise ShapeError(f"component degrees must be positive ints, got {degrees}")
     if sum(degrees) != d:
         raise ShapeError(f"component degrees {degrees} must sum to d = {d}")
     if rng is None:
@@ -357,9 +357,8 @@ def quasi_veronese_descriptor(
             t = (field.one, field.random_nonzero(rng, height))
         else:
             parent, t_raw = attachments[j - 1]
-            parent = int(parent)
-            if not 0 <= parent < j:
-                raise ShapeError(f"component {j} cannot attach to component {parent}")
+            if type(parent) is not int or not 0 <= parent < j:
+                raise ShapeError(f"component {j} cannot attach to component {parent!r}")
             t = (field.normalize(t_raw[0]), field.normalize(t_raw[1]))
         glue = QuasiVeroneseDescriptor(field, d, tuple(comps)).point_on(parent, t)
         axes = tuple(range(next_axis + 1, next_axis + deg + 1))
@@ -398,9 +397,9 @@ def sample_quasi_veronese_chain(
         base, extra = divmod(n, m)
         counts = tuple(base + (1 if j < extra else 0) for j in range(m))
     else:
-        counts = tuple(int(x) for x in counts)
-        if len(counts) != m or any(c < 0 for c in counts) or sum(counts) != n:
-            raise ShapeError(f"counts {counts} must partition {n} over {m} components")
+        counts = tuple(counts)
+        if len(counts) != m or any(type(c) is not int or c < 0 for c in counts) or sum(counts) != n:
+            raise ShapeError(f"counts {counts} must be ints that partition {n} over {m} components")
     cols = []
     for j, count in enumerate(counts):
         if count == 0:

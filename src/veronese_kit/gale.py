@@ -31,9 +31,7 @@ def affine_gale(A: Matrix) -> Matrix:
     full-rank (n - rows) x n matrix with A B^t = 0; any other Gale transform
     of A has the same row space.
     """
-    if A.cols < A.rows + 1:
-        raise ShapeError(f"need at least {A.rows + 1} columns, got {A.cols}")
-    return kernel_basis(A)  # raises RankDeficiencyError if rows are dependent
+    return kernel_basis(A)  # ShapeError below rows + 1 columns, RankDeficiencyError on dependent rows
 
 
 def standard_gale_pair(A: Matrix) -> tuple[Matrix, Matrix]:
@@ -55,15 +53,11 @@ def standard_gale_pair(A: Matrix) -> tuple[Matrix, Matrix]:
         raise RankDeficiencyError(
             f"first {k} columns are dependent; columns {witness} are independent"
         )
-    # with pivots 1..k the reduced echelon form is [I | A'] = A_lead^-1 A
-    f = A.field
-    tail = a_std.select_columns(range(k + 1, n + 1)).entries  # the A' block
-    rows = []
-    for j in range(n - k):
-        row = [tail[i][j] for i in range(k)]
-        row += [f.neg(f.one) if c == j else f.zero for c in range(n - k)]
-        rows.append(row)
-    return a_std, Matrix(f, rows)
+    # with pivots 1..k the reduced echelon form is [I | A'] = A_lead^-1 A, and
+    # the kernel basis of A, read from the same echelon form, is [-A'^t | I]
+    K, p = kernel_basis(A), A.field.p
+    minus = [[-x % p for x in c] if p else [-x for x in c] for c in K.int_columns]
+    return a_std, Matrix._from_int_columns(A.field, minus, K._factors)
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,19 @@ determinant of the pivot columns. `certified_rank` reads the rank of int
 rows, over Q or mod p, from the modular rank of their first rows when
 verified kernel vectors cap it there.
 
-A `Matrix` holds its integer view as data: `int_columns`, its columns as
-core ints, and `_factors`, their clearing factors, both set at
-construction. `_clear(xs, p)` turns a row or column of scalars into core
-ints and a clearing factor m, keyed on the field's modulus p = `Field.p`
-that every caller holds: over Q (p None) the `Fraction` entries times the
-lcm m of their denominators (their numerators, read in one C-level pass,
-when m = 1), over F_p the residues in [0, p) as they are, with m = 1 and no
-work. `_scalar` turns a core int back into a field scalar. `Matrix(...)`
-normalizes its entries and clears its columns; `Matrix._trusted` takes
-entries that are canonical already (copies, `rref` results) as they are;
-`Matrix._from_int_columns` takes columns that are core ints already, with
-their clearing factors (decoded documents, plane lifts), and builds the
-`entries` rows only on first read. `det`, `rank`, the minors and the
-zero-point test read the int columns; only `rref` clears rows.
+A `Matrix` stores only `int_columns`, its columns as core ints, and
+`_factors`, their clearing factors. `_clear(xs, p)` turns a column of
+scalars into core ints and a clearing factor m, keyed on the field's
+modulus p = `Field.p` that every caller holds: over Q (p None) the
+`Fraction` entries times the lcm m of their denominators (their numerators,
+read in one C-level pass, when m = 1), over F_p the residues in [0, p) as
+they are, with m = 1 and no work. `_scalar` turns a core int back into a
+field scalar; a factor need not be the least one, since every value is read
+back through `Fraction` or `_scalar`. `Matrix(...)` normalizes its entries
+and clears its columns; `Matrix._from_int_columns` takes core int columns
+with their factors (decoded documents, plane lifts, and the results of
+`submatrix`, `matmul`, `rref` and `kernel_basis`). Rows are built only when
+a caller reads `entries`.
 
 Each matrix is eliminated at most once: `Matrix._echelon` keeps the
 `int_rref` form of its int columns, with the pivot map and pivot scale its
@@ -31,8 +30,8 @@ form. `Matrix.maximal_minor` reads one maximal minor as one determinant;
 its rows, in closed form up to 3 x 3, and `Matrix.maximal_minors`, the one
 all-minors reader, reads all of them from it as field scalars. Both scale
 by the pivot determinant the elimination gave, so no determinant is taken
-twice. `kernel_basis` reads the reduced-echelon kernel basis from the same
-form.
+twice. `rref` and `kernel_basis` read the reduced echelon form and its
+kernel basis from the same form.
 
 Conventions: matrix element access is 0-based; *index sets* (rows/columns of
 minors, bracket factors, hypergraph edges) are 1-based strictly increasing
@@ -91,11 +90,11 @@ class Matrix:
     """Immutable dense matrix over a `Field`, with its integer view and its
     one elimination.
 
-    `entries` holds the rows as tuples of normalized scalars. `int_columns`
-    holds the columns as core ints and `_factors` their clearing factors
-    (`_clear`): column j is int_columns[j] / _factors[j], and every factor
-    is 1 over F_p. A matrix built by `_from_int_columns` starts from those
-    and builds `entries` on first read. `_echelon` eliminates the int
+    `int_columns` holds the columns as core ints and `_factors` their
+    clearing factors (`_clear`): column j is int_columns[j] / _factors[j],
+    and every factor is 1 over F_p. That is the one stored form; `entries`,
+    the rows as tuples of normalized scalars, is built from it on first
+    read, and `column` reads one int column. `_echelon` eliminates the int
     columns once; the maximal minors m_J (J a 1-based column set of size =
     the row count), the echelon rank and `kernel_basis` read that form.
     """
@@ -103,23 +102,19 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_entries", "int_columns", "_factors", "_rref", "_det", "_pivot_map")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
-        self._set(field, tuple(tuple(field.normalize(x) for x in row) for row in entries))
-
-    def _set(self, field: Field, rows: tuple[tuple[Scalar, ...], ...]) -> None:
+        rows = [[field.normalize(x) for x in row] for row in entries]
         if not rows or not rows[0]:
             raise ShapeError("matrix must have at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
-        self._init(field, *zip(*map(_clear, zip(*rows), repeat(field.p))), rows)
+        self._init(field, *zip(*map(_clear, zip(*rows), repeat(field.p))))
 
-    def _init(
-        self, field: Field, columns: Sequence[Sequence[int]], factors: Sequence[int], rows: tuple | None = None
-    ) -> None:
+    def _init(self, field: Field, columns: Sequence[Sequence[int]], factors: Sequence[int]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(columns[0]))
         object.__setattr__(self, "cols", len(columns))
-        object.__setattr__(self, "_entries", rows)
+        object.__setattr__(self, "_entries", None)
         object.__setattr__(self, "int_columns", columns)
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_rref", None)
@@ -129,30 +124,18 @@ class Matrix:
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The rows as tuples of normalized scalars; built by `_build_entries`
-        on first read when the matrix was built from int columns."""
+        """The rows as tuples of normalized scalars, built by `_build_entries`
+        on first read."""
         rows = self._entries
         return self._build_entries() if rows is None else rows
 
     def _build_entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The rows of the int columns over their clearing factors, kept as
-        `_entries`: `Fraction`s over Q, the residues over F_p."""
-        cols = self.int_columns
-        if self.field.p is None:
-            cols = [map(Fraction, c) if m == 1 else map(Fraction, c, repeat(m)) for c, m in zip(cols, self._factors)]
-        rows = tuple(zip(*cols))
+        """The rows of the `column`s, kept as `_entries`."""
+        rows = tuple(zip(*map(self.column, range(self.cols))))
         object.__setattr__(self, "_entries", rows)
         return rows
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
-        """A matrix of rows whose entries are already canonical scalars of
-        `field`, taken as they are: the shape is checked, nothing normalized."""
-        m = object.__new__(cls)
-        m._set(field, tuple(map(tuple, rows)))
-        return m
 
     @classmethod
     def _from_int_columns(
@@ -179,22 +162,30 @@ class Matrix:
         return (self.rows, self.cols)
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.entries)
+        """Column j as field scalars: its ints over its clearing factor."""
+        c = self.int_columns[j]
+        return tuple(c if self.field.p else map(Fraction, c, repeat(self._factors[j])))
 
     def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def _raw_columns(self) -> Iterable[Sequence]:
-        """The columns `config_to_json` renders: `int_columns` when every
-        clearing factor is 1, since an int renders by `str` and `int`
-        exactly as its scalar does, else the columns of `entries`."""
-        return self.int_columns if max(self._factors) == 1 else zip(*self.entries)
+    def _raw_columns(self) -> list[Sequence]:
+        """The columns `config_to_json` renders: a column of clearing factor 1
+        as its ints, since an int renders by `str` and `int` exactly as its
+        scalar does, any other as its `column`."""
+        return [c if m == 1 else self.column(j) for j, (c, m) in enumerate(zip(self.int_columns, self._factors))]
 
     def __eq__(self, other):
+        # equal scalars: each int column cross-multiplied by the other's clearing factor
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.entries == other.entries
+            and self.shape == other.shape
+            and all(
+                x * n == y * m
+                for c, m, d, n in zip(self.int_columns, self._factors, other.int_columns, other._factors)
+                for x, y in zip(c, d)
+            )
         )
 
     def __hash__(self):
@@ -207,21 +198,26 @@ class Matrix:
     # -- structural ops --------------------------------------------------------
 
     def submatrix(self, row_set: Iterable[int], col_set: Iterable[int]) -> "Matrix":
-        """Select rows and columns by 1-based index sets."""
+        """Select rows and columns by 1-based index sets; each column keeps its
+        clearing factor."""
         ri = as_index_set(row_set, ground=self.rows)
         ci = as_index_set(col_set, ground=self.cols)
-        rows = self.entries
-        return Matrix._trusted(self.field, [[rows[i - 1][j - 1] for j in ci] for i in ri])
+        cols = [[self.int_columns[j - 1][i - 1] for i in ri] for j in ci]
+        return Matrix._from_int_columns(self.field, cols, [self._factors[j - 1] for j in ci])
 
     def select_columns(self, col_set: Iterable[int]) -> "Matrix":
         return self.submatrix(range(1, self.rows + 1), col_set)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """`_int_rows` (L times the rows) by `other`'s int columns, over L m_j."""
         require_same_field(self.field, other.field, "matmul operands")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        ot = list(zip(*other.entries))
-        return Matrix(self.field, [[sum(map(mul, row, col)) for col in ot] for row in self.entries])
+        rows, p, L = self._int_rows(), self.field.p, lcm(*self._factors)
+        cols = [[sum(map(mul, r, c)) for r in rows] for c in other.int_columns]
+        if p:
+            cols = [[x % p for x in c] for c in cols]
+        return Matrix._from_int_columns(self.field, cols, [L * m for m in other._factors])
 
     # -- the one elimination and the maximal minors -------------------------------
 
@@ -535,12 +531,20 @@ def int_rref(rows: Sequence[Sequence[int]], p: int | None = None) -> tuple[list[
 
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row echelon form: (matrix, 0-based pivot columns, rank)."""
-    # the cleared rows have the same row space; the int result is D times
-    # the reduced form, D its last pivot (1 over F_p)
-    a, piv, _ = int_rref([_clear(row, M.field.p)[0] for row in M.entries], M.field.p)
-    D = a[len(piv) - 1][piv[-1]] if piv else 1
-    return Matrix._trusted(M.field, [[_scalar(M.field, x, D) for x in row] for row in a]), tuple(piv), len(piv)
+    """Reduced row echelon form: (matrix, 0-based pivot columns, rank).
+
+    Read from the cached `_echelon` form a of the columns scaled by their
+    clearing factors m: R[i][j] = a[i][j] m_c / (m_j D), c the pivot of row
+    i and D the last pivot (1 over F_p, where m = 1), kept as the ints
+    sign(D) a[i][j] m_c over |D| m_j. Rows past the rank are zero.
+    """
+    a, pivots = M._echelon()
+    r = len(pivots)
+    D = a[r - 1][pivots[-1]] if pivots else 1
+    m = M._factors
+    scale = [m[c] if D > 0 else -m[c] for c in pivots] + [0] * (M.rows - r)
+    cols = [list(map(mul, col, scale)) for col in zip(*a)]
+    return Matrix._from_int_columns(M.field, cols, [abs(D) * x for x in m]), tuple(pivots), r
 
 
 def int_rank(rows: Sequence[Sequence[int]], p: int | None = None) -> int:
@@ -640,27 +644,29 @@ def kernel_basis(M: Matrix) -> Matrix:
 
     The basis is read from the matrix's cached `_echelon` form: the vector
     of free column f is 1 at f and -R[i][f] at the i-th pivot c_i, R the
-    reduced echelon form. The echelon rows a are those of the columns scaled
-    by their clearing factors m, so over Q R[i][f] = a[i][f] m_{c_i} / (m_f D),
-    D the last pivot; over F_p R = a.
+    reduced echelon form, so a free column is a unit column. The echelon
+    rows a are those of the columns scaled by their clearing factors m, so
+    over Q R[i][f] = a[i][f] m_{c_i} / (m_f D), D the last pivot, kept over
+    one factor L |D| per pivot column (L the lcm of the free m_f); over F_p
+    R = a.
     """
     if M.rows >= M.cols:
         raise ShapeError(f"kernel_basis expects a wide matrix, got {M.shape}")
     a, pivots = M._echelon()
     if len(pivots) < M.rows:
         raise RankDeficiencyError(f"matrix has rank {len(pivots)} < {M.rows} rows")
-    f, n, m = M.field, M.cols, M._factors
+    p, m = M.field.p, M._factors
+    free = [c for c in range(M.cols) if c not in pivots]
     D = a[-1][pivots[-1]]
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [f.zero] * n
-        v[fc] = f.one
-        for row, c in zip(a, pivots):
-            v[c] = -row[fc] % f.p if f.p else Fraction(-row[fc] * m[c], m[fc] * D)
-        basis.append(v)
-    return Matrix._trusted(f, basis)
+    L = lcm(*[m[fc] for fc in free])
+    # -1 / (m_f D) is the int -(L / m_f) sign(D) over L |D|
+    w = [L // m[fc] if D < 0 else -(L // m[fc]) for fc in free]
+    cols = [[0] * len(free) for _ in range(M.cols)]
+    for i, fc in enumerate(free):
+        cols[fc][i] = 1
+    for row, c in zip(a, pivots):
+        cols[c] = [-row[fc] % p for fc in free] if p else [row[fc] * x * m[c] for fc, x in zip(free, w)]
+    return Matrix._from_int_columns(M.field, cols, [1 if c in free else L * abs(D) for c in range(M.cols)])
 
 
 def _lex_subset_folds(n: int, k: int, start: int, op, weight) -> list[int]:

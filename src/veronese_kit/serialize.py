@@ -18,9 +18,9 @@ them as the int columns of the coordinate matrix
 one with a string `int` refuses, goes entry by entry through
 `Field.scalar_from_json`, the one rule of acceptance and of error text, so
 both paths give the same scalars and the same errors. `config_to_json`
-writes a column at a time: the int columns when every clearing factor is 1,
-and the columns of `entries` otherwise (`Matrix._raw_columns`), by
-`Field.scalars_to_json`.
+writes a column at a time (`Matrix._raw_columns`), by
+`Field.scalars_to_json`: a column of clearing factor 1 as its ints, any
+other as the `Fraction`s of its ints over the factor.
 
 `envelope_text` renders a CLI envelope as `json.dumps(doc, sort_keys=True,
 indent=2)` does, byte for byte, without the stdlib's pure-Python `indent`

@@ -27,6 +27,12 @@ proves.
 `maximal_minor`, for oracles that read the same bracket on many windows; the
 package's `maximal_minor` keeps no memo, since none of its callers reads a
 minor twice.
+`rows_rref_oracle`, `rows_kernel_basis_oracle`, `rows_matmul_oracle` and
+`rows_standard_gale_pair_oracle` build their results as rows of field
+scalars: `rref` by clearing each row of `entries` and eliminating it, the
+rest by field operations entry by entry. They are the reference for
+`rref`, `kernel_basis`, `Matrix.matmul` and `gale.standard_gale_pair`, which
+read the cached echelon form and the int columns.
 `veronese_lift` lifts one point through `Field.normalize` and `Field.mul`;
 it is the reference for `conic.lift_matrix`, which multiplies the core int
 coordinates of all points a monomial row at a time.
@@ -207,6 +213,61 @@ def fraction_rref_oracle(rows):
         pivots.append(c)
         r += 1
     return a, pivots, r
+
+
+def rows_rref_oracle(M):
+    """The reduced row echelon form of the rows of `M.entries`: each row
+    cleared by its own denominators, fraction-free Gauss-Jordan (`int_rref`),
+    and the result over its last pivot D as field scalars: (rows, 0-based
+    pivots, rank)."""
+    p = M.field.p
+    a, pivots, _ = int_rref([_clear(row, p)[0] for row in M.entries], p)
+    D = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return [tuple(Fraction(x, D) if p is None else x % p for x in row) for row in a], tuple(pivots), len(pivots)
+
+
+def rows_kernel_basis_oracle(M):
+    """The reduced-echelon kernel basis as rows of field scalars: the row of
+    free column f is 1 at f and -R[i][f] at the i-th pivot, R from
+    `rows_rref_oracle`."""
+    f = M.field
+    R, pivots, _ = rows_rref_oracle(M)
+    basis = []
+    for fc in range(M.cols):
+        if fc not in pivots:
+            v = [f.one if c == fc else f.zero for c in range(M.cols)]
+            for row, c in zip(R, pivots):
+                v[c] = f.neg(row[fc])
+            basis.append(tuple(v))
+    return basis
+
+
+def rows_matmul_oracle(A, B):
+    """The rows of A B, each entry a sum of `Field.mul` products by `Field.add`."""
+    f = A.field
+    products = []
+    for row in A.entries:
+        out = []
+        for col in zip(*B.entries):
+            total = f.zero
+            for x, y in zip(row, col):
+                total = f.add(total, f.mul(x, y))
+            out.append(total)
+        products.append(tuple(out))
+    return products
+
+
+def rows_standard_gale_pair_oracle(A):
+    """The standard pair of A, whose first k columns are independent, as rows:
+    [I | A'] from `rows_rref_oracle` and [A'^t | -I] entry by entry."""
+    f, k, n = A.field, A.rows, A.cols
+    R, pivots, _ = rows_rref_oracle(A)
+    assert pivots == tuple(range(k))
+    B = [
+        tuple([R[i][k + j] for i in range(k)] + [f.neg(f.one) if c == j else f.zero for c in range(n - k)])
+        for j in range(n - k)
+    ]
+    return R, B
 
 
 def fp_minor_rank(rows, p):

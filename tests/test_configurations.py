@@ -168,6 +168,23 @@ def test_chain_descriptor_validation():
         quasi_veronese_descriptor(QQ, 3, (1, 1, 1), seed=0, attachments=[(1, (1, 1)), (2, (1, 1))])
 
 
+def test_chain_sampler_refuses_non_int_shape_data():
+    # each of these was once truncated by int() into an accepted shape:
+    # degrees (2, 1) and (1, 2), parent 0, counts (4, 3) and (1, 6)
+    for degrees in ([2.7, 1.2], [True, 2], (2, 1.0)):
+        with pytest.raises(ShapeError, match="positive ints"):
+            quasi_veronese_descriptor(QQ, 3, degrees, seed=0)
+    for parent in (0.9, True, "0"):
+        with pytest.raises(ShapeError, match="cannot attach"):
+            quasi_veronese_descriptor(QQ, 3, (2, 1), seed=0, attachments=[(parent, (1, 1))])
+    for counts in ((4.9, 3.2), (True, 6), (4, 3.0)):
+        with pytest.raises(ShapeError, match="must be ints"):
+            sample_quasi_veronese_chain(QQ, 3, 7, (2, 1), seed=4, counts=counts, height=9)
+    # the same shapes as ints are accepted
+    assert quasi_veronese_descriptor(QQ, 3, (1, 2), seed=0, attachments=[(0, (1, 1))]).degrees == (1, 2)
+    assert sample_quasi_veronese_chain(QQ, 3, 7, (2, 1), seed=4, counts=(1, 6), height=9)[1].n == 7
+
+
 def test_chain_samples_span_and_count():
     for degrees in ((3,), (2, 1), (1, 1, 1)):
         desc, cfg = sample_quasi_veronese_chain(QQ, 3, 8, degrees, seed=4, height=9)

@@ -71,6 +71,33 @@ def test_standard_pair_block_structure():
     assert cert.ok and cert.lambda_ == 1
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), Field.prime(65521)], ids=str)
+def test_standard_pair_matches_row_built_reference(field):
+    # B = -kernel_basis(A) on int columns; the reference builds [A'^t | -I] entry
+    # by entry from the row-built echelon form. Over Q the columns carry fractions
+    rng = random.Random(36)
+    fraction_factor = pairs = 0
+    while pairs < 40:
+        k = rng.randint(1, 4)
+        n = k + rng.randint(1, 4)
+        rows = [[field.random_scalar(rng, 9) for _ in range(n)] for _ in range(k)]
+        if field.p is None:
+            rows = [[x / rng.choice((1, 2, 3, 35)) for x in row] for row in rows]
+        A = Matrix(field, rows)
+        if rank(A.select_columns(range(1, k + 1))) < k:
+            continue
+        pairs += 1
+        a_std, b = standard_gale_pair(A)
+        want_a, want_b = oracles.rows_standard_gale_pair_oracle(A)
+        for got, want in ((a_std.entries, want_a), (b.entries, want_b)):
+            assert got == tuple(want)
+            assert [type(x) for row in got for x in row] == [type(x) for row in want for x in row]
+        fraction_factor += max(b._factors) > 1
+        cert = duality_certificate(a_std, b)
+        assert cert.ok and cert.lambda_ == field.one and type(cert.lambda_) is type(field.one)
+    assert field.p or fraction_factor >= 10
+
+
 def test_standard_pair_names_independent_columns():
     A = Matrix(QQ, [[1, 2, 0, 1], [2, 4, 1, 0]])  # first two columns parallel
     with pytest.raises(RankDeficiencyError, match=r"columns \(1, 3\)"):

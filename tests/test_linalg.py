@@ -30,9 +30,13 @@ from oracles import (
     leibniz_det,
     matrix_is_zero,
     naive_fraction_rank,
+    rows_kernel_basis_oracle,
+    rows_matmul_oracle,
+    rows_rref_oracle,
     subconfig,
     transpose,
 )
+import veronese_kit.linalg as linalg
 
 FP = Field.prime()
 PRIMES = (101, 65521)
@@ -320,6 +324,85 @@ def test_kernel_basis_rank_deficient_raises():
         kernel_basis(Matrix(QQ, [[1, 2, 3], [2, 4, 6]]))
     with pytest.raises(ShapeError):
         kernel_basis(Matrix(QQ, [[1, 2], [3, 4]]))
+
+
+# -- int-column ops against row-built references ---------------------------------
+
+
+def _fraction_column_rows(field, rng, height, width):
+    """A seeded height x width matrix of low rank: a product of small random
+    ints, some rows zeroed, and over Q column j divided by a random
+    denominator, so clearing factors above 1 are common."""
+    k = rng.randint(0, min(height, width))
+    u = random_ints(rng, height, k, -4, 4)
+    v = random_ints(rng, k, width, -4, 4)
+    rows = [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(width)] for i in range(height)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(height)] = [0] * width
+    if field.p is None:
+        dens = [rng.choice((1, 1, 2, 3, 4, 6, 35)) for _ in range(width)]
+        rows = [[Fraction(x, den) for x, den in zip(row, dens)] for row in rows]
+    return rows
+
+
+def _assert_same_scalars(got, want):
+    """Equal rows of scalars, each entry of the same type: `Fraction` over Q,
+    int over F_p."""
+    got, want = tuple(map(tuple, got)), tuple(map(tuple, want))
+    assert got == want
+    assert [type(x) for row in got for x in row] == [type(x) for row in want for x in row]
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(101), Field.prime(65521)], ids=repr)
+def test_int_column_ops_match_row_built_references(field):
+    rng = random.Random(36)
+    negative_pivot = fraction_factor = kernels = 0
+    shapes = [(rng.randint(1, 5), rng.randint(1, 8)) for _ in range(150)] + [(3, 4), (1, 1), (4, 2)]
+    for t, (height, width) in enumerate(shapes):
+        # the last three are all zero
+        rows = _fraction_column_rows(field, rng, height, width) if t < 150 else [[0] * width] * height
+        want = [tuple(map(field.normalize, row)) for row in rows]
+        M = Matrix(field, rows)
+        fraction_factor += max(M._factors) > 1
+        _assert_same_scalars(M.entries, want)
+        j = rng.randrange(width)
+        _assert_same_scalars([M.column(j)], [tuple(row[j] for row in want)])
+        ri = sorted(rng.sample(range(1, height + 1), rng.randint(1, height)))
+        ci = sorted(rng.sample(range(1, width + 1), rng.randint(1, width)))
+        _assert_same_scalars(M.submatrix(ri, ci).entries, [[want[i - 1][j - 1] for j in ci] for i in ri])
+        N = Matrix(field, _fraction_column_rows(field, rng, width, rng.randint(1, 5)))
+        _assert_same_scalars(M.matmul(N).entries, rows_matmul_oracle(M, N))
+        R, pivots, r = rref(Matrix(field, rows))
+        want_R, want_pivots, want_r = rows_rref_oracle(M)
+        _assert_same_scalars(R.entries, want_R)
+        assert (pivots, r) == (want_pivots, want_r)
+        if field.p is None:
+            a, oracle_pivots, _ = fraction_rref_oracle(rows)
+            assert R.entries == tuple(map(tuple, a)) and list(pivots) == oracle_pivots
+            echelon, echelon_pivots = M._echelon()
+            negative_pivot += bool(echelon_pivots) and echelon[len(echelon_pivots) - 1][echelon_pivots[-1]] < 0
+        if height < width and r == height:
+            kernels += 1
+            B = kernel_basis(M)
+            _assert_same_scalars(B.entries, rows_kernel_basis_oracle(M))
+            assert matrix_is_zero(M.matmul(transpose(B)))
+    assert kernels >= 20
+    if field.p is None:
+        assert negative_pivot >= 10 and fraction_factor >= 50
+
+
+def test_rref_of_an_eliminated_matrix_runs_no_elimination(monkeypatch):
+    calls = []
+    real = linalg.int_rref
+    monkeypatch.setattr(linalg, "int_rref", lambda rows, p=None: calls.append(p) or real(rows, p))
+    for field in (QQ, FP):
+        M = Matrix(field, [[Fraction(1, 2), 3, 5, 7], [2, Fraction(-4, 3), 1, 0], [0, 1, 1, 1]])
+        kernel_basis(M)
+        assert calls == [field.p]
+        R, pivots, r = rref(M)
+        rref(M)
+        assert calls == [field.p] and (pivots, r) == ((0, 1, 2), 3)
+        calls.clear()
 
 
 # -- cached maximal minors -----------------------------------------------------

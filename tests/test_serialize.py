@@ -22,6 +22,7 @@ from veronese_kit.configurations import (
     sample_on_rnc,
 )
 from veronese_kit.fields import _MAX_PRIME, Field, QQ, _is_prime
+from veronese_kit.gale import gale_of_config
 from veronese_kit.linalg import Matrix, _clear, det, rank
 from veronese_kit.serialize import (
     config_from_json,
@@ -415,6 +416,25 @@ def test_gale_on_integer_q_coordinates_builds_no_fraction_rows(monkeypatch):
     assert res.exit_code == 0
     certificate = json.loads(res.output)["payload"]["certificate"]
     assert certificate["ok"] is True and certificate["checked"] == 924
+    assert built == []
+
+
+def test_gale_on_fraction_q_coordinates_builds_no_fraction_rows(monkeypatch):
+    # the kernel basis is built as int columns over clearing factors, and the
+    # transform's fraction columns render from them
+    built = []
+    build = Matrix._build_entries
+    monkeypatch.setattr(Matrix, "_build_entries", lambda self: built.append(self.shape) or build(self))
+    for p in (sample_on_rnc(QQ, 3, 9, seed=1), sample_generic(QQ, 4, 9, seed=2)):
+        doc = config_to_json(p)
+        doc["columns"] = [[str(Fraction(x) / j) for x in col] for j, col in enumerate(doc["columns"], start=2)]
+        res = invoke(["gale"], input=json.dumps(doc))
+        assert res.exit_code == 0
+        payload = json.loads(res.output)["payload"]
+        assert payload["certificate"]["ok"] is True and payload["certificate"]["checked"] == 126
+        assert any("/" in x for col in payload["config"]["columns"] for x in col)
+        q = gale_of_config(config_from_json(doc))
+        assert config_from_json(payload["config"]).coords == q.coords and q.coords._entries is None
     assert built == []
 
 
