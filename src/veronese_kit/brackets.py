@@ -11,6 +11,12 @@ relating the maximal minors of a configuration to those of its Gale
 transform. Pulled back along every (d+4)-point subset, the dualized
 polynomials cut out the closure of the configurations lying on a degree-d
 rational normal curve (together with the non-spanning locus).
+
+`psi_generators` writes the dualized polynomials down in closed form, each
+bracket the complement of one of the conic equation's triples, and builds
+them without re-canonicalizing: its docstring proves that the closed form is
+canonical. The general relabel-and-dualize construction is kept in the test
+suite as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -20,12 +26,15 @@ from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, prod
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from .configurations import PointConfiguration
 from .errors import IndexSetError, ShapeError, check_budget
 from .fields import Scalar
 from .linalg import IndexSet, Matrix, _scalar, as_index_set
+
+if TYPE_CHECKING:
+    # only annotations name it: `eqs` and the generator tables load no sampler code
+    from .configurations import PointConfiguration
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
@@ -95,6 +104,16 @@ class BracketPolynomial:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "terms", canon)
 
+    @classmethod
+    def _canonical(cls, ground: int, width: int, terms: tuple) -> BracketPolynomial:
+        """The polynomial whose `terms` are already in canonical form, kept as
+        given: nothing is checked, sorted or merged."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "ground", ground)
+        object.__setattr__(P, "width", width)
+        object.__setattr__(P, "terms", terms)
+        return P
+
     def __repr__(self):
         return f"BracketPolynomial(ground={self.ground}, width={self.width}, {format_bracket_poly(self)!r})"
 
@@ -150,45 +169,47 @@ def phi_as_bracket_poly() -> BracketPolynomial:
     )
 
 
-def dualize(P: BracketPolynomial) -> BracketPolynomial:
-    """Trade every bracket for its complement: m_J -> (-1)^(S_J + m - w) m_{J^c}.
-
-    This is the sign law relating maximal minors of a configuration to those
-    of its Gale transform, so the dual polynomial evaluates on a Gale
-    transform exactly as the original does on the source (up to one global
-    scalar). Applying it twice returns the input up to the documented global
-    sign (-1)^(k (w (m-w) + m)) for k-factor terms.
-    """
-    m, w = P.ground, P.width
-    # P's factors are canonical, so S_J = sum(J) - w (w+1) / 2 and J^c are
-    # read off directly, with no validation
-    shift = m - w - w * (w + 1) // 2
-    ground = range(1, m + 1)
-    out = []
-    for coef, factors in P.terms:
-        odd = sum(sum(f) + shift for f in factors) % 2
-        out.append((-coef if odd else coef, [tuple(i for i in ground if i not in f) for f in factors]))
-    return BracketPolynomial(m, m - w, out)
-
-
-@lru_cache(maxsize=None)
-def psi_pattern(d: int, I: IndexSet) -> BracketPolynomial:
-    """The width-(d+1) polynomial on [d+4] obtained from the conic equation
-    by relabeling onto the six-element pattern I and dualizing."""
-    if d < 2:
-        raise ShapeError(f"patterns need d >= 2, got {d}")
-    I = as_index_set(I, ground=d + 4, size=6)
-    phi = phi_as_bracket_poly()
-    pulled = [(c, [[I[i - 1] for i in f] for f in fs]) for c, fs in phi.terms]
-    return dualize(BracketPolynomial(d + 4, 3, pulled))
-
-
 @lru_cache(maxsize=None)
 def psi_generators(d: int) -> tuple[tuple[IndexSet, BracketPolynomial], ...]:
-    """All generators on d+4 points: one per six-element pattern, lex order."""
-    return tuple(
-        (I, psi_pattern(d, I)) for I in combinations(range(1, d + 5), 6)
-    )
+    """All generators on d+4 points: one per six-element pattern I, lex order.
+
+    The generator of I is the conic equation pulled back along I (index j
+    goes to I_j) and dualized on [d+4]: each bracket |F| traded for
+    (-1)^(S_F + m - w) |F^c|, F^c the complement in [m], m = d + 4, w = 3.
+    In closed form, with T^c the complement of the labels I_a I_b I_c,
+
+        psi_I = - |(I4 I5 I6)^c||(I2 I3 I6)^c||(I1 I3 I5)^c||(I1 I2 I4)^c|
+                + |(I3 I5 I6)^c||(I2 I4 I6)^c||(I1 I4 I5)^c||(I1 I2 I3)^c|
+
+    and this is already the canonical form, so it is built as given:
+    - Signs: S_F = sum(F) - 6, and every label occurs in exactly two
+      brackets of each term of the conic equation, so the exponents of a
+      term sum to 2 sum(I) - 24 + 4 (m - 3), which is even: each term keeps
+      its coefficient.
+    - Brackets: a complement is sorted, has m - 3 = d + 1 elements, and the
+      four complements of a term are distinct since their triples are.
+    - Factor order: the pullback keeps the lex order of a term's triples,
+      since I is increasing, and complements reverse the lex order of sets of
+      one size (the least label in just one of two sets lies in the first of
+      them exactly when it lies in the complement of the other). So each
+      term lists the complements of the conic equation's triples reversed.
+    - Term order: the two first factors are (I4 I5 I6)^c and (I3 I5 I6)^c,
+      and I3 I5 I6 precedes I4 I5 I6, so the second term of the conic
+      equation comes first. The terms are distinct, so nothing merges.
+    Each triple's complement is computed once and shared by every pattern.
+    """
+    m = d + 4
+    labels = range(1, m + 1)
+    c = {T: tuple(i for i in labels if i not in T) for T in combinations(labels, 3)}
+    gens = []
+    for I in combinations(labels, 6):
+        i1, i2, i3, i4, i5, i6 = I
+        terms = (
+            (-1, (c[i4, i5, i6], c[i2, i3, i6], c[i1, i3, i5], c[i1, i2, i4])),
+            (1, (c[i3, i5, i6], c[i2, i4, i6], c[i1, i4, i5], c[i1, i2, i3])),
+        )
+        gens.append((I, BracketPolynomial._canonical(m, d + 1, terms)))
+    return tuple(gens)
 
 
 def eval_bracket_poly(
@@ -201,7 +222,7 @@ def eval_bracket_poly(
     With a window J (strictly increasing, P.ground indices) bracket index i
     reads column J[i-1]: the value is that of P pulled back along J.
     """
-    M = source.coords if isinstance(source, PointConfiguration) else source
+    M = getattr(source, "coords", source)  # a configuration's matrix, or the matrix itself
     if M.rows != P.width:
         raise ShapeError(f"bracket width {P.width} != matrix height {M.rows}")
     if J is not None:

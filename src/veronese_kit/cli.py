@@ -21,37 +21,17 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from importlib import import_module
 from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .brackets import (
-    HigherEquationReport,
-    bracket_template,
-    phi_as_bracket_poly,
-    psi_generators,
-    wdn_membership,
-)
-from .conic import ConicEquationReport, w2n_membership
-from .configurations import (
-    dimension_estimate,
-    sample_degenerate,
-    sample_generic,
-    sample_nodal_conic,
-    sample_on_rnc,
-    sample_quasi_veronese_chain,
-)
 from .errors import BudgetExceededError, VeroneseKitError, check_budget
-from .gale import duality_certificate, gale_of_config
-from .serialize import (
-    config_from_json,
-    config_to_json,
-    envelope_text,
-    field_to_json,
-    parse_field_spec,
-)
-from .transversal import Hypergraph, bounds, failing_partition, min_transversal
-from . import verify as verify_mod
+
+if TYPE_CHECKING:
+    from .brackets import HigherEquationReport
+    from .conic import ConicEquationReport
 
 SCHEMA = "veronese-kit/1"
 
@@ -60,10 +40,27 @@ _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
 #: `eqs` emits at most this many generators; larger requests exit 3 before
 #: any generator is built. In-process on a 2-core host, the largest admitted
 #: shapes take 12-35 ms as text ((5, 12), (2, 18)) and 60-80 ms as JSON, and
-#: (14, 18) 0.13 s as text and 0.66 s as JSON once its 18,564 patterns are
-#: built; a fresh process builds them first (about 1.2 s), so
-#: `eqs --d 14 --n 18` takes 1.4-2.0 s as text and 2.2-2.4 s as JSON.
+#: (14, 18) 0.11-0.12 s as text and 0.41-0.51 s as JSON once its 18,564
+#: patterns are built (45-65 ms, in closed form). A fresh process also loads
+#: the modules `eqs` runs: `eqs --d 14 --n 18` takes 0.27-0.49 s as text and
+#: 0.66-0.86 s as JSON, with Python 3.11.
 EQS_GENERATOR_BUDGET = 20_000
+
+#: `verify --suite` takes a suite of `verify.SUITES` by name, or "all"; the
+#: names are written out so that parsing loads no suite.
+SUITE_CHOICES = ["conic", "dimension", "gale", "higher", "transversal", "all"]
+
+
+@cache
+def _load(module: str):
+    """The package module `module`, imported when a command first runs it.
+
+    `cli` itself imports only the standard library and `errors`, so a launch
+    loads and compiles only the modules its one command runs. Later calls
+    are one cached lookup, under 1 us: an import statement of a loaded
+    module costs 1.3 us warm and several us once the CPU caches are cold
+    (2-core host, Python 3.11)."""
+    return import_module(f"{__package__}.{module}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,9 @@ class CommandResult:
 
 
 def _finish(result: CommandResult) -> None:
-    text = result.text if result.text is not None else envelope_text(result.to_document())
+    text = result.text
+    if text is None:
+        text = _load("serialize").envelope_text(result.to_document())
     out, data = sys.stdout, text + "\n"
     try:
         if hasattr(out, "buffer"):
@@ -156,7 +155,7 @@ def _extract_config(doc):
     """Accept a bare configuration, a payload with one, or a full envelope."""
     if isinstance(doc, dict):
         if "columns" in doc:
-            return config_from_json(doc)
+            return _load("serialize").config_from_json(doc)
         for key in ("payload", "config"):
             if key in doc:
                 return _extract_config(doc[key])
@@ -202,6 +201,7 @@ def _higher_report_json(field, r: HigherEquationReport) -> dict:
 
 def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
     """Emit the membership equation generators for (P^d)^n in lex order."""
+    brackets = _load("brackets")
     if d < 2:
         raise ValueError(f"generators are defined for d >= 2, got d={d}")
     if d == 2 and n < 6:
@@ -212,9 +212,9 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
     check_budget(count, EQS_GENERATOR_BUDGET, f"(d, n) = ({d}, {n}) has {count} generators")
     # each pattern is compiled once; a window J pulls it back as the index map i -> J[i-1]
     if d == 2:
-        size, patterns = 6, [(None, phi_as_bracket_poly())]
+        size, patterns = 6, [(None, brackets.phi_as_bracket_poly())]
     else:
-        size, patterns = d + 4, psi_generators(d)
+        size, patterns = d + 4, brackets.psi_generators(d)
     # At n = size the one window is J = (1, ..., n) and it is the output:
     # each bracket's text is its own labels, joined once.
     if n == size and fmt == "text":
@@ -222,7 +222,7 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
         window = ",".join(map(str, range(1, n + 1)))
         return CommandResult("Ok", {}, text="\n".join(
             ("(" if I is None else f"({','.join(map(str, I))}; ") + window + ") "
-            + "".join([p if type(p) is str else text(p) for p in bracket_template(P)])
+            + "".join([p if type(p) is str else text(p) for p in brackets.bracket_template(P)])
             for I, P in patterns
         ))
     # Otherwise every window is written by one program, compiled once per
@@ -252,7 +252,7 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
     program = [""]
 
     def write(P) -> None:
-        pieces = bracket_template(P)
+        pieces = brackets.bracket_template(P)
         program[-1] += pieces[0]
         for F, literal in zip(pieces[1::2], pieces[2::2]):
             program.extend(text[F])
@@ -294,7 +294,8 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
         return CommandResult("Ok", {}, text="\n".join(windows))
     # the generators are spliced into the envelope of an empty list, as one join
     payload = {"d": d, "n": n, "count": count, "generators": []}
-    head, tail = envelope_text(CommandResult("Ok", payload).to_document()).split('"generators": []')
+    envelope = _load("serialize").envelope_text(CommandResult("Ok", payload).to_document())
+    head, tail = envelope.split('"generators": []')
     return CommandResult("Ok", {}, text="".join([head, '"generators": [', ",".join(windows), "\n    ]", tail]))
 
 
@@ -305,14 +306,12 @@ def cmd_eval(input: str, with_values: bool) -> CommandResult:
     """Evaluate the membership equations on a configuration JSON document."""
     p = _extract_config(_read_json_input(input))
     if p.d == 2:
-        report = w2n_membership(p, collect_values=with_values)
-        payload = {"config": config_to_json(p), "report": _conic_report_json(p.field, report)}
+        report = _conic_report_json(p.field, _load("conic").w2n_membership(p, collect_values=with_values))
     elif p.d >= 3:
-        report = wdn_membership(p)
-        payload = {"config": config_to_json(p), "report": _higher_report_json(p.field, report)}
+        report = _higher_report_json(p.field, _load("brackets").wdn_membership(p))
     else:
         raise ValueError(f"no membership equations for d={p.d}")
-    return CommandResult("Ok", payload)
+    return CommandResult("Ok", {"config": _load("serialize").config_to_json(p), "report": report})
 
 
 # -- gale ----------------------------------------------------------------------
@@ -321,10 +320,11 @@ def cmd_eval(input: str, with_values: bool) -> CommandResult:
 def cmd_gale(input: str) -> CommandResult:
     """Gale-transform a configuration; certifies the minor duality exactly."""
     p = _extract_config(_read_json_input(input))
-    q = gale_of_config(p)
-    cert = duality_certificate(p.coords, q.coords)
+    gale = _load("gale")
+    q = gale.gale_of_config(p)
+    cert = gale.duality_certificate(p.coords, q.coords)
     payload = {
-        "config": config_to_json(q),
+        "config": _load("serialize").config_to_json(q),
         "source": {"d": p.d, "n": p.n},
         "certificate": {
             "lambda": p.field.scalar_to_json(cert.lambda_),
@@ -340,27 +340,28 @@ def cmd_gale(input: str) -> CommandResult:
 
 def cmd_sample(family, d, n, seed, field_spec, height, degrees, counts, split) -> CommandResult:
     """Produce a seeded configuration from one of the sample families."""
+    configurations, serialize = _load("configurations"), _load("serialize")
     if height < 0:
         raise ValueError(f"--height must be >= 0, got {height}")
-    field = parse_field_spec(field_spec)
-    payload: dict = {"family": family, "seed": seed, "field": field_to_json(field)}
+    field = serialize.parse_field_spec(field_spec)
+    payload: dict = {"family": family, "seed": seed, "field": serialize.field_to_json(field)}
     if family == "rnc":
-        p = sample_on_rnc(field, d, n, seed=seed, height=height)
+        p = configurations.sample_on_rnc(field, d, n, seed=seed, height=height)
     elif family == "generic":
-        p = sample_generic(field, d, n, seed=seed, height=height)
+        p = configurations.sample_generic(field, d, n, seed=seed, height=height)
     elif family == "degenerate":
-        p = sample_degenerate(field, d, n, seed=seed, height=height)
+        p = configurations.sample_degenerate(field, d, n, seed=seed, height=height)
     elif family == "nodal-conic":
         if d != 2:
             raise ValueError("nodal-conic sampling is a d=2 family")
         sp = tuple(int(x) for x in split.split(",")) if split else None
-        p = sample_nodal_conic(field, n, seed=seed, split=sp, height=height)
+        p = configurations.sample_nodal_conic(field, n, seed=seed, split=sp, height=height)
     else:
         if degrees is None:
             raise ValueError("chain sampling needs --degrees, e.g. --degrees 2,1")
         degs = tuple(int(x) for x in degrees.split(","))
         cts = tuple(int(x) for x in counts.split(",")) if counts else None
-        desc, p = sample_quasi_veronese_chain(field, d, n, degs, seed=seed, counts=cts, height=height)
+        desc, p = configurations.sample_quasi_veronese_chain(field, d, n, degs, seed=seed, counts=cts, height=height)
         payload["descriptor"] = {
             "degrees": list(desc.degrees),
             "components": [
@@ -372,7 +373,7 @@ def cmd_sample(family, d, n, seed, field_spec, height, degrees, counts, split) -
                 for c in desc.components
             ],
         }
-    payload["config"] = config_to_json(p)
+    payload["config"] = serialize.config_to_json(p)
     return CommandResult("Ok", payload)
 
 
@@ -381,18 +382,19 @@ def cmd_sample(family, d, n, seed, field_spec, height, degrees, counts, split) -
 
 def cmd_transversal(n, k, edges, minimum) -> CommandResult:
     """Partition-transversality checks, minimum families, and lower bounds."""
+    tv = _load("transversal")
     payload: dict = {"n": n, "k": k}
-    inc, avg = bounds(n, k)
+    inc, avg = tv.bounds(n, k)
     payload["bounds"] = {"incidence": inc, "averaging": avg}
     if edges is not None:
         doc = _read_json_input(edges[1:]) if edges.startswith("@") else _decode_json(edges)
-        H = Hypergraph(n, k, _edges_from_json(doc))
-        part = failing_partition(H)
+        H = tv.Hypergraph(n, k, _edges_from_json(doc))
+        part = tv.failing_partition(H)
         payload["edges"] = [list(e) for e in H.edges]
         payload["transversal"] = part is None
         payload["failing_partition"] = None if part is None else [list(b) for b in part.blocks]
     if minimum is not None:
-        size, example = min_transversal(n, k, mode=minimum)
+        size, example = tv.min_transversal(n, k, mode=minimum)
         payload["minimum"] = {
             "mode": minimum,
             "size": size,
@@ -406,14 +408,15 @@ def cmd_transversal(n, k, edges, minimum) -> CommandResult:
 
 def cmd_dim(d, n, seed, field_spec) -> CommandResult:
     """Exact Jacobian rank of the curve-configuration map, vs the formula."""
-    field = parse_field_spec(field_spec)
-    est = dimension_estimate(d, n, seed=seed, field=field)
+    serialize = _load("serialize")
+    field = serialize.parse_field_spec(field_spec)
+    est = _load("configurations").dimension_estimate(d, n, seed=seed, field=field)
     formula = d * d + 2 * d + n - 3
     payload = {
         "d": d,
         "n": n,
         "seed": seed,
-        "field": field_to_json(field),
+        "field": serialize.field_to_json(field),
         "estimate": est,
         "formula": formula,
         "agrees": est == formula,
@@ -426,12 +429,13 @@ def cmd_dim(d, n, seed, field_spec) -> CommandResult:
 
 def cmd_verify(suite, seed) -> CommandResult:
     """Run the self-verification suites; nonzero exit on any failing check."""
-    names = sorted(verify_mod.SUITES) if suite == "all" else [suite]
+    verify = _load("verify")
+    names = sorted(verify.SUITES) if suite == "all" else [suite]
     suites = {}
     log = []
     all_passed = True
     for name in names:
-        results = verify_mod.run_suite(name, seed)
+        results = verify.run_suite(name, seed)
         suites[name] = [
             {"name": r.name, "passed": r.passed, "detail": r.detail, "seed": r.seed}
             for r in results
@@ -509,7 +513,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", dest="field_spec", default="Fp:65521")
     p = command(cmd_verify)
-    p.add_argument("--suite", choices=sorted(verify_mod.SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     p.add_argument("--seed", type=int, default=0)
     return parser, by_name
 

@@ -7,6 +7,10 @@ evaluates every generator pullback with the package's bracket evaluator, which
 is the definition the window rank test of `wdn_membership` must reproduce.
 `relabel` builds each pullback as a new canonical polynomial; it is the
 reference for the index-map pullbacks of `eqs` and `eval_bracket_poly`.
+`dualize` and `psi_pattern` build one generator by relabeling the conic
+equation onto a pattern and dualizing it, and `psi_generators_oracle` does
+so for every pattern by `relabel` and the validating `dualize_oracle`; they
+are the reference for the closed form of `brackets.psi_generators`.
 `head_general_position_oracle` ranks every (d+1)-subset of points 1..d+3;
 it is the reference for the echelon-form test of `wdn_membership`'s early exit.
 `window_vanishes_oracle` eliminates each window's own coordinate block twice;
@@ -520,8 +524,41 @@ def relabel(P, I, ground=None):
     return BracketPolynomial(m, P.width, [(c, [tuple(I[i - 1] for i in f) for f in fs]) for c, fs in P.terms])
 
 
+def dualize(P):
+    """Trade every bracket for its complement: m_J -> (-1)^(S_J + m - w) m_{J^c}.
+
+    This is the sign law relating maximal minors of a configuration to those
+    of its Gale transform, so the dual polynomial evaluates on a Gale
+    transform exactly as the original does on the source (up to one global
+    scalar). Applying it twice returns the input up to the documented global
+    sign (-1)^(k (w (m-w) + m)) for k-factor terms.
+    """
+    m, w = P.ground, P.width
+    # P's factors are canonical, so S_J = sum(J) - w (w+1) / 2 and J^c are
+    # read off directly, with no validation
+    shift = m - w - w * (w + 1) // 2
+    ground = range(1, m + 1)
+    out = []
+    for coef, factors in P.terms:
+        odd = sum(sum(f) + shift for f in factors) % 2
+        out.append((-coef if odd else coef, [tuple(i for i in ground if i not in f) for f in factors]))
+    return BracketPolynomial(m, m - w, out)
+
+
+def psi_pattern(d, I):
+    """The width-(d+1) polynomial on [d+4] obtained from the conic equation
+    by relabeling onto the six-element pattern I and dualizing: the
+    construction `brackets.psi_generators` writes down in closed form."""
+    if d < 2:
+        raise ShapeError(f"patterns need d >= 2, got {d}")
+    I = as_index_set(I, ground=d + 4, size=6)
+    phi = phi_as_bracket_poly()
+    pulled = [(c, [[I[i - 1] for i in f] for f in fs]) for c, fs in phi.terms]
+    return dualize(BracketPolynomial(d + 4, 3, pulled))
+
+
 def dualize_oracle(P):
-    """`brackets.dualize` by the general construction: each factor's sign
+    """`dualize` by the general construction: each factor's sign
     (-1)^(S_J + m - w) from `s_index` and its complement from `complement`,
     both of which validate the factor."""
     m, w = P.ground, P.width
@@ -534,7 +571,7 @@ def dualize_oracle(P):
 
 def psi_generators_oracle(d):
     """`brackets.psi_generators(d)` built from the conic equation by `relabel`
-    and `dualize_oracle`."""
+    and `dualize_oracle`, each pattern's polynomial canonicalized anew."""
     phi = phi_as_bracket_poly()
     return tuple((I, dualize_oracle(relabel(phi, I, ground=d + 4))) for I in combinations(range(1, d + 5), 6))
 

@@ -12,12 +12,10 @@ from veronese_kit.brackets import (
     BracketPolynomial,
     HigherEquationReport,
     Y_INSIDE_V_PAIRS,
-    dualize,
     eval_bracket_poly,
     format_bracket_poly,
     phi_as_bracket_poly,
     psi_generators,
-    psi_pattern,
     wdn_membership,
     y_in_v_dimension_test,
 )
@@ -38,12 +36,14 @@ from veronese_kit.linalg import Matrix, _scalar, minor
 from oracles import (
     MemoMinors,
     count_walk_windows,
+    dualize,
     dualize_oracle,
     head_general_position_oracle,
     in_general_position,
     multidegree,
     poly_is_zero,
     psi_generators_oracle,
+    psi_pattern,
     relabel,
     sign_cloud,
     subconfig,
@@ -165,9 +165,11 @@ def test_dualize_involution_signs():
 
 
 def test_psi_tables_match_general_construction():
-    # dualize reads the signs and complements of canonical factors directly
-    for d in range(2, 8):
+    # the closed form equals relabel-and-dualize on every pattern
+    for d in range(2, 10):
         assert psi_generators(d) == psi_generators_oracle(d)
+        assert psi_generators(d) == tuple((I, psi_pattern(d, I)) for I, _ in psi_generators(d))
+    # dualize reads the signs and complements of canonical factors directly
     rng = random.Random(5)
     for m, w in ((4, 1), (5, 2), (7, 3), (8, 5)):
         for _ in range(20):
@@ -176,12 +178,20 @@ def test_psi_tables_match_general_construction():
             assert dualize(P) == dualize_oracle(P)
 
 
+def test_psi_tables_are_built_in_canonical_form():
+    # the closed form skips canonicalization: building its terms anew must change nothing
+    for d in range(2, 10):
+        for _, P in psi_generators(d):
+            assert BracketPolynomial(P.ground, P.width, P.terms).terms == P.terms
+
+
 def test_psi_pattern_full_window_d3():
     shown = (
         "- |1 2 3 7||1 4 5 7||2 4 6 7||3 5 6 7| "
         "+ |1 2 4 7||1 3 5 7||2 3 6 7||4 5 6 7|"
     )
     assert format_bracket_poly(psi_pattern(3, (1, 2, 3, 4, 5, 6))) == shown
+    assert format_bracket_poly(dict(psi_generators(3))[1, 2, 3, 4, 5, 6]) == shown
 
 
 def test_psi_pattern_multidegree():
@@ -200,6 +210,7 @@ def test_psi_generators_enumeration():
     assert [I for I, _ in gens] == sorted(combinations(range(1, 8), 6))
     assert all(poly.width == 4 and poly.ground == 7 for _, poly in gens)
     assert len(psi_generators(4)) == 28
+    assert psi_generators(1) == ()
     with pytest.raises(ShapeError):
         psi_pattern(1, (1, 2, 3, 4, 5, 6))
 

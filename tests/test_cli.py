@@ -125,17 +125,21 @@ def _first_difference(out, expected):
 
 def test_eqs_builds_no_polynomial_per_generator(monkeypatch):
     built = []
-    init = BracketPolynomial.__init__
+    init, canonical = BracketPolynomial.__init__, BracketPolynomial._canonical
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def counting_canonical(*args):
+        built.append(1)
+        return canonical(*args)
+
     monkeypatch.setattr(BracketPolynomial, "__init__", counting_init)
+    monkeypatch.setattr(BracketPolynomial, "_canonical", counting_canonical)
     for d, small, large in ((2, 6, 9), (3, 7, 9)):
         counts = []
         for n in (small, large):
-            brackets.psi_pattern.cache_clear()
             brackets.psi_generators.cache_clear()
             built.clear()
             for fmt in ("text", "json"):
@@ -611,12 +615,13 @@ def test_input_files_are_closed(tmp_path):
 
 
 def test_internal_errors_are_not_bad_input(monkeypatch):
-    import veronese_kit.cli as cli
+    import veronese_kit.conic as conic
 
     def broken(*args, **kwargs):
         raise TypeError("internal bug")
 
-    monkeypatch.setattr(cli, "w2n_membership", broken)
+    # `eval` imports the function from its module on each call
+    monkeypatch.setattr(conic, "w2n_membership", broken)
     sample = run(["sample", "--family", "rnc", "--d", "2", "--n", "7"]).output
     res = invoke(["eval"], input=sample)
     assert isinstance(res.exception, TypeError) and res.exit_code == 1
@@ -792,6 +797,21 @@ def test_cli_import_loads_no_numpy_or_numba():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import veronese_kit.cli, sys; assert not {'numpy', 'numba', 'click'} & set(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_import_loads_no_command_module():
+    # each command imports the modules it runs: importing the CLI (and parsing) loads none of them
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    modules = {f"veronese_kit.{m}" for m in ("verify", "transversal", "gale", "conic")}
+    code = f"import veronese_kit.cli, sys; loaded = set({sorted(modules)!r}) & sys.modules.keys(); assert not loaded, loaded"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_suite_choices_are_the_verify_suites():
+    from veronese_kit import verify
+
+    assert cli.SUITE_CHOICES == sorted(verify.SUITES) + ["all"]
 
 
 #: sha256 of each CLI envelope, keyed by its pipeline: every stage gets the

@@ -28,7 +28,7 @@ from oracles import (
     transpose,
 )
 
-from veronese_kit import cli, configurations, linalg
+from veronese_kit import configurations, linalg
 from veronese_kit.configurations import (
     _distinct_affine_params,
     _gl2_kernel,
@@ -435,6 +435,7 @@ def test_dim_envelopes_match_gauss_jordan(spec, monkeypatch):
     grid = [(d, n, seed) for d in range(1, 6) for n in range(1, d + 6) for seed in range(3)]
     args = [["dim", "--d", str(d), "--n", str(n), "--seed", str(seed), "--field", spec] for d, n, seed in grid]
     outputs = [invoke(a, catch_exceptions=False).output for a in args]
-    monkeypatch.setattr(cli, "dimension_estimate", jacobian_rank_oracle)
+    # `dim` imports the function from its module on each call
+    monkeypatch.setattr(configurations, "dimension_estimate", jacobian_rank_oracle)
     for a, out in zip(args, outputs):
         assert out == invoke(a, catch_exceptions=False).output, a
