@@ -7,20 +7,31 @@ estimates, and seeded samplers — all over Q or F_p with zero-tolerance
 arithmetic.
 """
 
-from .fields import DEFAULT_PRIME, Field, QQ
-from .linalg import IndexSet, Matrix, det, kernel_basis, minor, rank, s_index
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_PRIME",
-    "Field",
-    "QQ",
-    "IndexSet",
-    "Matrix",
-    "det",
-    "kernel_basis",
-    "minor",
-    "rank",
-    "s_index",
-]
+#: Each export by the module that defines it. It is imported on first use
+#: (PEP 562), so a command that runs neither `fields` nor `linalg`, such as
+#: `eqs` as text, loads neither.
+_EXPORTS = {
+    "DEFAULT_PRIME": "fields",
+    "Field": "fields",
+    "QQ": "fields",
+    "IndexSet": "linalg",
+    "Matrix": "linalg",
+    "det": "linalg",
+    "kernel_basis": "linalg",
+    "minor": "linalg",
+    "rank": "linalg",
+    "s_index": "linalg",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value

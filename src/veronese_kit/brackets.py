@@ -29,12 +29,13 @@ from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import IndexSetError, ShapeError, check_budget
-from .fields import Scalar
-from .linalg import IndexSet, Matrix, _scalar, as_index_set
 
 if TYPE_CHECKING:
-    # only annotations name it: `eqs` and the generator tables load no sampler code
+    # only annotations name them: `eqs` and the generator tables load no
+    # sampler, field or matrix code
     from .configurations import PointConfiguration
+    from .fields import Scalar
+    from .linalg import IndexSet, Matrix
 
 
 def _sort_with_sign(factor: Sequence[int]) -> tuple[int, IndexSet]:
@@ -226,6 +227,8 @@ def eval_bracket_poly(
     if M.rows != P.width:
         raise ShapeError(f"bracket width {P.width} != matrix height {M.rows}")
     if J is not None:
+        from .linalg import as_index_set
+
         J = as_index_set(J, ground=M.cols, size=P.ground)
     elif M.cols < P.ground:
         raise ShapeError(f"ground set [{P.ground}] exceeds {M.cols} columns")
@@ -262,7 +265,7 @@ def _eval_on_echelon(
     Each bracket F is `M._echelon_minor` of the window columns it names, a
     closed-form minor of the echelon rows when the window holds every pivot
     of M, kept in `minors` (keyed by F, so one dict serves one window). The
-    sum of coef * prod m_F is mapped back once by `_scalar`: over Q every
+    sum of coef * prod m_F is mapped back once by `Field.from_core`: over Q every
     term carries the clearing factor of each window column to the power of
     that column's degree in P (`_degrees`), so the sum is divided by that
     product.
@@ -280,7 +283,7 @@ def _eval_on_echelon(
                 break
         total += term
     scale = prod([M._factors[c] ** e for c, e in zip(window, _degrees(P))])
-    return _scalar(M.field, total, scale)
+    return M.field.from_core(total, scale)
 
 
 # ---------------------------------------------------------------------------

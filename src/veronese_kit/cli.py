@@ -20,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import import_module
 from itertools import chain, combinations
 from math import comb
@@ -451,15 +451,95 @@ def cmd_verify(suite, seed) -> CommandResult:
 # -- the parser ----------------------------------------------------------------------
 
 
+#: Stands in for a required option's value until the command line gives one.
+_REQUIRED = object()
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser: it reports options it does not know under its
-    own usage line, where the top parser would report them under its own."""
+    own usage line, where the top parser would report them under its own.
+
+    A plain command line is read from a table of the parser's own actions
+    (`_read_plain`), with no pass of argparse's pattern matcher; anything
+    else, help and every usage error included, is parsed by argparse, which
+    stays the only declaration of the command line."""
 
     def parse_known_args(self, args=None, namespace=None):
+        if namespace is None and args is not None and (opts := self._read_plain(args)) is not None:
+            return opts, []
         opts, extra = super().parse_known_args(args, namespace)
         if extra:
             self.error(f"unrecognized arguments: {' '.join(extra)}")
         return opts, extra
+
+    @cached_property
+    def _plain(self):
+        """(defaults, stores, flags, positional), read from this parser's
+        actions on its first parse: each dest's starting value as argparse
+        sets it (`_REQUIRED` for a required one, then the `set_defaults`
+        entries), each option that stores one value by its option strings as
+        (dest, conversion, choices), each `BooleanOptionalAction` string as
+        (dest, value), and the dest of the one optional positional. None
+        when the parser declares anything else, or a string default that
+        argparse would convert through its `type` when the option is absent."""
+        if self._mutually_exclusive_groups or self.fromfile_prefix_chars or self.prefix_chars != "-":
+            return None
+        defaults, stores, flags, positional = {}, {}, {}, None
+        for a in self._actions:
+            kind = type(a)
+            if kind is argparse._HelpAction:
+                continue
+            if a.default is argparse.SUPPRESS or isinstance(a.default, str) and a.type is not None:
+                return None
+            if kind is argparse._StoreAction and a.option_strings and a.nargs is None:
+                stores.update(dict.fromkeys(a.option_strings, (a.dest, a.type or str, a.choices)))
+            elif kind is argparse.BooleanOptionalAction:
+                flags.update((s, (a.dest, not s.startswith("--no-"))) for s in a.option_strings)
+            elif kind is argparse._StoreAction and not a.option_strings and a.nargs == "?" and positional is None and (
+                a.type is None and a.choices is None
+            ):
+                positional = a.dest
+            else:
+                return None
+            defaults.setdefault(a.dest, _REQUIRED if a.required else a.default)
+        for dest, value in self._defaults.items():
+            defaults.setdefault(dest, value)
+        return defaults, stores, flags, positional
+
+    def _read_plain(self, args) -> argparse.Namespace | None:
+        """The namespace argparse would give `args`, read from `_plain` when
+        every word is plain: a known option and a value that does not start
+        with "-", a flag, or the one positional ("-" is one). Every value
+        must convert and be among its choices, and every required option
+        must be given. None for anything else: "-h", "--", "--opt=value", a
+        value such as "-5", an unknown word, a second positional."""
+        if self._plain is None:
+            return None
+        defaults, stores, flags, positional = self._plain
+        opts = defaults.copy()
+        words = iter(args)
+        for word in words:
+            if word in flags:
+                dest, value = flags[word]
+            elif word in stores:
+                dest, convert, choices = stores[word]
+                value = next(words, "-")  # a missing value reads as "-", which is refused
+                if value[:1] == "-":
+                    return None
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+                if choices is not None and value not in choices:
+                    return None
+            elif positional is not None and (word[:1] != "-" or word == "-"):
+                dest, value, positional = positional, word, None
+            else:
+                return None
+            opts[dest] = value
+        if _REQUIRED in opts.values():
+            return None
+        return argparse.Namespace(**opts)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

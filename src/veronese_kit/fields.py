@@ -165,6 +165,11 @@ class Field:
             return 1 / x  # Fraction division
         return pow(x, self.p - 2, self.p)
 
+    def from_core(self, v: int, scale: int) -> Scalar:
+        """The scalar v / scale of a core int v (the integer core of
+        `linalg`); scale is 1 over F_p."""
+        return Fraction(v, scale) if self.p is None else v % self.p
+
     def pow(self, x: Scalar, e: int) -> Scalar:
         if e < 0:
             return self.pow(self.inv(x), -e)

@@ -21,7 +21,7 @@ from math import comb, prod
 from .configurations import PointConfiguration, strong_nondegeneracy_witness
 from .errors import DegenerateInputError, NotAGalePairError, RankDeficiencyError, ShapeError
 from .fields import Scalar, require_same_field
-from .linalg import Matrix, _orthogonal, _scalar, complement, kernel_basis, rref, s_index
+from .linalg import Matrix, _orthogonal, complement, kernel_basis, rref, s_index
 
 
 def affine_gale(A: Matrix) -> Matrix:
@@ -125,7 +125,7 @@ def duality_certificate(A: Matrix, B: Matrix) -> GaleDualityCertificate:
     if b == 0:
         raise RankDeficiencyError("both matrices must have full row rank")
     # det(A_P) of the cleared columns, over the product of their clearing factors
-    lam = f.mul(_scalar(f, A._det, prod(A._factors[c] for c in pivots)), f.inv(b))
+    lam = f.mul(f.from_core(A._det, prod(A._factors[c] for c in pivots)), f.inv(b))
     if (s_index(P) + B.rows) % 2:
         lam = f.neg(lam)
     return GaleDualityCertificate(n, k, B.rows, lam, comb(n, k))

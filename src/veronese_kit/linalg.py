@@ -14,13 +14,13 @@ scalars into core ints and a clearing factor m, keyed on the field's
 modulus p = `Field.p` that every caller holds: over Q (p None) the
 `Fraction` entries times the lcm m of their denominators (their numerators,
 read in one C-level pass, when m = 1), over F_p the residues in [0, p) as
-they are, with m = 1 and no work. `_scalar` turns a core int back into a
-field scalar; a factor need not be the least one, since every value is read
-back through `Fraction` or `_scalar`. `Matrix(...)` normalizes its entries
-and clears its columns; `Matrix._from_int_columns` takes core int columns
-with their factors (decoded documents, plane lifts, and the results of
-`submatrix`, `matmul`, `rref` and `kernel_basis`). Rows are built only when
-a caller reads `entries`.
+they are, with m = 1 and no work. `Field.from_core` turns a core int back
+into a field scalar; a factor need not be the least one, since every value
+is read back through `Fraction` or `Field.from_core`. `Matrix(...)`
+normalizes its entries and clears its columns; `Matrix._from_int_columns`
+takes core int columns with their factors (decoded documents, plane lifts,
+and the results of `submatrix`, `matmul`, `rref` and `kernel_basis`). Rows
+are built only when a caller reads `entries`.
 
 Each matrix is eliminated at most once: `Matrix._echelon` keeps the
 `int_rref` form of its int columns, with the pivot map and pivot scale its
@@ -316,7 +316,7 @@ class Matrix:
         cols = [j - 1 for j in as_index_set(J, ground=self.cols, size=self.rows)]
         # the determinant of the transpose: the selected int columns as rows
         v = _bareiss_det_int([self.int_columns[j] for j in cols])
-        return _scalar(self.field, v, prod([self._factors[j] for j in cols]))
+        return self.field.from_core(v, prod([self._factors[j] for j in cols]))
 
     def maximal_minors(self) -> tuple[Scalar, ...]:
         """All maximal minors as field scalars, in lexicographic order of the
@@ -412,11 +412,6 @@ def _clear(xs: Sequence[Scalar], p: int | None) -> tuple[Sequence[int], int]:
     return [x.numerator * (m // x.denominator) for x in xs], m
 
 
-def _scalar(field: Field, v: int, scale: int) -> Scalar:
-    """The field scalar v / scale of a core int v; scale is 1 over F_p."""
-    return Fraction(v, scale) if field.p is None else v % field.p
-
-
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
@@ -453,7 +448,7 @@ def det(M: Matrix) -> Scalar:
     `int_columns` taken as rows, over their clearing factors."""
     if M.rows != M.cols:
         raise ShapeError(f"determinant of non-square {M.shape}")
-    return _scalar(M.field, _bareiss_det_int(M.int_columns), prod(M._factors))
+    return M.field.from_core(_bareiss_det_int(M.int_columns), prod(M._factors))
 
 
 def minor(M: Matrix, row_set: Iterable[int], col_set: Iterable[int]) -> Scalar:

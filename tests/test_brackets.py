@@ -31,7 +31,7 @@ from veronese_kit.configurations import (
 )
 from veronese_kit.errors import BudgetExceededError, IndexSetError, ShapeError
 from veronese_kit.fields import Field, QQ
-from veronese_kit.linalg import Matrix, _scalar, minor
+from veronese_kit.linalg import Matrix, minor
 
 from oracles import (
     MemoMinors,
@@ -562,7 +562,7 @@ def test_echelon_brackets_match_eval_bracket_poly():
                 ref = MemoMinors(p.coords)
                 pivots = mm._echelon()[1] if mm.echelon_rank() > d else []
                 for F in combinations(range(n), d + 1):
-                    value = _scalar(field, mm._echelon_minor(F), prod(mm._factors[c] for c in F))
+                    value = field.from_core(mm._echelon_minor(F), prod(mm._factors[c] for c in F))
                     assert value == ref.maximal_minor([c + 1 for c in F]), (field, d, n, F)
                     C = set(F) - set(pivots)
                     sizes.add(len(C) if pivots else "rank-deficient")

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import gc
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -660,26 +662,30 @@ def test_an_unknown_option_is_reported_under_its_subcommand(capsys):
     assert "veronese-kit eqs: error: unrecognized arguments: --form json" in err
 
 
-#: Per subcommand: (valid arguments, an option with a bad value); each
-#: command's parser also sees them with a required option left out, an
-#: unknown option, -h, "--" and a repeated option.
+#: Per subcommand: (valid arguments, an option with a bad value, other
+#: valid arguments); each command's parser also sees the first with a
+#: required option left out, an unknown option, -h, "--" and a repeated
+#: option.
 _DISPATCH_ARGS = {
-    "eqs": (["--d", "3", "--n", "7", "--format", "json"], ["--d", "x", "--n", "7"]),
-    "eval": (["in.json", "--values"], ["--values=yes"]),
-    "gale": (["in.json"], ["a.json", "b.json"]),
+    "eqs": (["--d", "3", "--n", "7", "--format", "json"], ["--d", "x", "--n", "7"], [["--d=3", "--n", "7"]]),
+    "eval": (["in.json", "--values"], ["--values=yes"], [["--values", "--no-values"], ["-"], ["--values", "-"]]),
+    "gale": (["in.json"], ["a.json", "b.json"], [["-"]]),
     "sample": (
         ["--family", "rnc", "--d", "2", "--n", "6", "--field", "Q"],
         ["--family", "curve", "--d", "2", "--n", "6"],
+        [["--family=chain", "--d", "3", "--n", "8", "--degrees", "2,1"]],
     ),
-    "transversal": (["--n", "5", "--k", "2", "--min", "greedy"], ["--n", "5", "--k", "2.5"]),
-    "dim": (["--d", "3", "--n", "8", "--seed", "4"], ["--d", "x", "--n", "3"]),
-    "verify": (["--suite", "gale", "--seed", "1"], ["--suite", "nope"]),
+    "transversal": (["--n", "5", "--k", "2", "--min", "greedy"], ["--n", "5", "--k", "2.5"], [["--n", "5", "--k", "2", "--edges", "[[1, 2]]"]]),
+    "dim": (["--d", "3", "--n", "8", "--seed", "4"], ["--d", "x", "--n", "3"], [["--d", "3", "--n", "8", "--seed", "-5"], ["--seed=-5", "--d", "3", "--n", "8"]]),
+    "verify": (["--suite", "gale", "--seed", "1"], ["--suite", "nope"], [["--suite=gale"]]),
 }
 
 
 def _dispatch_cases():
-    for name, (valid, bad) in _DISPATCH_ARGS.items():
+    for name, (valid, bad, others) in _DISPATCH_ARGS.items():
         yield [name, *valid]
+        for args in others:
+            yield [name, *args]
         yield [name, *valid[2:]]  # the first option left out: required for most commands
         yield [name, *bad]
         yield [name, *valid, "--bogus"]
@@ -708,6 +714,100 @@ def test_dispatch_matches_the_top_parser(monkeypatch, capsys, args):
     # a case either runs one command or exits: 0 after help, 2 on a usage error
     code, ran = outcomes[0][2:]
     assert (code, len(ran)) in {(None, 1), (0, 0), (2, 0)}
+
+
+def _command_line(sub, rng: random.Random) -> list[str]:
+    """A random command line for `sub`, from its own option strings: each
+    required option with a good value most of the time, then a few words of
+    every kind, good and bad values, and words only argparse reads
+    ("--opt=value", "-5", "--", "-h", unknown words, extra positionals)."""
+    actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    options = [s for a in sub._actions for s in a.option_strings]
+    junk = ["x", "2.5", "", "nope", "-", "-5", "--", "-h", "--bogus", "in.json", "a.json"]
+    junk += [f"{s}={v}" for s in options for v in ("7", "x")]
+
+    def good(a) -> list[str]:
+        if a.nargs == 0:
+            return [rng.choice(a.option_strings)]
+        value = rng.choice(a.choices) if a.choices else rng.choice(["3", "7", " 8 ", "1_0", "0"] if a.type is int else ["Q", "2,1", "[[1, 2]]"])
+        return [rng.choice(a.option_strings), value]
+
+    items = [good(a) for a in actions if a.required and rng.random() < 0.9]
+    for _ in range(rng.randrange(4)):
+        kind = rng.random()
+        if kind < 0.4 and actions:
+            items.append(good(rng.choice(actions)))
+        elif kind < 0.6:
+            items.append([rng.choice(options), rng.choice(junk)])
+        elif kind < 0.8:
+            items.append([rng.choice(["in.json", "-", ""])])
+        else:
+            items.append([rng.choice(options + junk)])
+    rng.shuffle(items)
+    return [w for item in items for w in item]
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_plain_reader_agrees_with_argparse(name):
+    # every namespace the table reader gives, argparse gives too, with no extras
+    sub = cli._COMMANDS[name]
+    rng = random.Random(f"plain:{name}")
+    read = 0
+    for _ in range(1500):
+        args = _command_line(sub, rng)
+        opts = sub._read_plain(args)
+        if opts is None:
+            continue
+        read += 1
+        try:
+            base = argparse.ArgumentParser.parse_known_args(sub, list(args))
+        except SystemExit:
+            pytest.fail(f"the reader took {args!r}, which argparse refuses")
+        assert base == (opts, []), args
+        assert list(vars(base[0]).items()) == list(vars(opts).items()), args
+    # both the reader and the fallback are exercised
+    assert 200 <= read <= 1300, read
+
+
+#: Command lines of every shape the benchmark's workloads send.
+_PLAIN_LINES = [
+    ["eval"],
+    ["gale"],
+    ["dim", "--d", "3", "--n", "8", "--seed", "1804289383", "--field", "Q"],
+    ["dim", "--d", "5", "--n", "12", "--seed", "846930886", "--field", "Fp:65521"],
+    ["eqs", "--d", "4", "--n", "10", "--format", "text"],
+    ["transversal", "--n", "9", "--k", "5", "--edges", "[[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]]"],
+    ["transversal", "--n", "5", "--k", "3", "--min", "exact"],
+]
+
+
+def test_plain_lines_are_read_without_argparse(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_run", lambda cmd, opts: calls.append((cmd.__name__, opts)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for args in _PLAIN_LINES:
+        main(list(args))
+    assert [name for name, _ in calls] == [f"cmd_{args[0]}" for args in _PLAIN_LINES]
+    assert calls[2][1] == {"d": 3, "n": 8, "seed": 1804289383, "field_spec": "Q"}
+    assert calls[6][1] == {"n": 5, "k": 3, "edges": None, "minimum": "exact"}
+
+
+def test_plain_reader_string_defaults():
+    # argparse converts a string default through `type` when the option is
+    # absent; the reader leaves a parser that declares one to argparse, and
+    # reads one whose string default has no `type` (as `--field`)
+    typed = cli._CommandParser(prog="typed")
+    typed.add_argument("--x", type=int, default="5")
+    assert typed._read_plain([]) is None and typed._read_plain(["--x", "6"]) is None
+    assert typed.parse_args([]).x == 5 and typed.parse_args(["--x", "6"]).x == 6
+    untyped = cli._CommandParser(prog="untyped")
+    untyped.add_argument("--field", default="Fp:65521")
+    assert vars(untyped._read_plain([])) == vars(untyped.parse_args([])) == {"field": "Fp:65521"}
+    assert vars(cli._COMMANDS["dim"]._read_plain(["--d", "3", "--n", "8"]))["field_spec"] == "Fp:65521"
 
 
 @pytest.mark.parametrize("unbuffered, code", [("", 1), ("1", 1)])
@@ -805,6 +905,19 @@ def test_cli_import_loads_no_command_module():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     modules = {f"veronese_kit.{m}" for m in ("verify", "transversal", "gale", "conic")}
     code = f"import veronese_kit.cli, sys; loaded = set({sorted(modules)!r}) & sys.modules.keys(); assert not loaded, loaded"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_eqs_generator_table_loads_no_field_or_matrix_code():
+    # a cold `eqs` builds its table from brackets alone: the package's
+    # exports and the brackets annotations load neither `fields` nor `linalg`
+    src = os.path.dirname(os.path.dirname(veronese_kit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, veronese_kit.cli, veronese_kit.brackets as b; b.psi_generators(3); "
+        "loaded = {'veronese_kit.fields', 'veronese_kit.linalg'} & sys.modules.keys(); assert not loaded, loaded; "
+        "from veronese_kit import Matrix, QQ; assert Matrix.__module__ == 'veronese_kit.linalg' and QQ.p is None"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
