@@ -125,6 +125,7 @@ def bracket_template(P: BracketPolynomial) -> list[Union[str, IndexSet]]:
 
     The pieces alternate between literal text and P's brackets, starting and
     ending with text: a bracket F stands for its labels joined by spaces.
+    The literal pieces depend only on each term's coefficient and factor count.
     Writing F's indices gives P's text; writing the labels J[i-1] of a
     strictly increasing window J gives the text of P pulled back along J.
     Such a map keeps every bracket sorted and the order of factors and

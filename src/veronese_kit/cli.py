@@ -39,11 +39,11 @@ _EXIT_CODES = {"Ok": 0, "PreconditionFailed": 2, "BudgetExceeded": 3}
 
 #: `eqs` emits at most this many generators; larger requests exit 3 before
 #: any generator is built. In-process on a 2-core host, the largest admitted
-#: shapes take 12-35 ms as text ((5, 12), (2, 18)) and 60-80 ms as JSON, and
-#: (14, 18) 0.11-0.12 s as text and 0.41-0.51 s as JSON once its 18,564
-#: patterns are built (45-65 ms, in closed form). A fresh process also loads
-#: the modules `eqs` runs: `eqs --d 14 --n 18` takes 0.27-0.49 s as text and
-#: 0.66-0.86 s as JSON, with Python 3.11.
+#: shapes take 11-60 ms as text ((5, 12), (2, 18)) and 47-80 ms as JSON, and
+#: (14, 18) 0.14-0.15 s as text and 0.35-0.51 s as JSON once its 18,564
+#: patterns are built (45-76 ms, in closed form). A fresh process also loads
+#: the modules `eqs` runs: `eqs --d 14 --n 18` takes 0.40-0.64 s as text and
+#: 0.94-1.29 s as JSON, peaking at 52 and 171 MB, with Python 3.11.
 EQS_GENERATOR_BUDGET = 20_000
 
 #: `verify --suite` takes a suite of `verify.SUITES` by name, or "all"; the
@@ -84,14 +84,16 @@ def _finish(result: CommandResult) -> None:
     text = result.text
     if text is None:
         text = _load("serialize").envelope_text(result.to_document())
-    out, data = sys.stdout, text + "\n"
+    out, newline = sys.stdout, "\n"
     try:
         if hasattr(out, "buffer"):
             out.flush()
-            out, data = out.buffer, memoryview(data.encode(out.encoding))
-        # an unbuffered stream's raw write may take only part of the data: write the rest
-        while data:
-            data = data[out.write(data) :]
+            out, text, newline = out.buffer, memoryview(text.encode(out.encoding)), newline.encode(out.encoding)
+        # the newline follows the text, which is not copied to end with it; an unbuffered
+        # stream's raw write may take only part of the data: write the rest
+        for data in (text, newline):
+            while data:
+                data = data[out.write(data) :]
         out.flush()
     except BrokenPipeError:
         # the reader is gone: exit 1 quietly, and let the interpreter's final flush go nowhere
@@ -138,17 +140,19 @@ def _read_json_input(source: str):
     return _decode_json(raw)
 
 
-def _edges_from_json(doc) -> list[list[int]]:
-    """A JSON list of edges, each a list of integers."""
+def _hypergraph_from_json(n: int, k: int, doc):
+    """The k-uniform hypergraph on [n] of a JSON list of edges, each a list of integers."""
     if not isinstance(doc, list):
         raise ValueError(f"edges must be a JSON list of edges, got {doc!r}")
-    # one type pass over every entry; a list it refuses goes edge by edge for the error
-    if set(map(type, doc)) <= {list} and set(map(type, chain.from_iterable(doc))) <= {int}:
-        return doc
-    for e in doc:
-        if not isinstance(e, list) or any(isinstance(i, bool) or not isinstance(i, int) for i in e):
-            raise ValueError(f"edge {e!r} must be a list of integers")
-    return doc
+    try:
+        return _load("transversal").Hypergraph(n, k, doc)
+    except (VeroneseKitError, TypeError):
+        # `Hypergraph` made the one type pass; a list it refuses goes edge by edge, and an
+        # edge that is not a list of integers is named before any other fault
+        for e in doc:
+            if not isinstance(e, list) or not all(type(i) is int for i in e):
+                raise ValueError(f"edge {e!r} must be a list of integers") from None
+        raise
 
 
 def _extract_config(doc):
@@ -215,27 +219,17 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
         size, patterns = 6, [(None, brackets.phi_as_bracket_poly())]
     else:
         size, patterns = d + 4, brackets.psi_generators(d)
-    # At n = size the one window is J = (1, ..., n) and it is the output:
-    # each bracket's text is its own labels, joined once.
-    if n == size and fmt == "text":
-        text = cache(lambda F: " ".join(map(str, F)))
-        window = ",".join(map(str, range(1, n + 1)))
-        return CommandResult("Ok", {}, text="\n".join(
-            ("(" if I is None else f"({','.join(map(str, I))}; ") + window + ") "
-            + "".join([p if type(p) is str else text(p) for p in brackets.bracket_template(P)])
-            for I, P in patterns
-        ))
-    # Otherwise every window is written by one program, compiled once per
-    # call. The program alternates literal text with indices into the
-    # window's values: J's labels (0 .. size - 1), J's own label (size), then
-    # the text of each bracket that several generators use, once per
-    # spelling (labels joined by spaces; in JSON also as a list). A bracket
-    # used once is spelled label by label, which costs less than a join.
-    # With the literals placed after the values, a window is one C-level
-    # gather and one join. The JSON program wraps the same pieces in the
-    # scaffolding `envelope_text` writes (`json.dumps(..., indent=2)`, a
-    # generator at depth 3); a text holds only digits, spaces and "|(),;+-",
-    # none of which JSON escapes.
+    # Every window count is written by one program, compiled once per call.
+    # The program alternates literal text with indices into the window's
+    # values: J's labels (0 .. size - 1), J's own label (size), the text of
+    # each bracket that several generators use, once per spelling (labels
+    # joined by spaces; in JSON also as a list), and last the literals, whose
+    # indices count from the end. A bracket used once is spelled label by
+    # label, which costs less than a join. A window is then one C-level
+    # gather. The JSON program wraps the same pieces in the scaffolding
+    # `envelope_text` writes (`json.dumps(..., indent=2)`, a generator at
+    # depth 3); a text holds only digits, spaces and "|(),;+-", none of which
+    # JSON escapes.
     uses = Counter(chain.from_iterable(fs for _, P in patterns for _, fs in P.terms))
     shared = [F for F in uses if uses[F] > 1]
     seps = [" "] if fmt == "text" else [" ", ",\n                "]
@@ -250,11 +244,15 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
 
     text = spelling(0)
     program = [""]
+    templates = {}  # `bracket_template`'s literals, once per term shape
 
     def write(P) -> None:
-        pieces = brackets.bracket_template(P)
-        program[-1] += pieces[0]
-        for F, literal in zip(pieces[1::2], pieces[2::2]):
+        shape = tuple([(coef, len(factors)) for coef, factors in P.terms])
+        if shape not in templates:
+            templates[shape] = brackets.bracket_template(P)[::2]
+        first, *pieces = templates[shape]
+        program[-1] += first
+        for F, literal in zip([F for _, factors in P.terms for F in factors], pieces):
             program.extend(text[F])
             program.append(literal)
 
@@ -263,10 +261,11 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
             program[-1] += ("\n(" if len(program) > 1 else "(") + ("" if I is None else f"{','.join(map(str, I))}; ")
             program += [size, ") "]
             write(P)
+        between, head, tail = "\n", "", ""
     else:
         listed, window = spelling(1), spelled(range(1, size + 1), ",\n          ")
         for I, P in patterns:
-            program[-1] += '\n      {\n        "I": [\n          '
+            program[-1] += ("," if len(program) > 1 else "") + '\n      {\n        "I": [\n          '
             if I is not None:
                 program[-1] += ",\n          ".join(map(str, I)) + '\n        ],\n        "J": [\n          '
             program += window
@@ -280,23 +279,22 @@ def cmd_eqs(d: int, n: int, fmt: str) -> CommandResult:
                 program[-1] += "\n            ]\n          }"
             program[-1] += '\n        ],\n        "text": "'
             write(P)
-            program[-1] += f'",\n        "width": {P.width}\n      }},'
-        program[-1] = program[-1][:-1]  # the window's last generator takes no comma
-    literals, indices = program[::2], program[1::2]
-    base = size + 1 + len(seps) * len(shared)
-    gather = itemgetter(*chain.from_iterable(zip(range(base, base + len(indices)), indices)), base + len(indices))
+            program[-1] += f'",\n        "width": {P.width}\n      }}'
+        # the windows are spliced into the envelope of an empty generator list
+        document = CommandResult("Ok", {"d": d, "n": n, "count": count, "generators": []}).to_document()
+        head, tail = _load("serialize").envelope_text(document).split('"generators": []')
+        between, head, tail = ",", head + '"generators": [', "\n    ]" + tail
+    literals = program[::2]
+    program[::2] = range(-len(literals), 0)
+    gather = itemgetter(*program)
     getters = [itemgetter(*[i - 1 for i in F]) for F in shared]
-    windows = [
-        "".join(gather((*J, ",".join(J), *[sep.join(g(J)) for sep in seps for g in getters], *literals)))
-        for J in combinations([str(j) for j in range(1, n + 1)], size)
-    ]
-    if fmt == "text":
-        return CommandResult("Ok", {}, text="\n".join(windows))
-    # the generators are spliced into the envelope of an empty list, as one join
-    payload = {"d": d, "n": n, "count": count, "generators": []}
-    envelope = _load("serialize").envelope_text(CommandResult("Ok", payload).to_document())
-    head, tail = envelope.split('"generators": []')
-    return CommandResult("Ok", {}, text="".join([head, '"generators": [', ",".join(windows), "\n    ]", tail]))
+    # one join over the head, every window's pieces and separators, and the tail
+    parts = [head]
+    for J in combinations([str(j) for j in range(1, n + 1)], size):
+        parts += gather((*J, ",".join(J), *[sep.join(g(J)) for sep in seps for g in getters], *literals))
+        parts.append(between)
+    parts[-1] = tail
+    return CommandResult("Ok", {}, text="".join(parts))
 
 
 # -- eval ---------------------------------------------------------------------
@@ -388,7 +386,7 @@ def cmd_transversal(n, k, edges, minimum) -> CommandResult:
     payload["bounds"] = {"incidence": inc, "averaging": avg}
     if edges is not None:
         doc = _read_json_input(edges[1:]) if edges.startswith("@") else _decode_json(edges)
-        H = tv.Hypergraph(n, k, _edges_from_json(doc))
+        H = _hypergraph_from_json(n, k, doc)
         part = tv.failing_partition(H)
         payload["edges"] = [list(e) for e in H.edges]
         payload["transversal"] = part is None

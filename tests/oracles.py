@@ -64,8 +64,8 @@ product per band.
 document through `Field.scalar_from_json`; it is the reference for the
 one-pass decode of `serialize.config_from_json`. `edges_edge_by_edge`
 checks every edge on its own, by type and then by `as_index_set`; it is the
-reference for the one-pass checks of `cli._edges_from_json` and
-`transversal.Hypergraph`.
+reference for the one-pass checks of `transversal.Hypergraph` and the
+errors of `cli._hypergraph_from_json`.
 """
 
 import random
@@ -501,7 +501,7 @@ def columns_entry_by_entry(field, d, columns):
 
 def edges_edge_by_edge(n, k, doc):
     """The sorted distinct edges of a JSON edge list on [n], each checked on
-    its own: a list of exact ints (the ValueError of `cli._edges_from_json`
+    its own: a list of exact ints (the ValueError of `cli._hypergraph_from_json`
     otherwise), then a k-subset of [n] by `as_index_set`."""
     if not isinstance(doc, list):
         raise ValueError(f"edges must be a JSON list of edges, got {doc!r}")

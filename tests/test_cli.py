@@ -139,14 +139,20 @@ def test_eqs_builds_no_polynomial_per_generator(monkeypatch):
 
     monkeypatch.setattr(BracketPolynomial, "__init__", counting_init)
     monkeypatch.setattr(BracketPolynomial, "_canonical", counting_canonical)
+    # nor a template per pattern: every pattern of one d has the same term shape,
+    # so each call takes `bracket_template`'s literals once, at n = d + 4 as above it
+    template, templated = brackets.bracket_template, []
+    monkeypatch.setattr(brackets, "bracket_template", lambda P: templated.append(P) or template(P))
     for d, small, large in ((2, 6, 9), (3, 7, 9)):
         counts = []
         for n in (small, large):
             brackets.psi_generators.cache_clear()
             built.clear()
+            templated.clear()
             for fmt in ("text", "json"):
                 assert run(["eqs", "--d", str(d), "--n", str(n), "--format", fmt]).exit_code == 0
             counts.append(len(built))
+            assert len(templated) == 2, (d, n, len(templated))
         assert 0 < counts[0] == counts[1], (d, counts)
 
 
@@ -860,7 +866,7 @@ EQS_DIGESTS = os.path.join(os.path.dirname(__file__), "eqs_digests.sha256")
 def test_eqs_outputs_match_the_recorded_digests():
     with open(EQS_DIGESTS, encoding="ascii") as f:
         recorded = dict(reversed(line.split()) for line in f)
-    assert len(recorded) == 6
+    assert len(recorded) == 9
     for name, digest in recorded.items():
         shape, fmt = name.split(".")
         d, n = (part[1:] for part in shape.split("-")[1:])

@@ -98,7 +98,7 @@ def test_one_pass_edge_checks_match_edge_by_edge():
         k = rng.randint(1, n)
         doc = _random_edges(rng, n, k)
         oracle = _edges_or_error(edges_edge_by_edge, n, k, doc)
-        assert _edges_or_error(lambda: Hypergraph(n, k, cli._edges_from_json(doc)).edges) == oracle, (n, k, doc)
+        assert _edges_or_error(lambda: cli._hypergraph_from_json(n, k, doc).edges) == oracle, (n, k, doc)
         # the constructor alone, on lists and on tuples, against `as_index_set` per edge
         for edges in (doc, [tuple(e) if isinstance(e, list) else e for e in doc]):
             each = _edges_or_error(lambda: sorted({as_index_set(e, ground=n, size=k) for e in edges}))
